@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths: the
 // event queue, the max-min fair allocator, machine recomputation, the
-// regression fits, and an end-to-end small job.
+// regression fits, one dispatch pass, and an end-to-end small job.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "cluster/cluster.h"
 #include "harness/testbed.h"
@@ -156,6 +158,45 @@ void BM_PiecewiseFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PiecewiseFit)->Arg(32)->Arg(128);
+
+// One dispatch pass with `range(0)` live jobs: a running attempt is
+// requeued (its slot frees) and the dispatch that follows refills the slot.
+// Four native trackers hold 8 map slots, so all but a handful of the jobs
+// wait with pending maps — the FairScheduler's many-jobs regime. The
+// simulation never runs, so the live set stays fixed; the bed is rebuilt
+// (untimed) every kPassesPerBed passes, before the requeued tasks' attempt
+// lists grow long enough to show up in the timing.
+void BM_DispatchPass(benchmark::State& state) {
+  constexpr int kPassesPerBed = 64;
+  const int live_jobs = static_cast<int>(state.range(0));
+  auto make_bed = [live_jobs] {
+    harness::TestBed::Options options;
+    options.telemetry = false;
+    auto bed = std::make_unique<harness::TestBed>(options);
+    bed->add_native_nodes(4);
+    for (int i = 0; i < live_jobs; ++i) {
+      bed->mr().submit(workload::sort_job().with_input_gb(0.25));
+    }
+    return bed;
+  };
+  auto bed = make_bed();
+  int passes = 0;
+  for (auto _ : state) {
+    if (passes == kPassesPerBed) {
+      state.PauseTiming();
+      bed.reset();
+      bed = make_bed();
+      passes = 0;
+      state.ResumeTiming();
+    }
+    auto& mr = bed->mr();
+    const auto& tracker = *mr.trackers()[static_cast<std::size_t>(passes % 4)];
+    mr.requeue(*tracker.running().front(), /*ban_tracker=*/false);
+    ++passes;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DispatchPass)->Arg(16)->Arg(128)->Arg(512);
 
 void BM_EndToEndSmallJob(benchmark::State& state) {
   for (auto _ : state) {

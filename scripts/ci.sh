@@ -57,6 +57,9 @@
 #   perf         Release bench_micro + bench_scale runs gated by
 #                scripts/perf_gate.py against the committed BENCH_micro.json
 #                / BENCH_scale.json baselines (see docs/PERFORMANCE.md)
+#   bench-smoke  hmrbench/run.py --smoke: every hmrbench workload at smoke
+#                size, untraced, traced and through start(); the same-seed
+#                sim digests must agree and no operation may fail — blocking
 #
 #   $ scripts/ci.sh [build-root]        # default build root: ./build-ci
 #
@@ -473,7 +476,7 @@ scale="$root/release/bench/bench_scale"
 if [ -x "$micro" ] && [ -x "$scale" ]; then
   mkdir -p "$perf_dir"
   if "$micro" \
-        --benchmark_filter='BM_RecomputeBurst|BM_Waterfill|BM_EventQueue|BM_EventCancellation|BM_MachineRecompute|BM_EndToEndSmallJob' \
+        --benchmark_filter='BM_RecomputeBurst|BM_Waterfill|BM_EventQueue|BM_EventCancellation|BM_MachineRecompute|BM_DispatchPass|BM_EndToEndSmallJob' \
         --benchmark_min_time=0.05 \
         --benchmark_out="$perf_dir/micro.json" \
         --benchmark_out_format=json > /dev/null &&
@@ -499,6 +502,18 @@ else
   echo "perf: bench binaries missing (release build failed?)"
 fi
 note_stage perf "$perf_result"
+
+# --- bench-smoke: the end-to-end benchmark at smoke size (blocking) -----------
+# hmrbench builds its own tree from this checkout's sources and runs every
+# workload untraced, traced and through start(); run.py exits non-zero when
+# a build fails, a run fails an operation, or the same-seed sim digests of
+# the variants disagree.
+echo "=== [bench-smoke] hmrbench/run.py --smoke ==="
+if python3 "$repo/hmrbench/run.py" --smoke; then
+  note_stage bench-smoke PASS
+else
+  note_stage bench-smoke FAIL
+fi
 
 # --- summary -----------------------------------------------------------------
 echo

@@ -33,7 +33,9 @@ Three kinds of checks, all driven by the baseline file:
                 involved) and records the PR's headline numbers.
 
   ratio_rules   Hardware-independent ratios evaluated on the FRESH run,
-                e.g. eager recompute-burst time / deferred time >= 2.0.
+                e.g. eager recompute-burst time / deferred time >= 2.0
+                (min_ratio), or dispatch-pass time at 512 live jobs / at 16
+                <= 2.0 (max_ratio).
                 These hold on any machine, so they are the strictest part
                 of the gate.
 
@@ -221,10 +223,20 @@ def check(baseline_doc: dict, run_doc: dict, tolerance: float) -> int:
             continue
         checked += 1
         ratio = num_value / den_value
-        status = "ok" if ratio >= float(rule["min_ratio"]) else "FAIL"
+        # A rule bounds the ratio from below (min_ratio: a speedup that must
+        # hold), from above (max_ratio: a cost that must not grow), or both.
+        bounds = []
+        ok = True
+        if "min_ratio" in rule:
+            bounds.append(f">= {rule['min_ratio']}x")
+            ok = ok and ratio >= float(rule["min_ratio"])
+        if "max_ratio" in rule:
+            bounds.append(f"<= {rule['max_ratio']}x")
+            ok = ok and ratio <= float(rule["max_ratio"])
+        status = "ok" if ok else "FAIL"
         print(f"  [ratio   ] {name}: {metric}({rule['numerator']}) / "
               f"{metric}({rule['denominator']}) = {ratio:.2f}x "
-              f"(need >= {rule['min_ratio']}x) {status}")
+              f"(need {' and '.join(bounds)}) {status}")
         if status == "FAIL":
             failures += 1
 

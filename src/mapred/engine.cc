@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "audit/invariants.h"
 #include "sim/log.h"
@@ -14,6 +16,10 @@ namespace {
 
 /// Jobs share one timeline track in the trace; tasks go on their site's.
 constexpr const char* kJobTrack = "jobs";
+
+constexpr TaskType kTaskTypes[] = {TaskType::kMap, TaskType::kReduce};
+
+int type_index(TaskType type) { return type == TaskType::kMap ? 0 : 1; }
 
 }  // namespace
 
@@ -62,23 +68,22 @@ bool MapReduceEngine::remove_tracker(cluster::ExecutionSite& site) {
 }
 
 void MapReduceEngine::update_offer(TaskTracker& tracker) {
-  const bool ok = !tracker.blacklisted_;
-  if (ok && tracker.free_slots(TaskType::kMap) > 0) {
-    offer_map_.insert(tracker.index_);
-  } else {
-    offer_map_.erase(tracker.index_);
-  }
-  if (ok && tracker.free_slots(TaskType::kReduce) > 0) {
-    offer_reduce_.insert(tracker.index_);
-  } else {
-    offer_reduce_.erase(tracker.index_);
+  const int partition = tracker.site().is_virtual() ? 1 : 0;
+  for (TaskType type : kTaskTypes) {
+    auto& offers = offers_[type_index(type)][partition];
+    if (!tracker.blacklisted_ && tracker.free_slots(type) > 0) {
+      offers.insert(tracker.index_);
+    } else {
+      offers.erase(tracker.index_);
+    }
   }
 }
 
 void MapReduceEngine::rebuild_dispatch_index() {
   tracker_by_site_.clear();
-  offer_map_.clear();
-  offer_reduce_.clear();
+  for (auto& by_partition : offers_) {
+    for (auto& offers : by_partition) offers.clear();
+  }
   for (std::size_t i = 0; i < trackers_.size(); ++i) {
     TaskTracker* tr = trackers_[i].get();
     tr->index_ = static_cast<std::uint32_t>(i);
@@ -110,8 +115,8 @@ Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
   Job* job = jobs_.back().get();
   job->input_file_ = input;
   job->submit_time_ = sim_.now();
-  job->state_ = JobState::kMapping;
   job->pool_ = pool;
+  set_state(*job, JobState::kMapping);
 
   const int n_maps = hdfs_.num_blocks(input);
   job->maps_.reserve(static_cast<std::size_t>(n_maps));
@@ -124,10 +129,9 @@ Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
     job->reduces_.push_back(
         std::make_unique<Task>(*job, TaskType::kReduce, i));
   }
-  for (const auto& t : job->maps_) t->sync_pending();
-  for (const auto& t : job->reduces_) t->sync_pending();
+  for (const auto& t : job->maps_) t->sync_pending(*this);
+  for (const auto& t : job->reduces_) t->sync_pending(*this);
 
-  ++active_jobs_;
   sim::log_info(sim_.now(), "jobtracker",
                 "submit " + spec.name + " (" + std::to_string(n_maps) +
                     " maps, " + std::to_string(n_reduces) + " reduces)");
@@ -174,15 +178,14 @@ bool MapReduceEngine::host_gated(const TaskTracker& tracker,
   return running >= static_cast<int>(2 * host->capacity().cpu);
 }
 
-bool MapReduceEngine::dispatch_wave(const std::vector<Job*>& jobs,
-                                    bool locality_only,
+bool MapReduceEngine::dispatch_wave(bool locality_only,
                                     std::uint64_t& tracker_scans,
                                     std::uint64_t& launches) {
   bool progressed = false;
   auto offer_tracker = [&](TaskTracker& tr) {
-    for (TaskType type : {TaskType::kMap, TaskType::kReduce}) {
+    for (TaskType type : kTaskTypes) {
       if (tr.free_slots(type) <= 0) continue;
-      Task* task = scheduler_->pick(tr, type, jobs, hdfs_, locality_only);
+      Task* task = scheduler_->pick(tr, type, live_, hdfs_, locality_only);
       if (task == nullptr) continue;
       tr.launch(*task);
       ++launches;
@@ -212,75 +215,113 @@ bool MapReduceEngine::dispatch_wave(const std::vector<Job*>& jobs,
     }
     return progressed;
   }
-  // Indexed wave: merge-walk the two offer sets in index order — the same
+  // Indexed wave: merge-walk the offer sets in index order — the same
   // visit order the full scan used, with map tried before reduce on each
-  // tracker — but only while a pick of that type can possibly succeed
-  // (schedulable_pending sums the same cached pending flags pick() tests,
-  // so a zero is a proof, not a heuristic). Launches during the wave mutate
-  // the sets (slot grants drop trackers, synchronous sibling kills re-add
-  // them), so the cursor re-enters via lower_bound instead of holding an
-  // iterator; a tracker whose slot frees behind the cursor is picked up by
-  // the next wave, exactly as the full re-scan would.
-  int avail_map = schedulable_pending(TaskType::kMap);
-  int avail_reduce = schedulable_pending(TaskType::kReduce);
+  // tracker — but only the sets of a (type, partition) whose pick can
+  // possibly succeed (schedulable_pending counts the same eligibility, pool
+  // and pending flags pick() tests, so a zero is a proof, not a heuristic).
+  // Launches during the wave mutate the sets (slot grants drop trackers,
+  // synchronous sibling kills re-add them) and the counters, so the cursor
+  // re-enters via lower_bound instead of holding an iterator, and every
+  // test re-reads the counters; a tracker whose slot frees behind the
+  // cursor is picked up by the next wave, exactly as the full re-scan
+  // would.
   std::uint32_t pos = 0;
-  while (avail_map > 0 || avail_reduce > 0) {
-    const auto im =
-        avail_map > 0 ? offer_map_.lower_bound(pos) : offer_map_.end();
-    const auto ir = avail_reduce > 0 ? offer_reduce_.lower_bound(pos)
-                                     : offer_reduce_.end();
-    const bool have_m = im != offer_map_.end();
-    const bool have_r = ir != offer_reduce_.end();
-    if (!have_m && !have_r) break;
-    const std::uint32_t idx =
-        have_m && have_r ? std::min(*im, *ir) : (have_m ? *im : *ir);
+  for (;;) {
+    std::uint32_t idx = std::numeric_limits<std::uint32_t>::max();
+    for (TaskType type : kTaskTypes) {
+      for (const bool virtual_site : {false, true}) {
+        if (schedulable_pending(type, virtual_site) <= 0) continue;
+        const auto& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
+        const auto it = offers.lower_bound(pos);
+        if (it != offers.end()) idx = std::min(idx, *it);
+      }
+    }
+    if (idx == std::numeric_limits<std::uint32_t>::max()) break;
     TaskTracker& tr = *trackers_[idx];
     pos = idx + 1;
     ++tracker_scans;
     if (host_gated(tr, tracker_scans)) continue;
-    for (TaskType type : {TaskType::kMap, TaskType::kReduce}) {
-      const int avail = type == TaskType::kMap ? avail_map : avail_reduce;
-      if (avail <= 0) continue;
+    const bool virtual_site = tr.site().is_virtual();
+    for (TaskType type : kTaskTypes) {
+      if (schedulable_pending(type, virtual_site) <= 0) continue;
       if (tr.free_slots(type) <= 0) continue;
-      Task* task = scheduler_->pick(tr, type, jobs, hdfs_, locality_only);
+      Task* task = scheduler_->pick(tr, type, live_, hdfs_, locality_only);
       if (task == nullptr) continue;
       tr.launch(*task);
       ++launches;
       progressed = true;
-      // A launch can cascade (sibling kills, synchronous phase flips), so
-      // re-derive both counts from the job counters rather than decrement.
-      avail_map = schedulable_pending(TaskType::kMap);
-      avail_reduce = schedulable_pending(TaskType::kReduce);
     }
   }
   return progressed;
 }
 
-int MapReduceEngine::schedulable_pending(TaskType type) const {
-  int n = 0;
-  for (const auto& j : jobs_) {
-    if (!scheduler_->eligible(*j, type)) continue;
-    n += type == TaskType::kMap ? j->pending_maps() : j->pending_reduces();
+int MapReduceEngine::schedulable_pending(TaskType type,
+                                         bool virtual_site) const {
+  const auto& by_pool = schedulable_[type_index(type)];
+  const PlacementPool own =
+      virtual_site ? PlacementPool::kVirtualOnly : PlacementPool::kNativeOnly;
+  return by_pool[static_cast<int>(PlacementPool::kAny)] +
+         by_pool[static_cast<int>(own)];
+}
+
+void MapReduceEngine::add_schedulable(const Job& job, TaskType type,
+                                      int delta) {
+  if (!TaskScheduler::eligible(job, type)) return;
+  schedulable_[type_index(type)][static_cast<int>(job.pool())] += delta;
+}
+
+void MapReduceEngine::add_running(Job& job, int delta) {
+  if (!job.live()) {
+    job.running_attempts_ += delta;
+    return;
   }
-  return n;
+  auto node = live_.fair_order_.extract(
+      LiveJobs::FairKey{job.running_attempts_, job.id(), &job});
+  assert(!node.empty() && "live job missing from the fair-order index");
+  job.running_attempts_ += delta;
+  node.value().running = job.running_attempts_;
+  live_.fair_order_.insert(std::move(node));
+}
+
+void MapReduceEngine::set_state(Job& job, JobState state) {
+  const bool was_live = job.live();
+  for (TaskType type : kTaskTypes) {
+    add_schedulable(job, type, -job.pending(type));
+  }
+  job.state_ = state;
+  for (TaskType type : kTaskTypes) add_schedulable(job, type, job.pending(type));
+  if (job.live() == was_live) return;
+  const LiveJobs::FairKey key{job.running_tasks(), job.id(), &job};
+  if (job.live()) {
+    live_.submit_order_.push_back(&job);
+    live_.fair_order_.insert(key);
+  } else {
+    // The submit-order list drops the job at the next dispatch, not here:
+    // a FIFO pick or a wave may be iterating it when a launch finishes it.
+    live_.fair_order_.erase(key);
+    live_.stale_ = true;
+  }
 }
 
 void MapReduceEngine::dispatch() {
   if (dispatching_) return;
   dispatching_ = true;
   telemetry::Scope prof_scope(prof_, prof_dispatch_scope_);
+  if (live_.stale_) {
+    std::erase_if(live_.submit_order_, [](const Job* j) { return !j->live(); });
+    live_.stale_ = false;
+  }
+  audit_verify_live_work();
   std::uint64_t tracker_scans = 0;
   std::uint64_t launches = 0;
   // Nothing to place (or nowhere to place it): scheduler->pick() cannot
-  // return a task, so skip the sweep. eligible() only admits kMapping /
-  // kReducing jobs, which active_jobs_ counts.
-  const bool can_launch =
-      active_jobs_ > 0 && (options_.naive_dispatch || !offer_map_.empty() ||
-                           !offer_reduce_.empty());
-  if (can_launch) {
-    std::vector<Job*> jobs;
-    jobs.reserve(jobs_.size());
-    for (const auto& j : jobs_) jobs.push_back(j.get());
+  // return a task, so skip the sweep.
+  bool any_offer = options_.naive_dispatch;
+  for (const auto& by_partition : offers_) {
+    for (const auto& offers : by_partition) any_offer |= !offers.empty();
+  }
+  if (active_jobs() > 0 && any_offer) {
     // Round-robin one slot per tracker per pass (mirrors heartbeat
     // interleaving), locality round first (Hadoop's delay scheduling). A
     // per-host concurrency cap of 2 tasks per core acts like slots sized to
@@ -288,7 +329,7 @@ void MapReduceEngine::dispatch() {
     // the job's tail while other hosts still have capacity — deferred tasks
     // are picked up on a later completion by a less-loaded host.
     for (bool locality_only : {true, false}) {
-      while (dispatch_wave(jobs, locality_only, tracker_scans, launches)) {
+      while (dispatch_wave(locality_only, tracker_scans, launches)) {
       }
     }
   }
@@ -359,9 +400,8 @@ bool MapReduceEngine::fail_attempt(TaskAttempt& attempt, bool ban_tracker) {
 
 void MapReduceEngine::fail_job(Job& job, const std::string& reason) {
   if (job.finished()) return;
-  job.state_ = JobState::kFailed;
+  set_state(job, JobState::kFailed);
   job.finish_time_ = sim_.now();
-  --active_jobs_;
   ++jobs_failed_;
   for (TaskType type : {TaskType::kMap, TaskType::kReduce}) {
     auto& tasks = type == TaskType::kMap ? job.maps_ : job.reduces_;
@@ -450,8 +490,8 @@ int MapReduceEngine::requeue_attempts_depending_on(
 int MapReduceEngine::reexecute_lost_map_outputs(
     const cluster::ExecutionSite& site) {
   int total = 0;
-  for (const auto& job : jobs_) {
-    if (job->finished()) continue;
+  for (Job* job : live_.submit_order_) {
+    if (!job->live()) continue;
     int lost = 0;
     for (const auto& t : job->maps_) {
       if (!t->completed() || t->output_site_ != &site) continue;
@@ -460,7 +500,7 @@ int MapReduceEngine::reexecute_lost_map_outputs(
       t->duration_ = sim::Duration{-1};
       t->output_site_ = nullptr;
       t->speculative_launched = false;
-      t->sync_pending();
+      t->sync_pending(*this);
       --job->maps_done_;
       ++lost;
     }
@@ -471,7 +511,7 @@ int MapReduceEngine::reexecute_lost_map_outputs(
       // Back to the map phase until the lost outputs are regenerated;
       // already-running reducers that do not touch the dead site keep
       // going, requeued ones wait for the phase to come back.
-      job->state_ = JobState::kMapping;
+      set_state(*job, JobState::kMapping);
       job->map_phase_end_ = -1;
     }
     sim::log_info(sim_.now(), "jobtracker",
@@ -495,7 +535,7 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
   if (task.job().finished()) return;  // terminal jobs take no completions
   if (task.completed_) return;  // a sibling already won (defensive)
   task.completed_ = true;
-  task.sync_pending();
+  task.sync_pending(*this);
   task.duration_ = sim::Duration{attempt.elapsed()};
   task.output_site_ = &attempt.site();
   for (const auto& other : task.attempts_) {
@@ -517,7 +557,7 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
     if (job.state_ == JobState::kMapping &&
         job.maps_done_ == static_cast<int>(job.maps_.size())) {
       job.map_phase_end_ = sim_.now();
-      job.state_ = JobState::kReducing;
+      set_state(job, JobState::kReducing);
       sim::log_debug(sim_.now(), "jobtracker",
                      job.spec().name + ": map phase done");
     }
@@ -533,8 +573,7 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
         }
       }
       job.finish_time_ = sim_.now();
-      job.state_ = JobState::kDone;
-      --active_jobs_;
+      set_state(job, JobState::kDone);
       sim::log_info(
           sim_.now(), "jobtracker",
           job.spec().name + ": finished, jct=" + std::to_string(job.jct()));
@@ -599,14 +638,14 @@ void MapReduceEngine::audit_verify_job(const Job& job) const {
       }
     }
   }
-  // The O(1) running-attempts counter (what the FairScheduler sorts by)
-  // must agree with a full scan of the attempt lists.
+  // The O(1) running-attempts counter (the fair-order index key) must
+  // agree with a full scan of the attempt lists.
   HYBRIDMR_AUDIT_CHECK(running_scan == job.running_tasks(), "mapred.engine",
                        "running_counter_conserved", now,
                        {{"job", job.spec().name},
                         {"counter", audit::num(job.running_tasks())},
                         {"scan", audit::num(running_scan)}});
-  // Likewise the per-job pending counters the dispatch fast path sums.
+  // Likewise the per-job pending counters behind the engine-wide ones.
   HYBRIDMR_AUDIT_CHECK(pending_scan[0] == job.pending_maps() &&
                            pending_scan[1] == job.pending_reduces(),
                        "mapred.engine", "pending_counter_conserved", now,
@@ -647,6 +686,62 @@ void MapReduceEngine::audit_verify_job(const Job& job) const {
 #endif
 }
 
+void MapReduceEngine::audit_verify_live_work() const {
+#if defined(HYBRIDMR_AUDIT_ENABLED)
+  const double now = sim_.now();
+  std::vector<const Job*> live;
+  std::array<std::array<int, 3>, 2> schedulable{};
+  for (const auto& job : jobs_) {
+    if (!job->live()) continue;
+    live.push_back(job.get());
+    for (TaskType type : kTaskTypes) {
+      if (TaskScheduler::eligible(*job, type)) {
+        schedulable[type_index(type)][static_cast<int>(job->pool())] +=
+            job->pending(type);
+      }
+    }
+  }
+  // The submit-order list holds exactly the live jobs, in id order (it is
+  // compacted at the start of every dispatch, where this runs).
+  HYBRIDMR_AUDIT_CHECK(
+      std::equal(live.begin(), live.end(), live_.submit_order_.begin(),
+                 live_.submit_order_.end()),
+      "mapred.engine", "live_jobs_conserved", now,
+      {{"live", audit::num(static_cast<double>(live.size()))},
+       {"listed",
+        audit::num(static_cast<double>(live_.submit_order_.size()))}});
+  for (TaskType type : kTaskTypes) {
+    for (int pool = 0; pool < 3; ++pool) {
+      const int counter = schedulable_[type_index(type)][pool];
+      const int scan = schedulable[type_index(type)][pool];
+      HYBRIDMR_AUDIT_CHECK(counter == scan, "mapred.engine",
+                           "schedulable_pending_conserved", now,
+                           {{"task_type", type == TaskType::kMap ? "map"
+                                                                 : "reduce"},
+                            {"pool", audit::num(pool)},
+                            {"counter", audit::num(counter)},
+                            {"scan", audit::num(scan)}});
+    }
+  }
+  // Every fair-order key carries its job's current running count, and the
+  // index holds each live job once.
+  HYBRIDMR_AUDIT_CHECK(
+      live_.fair_order_.size() == live.size(), "mapred.engine",
+      "fair_index_conserved", now,
+      {{"live", audit::num(static_cast<double>(live.size()))},
+       {"indexed", audit::num(static_cast<double>(live_.fair_order_.size()))}});
+  for (const LiveJobs::FairKey& key : live_.fair_order_) {
+    HYBRIDMR_AUDIT_CHECK(
+        key.job->live() && key.id == key.job->id() &&
+            key.running == key.job->running_tasks(),
+        "mapred.engine", "fair_index_conserved", now,
+        {{"job", key.job->spec().name},
+         {"key_running", audit::num(key.running)},
+         {"running", audit::num(key.job->running_tasks())}});
+  }
+#endif
+}
+
 TaskTracker* MapReduceEngine::tracker_with_free_slot(
     TaskType type, const TaskTracker* exclude, const Task& task) const {
   // Prefer the tracker on the least-loaded physical host: a speculative
@@ -682,7 +777,7 @@ void MapReduceEngine::maybe_start_speculation_monitor() {
   auto tick = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_tick = tick;
   *tick = [this, weak_tick]() {
-    if (active_jobs_ == 0) {
+    if (active_jobs() == 0) {
       speculation_monitor_running_ = false;
       return;
     }
@@ -702,76 +797,87 @@ void MapReduceEngine::speculation_scan() {
   if (prof_ != nullptr) {
     prof_->add(telemetry::WorkCounter::kSpeculationScans);
   }
-  for (const auto& job : jobs_) {
-    if (job->state() != JobState::kMapping &&
-        job->state() != JobState::kReducing) {
-      continue;
+  // Only a (job, type) group with a running attempt past the maturity bar
+  // can yield a copy: the loops below judge and copy mature attempts only,
+  // and make no progress() call in any other group. One pass over the
+  // running lists marks those groups; sorted, they come in today's order —
+  // job (submit) order, maps before reduces.
+  std::vector<std::pair<int, TaskType>> mature;
+  for (const auto& tr : trackers_) {
+    for (const TaskAttempt* a : tr->running()) {
+      if (sim::Duration{a->elapsed()} >= options_.speculation_min_elapsed_s) {
+        mature.emplace_back(a->task().job().id(), a->task().type());
+      }
     }
-    for (TaskType type : {TaskType::kMap, TaskType::kReduce}) {
-      const auto& tasks =
-          type == TaskType::kMap ? job->maps() : job->reduces();
-      // Mean progress rate over mature running attempts plus completed
-      // tasks (whose rate is 1/duration) of this (job, type).
-      double sum_rate = 0;
-      int n = 0;
-      for (const auto& t : tasks) {
-        if (t->completed() && t->duration() > sim::Duration{0}) {
-          sum_rate += 1.0 / t->duration().value();
-          ++n;
-          continue;
-        }
-        TaskAttempt* a = t->running_attempt();
-        if (a == nullptr ||
-            sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
-          continue;
-        }
-        sum_rate += a->progress_rate();
+  }
+  std::sort(mature.begin(), mature.end());
+  mature.erase(std::unique(mature.begin(), mature.end()), mature.end());
+  for (const auto& [job_id, type] : mature) {
+    Job* job = jobs_[static_cast<std::size_t>(job_id)].get();
+    if (!job->live()) continue;
+    const auto& tasks =
+        type == TaskType::kMap ? job->maps() : job->reduces();
+    // Mean progress rate over mature running attempts plus completed
+    // tasks (whose rate is 1/duration) of this (job, type).
+    double sum_rate = 0;
+    int n = 0;
+    for (const auto& t : tasks) {
+      if (t->completed() && t->duration() > sim::Duration{0}) {
+        sum_rate += 1.0 / t->duration().value();
         ++n;
+        continue;
       }
-      if (n < 2) continue;
-      const double mean_rate = sum_rate / n;
-      // Hadoop's speculative cap: at most ~10% of a job's tasks may have
-      // live speculative copies at once.
-      int live_copies = 0;
-      for (const auto& t : tasks) {
-        if (!t->completed() && t->running_count() > 1) ++live_copies;
+      TaskAttempt* a = t->running_attempt();
+      if (a == nullptr ||
+          sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
+        continue;
       }
-      const int copy_budget =
-          std::max(1, static_cast<int>(tasks.size()) / 10) - live_copies;
-      int copies_left = std::max(0, copy_budget);
-      for (const auto& t : tasks) {
-        if (copies_left <= 0) break;
-        if (t->completed() || t->speculative_launched) continue;
-        TaskAttempt* a = t->running_attempt();
-        if (a == nullptr ||
-            sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
-          continue;
+      sum_rate += a->progress_rate();
+      ++n;
+    }
+    if (n < 2) continue;
+    const double mean_rate = sum_rate / n;
+    // Hadoop's speculative cap: at most ~10% of a job's tasks may have
+    // live speculative copies at once.
+    int live_copies = 0;
+    for (const auto& t : tasks) {
+      if (!t->completed() && t->running_count() > 1) ++live_copies;
+    }
+    const int copy_budget =
+        std::max(1, static_cast<int>(tasks.size()) / 10) - live_copies;
+    int copies_left = std::max(0, copy_budget);
+    for (const auto& t : tasks) {
+      if (copies_left <= 0) break;
+      if (t->completed() || t->speculative_launched) continue;
+      TaskAttempt* a = t->running_attempt();
+      if (a == nullptr ||
+          sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
+        continue;
+      }
+      if (a->progress() > 0.9) continue;
+      if (a->progress_rate() <
+          (1.0 - cal_.speculative_slowdown_threshold) * mean_rate) {
+        TaskTracker* target =
+            tracker_with_free_slot(type, &a->tracker(), *t);
+        if (target == nullptr) continue;
+        t->speculative_launched = true;
+        ++speculative_count_;
+        --copies_left;
+        sim::log_debug(sim_.now(), "speculation",
+                       "copy of " + job->spec().name + " task " +
+                           std::to_string(t->index()));
+        if (tel_ != nullptr) {
+          tel_speculative_->add();
+          tel_->trace.instant(
+              sim_.now(), telemetry::EventKind::kSpeculativeLaunch,
+              job->spec().name + "-j" + std::to_string(job->id()) +
+                  (type == TaskType::kMap ? "-m" : "-r") +
+                  std::to_string(t->index()),
+              target->site().name(),
+              {{"progress", telemetry::json_num(a->progress())},
+               {"mean_rate", telemetry::json_num(mean_rate)}});
         }
-        if (a->progress() > 0.9) continue;
-        if (a->progress_rate() <
-            (1.0 - cal_.speculative_slowdown_threshold) * mean_rate) {
-          TaskTracker* target =
-              tracker_with_free_slot(type, &a->tracker(), *t);
-          if (target == nullptr) continue;
-          t->speculative_launched = true;
-          ++speculative_count_;
-          --copies_left;
-          sim::log_debug(sim_.now(), "speculation",
-                         "copy of " + job->spec().name + " task " +
-                             std::to_string(t->index()));
-          if (tel_ != nullptr) {
-            tel_speculative_->add();
-            tel_->trace.instant(
-                sim_.now(), telemetry::EventKind::kSpeculativeLaunch,
-                job->spec().name + "-j" + std::to_string(job->id()) +
-                    (type == TaskType::kMap ? "-m" : "-r") +
-                    std::to_string(t->index()),
-                target->site().name(),
-                {{"progress", telemetry::json_num(a->progress())},
-                 {"mean_rate", telemetry::json_num(mean_rate)}});
-          }
-          target->launch(*t);
-        }
+        target->launch(*t);
       }
     }
   }

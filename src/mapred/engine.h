@@ -2,6 +2,7 @@
 // dispatch, phase transitions and speculative execution.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -91,7 +92,10 @@ class MapReduceEngine {
   [[nodiscard]] const std::vector<std::unique_ptr<Job>>& jobs() const {
     return jobs_;
   }
-  [[nodiscard]] int active_jobs() const { return active_jobs_; }
+  /// Jobs submitted and not yet done or failed.
+  [[nodiscard]] int active_jobs() const {
+    return static_cast<int>(live_.in_fair_order().size());
+  }
 
   /// All currently running attempts across all trackers (DRM's view).
   [[nodiscard]] std::vector<TaskAttempt*> running_attempts() const;
@@ -138,6 +142,13 @@ class MapReduceEngine {
   /// called from TaskTracker::launch/release and the blacklist paths so the
   /// offer set is never stale when dispatch() reads it.
   void update_offer(TaskTracker& tracker);
+  /// Applies a change of `delta` pending tasks of `type` in `job` to the
+  /// engine-wide schedulable counters (a no-op unless the job is eligible
+  /// for `type`). Called only by Task::sync_pending().
+  void add_schedulable(const Job& job, TaskType type, int delta);
+  /// Moves `job`'s running-attempt count by `delta` and re-keys it in the
+  /// fair-order index. Called only by TaskTracker::launch()/release().
+  void add_running(Job& job, int delta);
   /// Registers `fn` to run whenever an attempt leaves its tracker — every
   /// death path funnels through TaskTracker::release (normal finish, kill,
   /// IPS requeue, bounded-retry failure, tracker loss, crash teardown), so
@@ -183,6 +194,12 @@ class MapReduceEngine {
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): task-state exclusivity
   /// and map/reduce completion-count conservation for one job.
   void audit_verify_job(const Job& job) const;
+  /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): the live list, the
+  /// schedulable counters and the fair-order keys match a scan of jobs_.
+  void audit_verify_live_work() const;
+  /// Every job state write goes through here: it keeps the live list, the
+  /// fair-order index and the schedulable counters in step with the state.
+  void set_state(Job& job, JobState state);
   TaskTracker* tracker_with_free_slot(TaskType type,
                                       const TaskTracker* exclude,
                                       const Task& task) const;
@@ -197,15 +214,15 @@ class MapReduceEngine {
                                 std::uint64_t& tracker_scans) const;
   /// One dispatch sweep over the offer sets (or every tracker when
   /// naive_dispatch). Returns true when anything launched.
-  bool dispatch_wave(const std::vector<Job*>& jobs, bool locality_only,
-                     std::uint64_t& tracker_scans, std::uint64_t& launches);
-  /// Pending tasks of `type` across jobs a dispatch pick may currently draw
-  /// from (kMapping jobs offer maps, kReducing jobs offer reduces — the
-  /// scheduler's eligibility rule). Sums the O(1) per-job counters, so a
-  /// wave can skip slot offers outright when this is zero: pick() consults
-  /// exactly the same cached pending flags, so a zero here proves every
-  /// pick of this type would return null.
-  [[nodiscard]] int schedulable_pending(TaskType type) const;
+  bool dispatch_wave(bool locality_only, std::uint64_t& tracker_scans,
+                     std::uint64_t& launches);
+  /// Pending tasks of `type` that a tracker on a virtual (or native) site
+  /// may take: those of eligible jobs (kMapping jobs offer maps, kReducing
+  /// jobs offer reduces) whose pool admits the site. O(1) from counters
+  /// kept by add_schedulable() and set_state(). pick() tests the same
+  /// eligibility, pool and pending flags, so a zero here proves every pick
+  /// of this type on such a tracker would return null.
+  [[nodiscard]] int schedulable_pending(TaskType type, bool virtual_site) const;
 
   sim::Simulation& sim_;
   storage::Hdfs& hdfs_;
@@ -214,25 +231,29 @@ class MapReduceEngine {
   Options options_;
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
   // Dispatch index: ordered sets of tracker indices with at least one free
-  // slot of the given type (and not blacklisted), maintained incrementally
-  // by update_offer(); dispatch waves merge-walk these in index order
-  // instead of re-scanning every tracker, and consult each only while
-  // schedulable_pending() for its type is nonzero — during a saturated map
-  // phase that leaves a handful of slot offers per wave instead of the
-  // whole cluster. The site map serves O(1) tracker_on() and the per-host
-  // gate; it is only ever *looked up*, never iterated, so unordered is
-  // determinism-safe.
+  // slot of the given type (and not blacklisted), one per (type, partition:
+  // native or virtual site), maintained incrementally by update_offer();
+  // dispatch waves merge-walk these in index order instead of re-scanning
+  // every tracker, and consult a set only while schedulable_pending() for
+  // its type and partition is nonzero — during a saturated map phase that
+  // leaves a handful of slot offers per wave instead of the whole cluster,
+  // and pool-restricted work never walks the other partition's offers.
+  // The site map serves O(1) tracker_on() and the per-host gate; it is
+  // only ever *looked up*, never iterated, so unordered is determinism-safe.
   // hmr-state(ephemeral: incrementally maintained dispatch index; a fork
   // rebuilds it from trackers_ via update_offer() instead of copying)
-  std::set<std::uint32_t> offer_map_;
-  // hmr-state(ephemeral: reduce-side twin of offer_map_)
-  std::set<std::uint32_t> offer_reduce_;
+  std::array<std::array<std::set<std::uint32_t>, 2>, 2> offers_;
   // hmr-state(ephemeral: lookup memo over trackers_; rebuild after a fork
   // re-points the site back-references)
   std::unordered_map<const cluster::ExecutionSite*, TaskTracker*>
       tracker_by_site_;
   std::vector<std::unique_ptr<Job>> jobs_;
-  int active_jobs_ = 0;
+  // Index over the live jobs (submit and fair order), maintained by
+  // set_state() and add_running(); what the scheduler picks from.
+  LiveJobs live_;
+  // Pending tasks of eligible jobs per (task type, PlacementPool); see
+  // schedulable_pending().
+  std::array<std::array<int, 3>, 2> schedulable_{};
   bool speculation_monitor_running_ = false;
   int speculative_count_ = 0;
   int requeue_count_ = 0;

@@ -41,19 +41,26 @@ class Job {
   [[nodiscard]] int maps_done() const { return maps_done_; }
   [[nodiscard]] int reduces_done() const { return reduces_done_; }
 
+  /// Live: submitted and not yet terminal (kMapping or kReducing). The
+  /// engine indexes exactly these jobs for dispatch.
+  [[nodiscard]] bool live() const {
+    return state_ == JobState::kMapping || state_ == JobState::kReducing;
+  }
+
   /// Tasks currently pending (not completed, no running attempt), by type.
-  /// O(1) counters maintained by Task::sync_pending(); the dispatch fast
-  /// path sums these across eligible jobs to skip provably-empty scans.
-  /// Audit builds cross-check them against a full task-list scan.
+  /// O(1) counters maintained by Task::sync_pending(), which also feeds the
+  /// engine-wide schedulable-pending counters. Audit builds cross-check
+  /// them against a full task-list scan.
   [[nodiscard]] int pending_maps() const { return pending_maps_; }
   [[nodiscard]] int pending_reduces() const { return pending_reduces_; }
+  [[nodiscard]] int pending(TaskType type) const {
+    return type == TaskType::kMap ? pending_maps_ : pending_reduces_;
+  }
 
   /// Number of attempts currently running across all tasks. O(1): a
-  /// counter maintained by TaskTracker::launch()/release() — the
-  /// FairScheduler sorts every eligible job by this on every free slot of
-  /// every dispatch wave, so a scan over the task lists here is the
-  /// dominant cost of large-cluster sweeps (audit builds cross-check the
-  /// counter against the scan).
+  /// counter maintained by TaskTracker::launch()/release() through the
+  /// engine, which keys its fair-order index of live jobs by it (audit
+  /// builds cross-check the counter against the scan and the index key).
   [[nodiscard]] int running_tasks() const { return running_attempts_; }
 
   // --- timing (simulated seconds; -1 until reached) ---

@@ -1,12 +1,17 @@
 #include "mapred/scheduler.h"
 
-#include <algorithm>
-
 namespace hybridmr::mapred {
 
 bool TaskScheduler::eligible(const Job& job, TaskType type) {
   if (type == TaskType::kMap) return job.state() == JobState::kMapping;
   return job.state() == JobState::kReducing;
+}
+
+bool TaskScheduler::offers(const Job& job, TaskType type,
+                           const TaskTracker& tracker) {
+  if (!eligible(job, type)) return false;
+  if (!job.pool_allows(tracker.site().is_virtual())) return false;
+  return job.pending(type) > 0;
 }
 
 Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
@@ -36,11 +41,10 @@ Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
 }
 
 Task* FifoScheduler::pick(TaskTracker& tracker, TaskType type,
-                          const std::vector<Job*>& jobs,
-                          const storage::Hdfs& hdfs, bool locality_only) {
-  for (Job* job : jobs) {
-    if (!eligible(*job, type)) continue;
-    if (!job->pool_allows(tracker.site().is_virtual())) continue;
+                          const LiveJobs& live, const storage::Hdfs& hdfs,
+                          bool locality_only) {
+  for (Job* job : live.in_submit_order()) {
+    if (!offers(*job, type, tracker)) continue;
     if (Task* t = pick_from_job(*job, type, tracker, hdfs, locality_only)) {
       return t;
     }
@@ -49,24 +53,13 @@ Task* FifoScheduler::pick(TaskTracker& tracker, TaskType type,
 }
 
 Task* FairScheduler::pick(TaskTracker& tracker, TaskType type,
-                          const std::vector<Job*>& jobs,
-                          const storage::Hdfs& hdfs, bool locality_only) {
-  // Most-starved first: fewest running attempts, ties broken by submit
-  // order. Sort keys are hoisted out of the comparator — pick() runs once
-  // per free slot per dispatch wave, so comparator-time rescans dominate
-  // large sweeps — and the key vector is scheduler-owned scratch, so the
-  // hot path stops allocating after warm-up.
-  by_starvation_.clear();
-  for (Job* job : jobs) {
-    if (!eligible(*job, type)) continue;
-    if (!job->pool_allows(tracker.site().is_virtual())) continue;
-    by_starvation_.emplace_back(job->running_tasks(), job);
-  }
-  std::stable_sort(
-      by_starvation_.begin(), by_starvation_.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [running, job] : by_starvation_) {
-    if (Task* t = pick_from_job(*job, type, tracker, hdfs, locality_only)) {
+                          const LiveJobs& live, const storage::Hdfs& hdfs,
+                          bool locality_only) {
+  // Most-starved first: the engine keeps live jobs ordered by (running
+  // attempts, id), so the walk stops at the first job that yields a task.
+  for (const LiveJobs::FairKey& key : live.in_fair_order()) {
+    if (!offers(*key.job, type, tracker)) continue;
+    if (Task* t = pick_from_job(*key.job, type, tracker, hdfs, locality_only)) {
       return t;
     }
   }

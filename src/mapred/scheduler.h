@@ -6,6 +6,8 @@
 #pragma once
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "mapred/job.h"
@@ -13,6 +15,44 @@
 #include "storage/hdfs.h"
 
 namespace hybridmr::mapred {
+
+/// The JobTracker's index over its live jobs (kMapping or kReducing): all a
+/// scheduler reads. MapReduceEngine maintains both orders incrementally, so
+/// a pick costs O(live jobs it inspects), never O(jobs ever submitted).
+class LiveJobs {
+ public:
+  /// Fair-order key: fewest running attempts first, ties in submit order
+  /// (job ids are assigned in submit order).
+  struct FairKey {
+    int running;
+    int id;
+    // hmr-state(back-reference: owner=MapReduceEngine::jobs_)
+    Job* job;
+    bool operator<(const FairKey& other) const {
+      return running != other.running ? running < other.running
+                                      : id < other.id;
+    }
+  };
+
+  /// Live jobs in submit order. A job that finished during the current
+  /// dispatch stays listed until the next one begins; eligible() rejects it.
+  [[nodiscard]] const std::vector<Job*>& in_submit_order() const {
+    return submit_order_;
+  }
+  /// Live jobs keyed by (Job::running_tasks(), id): exactly the order of a
+  /// stable sort by running attempts over the submit order.
+  [[nodiscard]] const std::set<FairKey>& in_fair_order() const {
+    return fair_order_;
+  }
+
+ private:
+  friend class MapReduceEngine;
+  // hmr-state(back-reference: owner=MapReduceEngine::jobs_)
+  std::vector<Job*> submit_order_;
+  std::set<FairKey> fair_order_;
+  /// submit_order_ still lists a job that has finished.
+  bool stale_ = false;
+};
 
 class TaskScheduler {
  public:
@@ -22,18 +62,21 @@ class TaskScheduler {
   /// or nullptr when nothing is eligible. With `locality_only`, map slots
   /// only accept node/host-local tasks (delay-scheduling pass); the
   /// dispatcher relaxes the constraint in a second round.
-  virtual Task* pick(TaskTracker& tracker, TaskType type,
-                     const std::vector<Job*>& jobs, const storage::Hdfs& hdfs,
-                     bool locality_only) = 0;
+  virtual Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
+                     const storage::Hdfs& hdfs, bool locality_only) = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// True if `job` has work of `type` ready to schedule. Public so the
-  /// dispatcher's schedulable-pending fast path applies the exact same
+  /// dispatcher's schedulable-pending counters apply the exact same
   /// eligibility rule as pick().
   static bool eligible(const Job& job, TaskType type);
 
  protected:
+  /// True if `job` can hand `tracker` a task of `type` right now: eligible,
+  /// its pool admits the tracker's site, and a task of the type is pending.
+  /// A false here means pick_from_job() would return nullptr.
+  static bool offers(const Job& job, TaskType type, const TaskTracker& tracker);
   /// Picks a pending task of `type` from `job`, preferring map tasks whose
   /// input block has a replica on (or host-local to) the tracker's site.
   /// With `locality_only`, non-local map tasks are not offered at all.
@@ -44,9 +87,8 @@ class TaskScheduler {
 /// Jobs served strictly in submission order.
 class FifoScheduler : public TaskScheduler {
  public:
-  Task* pick(TaskTracker& tracker, TaskType type,
-             const std::vector<Job*>& jobs, const storage::Hdfs& hdfs,
-             bool locality_only) override;
+  Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
+             const storage::Hdfs& hdfs, bool locality_only) override;
   [[nodiscard]] const char* name() const override { return "fifo"; }
 };
 
@@ -54,14 +96,9 @@ class FifoScheduler : public TaskScheduler {
 /// gets the slot (equal-share, single pool, no preemption).
 class FairScheduler : public TaskScheduler {
  public:
-  Task* pick(TaskTracker& tracker, TaskType type,
-             const std::vector<Job*>& jobs, const storage::Hdfs& hdfs,
-             bool locality_only) override;
+  Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
+             const storage::Hdfs& hdfs, bool locality_only) override;
   [[nodiscard]] const char* name() const override { return "fair"; }
-
- private:
-  // (running attempts, job) sort scratch, reused across picks.
-  std::vector<std::pair<int, Job*>> by_starvation_;
 };
 
 std::unique_ptr<TaskScheduler> make_scheduler(const std::string& name);

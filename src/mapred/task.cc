@@ -35,13 +35,14 @@ int Task::running_count() const {
   return n;
 }
 
-void Task::sync_pending() {
+void Task::sync_pending(MapReduceEngine& engine) {
   const bool now_pending = !completed_ && running_count() == 0;
   if (now_pending == pending_) return;
   pending_ = now_pending;
-  int& counter =
-      type_ == TaskType::kMap ? job_->pending_maps_ : job_->pending_reduces_;
-  counter += now_pending ? 1 : -1;
+  const int delta = now_pending ? 1 : -1;
+  (type_ == TaskType::kMap ? job_->pending_maps_ : job_->pending_reduces_) +=
+      delta;
+  engine.add_schedulable(*job_, type_, delta);
 }
 
 // ------------------------------------------------------------- attempt ----
@@ -63,7 +64,7 @@ std::string TaskAttempt::label() const {
 
 void TaskAttempt::start() {
   started_ = true;
-  task_->sync_pending();
+  task_->sync_pending(*engine_);
   started_at_ = engine_->sim().now();
   build_phases();
   next_phase();
@@ -147,7 +148,7 @@ void TaskAttempt::next_phase() {
   phase_flow_total_ = 0;
   if (phase_idx_ >= static_cast<int>(phases_.size())) {
     finished_ = true;
-    task_->sync_pending();
+    task_->sync_pending(*engine_);
     tracker_->release(this);
     engine_->attempt_finished(*this);
     return;
@@ -425,7 +426,7 @@ void TaskAttempt::teardown() {
 void TaskAttempt::kill() {
   if (!running()) return;
   killed_ = true;
-  task_->sync_pending();
+  task_->sync_pending(*engine_);
   teardown();
   tracker_->release(this);
 }

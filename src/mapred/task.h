@@ -50,7 +50,7 @@ class Task {
   /// Pending: not completed and nothing running (never launched, or the
   /// previous attempt was killed). O(1): a cached flag reconciled by
   /// sync_pending() at every attempt/completion transition, which also
-  /// maintains the per-job pending counters the dispatch fast path sums
+  /// maintains the per-job and engine-wide pending counters dispatch reads
   /// (audit builds cross-check flag and counters against a full scan).
   [[nodiscard]] bool pending() const { return pending_; }
 
@@ -68,10 +68,11 @@ class Task {
   friend class MapReduceEngine;
   friend class TaskTracker;
   friend class TaskAttempt;
-  /// Reconciles the cached pending flag (and the owning job's pending
-  /// counters) with the completed/running state. Idempotent — safe to call
-  /// from nested transitions (a kill inside a finish inside a launch).
-  void sync_pending();
+  /// Reconciles the cached pending flag (and the owning job's and the
+  /// engine's pending counters) with the completed/running state.
+  /// Idempotent — safe to call from nested transitions (a kill inside a
+  /// finish inside a launch).
+  void sync_pending(MapReduceEngine& engine);
   Job* job_;
   TaskType type_;
   int index_;

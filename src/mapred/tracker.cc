@@ -72,7 +72,7 @@ TaskAttempt* TaskTracker::launch(Task& task) {
   }
   // Before start(): an attempt that finishes synchronously releases (and
   // decrements) from inside start(), so the increment must already be in.
-  ++task.job().running_attempts_;
+  engine_->add_running(task.job(), 1);
   running_.push_back(raw);
   // Offer-set update before start() for the same reason: a synchronous
   // finish re-derives membership from the post-release counts.
@@ -96,7 +96,7 @@ void TaskTracker::release(TaskAttempt* attempt) {
   } else {
     --running_reduces_;
   }
-  --attempt->task().job().running_attempts_;
+  engine_->add_running(attempt->task().job(), -1);
   engine_->update_offer(*this);
   audit_verify_slots();
 }

@@ -271,7 +271,7 @@ with tempfile.TemporaryDirectory() as td:
                  for fname in [f["name"]]}
     for site in [("src/sim/simulation.h", "probe_", "back-reference"),
                  ("src/cluster/machine.h", "scratch_demands_", "ephemeral"),
-                 ("src/mapred/engine.h", "offer_map_", "ephemeral"),
+                 ("src/mapred/engine.h", "offers_", "ephemeral"),
                  ("src/telemetry/profiler.h", "counts_", "ephemeral")]:
         check(f"src/ state census lists annotated site {site[1]}",
               site in annotated, str(sorted(annotated)))

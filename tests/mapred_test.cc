@@ -1,14 +1,24 @@
 // Tests for the MapReduce engine: job lifecycle, scheduling policies,
-// speculation, deployment shapes, and the dispatch/reschedule equivalence
-// pins (indexed offer-set dispatch vs the naive tracker re-scan, lazy
-// completion-event reschedule vs eager cancel + re-push).
+// speculation, deployment shapes, and the equivalence pins (indexed
+// offer-set dispatch vs the naive tracker re-scan, the fair-order index vs
+// the per-pick sort it replaced, lazy completion-event reschedule vs eager
+// cancel + re-push).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "cluster/cluster.h"
 #include "harness/testbed.h"
 #include "mapred/engine.h"
+#include "mapred/scheduler.h"
+#include "sim/simulation.h"
+#include "storage/hdfs.h"
 #include "telemetry/telemetry.h"
 #include "workload/benchmarks.h"
 
@@ -188,6 +198,63 @@ TEST(MapReduce, SpeculativeExecutionRescuesStragglers) {
   EXPECT_GE(bed.mr().speculative_launched(), 1);
 }
 
+TEST(MapReduce, SpeculationLaunchesExactlyThePinnedCopies) {
+  // Many (job, type) groups whose attempts never reach the maturity bar
+  // (PiEst's ~10 s maps, short DistGrep jobs) beside two capped stragglers.
+  // The scan only evaluates groups with a mature attempt; this pins the
+  // copies it launches — label, target site and launch time — so skipping
+  // the immature groups provably changes nothing.
+  TestBed bed;
+  bed.add_native_nodes(4);
+  std::vector<Job*> straggling;
+  for (int i = 0; i < 2; ++i) {
+    straggling.push_back(
+        bed.mr().submit(workload::kmeans().with_input_gb(1.0)));
+  }
+  for (int i = 0; i < 24; ++i) {
+    bed.sim().at(2.0 + 4.0 * i, [&bed, i] {
+      bed.mr().submit(i % 12 == 0 ? workload::pi_est()
+                                  : workload::dist_grep().with_input_gb(0.25));
+    });
+  }
+  // Throttle one running attempt of each Kmeans job hard, the first at
+  // t=20 and the second once its maps are running.
+  for (int i = 0; i < 2; ++i) {
+    bed.sim().at(20.0 + 60.0 * i, [&bed, job = straggling[i]] {
+      cluster::Resources caps = cluster::Resources::unbounded();
+      caps.cpu = 0.02;
+      for (TaskAttempt* a : bed.mr().running_attempts()) {
+        if (&a->task().job() == job) {
+          a->set_caps(caps);
+          return;
+        }
+      }
+      FAIL() << "no running attempt to throttle";
+    });
+  }
+  bed.sim().run_until(5000);
+
+  std::vector<std::string> copies;
+  for (const auto& job : bed.mr().jobs()) {
+    EXPECT_TRUE(job->succeeded());
+    for (const auto* tasks : {&job->maps(), &job->reduces()}) {
+      for (const auto& t : *tasks) {
+        if (!t->speculative_launched) continue;
+        ASSERT_EQ(t->attempts().size(), 2u);  // no requeues here
+        const TaskAttempt& copy = *t->attempts()[1];
+        char at[32];
+        std::snprintf(at, sizeof at, "%.3f", copy.started_at());
+        copies.push_back(copy.label() + "@" + copy.site().name() + "@" + at);
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<int>(copies.size()), bed.mr().speculative_launched());
+  // Recorded on the scan that walked every task of every live job.
+  const std::vector<std::string> pinned = {"Kmeans-j0-m1@native2@580.000",
+                                           "Kmeans-j1-m0@native2@580.000"};
+  EXPECT_EQ(copies, pinned);
+}
+
 TEST(MapReduce, RequeueBansTrackerAndStillFinishes) {
   TestBed bed;
   bed.add_native_nodes(4);
@@ -311,6 +378,219 @@ TEST(DispatchEquivalence, IndexedMatchesNaiveByteForByte) {
   EXPECT_EQ(indexed.json, naive.json);
   EXPECT_EQ(indexed.csv, naive.csv);
   EXPECT_EQ(indexed.trace, naive.trace);
+}
+
+// Phase I pool restrictions: native-only and virtual-only jobs beside
+// unrestricted ones, arriving while earlier jobs still hold slots, so
+// dispatch passes see pending work that only one partition may take.
+ReportArtifacts run_pooled_scenario(bool naive, std::uint64_t* scans) {
+  TestBed::Options options;
+  options.seed = 99;
+  options.naive_dispatch = naive;
+  options.profile = scans != nullptr;
+  TestBed bed(options);
+  bed.add_native_nodes(4);
+  bed.add_virtual_nodes(4, 2);
+  const PlacementPool pools[] = {PlacementPool::kNativeOnly,
+                                 PlacementPool::kVirtualOnly,
+                                 PlacementPool::kAny};
+  const JobSpec specs[] = {workload::sort_job().with_input_gb(0.5),
+                           workload::wcount().with_input_gb(0.5),
+                           workload::dist_grep().with_input_gb(0.25)};
+  int finished = 0;
+  for (int i = 0; i < 12; ++i) {
+    bed.sim().at(3.0 * i, [&bed, &pools, &specs, &finished, i] {
+      Job* job = bed.mr().submit(specs[i % 3], pools[(i / 3 + i) % 3]);
+      job->on_complete = [&finished](Job&) { ++finished; };
+    });
+  }
+  bed.sim().run();
+  EXPECT_EQ(finished, 12);
+
+  if (scans != nullptr && bed.profiler() != nullptr) {
+    *scans =
+        bed.profiler()->work(telemetry::WorkCounter::kDispatchTrackerScans);
+  }
+  ReportArtifacts out;
+  const telemetry::RunReport report = bed.report();
+  std::ostringstream json, csv, trace;
+  report.to_json(json);
+  report.to_csv(csv);
+  if (bed.telemetry() != nullptr) bed.telemetry()->trace.to_jsonl(trace);
+  out.json = json.str();
+  out.csv = csv.str();
+  out.trace = trace.str();
+  return out;
+}
+
+TEST(DispatchEquivalence, PooledIndexedMatchesNaive) {
+  const ReportArtifacts indexed = run_pooled_scenario(false, nullptr);
+  const ReportArtifacts naive = run_pooled_scenario(true, nullptr);
+  EXPECT_EQ(indexed.json, naive.json);
+  EXPECT_EQ(indexed.csv, naive.csv);
+  EXPECT_EQ(indexed.trace, naive.trace);
+  // Profiled (the JSON report and trace then carry profiler data), the
+  // placements are the same again. The pool-aware offer walk skips the
+  // trackers whose partition has nothing to take: one offer set per type
+  // visited 11,854 trackers here.
+  if (!telemetry::compiled_in()) return;  // no profiler, no scan count
+  std::uint64_t scans = 0;
+  const ReportArtifacts profiled = run_pooled_scenario(false, &scans);
+  EXPECT_EQ(profiled.csv, indexed.csv);
+  EXPECT_EQ(scans, 4512u);
+}
+
+// --- fair order: the live-job index vs the per-pick sort it replaced ---
+
+// The FairScheduler as it was before the engine kept live jobs in fair
+// order: every pick filters the jobs, stable-sorts them by running attempts
+// (ties in submit order) and takes the first job that yields a task. Kept
+// here as the reference the indexed walk must match pick for pick.
+class SortingFairScheduler : public TaskScheduler {
+ public:
+  Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
+             const storage::Hdfs& hdfs, bool locality_only) override {
+    by_starvation_.clear();
+    for (Job* job : live.in_submit_order()) {
+      if (!eligible(*job, type)) continue;
+      if (!job->pool_allows(tracker.site().is_virtual())) continue;
+      by_starvation_.emplace_back(job->running_tasks(), job);
+    }
+    std::stable_sort(
+        by_starvation_.begin(), by_starvation_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [running, job] : by_starvation_) {
+      if (Task* t = pick_from_job(*job, type, tracker, hdfs, locality_only)) {
+        return t;
+      }
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const char* name() const override { return "fair-sorting"; }
+
+ private:
+  std::vector<std::pair<int, Job*>> by_starvation_;
+};
+
+struct FairRun {
+  std::string jobs;      // one row per job: state and phase times
+  std::string attempts;  // one row per attempt: label, tracker, start
+  int maps_reexecuted = 0;
+  int jobs_failed = 0;
+  int speculative = 0;
+};
+
+// A many-jobs-shaped run on a stack built directly (no TestBed): 64 short
+// jobs arriving faster than 8 virtual hosts x 2 VMs drain them, two tracker
+// losses (lost map outputs re-executed, reducing jobs sent back to
+// mapping), a task failed past max_attempts (its job fails), and a
+// throttled straggler for the speculation scan.
+FairRun run_fair_order_scenario(std::unique_ptr<TaskScheduler> scheduler) {
+  const auto& cal = cluster::Calibration::standard();
+  sim::Simulation sim(7);
+  cluster::HybridCluster hc(sim, cal);
+  storage::Hdfs hdfs(sim, cal);
+  MapReduceEngine::Options options;
+  options.max_attempts = 2;
+  MapReduceEngine mr(sim, hdfs, cal, std::move(scheduler), options);
+  for (auto* host : hc.add_machines(8)) {
+    for (auto* vm : hc.virtualize(*host, 2)) {
+      hdfs.add_datanode(*vm);
+      mr.add_tracker(*vm);
+    }
+  }
+  const JobSpec specs[] = {workload::pi_est().with_input_gb(0.03),
+                           workload::dist_grep().with_input_gb(0.25),
+                           workload::sort_job().with_input_gb(0.25)};
+  std::vector<cluster::ExecutionSite*> lost;
+  for (int i = 0; i < 64; ++i) {
+    sim.at(2.5 * i + 0.5 * (i % 3), [&mr, &specs, i] {
+      mr.submit(specs[(i * 7) % 3]);
+    });
+  }
+  // Lose the tracker holding a reducing job's first map output: its lost
+  // outputs are re-executed and the job drops back to mapping. Tried at
+  // t=60 and t=130, then every second until some job is reducing.
+  std::function<void()> lose_map_output = [&] {
+    for (const auto& job : mr.jobs()) {
+      if (job->state() != JobState::kReducing) continue;
+      cluster::ExecutionSite* site = job->maps().front()->output_site();
+      if (mr.tracker_on(*site)->blacklisted()) continue;
+      mr.mark_tracker_lost(*site);
+      lost.push_back(site);
+      return;
+    }
+    if (mr.active_jobs() > 0) {
+      sim.after(sim::Duration{1.0}, [&] { lose_map_output(); });
+    }
+  };
+  sim.at(60.0, [&] { lose_map_output(); });
+  sim.at(130.0, [&] { lose_map_output(); });
+  sim.at(170.0, [&mr, &lost] { mr.restore_tracker(*lost.front()); });
+  // A Kmeans map throttled to a crawl outlives the arrival burst: once
+  // slots free up, the speculation scan copies it.
+  Job* straggling = mr.submit(workload::kmeans().with_input_gb(0.5));
+  sim.at(20.0, [&mr, straggling] {
+    cluster::Resources caps = cluster::Resources::unbounded();
+    caps.cpu = 0.01;
+    for (TaskAttempt* a : mr.running_attempts()) {
+      if (&a->task().job() == straggling) {
+        a->set_caps(caps);
+        return;
+      }
+    }
+    FAIL() << "no Kmeans attempt to throttle";
+  });
+  sim.at(95.0, [&mr] {
+    // Fail one task twice in a row: the requeue relaunches it at once on
+    // the slot it freed, and the second failure reaches max_attempts.
+    TaskAttempt* a = mr.running_attempts().back();
+    Task& task = a->task();
+    mr.fail_attempt(*a);
+    ASSERT_NE(task.running_attempt(), nullptr);
+    mr.fail_attempt(*task.running_attempt());
+  });
+  sim.run();
+  EXPECT_EQ(lost.size(), 2u);
+
+  FairRun out;
+  char row[256];
+  for (const auto& job : mr.jobs()) {
+    std::snprintf(row, sizeof row, "j%d %s %s %.17g %.17g %.17g\n", job->id(),
+                  job->spec().name.c_str(), to_string(job->state()),
+                  job->submit_time(), job->map_phase_end(),
+                  job->finish_time());
+    out.jobs += row;
+    for (const auto* tasks : {&job->maps(), &job->reduces()}) {
+      for (const auto& t : *tasks) {
+        for (const auto& a : t->attempts()) {
+          std::snprintf(row, sizeof row, "%s %s %.17g\n", a->label().c_str(),
+                        a->site().name().c_str(), a->started_at());
+          out.attempts += row;
+        }
+      }
+    }
+  }
+  out.maps_reexecuted = mr.maps_reexecuted();
+  out.jobs_failed = mr.jobs_failed();
+  out.speculative = mr.speculative_launched();
+  return out;
+}
+
+TEST(FairOrderEquivalence, IndexedMatchesSortingReference) {
+  const FairRun indexed =
+      run_fair_order_scenario(std::make_unique<FairScheduler>());
+  const FairRun sorting =
+      run_fair_order_scenario(std::make_unique<SortingFairScheduler>());
+  // The scenario reaches the paths that move jobs in and out of the index.
+  EXPECT_GT(indexed.maps_reexecuted, 0);
+  EXPECT_EQ(indexed.jobs_failed, 1);
+  EXPECT_GT(indexed.speculative, 0);
+  EXPECT_EQ(indexed.jobs, sorting.jobs);
+  EXPECT_EQ(indexed.attempts, sorting.attempts);
+  EXPECT_EQ(indexed.maps_reexecuted, sorting.maps_reexecuted);
+  EXPECT_EQ(indexed.jobs_failed, sorting.jobs_failed);
+  EXPECT_EQ(indexed.speculative, sorting.speculative);
 }
 
 TEST(RescheduleEquivalence, LazyMatchesEagerCancelByteForByte) {
