@@ -1,5 +1,5 @@
-"""Determinism rules (folded in from scripts/lint_sim.py) plus the
-unordered-accumulation check.
+"""Determinism rules: the group CI's lint stage runs over src, tests,
+bench and examples.
 
   wall-clock             host time / host randomness in simulated code
   unordered-iteration    range-for / begin() over unordered containers

@@ -5,8 +5,7 @@ A Finding pins a rule violation to file:line. Its *key* — ``rule|file|ident``
 that only shift line numbers.
 
 Suppression: append ``// sim-lint: allow(<rule>[, <rule>...])`` to the
-offending line or the line directly above it (same syntax the old
-lint_sim.py used, so existing annotations keep working).
+offending line or the line directly above it.
 """
 
 from __future__ import annotations

@@ -1,55 +1,36 @@
 #!/usr/bin/env bash
-# CI entry point. Stages, in order (see docs/CORRECTNESS.md):
+# CI entry point. Stages, in order — this list is the one authoritative
+# description of the gates (docs/CORRECTNESS.md points here):
 #
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                (skipped with a notice when clang-format is not installed)
-#   lint         scripts/lint_sim.py determinism linter (thin wrapper over
-#                the analyzer's determinism rule group) — blocking
+#   lint         hybridmr-analyze determinism rule group over src/ tests/
+#                bench/ examples/ — blocking
 #   release      Release build + full ctest suite (also produces the
 #                compile database the next two stages resolve against)
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
-#                (dimensions, layering, capture-lifetime, determinism,
-#                concurrency) gated by the committed baseline — blocking,
-#                never skipped; exit 1 (findings) and exit 2 (broken
-#                analyzer) are reported distinctly
-#   concurrency  hybridmr-analyze --group=concurrency over src/, emitting
-#                the layer-keyed shared-state census (shared_state.json in
-#                the build root) — blocking, zero unbaselined findings
-#   state        hybridmr-analyze --group=state over src/, emitting the
-#                layer-keyed state-ownership census (state_graph.json in
-#                the build root; see docs/SNAPSHOT.md) — blocking: zero
-#                unclassified fields and a non-empty census (an empty one
-#                means the pass went vacuous)
+#                (dimensions, layering, capture-lifetime, determinism)
+#                gated by the committed baseline — blocking, never
+#                skipped; exit 1 (findings) and exit 2 (broken analyzer)
+#                are reported distinctly
 #   clang-tidy   bugprone/performance/modernize/cppcoreguidelines profile
 #                against the Release compile database (skipped with a
 #                notice when clang-tidy is not installed)
-#   thread-safety clang build of the core library with -Werror=thread-safety
-#                over the HMR_* capability annotations
-#                (src/sim/thread_annotations.h); skipped with a notice when
-#                clang++ is not installed
 #   sanitize     ASan/UBSan build + ctest, LeakSanitizer ENABLED — the
 #                teardown paths are leak-clean and must stay that way
-#   tsan         ThreadSanitizer build of the concurrency harness
-#                (tests/concurrency_test must run clean) plus the racy
-#                negative control (tests/tsan_race_probe must be CAUGHT —
-#                the stage fails if TSan misses the planted race)
 #   audit        -DHYBRIDMR_AUDIT=ON build + ctest: every runtime invariant
 #                checkpoint compiled in and exercised by the suite
 #   chaos        bench_faults seeded chaos scenario in the sanitize and
 #                audit trees, determinism-diffed across two same-seed runs
 #   whatif       whole-engine fork suite: chaos fork-equivalence,
-#                fork-isolation and the IPS regressions under ASan/UBSan,
-#                the snapshot/fork audit guards in the audit tree, a
-#                same-seed bench_whatif sweep-fingerprint diff, and the
-#                warmed-vs-cold capacity sweep gated by perf_gate.py
-#                against BENCH_whatif.json (cold/forked >= 5x)
+#                fork-isolation and the IPS regressions in the sanitize
+#                and audit trees, a same-seed bench_whatif sweep-fingerprint
+#                diff, and the warmed-vs-cold capacity sweep gated by
+#                perf_gate.py against BENCH_whatif.json (cold/forked >= 5x)
 #   determinism  two same-seed quickstart runs; telemetry artifacts must be
 #                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
 #                (the profiler's wall-clock data must never leak into the
-#                reports, so profiled runs must stay byte-identical too);
-#                plus the snapshot fork-equivalence suite (tests/
-#                snapshot_test) re-run from the audit tree, so the
-#                restore path holds under every runtime invariant check
+#                reports, so profiled runs must stay byte-identical too)
 #   profile      simulation-profiler smoke in the sanitize tree: bench_scale
 #                scale/24 with --profile + armed watchdog, hotspot table via
 #                scripts/profile_report.py, and a work-counter fingerprint
@@ -120,9 +101,10 @@ else
 fi
 
 # --- lint (always-on, blocking) ---------------------------------------------
-echo "=== [lint] scripts/lint_sim.py ==="
-if python3 "$repo/scripts/lint_sim.py" "$repo/src" "$repo/tests" \
-    "$repo/bench" "$repo/examples"; then
+echo "=== [lint] hybridmr-analyze --rules determinism ==="
+if python3 "$repo/scripts/analyze/hybridmr-analyze" --engine tokens \
+    --rules determinism "$repo/src" "$repo/tests" "$repo/bench" \
+    "$repo/examples"; then
   note_stage lint PASS
 else
   note_stage lint FAIL
@@ -155,52 +137,6 @@ run_analyze_stage analyze \
     --compile-commands "$root/release/compile_commands.json" \
     --sarif "$root/analyze.sarif" "$repo/src" || true
 
-# --- concurrency: readiness census for the parallel sim core (blocking) ------
-# Emits the layer-keyed shared-state report alongside the gate; the report
-# is the design input for the event-loop sharding work (docs/CONCURRENCY.md)
-# and must list every annotated shared site.
-echo "=== [concurrency] hybridmr-analyze --group=concurrency ==="
-python3 "$repo/scripts/analyze/hybridmr-analyze" --group=concurrency \
-    --shared-state-report "$root/shared_state.json" "$repo/src"
-case $? in
-  0)
-    # A census that lists no annotated sites means the report side of the
-    # pass is broken — the intentionally-shared core state is annotated.
-    if grep -q '"annotated": true' "$root/shared_state.json" 2>/dev/null; then
-      note_stage concurrency PASS
-    else
-      echo "concurrency: shared-state report lists no annotated sites"
-      note_stage concurrency "FAIL (empty census)"
-    fi
-    ;;
-  1) note_stage concurrency "FAIL (findings)" ;;
-  *) note_stage concurrency "FAIL (analyzer infrastructure error)" ;;
-esac
-
-# --- state: snapshot-safety census for the fork/checkpoint work (blocking) ---
-# Emits the layer-keyed state-ownership census (docs/SNAPSHOT.md): every
-# field of every root-reachable class classified into the five snapshot
-# kinds. Gate: zero findings (no unclassified fields, raw owners, orphan
-# back-references or hidden mutable-lambda state) AND a non-empty census —
-# a report with no annotated sites means the pass went vacuous, because
-# the core's sanctioned ephemerals and back-references are annotated.
-echo "=== [state] hybridmr-analyze --group=state ==="
-python3 "$repo/scripts/analyze/hybridmr-analyze" --group=state \
-    --state-graph-report "$root/state_graph.json" \
-    --sarif "$root/state.sarif" "$repo/src"
-case $? in
-  0)
-    if grep -q '"annotated": true' "$root/state_graph.json" 2>/dev/null; then
-      note_stage state PASS
-    else
-      echo "state: state-graph census lists no annotated sites"
-      note_stage state "FAIL (empty census)"
-    fi
-    ;;
-  1) note_stage state "FAIL (findings)" ;;
-  *) note_stage state "FAIL (analyzer infrastructure error)" ;;
-esac
-
 # --- clang-tidy (needs the compile database from the release tree) ----------
 if command -v clang-tidy > /dev/null 2>&1; then
   echo "=== [clang-tidy] src/ against compile database ==="
@@ -215,54 +151,12 @@ else
   note_stage clang-tidy "SKIP (clang-tidy not installed)"
 fi
 
-# --- thread-safety: clang -Werror=thread-safety over the annotations ---------
-# Only clang implements the capability analysis behind the HMR_* macros
-# (src/sim/thread_annotations.h); under gcc they compile out. Building the
-# core library is enough — every annotated class lives in src/.
-if command -v clang++ > /dev/null 2>&1; then
-  echo "=== [thread-safety] clang++ -Werror=thread-safety build ==="
-  if cmake -S "$repo" -B "$root/thread-safety" -DCMAKE_BUILD_TYPE=Release \
-        -DCMAKE_CXX_COMPILER=clang++ -DHYBRIDMR_THREAD_SAFETY=ON &&
-      cmake --build "$root/thread-safety" -j "$jobs" --target hybridmr; then
-    note_stage thread-safety PASS
-  else
-    note_stage thread-safety FAIL
-  fi
-else
-  note_stage thread-safety "SKIP (clang++ not installed)"
-fi
-
 # --- sanitizers, leak checking ENABLED --------------------------------------
 # No ASAN_OPTIONS=detect_leaks=0 and no suppression file: teardown is
 # leak-clean by construction (weak_ptr flow/ticker captures plus
 # Simulation::shutdown()) and any regression must fail CI.
 unset ASAN_OPTIONS LSAN_OPTIONS
 build_and_test sanitize -DHYBRIDMR_SANITIZE=address,undefined || true
-
-# --- tsan: concurrency harness + planted-race negative control ---------------
-# TSan cannot share a tree with ASan/LSan, so this is its own build; only
-# the two concurrency targets are built to keep the stage cheap. The probe
-# MUST fail under TSan — a probe that exits 0 means the sanitizer is not
-# instrumenting the build and the harness's clean run proves nothing.
-echo "=== [tsan] ThreadSanitizer harness + race probe ==="
-tsan_result=FAIL
-if cmake -S "$repo" -B "$root/tsan" -DCMAKE_BUILD_TYPE=Release \
-      -DHYBRIDMR_SANITIZE=thread &&
-    cmake --build "$root/tsan" -j "$jobs" \
-      --target concurrency_test tsan_race_probe; then
-  if "$root/tsan/tests/concurrency_test"; then
-    if "$root/tsan/tests/tsan_race_probe" > /dev/null 2>&1; then
-      echo "tsan: race probe exited 0 — TSan missed the planted race" \
-           "(uninstrumented build?)"
-      tsan_result="FAIL (vacuous: planted race not caught)"
-    else
-      tsan_result=PASS
-    fi
-  else
-    echo "tsan: concurrency_test reported races or failed"
-  fi
-fi
-note_stage tsan "$tsan_result"
 
 # --- runtime invariant audit -------------------------------------------------
 build_and_test audit -DHYBRIDMR_AUDIT=ON || true
@@ -302,10 +196,10 @@ note_stage chaos "$chaos_result"
 # The fork-equivalence oracle (tests/whatif_test) and the IPS restore-path
 # regressions (tests/ips_regression_test) run in the sanitize tree — the
 # fork/pipe/waitpid plumbing and the forked children themselves must be
-# ASan/UBSan-clean — and in the audit tree, where the snapshot honesty
-# guards (registered state domains, uncaptured named Rng streams) become
-# live death tests. bench_whatif then sweeps forked capacity scenarios
-# from one warmed engine: two same-seed sweeps must report the same
+# ASan/UBSan-clean — and in the audit tree, where every runtime invariant
+# checkpoint is armed in parent and children. bench_whatif then sweeps
+# forked capacity scenarios from one warmed engine: two same-seed sweeps
+# must report the same
 # deterministic fingerprint, and perf_gate.py holds the headline claim
 # (a forked scenario >= 5x cheaper than a cold start) via BENCH_whatif.json.
 echo "=== [whatif] whole-engine fork suite ==="
@@ -402,21 +296,6 @@ if [ -x "$qs" ]; then
   fi
 else
   echo "determinism: quickstart binary missing ($qs)"
-fi
-# Snapshot fork-equivalence under the audit build: restore() replays the
-# original run byte-for-byte while every runtime invariant checkpoint
-# (event conservation, monotonic time, no orphaned handlers) is compiled
-# in and armed across the snapshot/restore boundary.
-snap="$root/audit/tests/snapshot_test"
-if [ -x "$snap" ]; then
-  echo "=== [determinism] snapshot fork-equivalence in the audit tree ==="
-  if ! HYBRIDMR_AUDIT=1 "$snap" > /dev/null; then
-    echo "determinism: snapshot fork-equivalence failed under audit"
-    det_result=FAIL
-  fi
-else
-  echo "determinism: $snap missing (audit build failed?)"
-  det_result=FAIL
 fi
 note_stage determinism "$det_result"
 

@@ -210,13 +210,10 @@ class VirtualMachine : public ExecutionSite {
   // scratch per resource kind — the per-kind demand vectors differ, so a
   // shared scratch would thrash its memo 4x per distribute and never
   // replay across recomputes.
-  // hmr-state(ephemeral: waterfill scratch + memo; recompute() rebuilds it,
-  // so a snapshot may discard all five)
   std::vector<Resources> split_alloc_;
   std::vector<Resources> split_eff_;
   std::vector<double> split_demand_;
   std::vector<double> split_out_;
-  // hmr-state(ephemeral: per-resource waterfill memo, same policy)
   std::array<WaterfillScratch, kNumResources> split_wf_;
 };
 
@@ -294,7 +291,7 @@ class Machine : public ExecutionSite {
 
   /// Recomputes the whole allocation for this machine (native + VMs).
   /// Prefer invalidate()/ensure_clean(): calling this directly bypasses
-  /// coalescing (scripts/lint_sim.py, rule eager-recompute). The cause
+  /// coalescing (hybridmr-analyze rule eager-recompute). The cause
   /// only feeds the profiler's work-attribution counters.
   void recompute(RecomputeCause cause = RecomputeCause::kDirect);
 
@@ -350,9 +347,6 @@ class Machine : public ExecutionSite {
 
   // Deferred-reallocation state.
   ReallocCoordinator* coordinator_ = nullptr;
-  // hmr-shared(quiesced-read): ensure_clean() reads this flag from any
-  // thread once the sim is quiesced (drained => false => no recompute);
-  // while events dispatch it is sim-thread-only like everything else here.
   bool dirty_ = false;
   bool eager_reschedule_ = false;
   std::uint64_t recompute_count_ = 0;
@@ -363,12 +357,10 @@ class Machine : public ExecutionSite {
   // state; sized to native workloads + VMs). Per-kind waterfill scratches
   // so each resource's memo survives the 4-kind interleave (see
   // VirtualMachine::split_wf_).
-  // hmr-state(ephemeral: recompute() scratch; rebuilt on the next drain)
   std::vector<Resources> scratch_demands_;
   std::vector<Resources> scratch_grants_;
   std::vector<double> scratch_d_;
   std::vector<double> scratch_alloc_;
-  // hmr-state(ephemeral: per-resource waterfill memo, rebuilt on drain)
   std::array<WaterfillScratch, kNumResources> scratch_wf_;
 
   // Cached telemetry metric handles (null when telemetry is not wired).

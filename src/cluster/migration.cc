@@ -58,8 +58,8 @@ sim::MBps Migrator::jittered_dirty_rate(const VirtualMachine& vm) {
   // downtime variation. Unit-mean lognormal jitter reproduces that spread
   // without running every migration ~13 % hotter than the calibrated model
   // (the mean of exp(N(0, 0.5))). The jitter draws from its own named
-  // stream (snapshot/restore carries its position, and migrations no
-  // longer perturb the main stream's sequence for everyone else).
+  // stream, so migrations never perturb the main stream's sequence for
+  // everyone else.
   const sim::MBps base = model_.dirty_rate_mbps(vm);
   return base * unit_mean_lognormal(sim_.named_rng("cluster.dirty_jitter"),
                                     kDirtyRateJitterSigma);

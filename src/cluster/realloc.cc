@@ -27,7 +27,6 @@ void ReallocCoordinator::set_profiler(telemetry::Profiler* prof) {
 }
 
 void ReallocCoordinator::drain() {
-  gate_.assert_held();
   if (!dirty_.empty()) {
     ++drains_;
     telemetry::Scope prof_scope(prof_, prof_drain_scope_);
@@ -58,13 +57,11 @@ void ReallocCoordinator::drain() {
 }
 
 void ReallocCoordinator::flush_samples() {
-  gate_.assert_held();
   for (Machine* m : sample_pending_) m->publish_pending_sample();
   sample_pending_.clear();
 }
 
 void ReallocCoordinator::forget(Machine* machine) {
-  gate_.assert_held();
   std::erase(dirty_, machine);
   std::erase(sample_pending_, machine);
 }

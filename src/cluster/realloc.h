@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sim/simulation.h"
-#include "sim/thread_annotations.h"
 #include "telemetry/profiler.h"
 
 namespace hybridmr::cluster {
@@ -42,16 +41,12 @@ class ReallocCoordinator {
 
   /// Marks `machine` dirty. Called by Machine::invalidate() only; the
   /// machine guarantees it enqueues itself at most once.
-  void mark_dirty(Machine* machine) {
-    gate_.assert_held();
-    dirty_.push_back(machine);
-  }
+  void mark_dirty(Machine* machine) { dirty_.push_back(machine); }
 
   /// Queues a machine whose latest telemetry sample is being withheld
   /// until the clock moves past its timestamp (so several same-instant
   /// recomputes publish one sample, matching eager mode's coalescing).
   void mark_sample_pending(Machine* machine) {
-    gate_.assert_held();
     sample_pending_.push_back(machine);
   }
 
@@ -68,25 +63,18 @@ class ReallocCoordinator {
   void forget(Machine* machine);
 
   /// Number of drain passes that found work (for tests/benchmarks).
-  [[nodiscard]] std::uint64_t drains() const {
-    gate_.assert_held();
-    return drains_;
-  }
+  [[nodiscard]] std::uint64_t drains() const { return drains_; }
 
   /// Attaches the profiler (null detaches): drains record their pass
   /// count, dirty-set size distribution and wall-time scope.
   void set_profiler(telemetry::Profiler* prof);
 
  private:
-  // Sim-thread capability token: the dirty-set is the planned work list of
-  // the parallel core, so its single-writer discipline is load-bearing.
-  sim::SimThreadGate gate_;
-
   sim::Simulation& sim_;
   std::size_t hook_token_;
-  std::vector<Machine*> dirty_ HMR_GUARDED_BY(gate_);
-  std::vector<Machine*> sample_pending_ HMR_GUARDED_BY(gate_);
-  std::uint64_t drains_ HMR_GUARDED_BY(gate_) = 0;
+  std::vector<Machine*> dirty_;
+  std::vector<Machine*> sample_pending_;
+  std::uint64_t drains_ = 0;
   bool eager_ = false;
   telemetry::Profiler* prof_ = nullptr;
   telemetry::ScopeId prof_drain_scope_;

@@ -150,9 +150,7 @@ class Workload {
   sim::SimTime started_at_ = 0;
   sim::Duration cpu_seconds_;
   sim::MegaBytes io_mb_;
-  // hmr-state(back-reference: owner=HybridCluster::machines_/vms_; a fork
-  // re-points it when it clones the site tree)
-  ExecutionSite* site_ = nullptr;
+  ExecutionSite* site_ = nullptr;  // owned by HybridCluster
 };
 
 using WorkloadPtr = std::shared_ptr<Workload>;

@@ -84,8 +84,7 @@ class Estimator {
   [[nodiscard]] std::size_t tracked() const { return models_.size(); }
 
  private:
-  // hmr-state(owned-heap: the TaskModels live here; the keys are
-  // back-references into Task::attempts_, dropped by retain_only())
+  // Keys point into Task::attempts_; retain_only() drops dead attempts.
   std::map<const mapred::TaskAttempt*, TaskModel> models_;
   std::map<const mapred::TaskAttempt*, double> last_progress_;
   std::map<const mapred::TaskAttempt*, double> last_time_;

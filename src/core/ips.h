@@ -86,8 +86,7 @@ class Arbiter {
       const std::vector<const cluster::Machine*>& excluded) const;
 
  private:
-  // hmr-state(back-reference: owner=HybridMRScheduler::estimator_)
-  Estimator* estimator_;
+  Estimator* estimator_;  // owned by HybridMRScheduler::estimator_
 };
 
 class InterferencePreventionSystem {
@@ -196,10 +195,8 @@ class InterferencePreventionSystem {
   // exponentially longer healthy streak before the next restore.
   std::map<const cluster::Machine*, int> required_streak_;
   std::map<const cluster::Machine*, double> last_restore_;
-  // hmr-state(back-reference: owner=TestBed::tel_ / example harness)
-  telemetry::Hub* tel_ = nullptr;
-  // hmr-state(back-reference: owner=HybridMRScheduler::whatif_)
-  whatif::WhatIfEngine* whatif_ = nullptr;
+  telemetry::Hub* tel_ = nullptr;           // owned by the harness
+  whatif::WhatIfEngine* whatif_ = nullptr;  // owned by HybridMRScheduler
   /// Token for the engine release observer registered in the constructor
   /// (erases actions_ entries the moment their attempt leaves its tracker).
   std::size_t release_observer_token_ = 0;

@@ -92,14 +92,11 @@ class FaultInjector {
  private:
   /// Everything needed to undo a crash on reboot.
   struct DownMachine {
-    // hmr-state(back-reference: owner=HybridCluster::machines_)
+    // Every pointer here is owned by HybridCluster.
     cluster::Machine* machine = nullptr;
-    // hmr-state(back-reference: owner=HybridCluster::vms_)
     std::vector<cluster::VirtualMachine*> vms;
-    // hmr-state(back-reference: owner=HybridCluster; roles to restore on
-    // reboot — re-point with the site tree on fork)
+    // Roles to restore on reboot.
     std::vector<cluster::ExecutionSite*> tracker_sites;
-    // hmr-state(back-reference: owner=HybridCluster, same as tracker_sites)
     std::vector<cluster::ExecutionSite*> datanode_sites;
   };
 
@@ -114,9 +111,8 @@ class FaultInjector {
   storage::Hdfs& hdfs_;
   mapred::MapReduceEngine& mr_;
   FaultSchedule schedule_;
-  // hmr-state(back-reference: owner=Simulation::named_rngs_ — the
-  // injector's failure clocks live in the core's named-stream registry so
-  // snapshot/restore carries their positions)
+  // The failure clocks draw from a named stream in Simulation::named_rngs_,
+  // so they never perturb the main stream.
   sim::Rng& rng_;
   Stats stats_;
   std::vector<DownMachine> down_;

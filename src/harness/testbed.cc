@@ -60,15 +60,6 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
     if (tel_) faults_->set_telemetry(tel_.get());
     faults_->arm();
   }
-  // Declare every engine subsystem whose state the sim-core snapshot does
-  // NOT capture: under HYBRIDMR_AUDIT a full-scope Simulation::snapshot()
-  // on a wired testbed now hard-fails instead of masquerading as a fork
-  // source (use whatif() for full-engine forks, or acknowledge the
-  // exclusion with SnapshotScope::kCoreOnly).
-  sim_->register_state_domain("cluster");
-  sim_->register_state_domain("storage.hdfs");
-  sim_->register_state_domain("mapred.engine");
-  if (faults_) sim_->register_state_domain("faults.injector");
 }
 
 whatif::WhatIfEngine& TestBed::whatif() {

@@ -162,8 +162,7 @@ class TestBed {
   std::unique_ptr<mapred::MapReduceEngine> mr_;
   std::unique_ptr<faults::FaultInjector> faults_;
   std::unique_ptr<whatif::WhatIfEngine> whatif_;
-  // hmr-state(back-reference: registration order over sites owned by
-  // cluster_; fork rebuilds it alongside the cloned site tree)
+  // Registration order over sites owned by cluster_.
   std::vector<cluster::ExecutionSite*> nodes_;
 };
 

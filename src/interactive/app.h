@@ -81,10 +81,8 @@ class InteractiveApp {
   [[nodiscard]] cluster::Resources offered_demand() const;
   void note_telemetry();
 
-  // hmr-state(back-reference: owner=TestBed::sim_; re-point on fork)
   sim::Simulation& sim_;
-  // hmr-state(back-reference: owner=HybridCluster; the app's host VM)
-  cluster::ExecutionSite* site_;
+  cluster::ExecutionSite* site_;  // the app's host VM; owned by HybridCluster
   AppParams params_;
   int clients_;
   cluster::WorkloadPtr service_;

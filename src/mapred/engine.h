@@ -240,11 +240,7 @@ class MapReduceEngine {
   // and pool-restricted work never walks the other partition's offers.
   // The site map serves O(1) tracker_on() and the per-host gate; it is
   // only ever *looked up*, never iterated, so unordered is determinism-safe.
-  // hmr-state(ephemeral: incrementally maintained dispatch index; a fork
-  // rebuilds it from trackers_ via update_offer() instead of copying)
   std::array<std::array<std::set<std::uint32_t>, 2>, 2> offers_;
-  // hmr-state(ephemeral: lookup memo over trackers_; rebuild after a fork
-  // re-points the site back-references)
   std::unordered_map<const cluster::ExecutionSite*, TaskTracker*>
       tracker_by_site_;
   std::vector<std::unique_ptr<Job>> jobs_;

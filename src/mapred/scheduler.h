@@ -26,8 +26,7 @@ class LiveJobs {
   struct FairKey {
     int running;
     int id;
-    // hmr-state(back-reference: owner=MapReduceEngine::jobs_)
-    Job* job;
+    Job* job;  // owned by MapReduceEngine::jobs_
     bool operator<(const FairKey& other) const {
       return running != other.running ? running < other.running
                                       : id < other.id;
@@ -47,7 +46,7 @@ class LiveJobs {
 
  private:
   friend class MapReduceEngine;
-  // hmr-state(back-reference: owner=MapReduceEngine::jobs_)
+  // Jobs owned by MapReduceEngine::jobs_.
   std::vector<Job*> submit_order_;
   std::set<FairKey> fair_order_;
   /// submit_order_ still lists a job that has finished.

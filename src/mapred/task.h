@@ -80,8 +80,7 @@ class Task {
   bool completed_ = false;
   bool pending_ = false;
   sim::Duration duration_{-1};
-  // hmr-state(back-reference: owner=HybridCluster; where the map output
-  // lives — re-point with the site tree on fork)
+  // Where the map output lives; owned by HybridCluster.
   cluster::ExecutionSite* output_site_ = nullptr;
   std::vector<std::unique_ptr<TaskAttempt>> attempts_;
 };

@@ -51,10 +51,8 @@ class TaskTracker {
 
  private:
   friend class MapReduceEngine;  // blacklist + dispatch-index management
-  // hmr-state(back-reference: owner=TestBed::mr_; re-point on fork)
-  MapReduceEngine* engine_;
-  // hmr-state(back-reference: owner=HybridCluster::machines_/vms_)
-  cluster::ExecutionSite* site_;
+  MapReduceEngine* engine_;      // owned by TestBed::mr_
+  cluster::ExecutionSite* site_;  // owned by HybridCluster
   int map_slots_;
   int reduce_slots_;
   int running_maps_ = 0;

@@ -24,8 +24,8 @@ void EventQueue::release(std::uint32_t index) {
   --live_;
 }
 
-EventId EventQueue::push(SimTime time, std::function<void()> fn) {
-  gate_.assert_held();
+EventId EventQueue::seat(SimTime time, std::uint64_t seq,
+                         std::function<void()>&& fn) {
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -37,18 +37,21 @@ EventId EventQueue::push(SimTime time, std::function<void()> fn) {
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.time = time;
-  slot.seq = next_seq_++;
+  slot.seq = seq;
   slot.live = true;
   const std::uint64_t id = make_id(index, slot.gen);
-  heap_.push(HeapItem{time, slot.seq, id});
+  heap_.push(HeapItem{time, seq, id});
   ++live_;
   ++total_pushed_;
   if (live_ > max_size_) max_size_ = live_;
   return EventId{id};
 }
 
+EventId EventQueue::push(SimTime time, std::function<void()> fn) {
+  return seat(time, next_seq_++, std::move(fn));
+}
+
 bool EventQueue::cancel(EventId id) {
-  gate_.assert_held();
   Slot* slot = live_slot(id.value);
   if (slot == nullptr) return false;
   release(slot_index(id.value));
@@ -57,7 +60,6 @@ bool EventQueue::cancel(EventId id) {
 }
 
 bool EventQueue::defer(EventId id, SimTime time) {
-  gate_.assert_held();
   Slot* slot = live_slot(id.value);
   if (slot == nullptr) return false;
   const bool advanced = time < slot->time;
@@ -81,7 +83,6 @@ bool EventQueue::defer(EventId id, SimTime time) {
 }
 
 EventId EventQueue::repush(EventId id, SimTime time) {
-  gate_.assert_held();
   Slot* slot = live_slot(id.value);
   if (slot == nullptr) return {};
   const std::uint64_t seq = slot->seq;
@@ -90,25 +91,7 @@ EventId EventQueue::repush(EventId id, SimTime time) {
   ++total_cancelled_;
   // Fresh slot (usually the one just released, at a bumped generation),
   // inherited seq: cancel + re-push mechanics, creation-order tie-break.
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& fresh = slots_[index];
-  fresh.fn = std::move(fn);
-  fresh.time = time;
-  fresh.seq = seq;
-  fresh.live = true;
-  const std::uint64_t new_id = make_id(index, fresh.gen);
-  heap_.push(HeapItem{time, seq, new_id});
-  ++live_;
-  ++total_pushed_;
-  if (live_ > max_size_) max_size_ = live_;
-  return EventId{new_id};
+  return seat(time, seq, std::move(fn));
 }
 
 void EventQueue::skim() {
@@ -147,7 +130,6 @@ void EventQueue::audit_no_orphans() const {
 }
 
 std::optional<SimTime> EventQueue::next_time() {
-  gate_.assert_held();
   skim();
   audit_no_orphans();
   if (heap_.empty()) return std::nullopt;
@@ -155,7 +137,6 @@ std::optional<SimTime> EventQueue::next_time() {
 }
 
 std::optional<EventQueue::Entry> EventQueue::pop() {
-  gate_.assert_held();
   skim();
   audit_no_orphans();
   if (heap_.empty()) return std::nullopt;
@@ -167,31 +148,7 @@ std::optional<EventQueue::Entry> EventQueue::pop() {
   return entry;
 }
 
-EventQueue::Snapshot EventQueue::snapshot() const {
-  gate_.assert_held();
-  // A verbatim copy, stale heap items and all: restore() must reproduce
-  // the exact lazy-deletion state, or the first skim() after a restore
-  // would diverge from the original run's pop order.
-  return Snapshot{heap_,          slots_,          free_slots_,
-                  live_,          next_seq_,       total_pushed_,
-                  total_cancelled_, total_deferred_, max_size_};
-}
-
-void EventQueue::restore(const Snapshot& snap) {
-  gate_.assert_held();
-  heap_ = snap.heap;
-  slots_ = snap.slots;
-  free_slots_ = snap.free_slots;
-  live_ = snap.live;
-  next_seq_ = snap.next_seq;
-  total_pushed_ = snap.total_pushed;
-  total_cancelled_ = snap.total_cancelled;
-  total_deferred_ = snap.total_deferred;
-  max_size_ = snap.max_size;
-}
-
 std::size_t EventQueue::clear() {
-  gate_.assert_held();
   const std::size_t dropped = live_;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     // Releasing (rather than dropping) every slot keeps generations

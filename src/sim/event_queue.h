@@ -18,8 +18,6 @@
 #include <queue>
 #include <vector>
 
-#include "sim/thread_annotations.h"
-
 namespace hybridmr::sim {
 
 /// Simulated time, in seconds since the start of the simulation.
@@ -28,7 +26,7 @@ using SimTime = double;
 /// The one sanctioned exact-equality comparison for SimTime values.
 ///
 /// SimTime is a double; raw `==`/`!=` on it is a determinism hazard the
-/// custom linter (scripts/lint_sim.py, rule simtime-eq) rejects. Exact
+/// analyzer (scripts/analyze/hybridmr-analyze, rule simtime-eq) rejects. Exact
 /// comparison is legitimate only where both operands came from the same
 /// computation (e.g. an event timestamp handed back by the queue); route
 /// those cases through this helper so they are visibly intentional.
@@ -94,16 +92,10 @@ class EventQueue {
   EventId repush(EventId id, SimTime time);
 
   /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const {
-    gate_.assert_held();
-    return live_ == 0;
-  }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
 
   /// Number of live events.
-  [[nodiscard]] std::size_t size() const {
-    gate_.assert_held();
-    return live_;
-  }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest live event. Empty queue -> nullopt.
   [[nodiscard]] std::optional<SimTime> next_time();
@@ -121,12 +113,8 @@ class EventQueue {
   ///   total_pushed() == pops + total_cancelled() + size()
   /// holds at every quiescent point (the simulation audits this after each
   /// dispatch). clear() counts as cancellation.
-  [[nodiscard]] std::uint64_t total_pushed() const {
-    gate_.assert_held();
-    return total_pushed_;
-  }
+  [[nodiscard]] std::uint64_t total_pushed() const { return total_pushed_; }
   [[nodiscard]] std::uint64_t total_cancelled() const {
-    gate_.assert_held();
     return total_cancelled_;
   }
 
@@ -134,32 +122,11 @@ class EventQueue {
   /// conservation identity above; a deferred event still fires or is
   /// cancelled exactly once).
   [[nodiscard]] std::uint64_t total_deferred() const {
-    gate_.assert_held();
     return total_deferred_;
   }
 
   /// High-water mark of live events (queue-depth peak over the run).
-  [[nodiscard]] std::size_t max_size() const {
-    gate_.assert_held();
-    return max_size_;
-  }
-
-  // Declared below (it needs the private Slot/HeapItem types); the public
-  // API is snapshot()/restore() + the struct itself.
-  struct Snapshot;
-
-  /// Verbatim value copy of the queue's full mechanics: the heap
-  /// *including* lazy-deleted and stale defer() items, every slot with its
-  /// pending handler, the free list, and all conservation counters.
-  /// Copying a slot copies its std::function, which aliases any pointer /
-  /// shared_ptr captures — the snapshot-safety contract (docs/SNAPSHOT.md):
-  /// restoring into the same object graph is exact; forking into a cloned
-  /// graph must re-point those captures (follow-up PR).
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Replaces the queue's entire state with `snap`. Ids issued before the
-  /// snapshot was taken are valid again exactly as they were at that point.
-  void restore(const Snapshot& snap);
+  [[nodiscard]] std::size_t max_size() const { return max_size_; }
 
  private:
   // An EventId packs the slot index (low 32 bits, biased by one so the
@@ -167,9 +134,6 @@ class EventQueue {
   // (high 32 bits). A slot's generation bumps on every release, so stale
   // ids — fired, cancelled or cleared — can never alias a reused slot.
   struct Slot {
-    // hmr-state(owned-heap: copying a slot copies the closure, which
-    // ALIASES any pointer/shared_ptr captures — the snapshot contract in
-    // docs/SNAPSHOT.md; engine-wide fork re-points them)
     std::function<void()> fn;
     // Authoritative (time, seq) seat of the event. Heap items carry the
     // seat they were inserted with; defer() moves only the time (seq is
@@ -209,50 +173,31 @@ class EventQueue {
   }
 
   // The slot a live id refers to, or nullptr when the id is stale/invalid.
-  [[nodiscard]] Slot* live_slot(std::uint64_t id) HMR_REQUIRES(gate_);
+  [[nodiscard]] Slot* live_slot(std::uint64_t id);
+
+  // Stores `fn` in a free slot seated at (time, seq), pushes its heap item
+  // and counts one push.
+  EventId seat(SimTime time, std::uint64_t seq, std::function<void()>&& fn);
 
   // Destroys the handler, bumps the generation and recycles the slot.
-  void release(std::uint32_t index) HMR_REQUIRES(gate_);
+  void release(std::uint32_t index);
 
   // Drops cancelled items from the heap head.
-  void skim() HMR_REQUIRES(gate_);
+  void skim();
 
   // Audit checkpoint: every live handler must have a heap item (an
   // orphaned handler could never fire and would leak its captures).
-  void audit_no_orphans() const HMR_REQUIRES(gate_);
+  void audit_no_orphans() const;
 
-  // Sim-thread capability token: the queue is mutated only between event
-  // boundaries on the dispatch thread (see sim/thread_annotations.h).
-  SimThreadGate gate_;
-
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_
-      HMR_GUARDED_BY(gate_);
-  std::vector<Slot> slots_ HMR_GUARDED_BY(gate_);
-  std::vector<std::uint32_t> free_slots_ HMR_GUARDED_BY(gate_);
-  std::size_t live_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t next_seq_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_pushed_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_cancelled_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_deferred_ HMR_GUARDED_BY(gate_) = 0;
-  std::size_t max_size_ HMR_GUARDED_BY(gate_) = 0;
-};
-
-/// See EventQueue::snapshot(). Opaque to callers: members mirror the
-/// queue's own, field for field, and only snapshot()/restore() touch them.
-struct EventQueue::Snapshot {
-  // hmr-state(owned-heap: heap items are plain values; the handlers they
-  // reference live in `slots`)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap;
-  // hmr-state(owned-heap: copied closures alias their captures — see the
-  // snapshot contract in docs/SNAPSHOT.md)
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free_slots;
-  std::size_t live = 0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t total_pushed = 0;
-  std::uint64_t total_cancelled = 0;
-  std::uint64_t total_deferred = 0;
-  std::size_t max_size = 0;
+  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t total_pushed_ = 0;
+  std::uint64_t total_cancelled_ = 0;
+  std::uint64_t total_deferred_ = 0;
+  std::size_t max_size_ = 0;
 };
 
 }  // namespace hybridmr::sim

@@ -30,8 +30,8 @@ class Log {
                                   const std::string& message)>;
 
   static LogLevel& threshold() {
-    // hmr-shared(process-global): one log threshold per process; written
-    // only at setup (TestBed/env parsing), read from sim code thereafter.
+    // One threshold per process: written only at setup (TestBed/env
+    // parsing), read from sim code thereafter.
     static LogLevel level = LogLevel::kOff;
     return level;
   }
@@ -94,8 +94,7 @@ class Log {
 
  private:
   static Sink& sink_ref() {
-    // hmr-shared(process-global): pluggable output sink; replaced only at
-    // setup/teardown, never from inside event handlers.
+    // Replaced only at setup/teardown, never from inside event handlers.
     static Sink sink;  // empty = stdout default
     return sink;
   }

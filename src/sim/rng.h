@@ -74,11 +74,8 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
-  // hmr-state(owned-value: the engine is a plain value object; copying the
-  // Rng IS the snapshot of the stream position)
   std::mt19937_64 engine_;
-  // hmr-state(owned-value: distributions carry call-to-call carry state —
-  // copy them with the engine, never reconstruct)
+  // Carries call-to-call state: copy it with the engine, never reconstruct.
   std::uniform_real_distribution<double> uniform_{0.0, 1.0};
 };
 

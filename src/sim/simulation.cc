@@ -30,13 +30,11 @@ PeriodicHandle Simulation::every(SimTime period, std::function<void()> fn,
 }
 
 std::size_t Simulation::add_flush_hook(std::function<void()> hook) {
-  gate_.assert_held();
   flush_hooks_.push_back(std::move(hook));
   return flush_hooks_.size() - 1;
 }
 
 void Simulation::remove_flush_hook(std::size_t token) {
-  gate_.assert_held();
   if (token < flush_hooks_.size()) flush_hooks_[token] = nullptr;
 }
 
@@ -86,7 +84,6 @@ bool Simulation::dispatch_one() {
 }
 
 std::size_t Simulation::run() {
-  gate_.assert_held();
   const std::size_t before = processed_;
   running_ = true;
   stop_requested_ = false;
@@ -133,75 +130,7 @@ std::vector<std::string> Simulation::named_rng_streams() const {
   return out;
 }
 
-void Simulation::register_state_domain(const std::string& name) {
-  for (const auto& d : state_domains_) {
-    if (d == name) return;
-  }
-  state_domains_.push_back(name);
-}
-
-Simulation::Snapshot Simulation::snapshot(SnapshotScope scope) const {
-  gate_.assert_held();
-  assert(!running_ && "snapshot() inside run() — stop() first");
-  // A full-scope capture while engine domains are registered would be a
-  // partial snapshot masquerading as a fork source: the cluster, HDFS and
-  // JobTracker state it excludes would silently alias between "forks".
-  HYBRIDMR_AUDIT_CHECK(
-      scope == SnapshotScope::kCoreOnly || state_domains_.empty(),
-      "sim.snapshot", "uncaptured_state_domain", now_,
-      {{"registered_domains",
-        audit::num(static_cast<double>(state_domains_.size()))},
-       {"first_domain",
-        state_domains_.empty() ? std::string() : state_domains_.front()}});
-  (void)scope;
-  return Snapshot{queue_.snapshot(),
-                  rng_,
-                  named_rngs_,
-                  now_,
-                  processed_,
-                  clamped_past_events_,
-                  max_event_fanout_,
-                  flush_scheduled_events_};
-}
-
-void Simulation::restore(const Snapshot& snap) {
-  gate_.assert_held();
-  assert(!running_ && "restore() inside run() — stop() first");
-  // Every stream alive now must have been captured: a stream created after
-  // the snapshot would otherwise keep its current position across the
-  // restore, silently decorrelating "identical" replays.
-  for (const auto& [name, rng] : named_rngs_) {
-    HYBRIDMR_AUDIT_CHECK(snap.named_rngs.contains(name), "sim.snapshot",
-                         "named_rng_stream_uncaptured", now_,
-                         {{"stream", name}});
-  }
-  queue_.restore(snap.queue);
-  rng_ = snap.rng;
-  // Restore named streams IN PLACE, never by whole-map assignment: map
-  // assignment may reuse tree nodes under different keys, which would
-  // silently re-point long-lived references (FaultInjector's rng_) at a
-  // *different* stream. Value-assigning through find() keeps every node —
-  // and therefore every outstanding Rng& — exactly where it was.
-  for (const auto& [name, rng] : snap.named_rngs) {
-    auto it = named_rngs_.find(name);
-    if (it != named_rngs_.end()) {
-      it->second = rng;
-    } else {
-      named_rngs_.emplace(name, rng);
-    }
-  }
-  now_ = snap.now;
-  processed_ = snap.processed;
-  clamped_past_events_ = snap.clamped_past_events;
-  max_event_fanout_ = snap.max_event_fanout;
-  flush_scheduled_events_ = snap.flush_scheduled_events;
-  stop_requested_ = false;
-  // flush_hooks_ and probe_ stay untouched: instrumentation and deferred-
-  // drain wiring belong to the hosting harness, not to simulation state.
-}
-
 std::size_t Simulation::run_until(SimTime t) {
-  gate_.assert_held();
   const std::size_t before = processed_;
   running_ = true;
   stop_requested_ = false;

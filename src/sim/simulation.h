@@ -18,7 +18,6 @@
 #include "sim/log.h"
 #include "sim/probe.h"
 #include "sim/rng.h"
-#include "sim/thread_annotations.h"
 #include "sim/units.h"
 
 namespace hybridmr::sim {
@@ -60,18 +59,7 @@ class Simulation {
   /// violation: a component computing target times incorrectly corrupts
   /// event ordering, so the audit build aborts instead of papering over it.
   EventId at(SimTime t, std::function<void()> fn) {
-    if (t < now_) {
-      HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",
-                           now_, {{"requested_t", audit::num(t)},
-                                  {"now", audit::num(now_)}});
-      ++clamped_past_events_;
-      log_warn(now_, "sim",
-               "at(" + std::to_string(t) +
-                   ") is in the past; clamped to now (event " +
-                   std::to_string(clamped_past_events_) + " clamped)");
-      t = now_;
-    }
-    return queue_.push(t, std::move(fn));
+    return queue_.push(clamp_to_now(t, "at"), std::move(fn));
   }
 
   /// Schedules `fn` after `delay` seconds (must be >= 0).
@@ -95,18 +83,7 @@ class Simulation {
   /// cancelled; callers then schedule a fresh one with at(). Past times
   /// clamp to now() under the same audit/log policy as at().
   bool defer(EventId id, SimTime t) {
-    if (t < now_) {
-      HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",
-                           now_, {{"requested_t", audit::num(t)},
-                                  {"now", audit::num(now_)}});
-      ++clamped_past_events_;
-      log_warn(now_, "sim",
-               "defer(" + std::to_string(t) +
-                   ") is in the past; clamped to now (event " +
-                   std::to_string(clamped_past_events_) + " clamped)");
-      t = now_;
-    }
-    return queue_.defer(id, t);
+    return queue_.defer(id, clamp_to_now(t, "defer"));
   }
 
   /// Cancels `id` and re-pushes its handler at `t`, inheriting the original
@@ -115,18 +92,7 @@ class Simulation {
   /// the event already fired or was cancelled. Past times clamp to now()
   /// under the same audit/log policy as at().
   EventId repush(EventId id, SimTime t) {
-    if (t < now_) {
-      HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",
-                           now_, {{"requested_t", audit::num(t)},
-                                  {"now", audit::num(now_)}});
-      ++clamped_past_events_;
-      log_warn(now_, "sim",
-               "repush(" + std::to_string(t) +
-                   ") is in the past; clamped to now (event " +
-                   std::to_string(clamped_past_events_) + " clamped)");
-      t = now_;
-    }
-    return queue_.repush(id, t);
+    return queue_.repush(id, clamp_to_now(t, "repush"));
   }
 
   /// Registers `fn` to run every `period` seconds, first firing after
@@ -201,10 +167,7 @@ class Simulation {
 
   /// Attaches (or detaches, with nullptr) the dispatch probe. The probe is
   /// invoked around every event handler; see sim/probe.h.
-  void set_probe(DispatchProbe* probe) {
-    gate_.assert_held();
-    probe_ = probe;
-  }
+  void set_probe(DispatchProbe* probe) { probe_ = probe; }
 
   /// How many at() calls asked for a past time and were clamped to now().
   /// Non-zero means a component computes target times incorrectly.
@@ -229,7 +192,6 @@ class Simulation {
   /// Runs every registered flush hook now. Idempotent between mutations;
   /// called automatically at event boundaries and run-loop exits.
   void flush() {
-    gate_.assert_held();
     for (const auto& hook : flush_hooks_) {
       if (hook) hook();
     }
@@ -239,110 +201,56 @@ class Simulation {
 
   /// A named auxiliary Rng stream owned by this simulation. Streams are
   /// created on first use; an explicit `seed` wins, otherwise the stream
-  /// seeds deterministically from the main seed mixed with the name (so
+  /// seeds deterministically from the main seed mixed with the name, so
   /// two same-seed simulations that create the same streams agree draw for
-  /// draw). Subsequent calls return the existing stream unchanged — the
-  /// seed argument is ignored once a stream exists, which is what lets a
-  /// freshly-wired engine restore() a snapshot over its streams. Every
-  /// named stream is captured by snapshot() and written back by restore();
-  /// components with private randomness (FaultInjector's failure clocks,
-  /// the migration dirty-rate jitter) register here instead of owning a
-  /// bare Rng the core cannot see.
+  /// draw whatever order the streams are created in. Subsequent calls
+  /// return the existing stream unchanged and ignore the seed argument, so
+  /// every component asking for a name shares one stream. Components with
+  /// private randomness (FaultInjector's failure clocks, the migration
+  /// dirty-rate jitter) draw from a named stream instead of owning a bare
+  /// Rng, so their draws never perturb the main stream's sequence.
   Rng& named_rng(const std::string& name);
   Rng& named_rng(const std::string& name, std::uint64_t seed);
 
-  /// Names of the registered auxiliary streams, in deterministic order.
+  /// Names of the registered auxiliary streams, in sorted order.
   [[nodiscard]] std::vector<std::string> named_rng_streams() const;
 
-  /// Declares engine state the sim-core snapshot does NOT capture (the
-  /// cluster's machines, HDFS blocks, the JobTracker's queues, ...). The
-  /// harness registers one domain per subsystem it wires up; a full-scope
-  /// snapshot() taken while any domain is registered is a *partial*
-  /// capture masquerading as a fork source, and hard-fails under
-  /// HYBRIDMR_AUDIT. Process-level forking (src/whatif/) is the sanctioned
-  /// full-engine mechanism; callers that genuinely want a core-only
-  /// capture acknowledge the exclusion with SnapshotScope::kCoreOnly.
-  void register_state_domain(const std::string& name);
-
-  /// Registered engine state domains, in deterministic order.
-  [[nodiscard]] const std::vector<std::string>& state_domains() const {
-    return state_domains_;
-  }
-
-  /// Scope acknowledgement for snapshot() — see register_state_domain().
-  enum class SnapshotScope {
-    kFull,      ///< capture must cover everything (audit-checked)
-    kCoreOnly,  ///< caller acknowledges engine domains are excluded
-  };
-
-  /// Value snapshot of the sim core: clock, event queue (pending handlers,
-  /// lazy-deleted heap entries, deferred seats), the main Rng stream, every
-  /// named Rng stream, and the queue-mechanics counters. See
-  /// docs/SNAPSHOT.md for the contract.
-  struct Snapshot {
-    EventQueue::Snapshot queue;
-    // hmr-state(owned-value: engine + distribution carry state, copied
-    // verbatim — the stream resumes exactly where the snapshot was taken)
-    Rng rng;
-    // hmr-state(owned-heap: every named auxiliary stream, by value — a
-    // restore resumes each stream exactly where the snapshot was taken)
-    std::map<std::string, Rng> named_rngs;
-    SimTime now = 0;
-    std::size_t processed = 0;
-    std::uint64_t clamped_past_events = 0;
-    std::uint64_t max_event_fanout = 0;
-    std::uint64_t flush_scheduled_events = 0;
-  };
-
-  /// Captures the sim core. Must not be called from inside run(): the
-  /// event boundary is the only consistent cut. Copied handlers alias
-  /// their pointer/shared_ptr captures (docs/SNAPSHOT.md): restoring into
-  /// the same object graph (rewind) is exact; restoring into a *fresh*
-  /// core is exact only when every pending handler reaches its state
-  /// through an indirection the caller re-points (the fork-equivalence
-  /// test demonstrates both). every() tickers capture `this` and are
-  /// rewind-safe but not fork-safe. Under HYBRIDMR_AUDIT a kFull snapshot
-  /// hard-fails while engine state domains are registered (the capture
-  /// would silently exclude them); pass kCoreOnly to acknowledge.
-  [[nodiscard]] Snapshot snapshot(
-      SnapshotScope scope = SnapshotScope::kFull) const;
-
-  /// Replaces the sim core with `snap`, as if the run had just reached the
-  /// snapshot point. Every named Rng stream is written back; under
-  /// HYBRIDMR_AUDIT a stream that exists now but was not captured by
-  /// `snap` is a hard failure (its position would silently survive the
-  /// restore). Harness wiring — flush hooks, probe, log sink — is
-  /// deliberately untouched: a restored core keeps its own
-  /// instrumentation. Must not be called from inside run().
-  void restore(const Snapshot& snap);
-
  private:
-  bool dispatch_one() HMR_REQUIRES(gate_);
+  bool dispatch_one();
 
-  // Sim-thread capability token for the dispatch loop's shared hooks (the
-  // queue and the clock carry their own discipline; the hook/probe lists
-  // are the state a sharded event loop would contend on first).
-  SimThreadGate gate_;
+  // Clamps a past target time `t` to now() on behalf of `op` (at, defer or
+  // repush): counted in clamped_past_events() and logged, or a hard audit
+  // violation under HYBRIDMR_AUDIT.
+  SimTime clamp_to_now(SimTime t, const char* op) {
+    if (t < now_) {
+      HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",
+                           now_, {{"requested_t", audit::num(t)},
+                                  {"now", audit::num(now_)}});
+      ++clamped_past_events_;
+      log_warn(now_, "sim",
+               std::string(op) + "(" + std::to_string(t) +
+                   ") is in the past; clamped to now (event " +
+                   std::to_string(clamped_past_events_) + " clamped)");
+      t = now_;
+    }
+    return t;
+  }
 
   EventQueue queue_;
   Rng rng_;
   std::uint64_t seed_;
-  // Ordered by name so snapshot/restore and the audit census walk the
-  // streams in a reproducible order.
+  // Ordered by name so named_rng_streams() lists the streams in a
+  // reproducible order.
   std::map<std::string, Rng> named_rngs_;
-  // hmr-state(owned-heap: declaration-only — names engine state the core
-  // snapshot excludes; the set itself is harness wiring, not run state)
-  std::vector<std::string> state_domains_;
   // Slots are never erased (tokens stay stable); removal nulls the entry.
-  std::vector<std::function<void()>> flush_hooks_ HMR_GUARDED_BY(gate_);
+  std::vector<std::function<void()>> flush_hooks_;
   SimTime now_ = 0;
   std::size_t processed_ = 0;
   std::uint64_t clamped_past_events_ = 0;
   std::uint64_t max_event_fanout_ = 0;
   std::uint64_t flush_scheduled_events_ = 0;
-  // hmr-state(back-reference: owner=harness/profiler wiring; snapshot()
-  // leaves it untouched — a restored core keeps its own probe)
-  DispatchProbe* probe_ HMR_GUARDED_BY(gate_) = nullptr;
+  // Not owned: the harness or profiler that attached it outlives the run.
+  DispatchProbe* probe_ = nullptr;
   bool stop_requested_ = false;
   bool running_ = false;
 };

@@ -35,7 +35,7 @@ class DataNode {
   void add_stored(sim::MegaBytes mb) { stored_mb_ += mb; }
 
  private:
-  // hmr-state(back-reference: owner=HybridCluster; the datanode's host)
+  // The datanode's host; owned by HybridCluster.
   cluster::ExecutionSite* site_;
   sim::MegaBytes stored_mb_;
 };

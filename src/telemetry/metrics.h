@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/thread_annotations.h"
-
 namespace hybridmr::telemetry {
 
 #if defined(HYBRIDMR_TELEMETRY_DISABLED)
@@ -120,7 +118,6 @@ class Histogram {
 
   double lo_;
   double hi_;
-  // hmr-state(ephemeral: histogram buckets; a fork re-accumulates its own)
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;
@@ -227,7 +224,6 @@ class Registry {
                                const std::string& unit = "");
 
   [[nodiscard]] const std::vector<std::unique_ptr<Entry>>& entries() const {
-    gate_.assert_held();
     return entries_;
   }
 
@@ -238,15 +234,10 @@ class Registry {
   void to_json(std::ostream& os) const;
 
  private:
-  Entry& fetch(const std::string& name, Type type, const std::string& unit)
-      HMR_REQUIRES(gate_);
+  Entry& fetch(const std::string& name, Type type, const std::string& unit);
 
-  // Sim-thread capability token: every component of a run records into
-  // this one registry, so it is shared state the moment handlers shard.
-  sim::SimThreadGate gate_;
-
-  std::vector<std::unique_ptr<Entry>> entries_ HMR_GUARDED_BY(gate_);
-  std::map<std::string, std::size_t> index_ HMR_GUARDED_BY(gate_);
+  std::vector<std::unique_ptr<Entry>> entries_;
+  std::map<std::string, std::size_t> index_;
 };
 
 const char* to_string(Registry::Type type);

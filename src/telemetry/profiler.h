@@ -78,8 +78,6 @@ class LogHistogram {
   }
 
  private:
-  // hmr-state(ephemeral: profiler histogram buckets; a snapshot may drop
-  // them and let the fork re-accumulate from its own run)
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
@@ -274,11 +272,8 @@ class Profiler : public sim::DispatchProbe {
   sim::Simulation* sim_ = nullptr;
   TraceRecorder* trace_ = nullptr;
 
-  // hmr-state(ephemeral: cost-attribution counters; forks restart
-  // attribution from zero rather than inheriting the parent's profile)
   std::array<std::uint64_t, static_cast<std::size_t>(WorkCounter::kCount)>
       work_{};
-  // hmr-state(ephemeral: per-cause work distributions, same policy as work_)
   std::array<LogHistogram, static_cast<std::size_t>(WorkDist::kCount)>
       dists_{};
 
@@ -291,8 +286,7 @@ class Profiler : public sim::DispatchProbe {
 
   // Watchdog state (wall times in ns since the first armed check).
   WatchdogOptions watchdog_{};
-  // hmr-state(back-reference: owner=process stderr / harness wiring; never
-  // part of simulation state)
+  // Not owned: process stderr or harness wiring.
   std::ostream* watchdog_out_ = nullptr;
   bool watchdog_armed_ = false;
   std::uint64_t watchdog_start_ns_ = 0;

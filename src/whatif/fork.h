@@ -1,11 +1,11 @@
-// What-if engine: full-engine snapshot/fork by address-space clone.
+// What-if engine: full-engine fork by address-space clone.
 //
-// The state census (docs/SNAPSHOT.md) enumerates what a full-engine fork
-// must preserve: owned values and heap state copied, shared primaries
-// cloned exactly once, back-references re-pointed, every named Rng stream
-// resumed in place. One mechanism satisfies all five obligations at byte
-// fidelity for the single-threaded deterministic simulator: fork(2). The
-// child is a copy-on-write clone of the whole address space, so every
+// A faithful fork of a warmed engine must preserve owned values and heap
+// state, clone shared objects exactly once, keep back-references pointing
+// at the clones, and resume every Rng stream in place. One mechanism
+// satisfies all of that at byte fidelity for the single-threaded
+// deterministic simulator: fork(2) (docs/WHATIF.md, "What fork(2) does").
+// The child is a copy-on-write clone of the whole address space, so every
 // pointer-keyed map keeps its iteration order, every type-erased handler
 // closure still reaches the same objects at the same addresses, and every
 // Rng stream resumes mid-sequence — properties no field-by-field deep copy

@@ -1,10 +1,14 @@
-// EventQueue cancellation edge cases: lifetimes and cancellation races that
-// the happy-path tests in sim_test.cc do not reach. These pin down the
-// lazy-cancellation contract (cancel never restructures the heap, handlers
-// die exactly once) that the leak-clean teardown work relies on.
+// EventQueue cancellation and reschedule edge cases: lifetimes, cancellation
+// races and defer()/repush() seats that the happy-path tests in sim_test.cc
+// do not reach. These pin down the lazy-deletion contract (cancel and
+// postpone never restructure the heap, handlers die exactly once, FIFO ties
+// follow creation order) that the leak-clean teardown work and the
+// lazy/eager reschedule equivalence rely on.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -116,6 +120,90 @@ TEST(EventQueueEdge, NextTimeAllCancelledIsEmpty) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueueEdge, DeferPostponesAndAdvancesInPlace) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId a = q.push(10.0, [&] { fired.push_back("a"); });
+  q.push(20.0, [&] { fired.push_back("b"); });
+  const EventId c = q.push(30.0, [&] { fired.push_back("c"); });
+  // Postpone: the stale seat at 10 is re-seated when it surfaces.
+  EXPECT_TRUE(q.defer(a, 25.0));
+  // Advance: a fresh heap item at 5; the superseded one at 30 stays behind
+  // as a duplicate and must skim away instead of firing c twice.
+  EXPECT_TRUE(q.defer(c, 5.0));
+  EXPECT_EQ(q.size(), 3u);  // same events, new seats
+  EXPECT_EQ(q.total_deferred(), 2u);
+  EXPECT_EQ(q.total_pushed(), 3u);
+  std::vector<double> times;
+  while (auto e = q.pop()) {
+    times.push_back(e->time);
+    e->fn();
+  }
+  EXPECT_EQ(fired, (std::vector<std::string>{"c", "b", "a"}));
+  EXPECT_EQ(times, (std::vector<double>{5.0, 20.0, 25.0}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.total_cancelled(), 0u);
+}
+
+TEST(EventQueueEdge, RepushKeepsOriginalFifoSeat) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId x = q.push(5.0, [&] { fired.push_back("x"); });
+  q.push(10.0, [&] { fired.push_back("y"); });
+  q.push(10.0, [&] { fired.push_back("z"); });
+  // x moves onto the same-time collision at 10 but inherits its creation
+  // seq, so it still fires before y and z (a plain cancel + push would
+  // queue it last).
+  const EventId moved = q.repush(x, 10.0);
+  ASSERT_TRUE(moved.valid());
+  EXPECT_FALSE(moved == x);
+  EXPECT_FALSE(q.cancel(x));  // the old id died with the cancellation
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.total_pushed(), 4u);
+  EXPECT_EQ(q.total_cancelled(), 1u);
+  while (auto e = q.pop()) e->fn();
+  EXPECT_EQ(fired, (std::vector<std::string>{"x", "y", "z"}));
+}
+
+TEST(EventQueueEdge, DeferAndRepushRejectDeadIds) {
+  EventQueue q;
+  const EventId fired = q.push(1.0, [] {});
+  const EventId cancelled = q.push(2.0, [] {});
+  q.push(3.0, [] {});
+  ASSERT_TRUE(q.pop().has_value());
+  ASSERT_TRUE(q.cancel(cancelled));
+  for (const EventId dead : {fired, cancelled, EventId{}}) {
+    EXPECT_FALSE(q.defer(dead, 9.0));
+    EXPECT_FALSE(q.repush(dead, 9.0).valid());
+  }
+  // Nothing moved and nothing was counted.
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.total_deferred(), 0u);
+  EXPECT_EQ(q.total_pushed(), 3u);
+  EXPECT_EQ(q.total_cancelled(), 1u);
+  EXPECT_EQ(q.next_time(), std::optional<SimTime>(3.0));
+}
+
+TEST(EventQueueEdge, StaleHeapItemsAreSkimmed) {
+  EventQueue q;
+  const EventId cancelled = q.push(1.0, [] {});
+  const EventId postponed = q.push(2.0, [] {});
+  q.push(3.0, [] {});
+  q.cancel(cancelled);
+  q.defer(postponed, 4.0);
+  // The head holds a cancelled item (1.0) and a stale seat (2.0); both
+  // skim away before the first live event surfaces.
+  EXPECT_EQ(q.next_time(), std::optional<SimTime>(3.0));
+  auto e = q.pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_DOUBLE_EQ(e->time, 3.0);
+  e = q.pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_TRUE(e->id == postponed);
+  EXPECT_DOUBLE_EQ(e->time, 4.0);
+  EXPECT_FALSE(q.pop().has_value());
+}
+
 // Simulation-level: cancelling a later event from inside a dispatched
 // callback (the common "completion cancels the timeout" pattern).
 TEST(SimulationEdge, CancelFromRunningCallback) {
@@ -131,6 +219,40 @@ TEST(SimulationEdge, CancelFromRunningCallback) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+// Every event ever scheduled is processed, cancelled or still pending, at
+// every quiescent point; defer() moves events without touching that
+// identity and repush() counts as one cancellation plus one schedule.
+TEST(SimulationEdge, ConservationHoldsAcrossDeferAndRepush) {
+  Simulation sim;
+  auto conserved = [&] {
+    return sim.events_scheduled() == sim.events_processed() +
+                                         sim.events_cancelled() +
+                                         sim.pending_events();
+  };
+  const EventId postponed = sim.at(4.0, [] {});
+  const EventId advanced = sim.at(9.0, [] {});
+  EventId repushed = sim.at(6.0, [] {});
+  const EventId doomed = sim.at(7.0, [] {});
+  sim.at(1.0, [&] {
+    EXPECT_TRUE(sim.defer(postponed, 8.0));
+    EXPECT_TRUE(sim.defer(advanced, 2.0));
+    repushed = sim.repush(repushed, 3.0);
+    EXPECT_TRUE(sim.cancel(doomed));
+  });
+  EXPECT_TRUE(conserved());
+  sim.run_until(2.5);
+  EXPECT_TRUE(conserved());
+  EXPECT_EQ(sim.events_processed(), 2u);  // the 1.0 handler + advanced@2
+  sim.run();
+  EXPECT_TRUE(conserved());
+  EXPECT_EQ(sim.events_scheduled(), 6u);  // 5 at() + 1 repush()
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(sim.events_cancelled(), 2u);  // doomed + the repush's cancel
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_deferred(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 8.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -146,6 +147,41 @@ TEST(Simulation, EventsProcessedCounts) {
   for (int i = 0; i < 5; ++i) sim.at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// Named streams: one per name, seeded from the main seed and the name
+// alone, so creation order never matters and a repeated lookup (the
+// FaultInjector re-asks with an explicit seed) returns the live stream.
+TEST(Simulation, NamedRngStreamsAreStablePerName) {
+  Simulation a(21);
+  Rng& faults = a.named_rng("faults.injector");
+  Rng& jitter = a.named_rng("cluster.dirty_jitter");
+  Simulation b(21);  // same seed, opposite creation order
+  Rng& jitter_b = b.named_rng("cluster.dirty_jitter");
+  Rng& faults_b = b.named_rng("faults.injector");
+
+  const double f0 = faults.uniform();
+  const double j0 = jitter.uniform();
+  EXPECT_NE(f0, j0);
+  EXPECT_EQ(f0, faults_b.uniform());
+  EXPECT_EQ(j0, jitter_b.uniform());
+
+  // A repeated lookup returns the same stream and ignores the seed.
+  EXPECT_EQ(&a.named_rng("faults.injector", 777), &faults);
+  EXPECT_EQ(&a.named_rng("faults.injector"), &faults);
+  EXPECT_EQ(faults.uniform(), faults_b.uniform());
+
+  EXPECT_EQ(a.named_rng_streams(),
+            (std::vector<std::string>{"cluster.dirty_jitter",
+                                      "faults.injector"}));
+  EXPECT_EQ(a.named_rng_streams(), b.named_rng_streams());
+
+  // Two same-seed simulations agree draw for draw, main stream included.
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.rng().uniform(), b.rng().uniform());
+    EXPECT_EQ(faults.uniform(), faults_b.uniform());
+    EXPECT_EQ(jitter.uniform(), jitter_b.uniform());
+  }
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -1,18 +1,16 @@
 // Whole-engine fork tests for the what-if engine (docs/WHATIF.md).
 //
-// The sim-core fork-equivalence proof (snapshot_test.cc) covers the event
-// queue and Rng stream in isolation. These tests extend the claim to the
-// fully wired engine: cluster + HDFS + MapReduce + interactive apps +
-// fault injector + Phase II control loops, forked MID-CHAOS via
-// WhatIfEngine::run_isolated. The oracle is the strongest one available:
-// the forked child and the primary continue from the same cut and their
-// %.17g end-of-run fingerprints must match byte for byte.
+// These tests prove fork fidelity for the fully wired engine: cluster +
+// HDFS + MapReduce + interactive apps + fault injector + Phase II control
+// loops, forked MID-CHAOS via WhatIfEngine::run_isolated. The oracle is
+// the strongest one available: the forked child and the primary continue
+// from the same cut and their %.17g end-of-run fingerprints must match
+// byte for byte.
 //
 // Also covered here: fork isolation (child mutations never reach the
 // parent), the model-predictive IPS (lookaheads happen; same seed =>
-// byte-identical reports across two independent engines), child-failure
-// reporting, and the HYBRIDMR_AUDIT guards that keep the in-process
-// snapshot honest (registered state domains / named Rng streams).
+// byte-identical reports across two independent engines) and child-failure
+// reporting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "audit/invariants.h"
 #include "core/hybridmr.h"
 #include "faults/injector.h"
 #include "harness/testbed.h"
@@ -229,29 +226,6 @@ TEST(WhatIfPredictiveIps, SameSeedByteIdentical) {
   a.run_until(400.0);
   b.run_until(400.0);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
-}
-
-// --- audit guards over the in-process snapshot --------------------------
-
-using WhatIfAuditDeathTest = ::testing::Test;
-
-TEST(WhatIfAuditDeathTest, FullSnapshotRefusedWithStateDomains) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit disabled in this build";
-  sim::Simulation sim(1);
-  sim.register_state_domain("cluster");
-  EXPECT_DEATH({ auto snap = sim.snapshot(); }, "uncaptured_state_domain");
-  // Acknowledging the exclusion succeeds.
-  auto snap = sim.snapshot(sim::Simulation::SnapshotScope::kCoreOnly);
-  sim.restore(snap);
-}
-
-TEST(WhatIfAuditDeathTest, RestoreRefusedWithUncapturedNamedStream) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit disabled in this build";
-  sim::Simulation sim(1);
-  (void)sim.named_rng("early");
-  auto snap = sim.snapshot();
-  (void)sim.named_rng("late");  // born after the cut: not in `snap`
-  EXPECT_DEATH(sim.restore(snap), "named_rng_stream_uncaptured");
 }
 
 }  // namespace
