@@ -37,7 +37,12 @@ Three kinds of checks, all driven by the baseline file:
                 (min_ratio), or dispatch-pass time at 512 live jobs / at 16
                 <= 2.0 (max_ratio).
                 These hold on any machine, so they are the strictest part
-                of the gate.
+                of the gate. A rule whose claim needs a resource the host
+                may withhold carries `only_if` ({"benchmark", "field",
+                "min"}): when that field of the fresh run's entry is below
+                `min` (e.g. fewer than 2 CPUs measured free for a
+                side-by-side speedup), the rule is reported as SKIP, not
+                checked.
 
 Usage:
   perf_gate.py check  --baseline BENCH_micro.json --run fresh.json
@@ -221,8 +226,22 @@ def check(baseline_doc: dict, run_doc: dict, tolerance: float) -> int:
                   f"entries")
             failures += 1
             continue
-        checked += 1
         ratio = num_value / den_value
+        condition = rule.get("only_if")
+        if condition is not None:
+            field = condition["field"]
+            value = run.get(condition["benchmark"], {}).get(field)
+            if value is None:
+                print(f"  [ratio   ] {name}: MISSING '{field}' in "
+                      f"{condition['benchmark']}")
+                failures += 1
+                continue
+            if float(value) < float(condition["min"]):
+                print(f"  [ratio   ] {name}: {ratio:.2f}x SKIP "
+                      f"({condition['benchmark']} {field} = {value} < "
+                      f"{condition['min']})")
+                continue
+        checked += 1
         # A rule bounds the ratio from below (min_ratio: a speedup that must
         # hold), from above (max_ratio: a cost that must not grow), or both.
         bounds = []

@@ -240,29 +240,31 @@ InterferencePreventionSystem::mitigate_predictive(
   // Candidates ordered cheapest first: equally-good predictions resolve
   // toward the least invasive action ("hold" wins when acting buys
   // nothing — the advantage a closed-form policy cannot have).
-  std::vector<std::pair<const char*, std::function<void()>>> candidates;
-  candidates.emplace_back("hold", []() {});
+  std::vector<const char*> names;
+  std::vector<whatif::WhatIfEngine::Candidate> candidates;
+  const auto offer = [&](const char* name,
+                         whatif::WhatIfEngine::Candidate apply) {
+    names.push_back(name);
+    candidates.push_back(std::move(apply));
+  };
+  offer("hold", []() {});
   const int escalations =
       std::min<int>(options_.max_actions_per_epoch,
                     static_cast<int>(ranked.size()));
   if (escalations >= 1) {
-    candidates.emplace_back("escalate", [this, &ranked]() {
-      escalate(*ranked[0]);
-    });
+    offer("escalate", [this, &ranked]() { escalate(*ranked[0]); });
   }
   if (escalations >= 2) {
-    candidates.emplace_back("escalate2", [this, &ranked]() {
+    offer("escalate2", [this, &ranked]() {
       escalate(*ranked[0]);
       escalate(*ranked[1]);
     });
   }
   if (options_.allow_vm_migration) {
-    candidates.emplace_back("migrate", [this, &host]() {
-      migrate_batch_vm(host);
-    });
+    offer("migrate", [this, &host]() { migrate_batch_vm(host); });
   }
   if (escalations >= 1 && options_.allow_vm_migration) {
-    candidates.emplace_back("escalate+migrate", [this, &ranked, &host]() {
+    offer("escalate+migrate", [this, &ranked, &host]() {
       escalate(*ranked[0]);
       migrate_batch_vm(host);
     });
@@ -283,14 +285,14 @@ InterferencePreventionSystem::mitigate_predictive(
     return std::string(buf);
   };
 
-  const sim::Duration horizon{options_.lookahead_horizon_s};
+  const auto la = whatif_->lookahead_in_event(
+      candidates, sim::Duration{options_.lookahead_horizon_s}, score);
+  if (la.is_child) return PredictiveOutcome::kChild;
+  stats_.lookaheads += static_cast<int>(candidates.size());
   std::vector<Prediction> preds;
   preds.reserve(candidates.size());
-  for (const auto& [name, apply] : candidates) {
-    const auto la = whatif_->lookahead_in_event(apply, horizon, score);
-    if (la.is_child) return PredictiveOutcome::kChild;
-    ++stats_.lookaheads;
-    preds.push_back(la.ok ? parse_prediction(la.payload) : Prediction{});
+  for (const whatif::ForkResult& r : la.results) {
+    preds.push_back(r.ok ? parse_prediction(r.payload) : Prediction{});
   }
 
   const auto recovered = [&](const Prediction& p) {
@@ -317,14 +319,27 @@ InterferencePreventionSystem::mitigate_predictive(
   if (!preds[best].ok) return PredictiveOutcome::kFallback;
 
   sim::log_info(sim_.now(), "ips",
-                std::string("lookahead picks ") + candidates[best].first +
-                    " for " + app.name());
-  note_action("lookahead", candidates[best].first, host.name());
+                std::string("lookahead picks ") + names[best] + " for " +
+                    app.name());
+  // Decision record: every candidate's child status and score beside the
+  // pick, so a trace shows why the winner won.
+  std::vector<std::pair<std::string, std::string>> scores;
+  if (tel_ != nullptr) {
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf),
+                    "ok=%d viol=%.17g resp=%.17g done=%.17g",
+                    preds[i].ok ? 1 : 0, preds[i].viol_frac, preds[i].resp_s,
+                    preds[i].done);
+      scores.emplace_back(names[i], buf);
+    }
+  }
+  note_action("lookahead", names[best], host.name(), std::move(scores));
   if (best == 0) {
     ++stats_.lookahead_holds;
     return PredictiveOutcome::kApplied;
   }
-  candidates[best].second();
+  candidates[best]();
   return PredictiveOutcome::kApplied;
 }
 
@@ -456,13 +471,14 @@ void InterferencePreventionSystem::restore_where_healthy() {
   }
 }
 
-void InterferencePreventionSystem::note_action(const char* action,
-                                               const std::string& target,
-                                               const std::string& track) {
+void InterferencePreventionSystem::note_action(
+    const char* action, const std::string& target, const std::string& track,
+    std::vector<std::pair<std::string, std::string>> extra) {
   if (tel_ == nullptr) return;
   tel_->registry.counter(std::string("ips.") + action + "s").add();
+  extra.insert(extra.begin(), {"target", target});
   tel_->trace.instant(sim_.now(), telemetry::EventKind::kIpsAction, action,
-                      track, {{"target", target}});
+                      track, std::move(extra));
 }
 
 void InterferencePreventionSystem::epoch() {

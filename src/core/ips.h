@@ -102,6 +102,7 @@ class InterferencePreventionSystem {
     int lookaheads = 0;
     /// Epochs where the lookahead chose "hold" (no action beats acting).
     int lookahead_holds = 0;
+    bool operator==(const Stats&) const = default;
   };
 
   InterferencePreventionSystem(sim::Simulation& sim,
@@ -201,9 +202,11 @@ class InterferencePreventionSystem {
   /// (erases actions_ entries the moment their attempt leaves its tracker).
   std::size_t release_observer_token_ = 0;
 
-  /// Counter bump + kIpsAction trace instant for one arbitration action.
+  /// Counter bump + kIpsAction trace instant for one arbitration action;
+  /// `extra` args follow the "target" arg.
   void note_action(const char* action, const std::string& target,
-                   const std::string& track);
+                   const std::string& track,
+                   std::vector<std::pair<std::string, std::string>> extra = {});
 };
 
 }  // namespace hybridmr::core
