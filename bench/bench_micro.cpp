@@ -90,7 +90,7 @@ void BM_RecomputeBurst(benchmark::State& state) {
   const int burst = static_cast<int>(state.range(0));
   sim::Simulation sim;
   cluster::HybridCluster hc(sim);
-  hc.set_eager_reallocation(kEager);
+  hc.reallocator().set_eager(kEager);
   auto* machine = hc.add_machine();
   auto* vm1 = hc.add_vm(*machine);
   auto* vm2 = hc.add_vm(*machine);

@@ -5,6 +5,9 @@
 //
 // Prints job phase timings, locality and utilization metrics — a handy way
 // to poke at the substrate.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -12,17 +15,43 @@
 #include "harness/testbed.h"
 #include "workload/benchmarks.h"
 
+namespace {
+
+// Whole-string parses: trailing junk, overflow or an empty string fail.
+bool parse_int(const char* s, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < INT_MIN || v > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_double(const char* s, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(s, &end);
+  return end != s && *end == '\0' && errno == 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace hybridmr;
-  if (argc < 4) {
+  int nodes = 0;
+  double data_gb = 0;
+  if (argc < 4 || argc > 5 || !parse_int(argv[2], nodes) || nodes < 1 ||
+      (argc == 5 && (!parse_double(argv[4], data_gb) ||
+                     !std::isfinite(data_gb) || data_gb < 0))) {
     std::fprintf(stderr,
                  "usage: %s <twitter|wcount|piest|distgrep|sort|kmeans> "
-                 "<nodes> <native|virtual|dom0|split> [data_gb]\n",
+                 "<nodes >= 1> <native|virtual|dom0|split> [data_gb >= 0]\n",
                  argv[0]);
     return 2;
   }
   const std::string bench = argv[1];
-  const int nodes = std::atoi(argv[2]);
   const std::string mode = argv[3];
 
   mapred::JobSpec spec;
@@ -32,7 +61,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  if (argc > 4) spec = spec.with_input_gb(std::atof(argv[4]));
+  if (argc == 5) spec = spec.with_input_gb(data_gb);
 
   harness::TestBed bed;
   if (mode == "native") {

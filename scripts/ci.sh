@@ -19,7 +19,9 @@
 #   sanitize     ASan/UBSan build + ctest, LeakSanitizer ENABLED — the
 #                teardown paths are leak-clean and must stay that way
 #   audit        -DHYBRIDMR_AUDIT=ON build + ctest: every runtime invariant
-#                checkpoint compiled in and exercised by the suite
+#                checkpoint compiled in and exercised by the suite; then
+#                bench_scale --sizes 24 in the audit tree, so the dispatch
+#                checkpoints also see 48 trackers running 9 jobs
 #   chaos        bench_faults seeded chaos scenario in the sanitize and
 #                audit trees, determinism-diffed across two same-seed runs
 #   whatif       whole-engine fork suite: chaos fork-equivalence,
@@ -66,22 +68,20 @@ note_stage() {  # name result   (any result starting with FAIL counts)
   echo "=== [$1] $2 ==="
 }
 
-build_and_test() {  # name [cmake args...]
+build_and_test() {  # name [cmake args...]   (notes no stage)
   local name="$1"
   shift
   local dir="$root/$name"
   echo "=== [$name] configure + build ==="
-  if cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
-        -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "$@" &&
-      cmake --build "$dir" -j "$jobs"; then
-    echo "=== [$name] ctest ==="
-    if ctest --test-dir "$dir" --output-on-failure -j "$jobs"; then
-      note_stage "$name" PASS
-      return 0
-    fi
-  fi
-  note_stage "$name" FAIL
-  return 1
+  cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "$@" &&
+    cmake --build "$dir" -j "$jobs" &&
+    echo "=== [$name] ctest ===" &&
+    ctest --test-dir "$dir" --output-on-failure -j "$jobs"
+}
+
+note_status() {  # name status   (0 -> PASS, anything else -> FAIL)
+  if [ "$2" -eq 0 ]; then note_stage "$1" PASS; else note_stage "$1" FAIL; fi
 }
 
 cxx_sources() {
@@ -112,7 +112,8 @@ else
 fi
 
 # --- release build + tests (also produces the compile database) -------------
-build_and_test release || true
+build_and_test release
+note_status release $?
 
 # Runs the analyzer and notes the stage, distinguishing "findings" (exit 1,
 # the gate caught something) from "infrastructure error" (exit 2, the
@@ -157,10 +158,18 @@ fi
 # leak-clean by construction (weak_ptr flow/ticker captures plus
 # Simulation::shutdown()) and any regression must fail CI.
 unset ASAN_OPTIONS LSAN_OPTIONS
-build_and_test sanitize -DHYBRIDMR_SANITIZE=address,undefined || true
+build_and_test sanitize -DHYBRIDMR_SANITIZE=address,undefined
+note_status sanitize $?
 
 # --- runtime invariant audit -------------------------------------------------
-build_and_test audit -DHYBRIDMR_AUDIT=ON || true
+# After ctest, bench_scale's 24-PM point runs every checkpoint on a bigger
+# cluster than any test builds: the dispatch scans (offer_sets_match_scan,
+# host_gate_matches_scan) then see 48 trackers running 9 jobs.
+build_and_test audit -DHYBRIDMR_AUDIT=ON &&
+  echo "=== [audit] bench_scale --sizes 24 ===" &&
+  "$root/audit/bench/bench_scale" --sizes 24 \
+    --out "$root/audit/scale-24.json"
+note_status audit $?
 
 # --- chaos smoke: seeded fault schedule under sanitizers + audit --------------
 # bench_faults runs the batch under machine crashes, bounded retries and an

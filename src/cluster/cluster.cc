@@ -10,9 +10,7 @@ Machine* HybridCluster::add_machine(const std::string& name) {
   const std::string n =
       name.empty() ? "pm" + std::to_string(machines_.size()) : name;
   machines_.push_back(
-      std::make_unique<Machine>(sim_, n, cal_.pm_capacity(), cal_));
-  machines_.back()->set_coordinator(&realloc_);
-  machines_.back()->set_eager_reschedule(eager_reschedule_);
+      std::make_unique<Machine>(sim_, realloc_, n, cal_.pm_capacity(), cal_));
   if (tel_ != nullptr) machines_.back()->set_telemetry(tel_);
   return machines_.back().get();
 }

@@ -64,20 +64,6 @@ class HybridCluster {
   /// The cluster's deferred-reallocation coordinator (see realloc.h).
   [[nodiscard]] ReallocCoordinator& reallocator() { return realloc_; }
 
-  /// Eager mode recomputes on every mutation instead of coalescing; kept
-  /// for the determinism-equivalence test (both modes must produce
-  /// byte-identical reports for the same seed).
-  void set_eager_reallocation(bool eager) { realloc_.set_eager(eager); }
-
-  /// Eager mode cancels and re-pushes completion events on every finish-
-  /// time change instead of defer()ing them in place; applies to existing
-  /// machines and ones added later. Kept for the reschedule-equivalence
-  /// test.
-  void set_eager_reschedule(bool eager) {
-    eager_reschedule_ = eager;
-    for (const auto& m : machines_) m->set_eager_reschedule(eager);
-  }
-
   // --- cluster-wide metrics ---
 
   /// Total energy consumed by powered machines over [t0, t1].
@@ -107,7 +93,6 @@ class HybridCluster {
   std::vector<std::unique_ptr<Machine>> machines_;
   std::vector<std::unique_ptr<VirtualMachine>> vms_;
   telemetry::Hub* tel_ = nullptr;
-  bool eager_reschedule_ = false;
 };
 
 }  // namespace hybridmr::cluster

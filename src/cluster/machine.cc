@@ -367,13 +367,14 @@ void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
 
 // -------------------------------------------------------------- Machine ----
 
-Machine::Machine(sim::Simulation& sim, std::string name, Resources capacity,
-                 const Calibration& cal)
+Machine::Machine(sim::Simulation& sim, ReallocCoordinator& coordinator,
+                 std::string name, Resources capacity, const Calibration& cal)
     : ExecutionSite(std::move(name)),
       sim_(sim),
       capacity_(capacity),
       cal_(cal),
-      power_model_{cal.pm_idle_watts, cal.pm_peak_watts} {
+      power_model_{cal.pm_idle_watts, cal.pm_peak_watts},
+      coordinator_(coordinator) {
   for (auto& series : util_series_) {
     series.set_max_samples(kMaxMachineSeriesSamples);
   }
@@ -381,9 +382,7 @@ Machine::Machine(sim::Simulation& sim, std::string name, Resources capacity,
   energy_.record(sim_.now(), power_model_.watts(sim::Fraction{0}));
 }
 
-Machine::~Machine() {
-  if (coordinator_ != nullptr) coordinator_->forget(this);
-}
+Machine::~Machine() { coordinator_.forget(this); }
 
 void Machine::attach_vm(VirtualMachine* vm) {
   assert(vm != nullptr && vm->host_machine() == nullptr);
@@ -417,15 +416,14 @@ void Machine::set_powered(bool on) {
 }
 
 void Machine::invalidate() {
-  if (coordinator_ != nullptr && !coordinator_->eager()) {
-    if (!dirty_) {
-      dirty_ = true;
-      coordinator_->mark_dirty(this);
-    }
+  if (coordinator_.eager()) {
+    recompute(RecomputeCause::kEager);
     return;
   }
-  recompute(coordinator_ != nullptr ? RecomputeCause::kEager
-                                    : RecomputeCause::kDirect);
+  if (!dirty_) {
+    dirty_ = true;
+    coordinator_.mark_dirty(this);
+  }
 }
 
 void Machine::settle_now() {
@@ -468,37 +466,18 @@ void Machine::reschedule(const WorkloadPtr& workload) {
     }
     return;
   }
-  if (workload->completion_event.valid()) {
-    if (!eager_reschedule_ && sim_.defer(workload->completion_event, target)) {
-      // Lazy path: the pending event moves in place (O(1) when postponing);
-      // no cancel/re-push heap surgery. A false return means the id went
-      // stale (fired or cancelled), so fall through to a fresh push.
-      workload->completion_time = target;
-      ++reschedule_defers_;
-      if (prof_ != nullptr) {
-        prof_->add(telemetry::WorkCounter::kRescheduleDeferred);
-      }
-      return;
+  if (workload->completion_event.valid() &&
+      sim_.defer(workload->completion_event, target)) {
+    // The pending event moves in place (O(1) when postponing) and keeps
+    // its creation seq, so same-time ties resolve in creation order.
+    workload->completion_time = target;
+    if (prof_ != nullptr) {
+      prof_->add(telemetry::WorkCounter::kRescheduleDeferred);
     }
-    if (eager_reschedule_) {
-      // Reference mode: genuine cancel + re-push heap surgery, but at the
-      // event's original tie-break seat — tie order must be a property of
-      // the workload, not of the reschedule policy, or the two modes would
-      // diverge on same-time completion collisions.
-      if (const sim::EventId moved =
-              sim_.repush(workload->completion_event, target);
-          moved.valid()) {
-        workload->completion_event = moved;
-        workload->completion_time = target;
-        if (prof_ != nullptr) {
-          prof_->add(telemetry::WorkCounter::kReschedulePushed);
-        }
-        return;
-      }
-    }
+    return;
   }
+  // No event, or its id went stale (fired or cancelled): push a fresh one.
   if (prof_ != nullptr) prof_->add(telemetry::WorkCounter::kReschedulePushed);
-  sim_.cancel(workload->completion_event);
   workload->completion_time = target;
   workload->completion_event =
       sim_.at(target, completion_handler(sim_, workload));
@@ -626,14 +605,9 @@ void Machine::recompute(RecomputeCause cause) {
     tel_pending_cpu_ = utilization(ResourceKind::kCpu);
     tel_pending_disk_ = utilization(ResourceKind::kDisk);
     tel_pending_watts_ = watts;
-    if (coordinator_ != nullptr) {
-      if (!tel_queued_) {
-        coordinator_->mark_sample_pending(this);
-        tel_queued_ = true;
-      }
-    } else {
-      // Standalone machine: no coordinator will ever flush, publish now.
-      publish_sample_now();
+    if (!tel_queued_) {
+      coordinator_.mark_sample_pending(this);
+      tel_queued_ = true;
     }
   }
 }

@@ -10,8 +10,8 @@
 // the machine recomputes once per event boundary (or earlier, on the first
 // read of allocation-dependent state through ensure_clean()). recompute()
 // itself is allocation-free in steady state: it water-fills into per-machine
-// scratch buffers and only cancels/re-pushes a completion event when the
-// workload's finish time actually changed.
+// scratch buffers and only moves a completion event when the workload's
+// finish time actually changed.
 #pragma once
 
 #include <array>
@@ -44,7 +44,7 @@ class ReallocCoordinator;
 /// invocation to its trigger so superlinear blowup is visible per cause
 /// (a drain storm reads very differently from read-barrier churn).
 enum class RecomputeCause {
-  kDirect,       // direct call (tests, standalone machines)
+  kDirect,       // direct call (micro benchmarks)
   kDrain,        // coalescing drain at an event boundary
   kReadBarrier,  // ensure_clean() on a read of allocation-dependent state
   kEager,        // eager mode recompute-on-every-mutation
@@ -90,9 +90,9 @@ class ExecutionSite {
   void remove(Workload* workload);
 
   /// Marks the physical machine underneath for reallocation (deferred and
-  /// coalesced; recomputes immediately in eager mode or without a
-  /// coordinator). Virtual so a VM can invalidate its aggregate-demand
-  /// cache on the same mutations that dirty the host.
+  /// coalesced; recomputes immediately in eager mode). Virtual so a VM can
+  /// invalidate its aggregate-demand cache on the same mutations that dirty
+  /// the host.
   virtual void reallocate();
 
   /// Drops any cached view of member demands *without* scheduling a
@@ -220,8 +220,8 @@ class VirtualMachine : public ExecutionSite {
 /// A physical server. Root of the allocation hierarchy.
 class Machine : public ExecutionSite {
  public:
-  Machine(sim::Simulation& sim, std::string name, Resources capacity,
-          const Calibration& cal);
+  Machine(sim::Simulation& sim, ReallocCoordinator& coordinator,
+          std::string name, Resources capacity, const Calibration& cal);
   ~Machine() override;
 
   [[nodiscard]] sim::Simulation& simulation() override { return sim_; }
@@ -263,15 +263,9 @@ class Machine : public ExecutionSite {
   }
 
   // --- deferred reallocation (see realloc.h) ---
-  /// Wires this machine to the cluster's coordinator. Without one, every
-  /// invalidate() recomputes eagerly (standalone-machine behavior).
-  void set_coordinator(ReallocCoordinator* coordinator) {
-    coordinator_ = coordinator;
-  }
-
   /// Marks derived allocation state stale. Deferred mode enqueues the
-  /// machine with the coordinator (at most once); eager or standalone
-  /// machines recompute immediately.
+  /// machine with the coordinator (at most once); eager mode recomputes
+  /// immediately.
   void invalidate();
 
   /// Drains a pending recompute, if any. Reads of allocation-dependent
@@ -304,20 +298,9 @@ class Machine : public ExecutionSite {
   [[nodiscard]] std::uint64_t reschedule_skips() const {
     return reschedule_skips_;
   }
-  /// Completion events moved in place via EventQueue::defer instead of
-  /// cancel+re-push (tests/benchmarks).
-  [[nodiscard]] std::uint64_t reschedule_defers() const {
-    return reschedule_defers_;
-  }
-
-  /// Eager mode cancels and re-pushes the completion event on every
-  /// finish-time change (pre-defer behavior, kept for the equivalence
-  /// test); lazy mode defer()s the pending event in place.
-  void set_eager_reschedule(bool eager) { eager_reschedule_ = eager; }
-
   /// (Re)schedules the completion event of a finite workload hosted
-  /// anywhere on this machine. No-op when the recomputed finish time
-  /// equals the already-scheduled one.
+  /// anywhere on this machine by defer()ing it in place. No-op when the
+  /// recomputed finish time equals the already-scheduled one.
   void reschedule(const WorkloadPtr& workload);
 
   /// Attaches this machine to a telemetry hub; registers and caches its
@@ -346,12 +329,10 @@ class Machine : public ExecutionSite {
   stats::TimeSeries util_series_[kNumResources];
 
   // Deferred-reallocation state.
-  ReallocCoordinator* coordinator_ = nullptr;
+  ReallocCoordinator& coordinator_;
   bool dirty_ = false;
-  bool eager_reschedule_ = false;
   std::uint64_t recompute_count_ = 0;
   std::uint64_t reschedule_skips_ = 0;
-  std::uint64_t reschedule_defers_ = 0;
 
   // recompute() scratch, reused across passes (allocation-free steady
   // state; sized to native workloads + VMs). Per-kind waterfill scratches

@@ -28,7 +28,6 @@ void ReallocCoordinator::set_profiler(telemetry::Profiler* prof) {
 
 void ReallocCoordinator::drain() {
   if (!dirty_.empty()) {
-    ++drains_;
     telemetry::Scope prof_scope(prof_, prof_drain_scope_);
     // recompute() can mark *other* machines dirty (it never re-marks its
     // own: the dirty flag clears on entry), so process as a queue.

@@ -12,11 +12,13 @@
 // caller can observe stale shares.
 //
 // Eager mode (set_eager(true)) restores the recompute-on-every-mutation
-// behavior; the determinism-equivalence test runs both modes against the
-// same seed and requires byte-identical reports.
+// behavior. It is the simulator's one reference switch: the determinism-
+// equivalence test runs both modes against the same seed and requires
+// byte-identical reports, which only holds if every read of allocation
+// state drains through Machine::ensure_clean().
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -62,9 +64,6 @@ class ReallocCoordinator {
   /// Drops a machine from the pending lists (machine teardown).
   void forget(Machine* machine);
 
-  /// Number of drain passes that found work (for tests/benchmarks).
-  [[nodiscard]] std::uint64_t drains() const { return drains_; }
-
   /// Attaches the profiler (null detaches): drains record their pass
   /// count, dirty-set size distribution and wall-time scope.
   void set_profiler(telemetry::Profiler* prof);
@@ -74,7 +73,6 @@ class ReallocCoordinator {
   std::size_t hook_token_;
   std::vector<Machine*> dirty_;
   std::vector<Machine*> sample_pending_;
-  std::uint64_t drains_ = 0;
   bool eager_ = false;
   telemetry::Profiler* prof_ = nullptr;
   telemetry::ScopeId prof_drain_scope_;

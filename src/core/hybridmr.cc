@@ -94,29 +94,27 @@ mapred::Job* HybridMRScheduler::submit(const mapred::JobSpec& spec) {
          {"reason", last_decision_.reason}});
   }
   mapred::Job* job = mr_.submit(spec, pool);
-  if (options_.online_profiling) {
-    // Feed the production run back into the profile database so future
-    // estimates for this job sharpen over time (online profiling).
-    const bool virtual_run = pool == mapred::PlacementPool::kVirtualOnly;
-    const int nodes = virtual_run ? virtuals
-                                  : (pool == mapred::PlacementPool::kNativeOnly
-                                         ? natives
-                                         : natives + virtuals);
-    auto previous = std::move(job->on_complete);
-    job->on_complete = [this, virtual_run, nodes,
-                        previous = std::move(previous)](mapred::Job& done) {
-      ProfileEntry entry;
-      entry.job_name = done.spec().name;
-      entry.virtual_cluster = virtual_run;
-      entry.cluster_size = nodes;
-      entry.data_gb = done.spec().input_gb;
-      entry.jct_s = done.jct();
-      entry.map_s = done.map_phase_seconds();
-      entry.reduce_s = done.reduce_phase_seconds();
-      profile_db_.add(entry);
-      if (previous) previous(done);
-    };
-  }
+  // Online profiling (paper §III-A1): feed the production run back into
+  // the profile database so future estimates for this job sharpen.
+  const bool virtual_run = pool == mapred::PlacementPool::kVirtualOnly;
+  const int nodes = virtual_run ? virtuals
+                                : (pool == mapred::PlacementPool::kNativeOnly
+                                       ? natives
+                                       : natives + virtuals);
+  auto previous = std::move(job->on_complete);
+  job->on_complete = [this, virtual_run, nodes,
+                      previous = std::move(previous)](mapred::Job& done) {
+    ProfileEntry entry;
+    entry.job_name = done.spec().name;
+    entry.virtual_cluster = virtual_run;
+    entry.cluster_size = nodes;
+    entry.data_gb = done.spec().input_gb;
+    entry.jct_s = done.jct();
+    entry.map_s = done.map_phase_seconds();
+    entry.reduce_s = done.reduce_phase_seconds();
+    profile_db_.add(entry);
+    if (previous) previous(done);
+  };
   return job;
 }
 

@@ -38,9 +38,6 @@ struct HybridMROptions {
   bool enable_phase1 = true;
   bool enable_drm = true;
   bool enable_ips = true;
-  /// Online profiling (paper §III-A1): every production run is fed back
-  /// into the profile database, sharpening future placements.
-  bool online_profiling = true;
   std::uint64_t profiling_seed = 1234;
 };
 

@@ -39,13 +39,10 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
   }
   cluster_ = std::make_unique<cluster::HybridCluster>(*sim_,
                                                       options_.calibration);
-  cluster_->set_eager_reallocation(options_.eager_reallocation);
-  cluster_->set_eager_reschedule(options_.eager_reschedule);
   hdfs_ = std::make_unique<storage::Hdfs>(*sim_, options_.calibration);
   mapred::MapReduceEngine::Options mr_options;
   mr_options.speculative_execution = options_.speculative_execution;
   mr_options.max_attempts = options_.max_task_attempts;
-  mr_options.naive_dispatch = options_.naive_dispatch;
   mr_ = std::make_unique<mapred::MapReduceEngine>(
       *sim_, *hdfs_, options_.calibration,
       mapred::make_scheduler(options_.scheduler), mr_options);

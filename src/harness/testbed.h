@@ -41,21 +41,8 @@ class TestBed {
     /// Watchdog for long runs, active only when `profile` is on: zero
     /// thresholds disable each check (see Profiler::WatchdogOptions).
     telemetry::Profiler::WatchdogOptions watchdog{};
-    /// Recompute machine allocations on every mutation instead of
-    /// deferring + coalescing per event timestamp. Slower; kept for the
-    /// determinism-equivalence test (same seed, both modes, byte-identical
-    /// reports).
-    bool eager_reallocation = false;
     /// Retry bound forwarded to MapReduceEngine::Options::max_attempts.
     int max_task_attempts = 4;
-    /// Dispatch by full tracker re-scan instead of the free-slot offer set
-    /// (forwarded to MapReduceEngine::Options::naive_dispatch). Slower;
-    /// kept for the placement-equivalence test.
-    bool naive_dispatch = false;
-    /// Cancel/re-push workload completion events eagerly instead of the
-    /// lazy postpone-in-place path (forwarded to the cluster's machines).
-    /// Slower; kept for the reschedule-equivalence test.
-    bool eager_reschedule = false;
     /// Fault plan executed against the run; an empty schedule (default)
     /// constructs no injector at all.
     faults::FaultSchedule faults{};

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "audit/invariants.h"
@@ -20,6 +21,14 @@ constexpr const char* kJobTrack = "jobs";
 constexpr TaskType kTaskTypes[] = {TaskType::kMap, TaskType::kReduce};
 
 int type_index(TaskType type) { return type == TaskType::kMap ? 0 : 1; }
+
+// A job submitted to a cluster without a TaskTracker could never run.
+void require_trackers(
+    const std::vector<std::unique_ptr<TaskTracker>>& trackers) {
+  if (trackers.empty()) {
+    throw std::invalid_argument("submit needs at least one TaskTracker");
+  }
+}
 
 }  // namespace
 
@@ -101,6 +110,7 @@ int MapReduceEngine::reducers_for(const JobSpec& spec) const {
 }
 
 Job* MapReduceEngine::submit(const JobSpec& spec, PlacementPool pool) {
+  require_trackers(trackers_);  // before staging leaves an orphan file
   const auto input = hdfs_.stage_file(
       spec.name + "-input-" + std::to_string(jobs_.size()), spec.input_mb(),
       spec.split_mb);
@@ -109,7 +119,7 @@ Job* MapReduceEngine::submit(const JobSpec& spec, PlacementPool pool) {
 
 Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
                              PlacementPool pool) {
-  assert(!trackers_.empty() && "submit needs at least one TaskTracker");
+  require_trackers(trackers_);
   const int id = static_cast<int>(jobs_.size());
   jobs_.push_back(std::make_unique<Job>(id, spec));
   Job* job = jobs_.back().get();
@@ -175,6 +185,19 @@ bool MapReduceEngine::host_gated(const TaskTracker& tracker,
   };
   add_site(host);
   for (const cluster::VirtualMachine* vm : host->vms()) add_site(vm);
+#if defined(HYBRIDMR_AUDIT_ENABLED)
+  int scanned = 0;
+  for (const auto& other : trackers_) {
+    if (other->site().host_machine() == host) {
+      scanned += static_cast<int>(other->running().size());
+    }
+  }
+  HYBRIDMR_AUDIT_CHECK(running == scanned, "mapred.engine",
+                       "host_gate_matches_scan", sim_.now(),
+                       {{"host", host->name()},
+                        {"site_sum", audit::num(running)},
+                        {"tracker_scan", audit::num(scanned)}});
+#endif
   return running >= static_cast<int>(2 * host->capacity().cpu);
 }
 
@@ -182,44 +205,11 @@ bool MapReduceEngine::dispatch_wave(bool locality_only,
                                     std::uint64_t& tracker_scans,
                                     std::uint64_t& launches) {
   bool progressed = false;
-  auto offer_tracker = [&](TaskTracker& tr) {
-    for (TaskType type : kTaskTypes) {
-      if (tr.free_slots(type) <= 0) continue;
-      Task* task = scheduler_->pick(tr, type, live_, hdfs_, locality_only);
-      if (task == nullptr) continue;
-      tr.launch(*task);
-      ++launches;
-      progressed = true;
-    }
-  };
-  if (options_.naive_dispatch) {
-    // Pre-index loop, kept verbatim for the equivalence test: full tracker
-    // scan per pass, with the O(trackers) co-host re-scan inside the gate.
-    auto naive_gate = [this, &tracker_scans](const TaskTracker& tr) {
-      const cluster::Machine* host = tr.site().host_machine();
-      if (host == nullptr) return false;
-      tracker_scans += trackers_.size();
-      int running = 0;
-      for (const auto& other : trackers_) {
-        if (other->site().host_machine() == host) {
-          running += static_cast<int>(other->running().size());
-        }
-      }
-      return running >= static_cast<int>(2 * host->capacity().cpu);
-    };
-    for (const auto& tr : trackers_) {
-      ++tracker_scans;
-      if (tr->blacklisted_) continue;
-      if (naive_gate(*tr)) continue;
-      offer_tracker(*tr);
-    }
-    return progressed;
-  }
-  // Indexed wave: merge-walk the offer sets in index order — the same
-  // visit order the full scan used, with map tried before reduce on each
-  // tracker — but only the sets of a (type, partition) whose pick can
-  // possibly succeed (schedulable_pending counts the same eligibility, pool
-  // and pending flags pick() tests, so a zero is a proof, not a heuristic).
+  // Merge-walk the offer sets in index order — the visit order of a full
+  // tracker scan, with map tried before reduce on each tracker — but only
+  // the sets of a (type, partition) whose pick can possibly succeed
+  // (schedulable_pending counts the same eligibility, pool and pending
+  // flags pick() tests, so a zero is a proof, not a heuristic).
   // Launches during the wave mutate the sets (slot grants drop trackers,
   // synchronous sibling kills re-add them) and the counters, so the cursor
   // re-enters via lower_bound instead of holding an iterator, and every
@@ -253,6 +243,7 @@ bool MapReduceEngine::dispatch_wave(bool locality_only,
       progressed = true;
     }
   }
+  audit_verify_offers();
   return progressed;
 }
 
@@ -313,11 +304,12 @@ void MapReduceEngine::dispatch() {
     live_.stale_ = false;
   }
   audit_verify_live_work();
+  audit_verify_offers();
   std::uint64_t tracker_scans = 0;
   std::uint64_t launches = 0;
   // Nothing to place (or nowhere to place it): scheduler->pick() cannot
   // return a task, so skip the sweep.
-  bool any_offer = options_.naive_dispatch;
+  bool any_offer = false;
   for (const auto& by_partition : offers_) {
     for (const auto& offers : by_partition) any_offer |= !offers.empty();
   }
@@ -738,6 +730,31 @@ void MapReduceEngine::audit_verify_live_work() const {
         {{"job", key.job->spec().name},
          {"key_running", audit::num(key.running)},
          {"running", audit::num(key.job->running_tasks())}});
+  }
+#endif
+}
+
+void MapReduceEngine::audit_verify_offers() const {
+#if defined(HYBRIDMR_AUDIT_ENABLED)
+  for (TaskType type : kTaskTypes) {
+    for (const bool virtual_site : {false, true}) {
+      std::set<std::uint32_t> scan;
+      for (std::uint32_t i = 0; i < trackers_.size(); ++i) {
+        const TaskTracker& tr = *trackers_[i];
+        if (tr.site().is_virtual() == virtual_site && !tr.blacklisted_ &&
+            tr.free_slots(type) > 0) {
+          scan.insert(i);
+        }
+      }
+      const auto& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
+      HYBRIDMR_AUDIT_CHECK(
+          offers == scan, "mapred.engine", "offer_sets_match_scan",
+          sim_.now(),
+          {{"task_type", type == TaskType::kMap ? "map" : "reduce"},
+           {"partition", virtual_site ? "virtual" : "native"},
+           {"offered", audit::num(static_cast<double>(offers.size()))},
+           {"scan", audit::num(static_cast<double>(scan.size()))}});
+    }
   }
 #endif
 }

@@ -35,21 +35,12 @@ class MapReduceEngine {
     sim::Duration speculation_interval_s{5.0};
     /// Minimum runtime before an attempt can be judged a straggler.
     sim::Duration speculation_min_elapsed_s{30.0};
-    /// Stock Hadoop-1 behaviour: every slot gets a rigid share of the
-    /// node's resources (fixed JVM heap, unmanaged I/O). HybridMR's DRM
-    /// replaces these static caps with demand-driven allocations.
-    bool static_slot_shares = true;
     /// Hadoop's mapred.map.max.attempts: a task whose attempts genuinely
     /// fail this many times takes its whole job down.
     int max_attempts = 4;
     /// When a saturated ban set is forgiven on requeue, the most recent
     /// tracker stays banned for this long before being forgiven too.
     sim::Duration requeue_ban_grace_s{3.0};
-    /// Equivalence/debug mode: dispatch by re-scanning every tracker each
-    /// pass (the pre-index O(passes x trackers^2) loop) instead of walking
-    /// the free-slot offer set. Task placement must be identical either
-    /// way; mapred_test pins that byte-for-byte.
-    bool naive_dispatch = false;
   };
 
   MapReduceEngine(sim::Simulation& sim, storage::Hdfs& hdfs,
@@ -83,6 +74,8 @@ class MapReduceEngine {
   }
 
   /// Submits a job; stages its input file across the datanodes first.
+  /// Throws std::invalid_argument when the cluster has no TaskTracker (or
+  /// Hdfs::stage_file rejects the input).
   Job* submit(const JobSpec& spec,
               PlacementPool pool = PlacementPool::kAny);
   /// Submits a job over an already staged input file.
@@ -171,7 +164,6 @@ class MapReduceEngine {
     return cal_;
   }
   [[nodiscard]] int reducers_for(const JobSpec& spec) const;
-  [[nodiscard]] const Options& options() const { return options_; }
 
   // --- stats ---
   [[nodiscard]] int speculative_launched() const { return speculative_count_; }
@@ -197,6 +189,10 @@ class MapReduceEngine {
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): the live list, the
   /// schedulable counters and the fair-order keys match a scan of jobs_.
   void audit_verify_live_work() const;
+  /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): each offer set holds
+  /// exactly the unblacklisted trackers of its partition with a free slot
+  /// of its type — the full tracker scan the offer walk replaced.
+  void audit_verify_offers() const;
   /// Every job state write goes through here: it keeps the live list, the
   /// fair-order index and the schedulable counters in step with the state.
   void set_state(Job& job, JobState state);
@@ -212,8 +208,8 @@ class MapReduceEngine {
   /// migration keeps this correct without hooks).
   [[nodiscard]] bool host_gated(const TaskTracker& tracker,
                                 std::uint64_t& tracker_scans) const;
-  /// One dispatch sweep over the offer sets (or every tracker when
-  /// naive_dispatch). Returns true when anything launched.
+  /// One dispatch sweep over the offer sets. Returns true when anything
+  /// launched.
   bool dispatch_wave(bool locality_only, std::uint64_t& tracker_scans,
                      std::uint64_t& launches);
   /// Pending tasks of `type` that a tracker on a virtual (or native) site

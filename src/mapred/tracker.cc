@@ -77,9 +77,7 @@ TaskAttempt* TaskTracker::launch(Task& task) {
   // Offer-set update before start() for the same reason: a synchronous
   // finish re-derives membership from the post-release counts.
   engine_->update_offer(*this);
-  if (engine_->options().static_slot_shares) {
-    raw->set_base_caps(static_slot_share(task.type()));
-  }
+  raw->set_base_caps(static_slot_share(task.type()));
   raw->start();
   engine_->note_task_started(*raw);
   audit_verify_slots();

@@ -35,7 +35,8 @@ class TaskTracker {
   TaskAttempt* launch(Task& task);
 
   /// The rigid per-slot resource share of stock Hadoop-1 (fixed JVM heap,
-  /// partitioned I/O); applied to attempts when static_slot_shares is on.
+  /// partitioned I/O), applied to every attempt as its base caps. HybridMR's
+  /// DRM replaces these static caps with demand-driven allocations.
   [[nodiscard]] cluster::Resources static_slot_share(TaskType type) const;
 
   /// Bookkeeping when an attempt finishes or is killed.

@@ -24,8 +24,7 @@ void EventQueue::release(std::uint32_t index) {
   --live_;
 }
 
-EventId EventQueue::seat(SimTime time, std::uint64_t seq,
-                         std::function<void()>&& fn) {
+EventId EventQueue::push(SimTime time, std::function<void()> fn) {
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -37,18 +36,14 @@ EventId EventQueue::seat(SimTime time, std::uint64_t seq,
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.time = time;
-  slot.seq = seq;
+  slot.seq = next_seq_++;
   slot.live = true;
   const std::uint64_t id = make_id(index, slot.gen);
-  heap_.push(HeapItem{time, seq, id});
+  heap_.push(HeapItem{time, slot.seq, id});
   ++live_;
   ++total_pushed_;
   if (live_ > max_size_) max_size_ = live_;
   return EventId{id};
-}
-
-EventId EventQueue::push(SimTime time, std::function<void()> fn) {
-  return seat(time, next_seq_++, std::move(fn));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -80,18 +75,6 @@ bool EventQueue::defer(EventId id, SimTime time) {
   // the stale item surfaces at its old position and skim() re-seats it.
   ++total_deferred_;
   return true;
-}
-
-EventId EventQueue::repush(EventId id, SimTime time) {
-  Slot* slot = live_slot(id.value);
-  if (slot == nullptr) return {};
-  const std::uint64_t seq = slot->seq;
-  std::function<void()> fn = std::move(slot->fn);
-  release(slot_index(id.value));
-  ++total_cancelled_;
-  // Fresh slot (usually the one just released, at a bumped generation),
-  // inherited seq: cancel + re-push mechanics, creation-order tie-break.
-  return seat(time, seq, std::move(fn));
 }
 
 void EventQueue::skim() {

@@ -80,17 +80,6 @@ class EventQueue {
   /// items, so defer() never touches those totals.
   bool defer(EventId id, SimTime time);
 
-  /// Cancels `id` and pushes a fresh event with the same handler at `time`,
-  /// *inheriting the original tie-break seq*. Returns the new id, or an
-  /// invalid id (and does nothing) when `id` already fired or was
-  /// cancelled. This is the eager-cancel reference mode's primitive: it
-  /// exercises genuine cancel + re-push heap surgery, but keeps FIFO tie
-  /// order anchored to event-creation order exactly like defer() — tie
-  /// order is a property of the workload, not of the reschedule policy, so
-  /// the two modes stay byte-for-byte equivalent on same-time collisions.
-  /// Counts one cancellation and one push.
-  EventId repush(EventId id, SimTime time);
-
   /// True when no live (non-cancelled) events remain.
   [[nodiscard]] bool empty() const { return live_ == 0; }
 
@@ -174,10 +163,6 @@ class EventQueue {
 
   // The slot a live id refers to, or nullptr when the id is stale/invalid.
   [[nodiscard]] Slot* live_slot(std::uint64_t id);
-
-  // Stores `fn` in a free slot seated at (time, seq), pushes its heap item
-  // and counts one push.
-  EventId seat(SimTime time, std::uint64_t seq, std::function<void()>&& fn);
 
   // Destroys the handler, bumps the generation and recycles the slot.
   void release(std::uint32_t index);

@@ -86,15 +86,6 @@ class Simulation {
     return queue_.defer(id, clamp_to_now(t, "defer"));
   }
 
-  /// Cancels `id` and re-pushes its handler at `t`, inheriting the original
-  /// FIFO tie-break seat (see EventQueue::repush — the eager-cancel
-  /// reference mode's primitive). Returns the new id, or an invalid id when
-  /// the event already fired or was cancelled. Past times clamp to now()
-  /// under the same audit/log policy as at().
-  EventId repush(EventId id, SimTime t) {
-    return queue_.repush(id, clamp_to_now(t, "repush"));
-  }
-
   /// Registers `fn` to run every `period` seconds, first firing after
   /// `initial_delay` (defaults to one period). Cancel via the handle.
   PeriodicHandle every(SimTime period, std::function<void()> fn,
@@ -218,8 +209,8 @@ class Simulation {
  private:
   bool dispatch_one();
 
-  // Clamps a past target time `t` to now() on behalf of `op` (at, defer or
-  // repush): counted in clamped_past_events() and logged, or a hard audit
+  // Clamps a past target time `t` to now() on behalf of `op` (at or
+  // defer): counted in clamped_past_events() and logged, or a hard audit
   // violation under HYBRIDMR_AUDIT.
   SimTime clamp_to_now(SimTime t, const char* op) {
     if (t < now_) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "audit/invariants.h"
 #include "telemetry/telemetry.h"
@@ -213,7 +215,13 @@ int Hdfs::min_replication() const {
 
 Hdfs::FileId Hdfs::stage_file(const std::string& name, sim::MegaBytes size_mb,
                               sim::MegaBytes block_mb) {
-  assert(!datanodes_.empty() && "stage_file needs at least one datanode");
+  if (datanodes_.empty()) {
+    throw std::invalid_argument("stage_file needs at least one datanode");
+  }
+  if (!std::isfinite(size_mb.value()) || size_mb < sim::MegaBytes{0}) {
+    throw std::invalid_argument("stage_file needs a finite size >= 0, got " +
+                                std::to_string(size_mb.value()) + " MB");
+  }
   File file;
   file.name = name;
   file.size_mb = size_mb;

@@ -149,7 +149,8 @@ class Hdfs {
   /// Registers a pre-loaded input file: blocks are placed randomly with
   /// `replicas` copies each (no simulated I/O; the data is already there,
   /// like a staged benchmark input). `block_mb` overrides the cluster
-  /// block size when positive.
+  /// block size when positive. Throws std::invalid_argument without a
+  /// datanode or when `size_mb` is negative or not finite.
   FileId stage_file(const std::string& name, sim::MegaBytes size_mb,
                     sim::MegaBytes block_mb = sim::MegaBytes{0});
 

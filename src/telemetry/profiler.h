@@ -92,8 +92,8 @@ enum class WorkCounter {
   kRecomputeDirect,       // Machine::recompute() called eagerly/inline
   kRecomputeDrain,        // recompute from the coalescing drain
   kRecomputeReadBarrier,  // recompute forced by ensure_clean() on a read
-  kRecomputeEager,        // eager_reallocation mode invalidate->recompute
-  kReschedulePushed,      // completion events cancel+re-pushed (fresh push)
+  kRecomputeEager,        // coordinator eager mode invalidate->recompute
+  kReschedulePushed,      // completion events pushed fresh (none to defer)
   kRescheduleSkipped,     // reschedule() skipped (finish time unchanged)
   kRescheduleDeferred,    // completion events defer()ed in place (lazy path)
   kDrainPasses,           // ReallocCoordinator::drain() invocations

@@ -73,9 +73,9 @@ void WhatIfEngine::enter_child(int read_fd) {
   ::close(read_fd);
   in_lookahead_ = true;
   std::atexit(&escape_backstop);
-  if (options_.silence_child_logs) {
-    sim::Log::threshold() = sim::LogLevel::kOff;
-  }
+  // Silence the child's logs: the parent's sink would interleave both
+  // processes' lines.
+  sim::Log::threshold() = sim::LogLevel::kOff;
 }
 
 std::optional<WhatIfEngine::Child> WhatIfEngine::fork_batch(

@@ -66,9 +66,6 @@ struct ForkResult {
 class WhatIfEngine {
  public:
   struct Options {
-    /// Raise the child's log threshold to silence lookahead chatter (the
-    /// parent's sink would interleave both processes' lines).
-    bool silence_child_logs = true;
     /// Children a batch keeps alive at once; 1 forks one at a time, 0
     /// one per CPU in this process's sched_getaffinity mask.
     int max_children = 0;

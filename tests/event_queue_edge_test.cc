@@ -1,9 +1,10 @@
 // EventQueue cancellation and reschedule edge cases: lifetimes, cancellation
-// races and defer()/repush() seats that the happy-path tests in sim_test.cc
-// do not reach. These pin down the lazy-deletion contract (cancel and
-// postpone never restructure the heap, handlers die exactly once, FIFO ties
-// follow creation order) that the leak-clean teardown work and the
-// lazy/eager reschedule equivalence rely on.
+// races and defer() seats that the happy-path tests in sim_test.cc do not
+// reach. These pin down the lazy-deletion contract (cancel and postpone
+// never restructure the heap, handlers die exactly once) that the
+// leak-clean teardown work relies on. The seat contract itself (FIFO ties
+// follow creation order however events were deferred) is checked against
+// an ordered model by EventQueueProperty in property_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -145,27 +146,7 @@ TEST(EventQueueEdge, DeferPostponesAndAdvancesInPlace) {
   EXPECT_EQ(q.total_cancelled(), 0u);
 }
 
-TEST(EventQueueEdge, RepushKeepsOriginalFifoSeat) {
-  EventQueue q;
-  std::vector<std::string> fired;
-  const EventId x = q.push(5.0, [&] { fired.push_back("x"); });
-  q.push(10.0, [&] { fired.push_back("y"); });
-  q.push(10.0, [&] { fired.push_back("z"); });
-  // x moves onto the same-time collision at 10 but inherits its creation
-  // seq, so it still fires before y and z (a plain cancel + push would
-  // queue it last).
-  const EventId moved = q.repush(x, 10.0);
-  ASSERT_TRUE(moved.valid());
-  EXPECT_FALSE(moved == x);
-  EXPECT_FALSE(q.cancel(x));  // the old id died with the cancellation
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.total_pushed(), 4u);
-  EXPECT_EQ(q.total_cancelled(), 1u);
-  while (auto e = q.pop()) e->fn();
-  EXPECT_EQ(fired, (std::vector<std::string>{"x", "y", "z"}));
-}
-
-TEST(EventQueueEdge, DeferAndRepushRejectDeadIds) {
+TEST(EventQueueEdge, DeferRejectsDeadIds) {
   EventQueue q;
   const EventId fired = q.push(1.0, [] {});
   const EventId cancelled = q.push(2.0, [] {});
@@ -174,7 +155,6 @@ TEST(EventQueueEdge, DeferAndRepushRejectDeadIds) {
   ASSERT_TRUE(q.cancel(cancelled));
   for (const EventId dead : {fired, cancelled, EventId{}}) {
     EXPECT_FALSE(q.defer(dead, 9.0));
-    EXPECT_FALSE(q.repush(dead, 9.0).valid());
   }
   // Nothing moved and nothing was counted.
   EXPECT_EQ(q.size(), 1u);
@@ -223,8 +203,8 @@ TEST(SimulationEdge, CancelFromRunningCallback) {
 
 // Every event ever scheduled is processed, cancelled or still pending, at
 // every quiescent point; defer() moves events without touching that
-// identity and repush() counts as one cancellation plus one schedule.
-TEST(SimulationEdge, ConservationHoldsAcrossDeferAndRepush) {
+// identity.
+TEST(SimulationEdge, ConservationHoldsAcrossDefer) {
   Simulation sim;
   auto conserved = [&] {
     return sim.events_scheduled() == sim.events_processed() +
@@ -233,12 +213,11 @@ TEST(SimulationEdge, ConservationHoldsAcrossDeferAndRepush) {
   };
   const EventId postponed = sim.at(4.0, [] {});
   const EventId advanced = sim.at(9.0, [] {});
-  EventId repushed = sim.at(6.0, [] {});
+  sim.at(6.0, [] {});
   const EventId doomed = sim.at(7.0, [] {});
   sim.at(1.0, [&] {
     EXPECT_TRUE(sim.defer(postponed, 8.0));
     EXPECT_TRUE(sim.defer(advanced, 2.0));
-    repushed = sim.repush(repushed, 3.0);
     EXPECT_TRUE(sim.cancel(doomed));
   });
   EXPECT_TRUE(conserved());
@@ -247,9 +226,9 @@ TEST(SimulationEdge, ConservationHoldsAcrossDeferAndRepush) {
   EXPECT_EQ(sim.events_processed(), 2u);  // the 1.0 handler + advanced@2
   sim.run();
   EXPECT_TRUE(conserved());
-  EXPECT_EQ(sim.events_scheduled(), 6u);  // 5 at() + 1 repush()
+  EXPECT_EQ(sim.events_scheduled(), 5u);
   EXPECT_EQ(sim.events_processed(), 4u);
-  EXPECT_EQ(sim.events_cancelled(), 2u);  // doomed + the repush's cancel
+  EXPECT_EQ(sim.events_cancelled(), 1u);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.events_deferred(), 2u);
   EXPECT_DOUBLE_EQ(sim.now(), 8.0);

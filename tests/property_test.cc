@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/machine.h"
 #include "cluster/migration.h"
 #include "harness/testbed.h"
 #include "interactive/presets.h"
+#include "sim/event_queue.h"
 #include "stats/regression.h"
 #include "workload/benchmarks.h"
 
@@ -63,6 +70,84 @@ TEST_P(WaterfillProperty, ConservationAndFairness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaterfillProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------- event-queue seats ----
+
+// The reschedule contract: EventQueue::defer() moves an event but keeps the
+// seq it was created with, so same-time ties pop in creation order however
+// often (and in whatever coalescing regime) an event was moved. The model
+// is that contract stated directly: a set ordered by (time, creation seq).
+// Random push / defer (earlier, later, to +inf) / cancel / pop sequences
+// over a few integer times make ties common; every pop must be the model's
+// head, and ids that fired or were cancelled must be rejected.
+class EventQueueProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventQueueProperty, DeferMatchesOrderedSeatModel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::Rng rng(GetParam());
+  sim::EventQueue q;
+  std::set<std::pair<sim::SimTime, std::size_t>> model;  // (time, seq)
+  std::vector<sim::EventId> ids;                         // by creation seq
+  std::vector<std::optional<sim::SimTime>> seat_of;      // nullopt: dead
+  std::size_t fired = 0;
+  std::uint64_t deferred = 0;
+  std::uint64_t cancelled = 0;
+
+  auto pop_and_check = [&] {
+    auto e = q.pop();
+    ASSERT_EQ(e.has_value(), !model.empty());
+    if (!e) return;
+    e->fn();
+    const auto [time, seq] = *model.begin();
+    model.erase(model.begin());
+    seat_of[seq].reset();
+    EXPECT_EQ(fired, seq) << "tie order must follow creation order";
+    EXPECT_EQ(e->time, time);
+    EXPECT_TRUE(e->id == ids[seq]);
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const int op = ids.empty() ? 0 : rng.uniform_int(0, 99);
+    const sim::SimTime t =
+        rng.bernoulli(0.1) ? kInf : static_cast<double>(rng.uniform_int(0, 4));
+    if (op < 30) {
+      const std::size_t seq = ids.size();
+      ids.push_back(q.push(t, [&fired, seq] { fired = seq; }));
+      seat_of.emplace_back(t);
+      model.emplace(t, seq);
+    } else if (op < 65) {
+      const std::size_t seq = rng.index(ids.size());
+      const bool live = seat_of[seq].has_value();
+      ASSERT_EQ(q.defer(ids[seq], t), live) << "step " << step;
+      if (live) {
+        model.erase({*seat_of[seq], seq});
+        model.emplace(t, seq);
+        seat_of[seq] = t;
+        ++deferred;
+      }
+    } else if (op < 75) {
+      const std::size_t seq = rng.index(ids.size());
+      const bool live = seat_of[seq].has_value();
+      ASSERT_EQ(q.cancel(ids[seq]), live) << "step " << step;
+      if (live) {
+        model.erase({*seat_of[seq], seq});
+        seat_of[seq].reset();
+        ++cancelled;
+      }
+    } else {
+      pop_and_check();
+    }
+    ASSERT_EQ(q.size(), model.size()) << "step " << step;
+  }
+  while (!model.empty()) pop_and_check();
+  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(q.total_pushed(), ids.size());
+  EXPECT_EQ(q.total_deferred(), deferred);
+  EXPECT_EQ(q.total_cancelled(), cancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ------------------------------------------------ machine conservation ----

@@ -1,7 +1,8 @@
 // Tests for deferred/coalesced reallocation (realloc.h): burst coalescing,
-// read-barrier freshness, eager/deferred determinism equivalence, the
-// reschedule-churn fix, the span-based waterfill, and the bounded
-// TimeSeries machinery that keeps long runs O(max) memory.
+// read-barrier freshness, eager/deferred determinism equivalence (eager
+// mode, ReallocCoordinator::set_eager, is the simulator's one remaining
+// reference switch), the reschedule-churn fix, the span-based waterfill,
+// and the bounded TimeSeries machinery that keeps long runs O(max) memory.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -72,7 +73,7 @@ TEST_F(ReallocTest, ReadsAreNeverStale) {
 
 // Eager mode restores recompute-on-every-mutation.
 TEST_F(ReallocTest, EagerModeRecomputesPerMutation) {
-  cluster.set_eager_reallocation(true);
+  cluster.reallocator().set_eager(true);
   Machine* m = cluster.add_machine();
   const std::uint64_t c0 = m->recompute_count();
 
@@ -113,8 +114,8 @@ struct ReportArtifacts {
 ReportArtifacts run_scenario(bool eager) {
   harness::TestBed::Options options;
   options.seed = 1234;
-  options.eager_reallocation = eager;
   harness::TestBed bed(options);
+  bed.cluster().reallocator().set_eager(eager);
   bed.add_native_nodes(2);
   bed.add_virtual_nodes(2, 2);
 
