@@ -55,6 +55,34 @@ void BM_Waterfill(benchmark::State& state) {
 }
 BENCHMARK(BM_Waterfill)->Arg(8)->Arg(64)->Arg(512);
 
+// The shape of a contended VM-level fill during a shuffle: a source VM
+// serving one flow per reducer, with only three distinct demand values,
+// through a reused scratch like the hot callers'. The capacity alternates
+// between 30% and 31% of the total demand, so no two consecutive fills see
+// the same inputs.
+void BM_WaterfillTied(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const double values[] = {2.5, 25.0, 50.0};
+  std::vector<double> demands(n);
+  double total = 0;
+  for (int i = 0; i < n; ++i) {
+    demands[i] = values[i % 3];
+    total += demands[i];
+  }
+  std::vector<double> out(n);
+  cluster::WaterfillScratch scratch;
+  bool low = false;
+  for (auto _ : state) {
+    low = !low;
+    cluster::waterfill_into((low ? 0.30 : 0.31) * total, demands, out,
+                            scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_WaterfillTied)->Arg(48);
+
 void BM_MachineRecompute(benchmark::State& state) {
   const int workloads = static_cast<int>(state.range(0));
   sim::Simulation sim;

@@ -11,7 +11,8 @@
 //   - simulation:     at() with a past target time is a hard violation
 //                     instead of a counted clamp;
 //   - cluster:        per-resource allocations never exceed machine
-//                     capacity; power stays within the model's bounds;
+//                     capacity; equal demands get equal grants; power
+//                     stays within the model's bounds;
 //   - mapred:         slot conservation on every tracker; completed tasks
 //                     have no running attempts; shuffle traffic is
 //                     conserved when partitioned by source site;

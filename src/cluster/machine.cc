@@ -1,10 +1,10 @@
 #include "cluster/machine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "audit/invariants.h"
@@ -21,59 +21,113 @@ namespace {
 // O(1) per machine instead of O(events).
 constexpr std::size_t kMaxMachineSeriesSamples = 16384;
 
+// Audit checkpoint after every per-resource fill: consumers with equal
+// demands hold bitwise-equal grants, so the split cannot depend on the
+// order the consumers were listed in.
+[[maybe_unused]] bool equal_demands_equal_grants(
+    std::span<const double> demands, std::span<const double> grants) {
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    for (std::size_t j = i + 1; j < demands.size(); ++j) {
+      if (demands[j] == demands[i] && grants[j] != grants[i]) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void waterfill_into(double capacity, std::span<const double> demands,
                     std::span<double> out, WaterfillScratch& scratch) {
   const std::size_t n = demands.size();
   assert(out.size() == n && "output extent must match demands");
-  std::fill(out.begin(), out.end(), 0.0);
-  if (n == 0 || capacity <= 0) return;
-
-  // Memo replay: the allocation is a pure function of (capacity, demands),
-  // so a repeat of the previous inputs reproduces the previous output
-  // byte-for-byte without sorting.
-  if (scratch.valid && capacity == scratch.last_capacity &&
-      scratch.last_demands.size() == n &&
-      std::equal(demands.begin(), demands.end(),
-                 scratch.last_demands.begin())) {
-    std::copy(scratch.last_out.begin(), scratch.last_out.end(), out.begin());
+  if (n == 0 || capacity <= 0) {
+    std::fill(out.begin(), out.end(), 0.0);
     return;
   }
 
-  // Uncontended fast path: when total demand fits, the sorted fill grants
-  // every demand exactly (ascending order means fair >= each demand at its
-  // turn), so skip the sort. Exact same output as the general path.
+  // 1. Bucket the positive demands by value, in ascending order.
+  // Contended fills are mostly many flows with a few distinct demands, so
+  // a linear scan over a small sorted stack table does it; past kFewValues
+  // distinct values, sort a copy of the values into the scratch table and
+  // run-length encode it.
+  using Group = WaterfillScratch::Group;
+  constexpr std::size_t kFewValues = 8;
+  std::array<Group, kFewValues> few{};
+  std::size_t k = 0;
+  bool few_values = true;
+  for (const double d : demands) {
+    if (!(d > 0)) continue;
+    std::size_t g = 0;
+    while (g < k && few[g].value < d) ++g;
+    if (g == k || few[g].value != d) {
+      if (k == kFewValues) {
+        few_values = false;
+        break;
+      }
+      std::copy_backward(few.begin() + g, few.begin() + k,
+                         few.begin() + k + 1);
+      few[g] = {d, 0};
+      ++k;
+    }
+    ++few[g].count;
+  }
+  std::span<Group> groups(few.data(), k);
+  if (!few_values) {
+    auto& table = scratch.groups;
+    table.clear();
+    for (const double d : demands) {
+      if (d > 0) table.push_back({d, 1});
+    }
+    std::sort(table.begin(), table.end(),
+              [](const Group& a, const Group& b) { return a.value < b.value; });
+    std::size_t runs = 0;
+    for (const Group& g : table) {
+      if (runs > 0 && table[runs - 1].value == g.value) {
+        ++table[runs - 1].count;
+      } else {
+        table[runs++] = g;
+      }
+    }
+    groups = std::span<Group>(table.data(), runs);
+  }
+
+  // Uncontended: when the demands fit, each is granted in full. Summed by
+  // group in ascending order, so the test does not depend on the order the
+  // consumers are listed in.
   double total = 0;
-  for (const double d : demands) total += d > 0 ? d : 0.0;
+  double unsatisfied = 0;  // consumers with a positive demand
+  for (const Group& g : groups) {
+    total += g.value * g.count;
+    unsatisfied += g.count;
+  }
   if (total <= capacity) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = demands[i] > 0 ? demands[i] : 0.0;
     }
-  } else {
-    auto& order = scratch.order;
-    order.resize(n);
-    std::iota(order.begin(), order.end(), std::uint32_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return demands[a] < demands[b];
-              });
-
-    double remaining = capacity;
-    std::size_t unsatisfied = n;
-    for (const std::uint32_t idx : order) {
-      const double fair = remaining / static_cast<double>(unsatisfied);
-      const double got = std::min(demands[idx], fair);
-      out[idx] = got < 0 ? 0 : got;
-      remaining -= out[idx];
-      --unsatisfied;
-    }
+    return;
   }
 
-  scratch.last_capacity = capacity;
-  scratch.last_demands.assign(demands.begin(), demands.end());
-  scratch.last_out.assign(out.begin(), out.end());
-  scratch.valid = true;
+  // 2. Level the groups in ascending order: a group that fits under the
+  // fair share of what is left is granted in full.
+  double remaining = capacity;
+  double cut = 0;  // largest demand granted in full
+  double level = 0;
+  for (const Group& g : groups) {
+    const double fair = remaining / unsatisfied;
+    if (g.value > fair) {
+      level = fair;
+      break;
+    }
+    remaining -= g.value * g.count;
+    unsatisfied -= g.count;
+    cut = g.value;
+  }
+
+  // 3. Every demand above the last satisfied group gets the same level.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = demands[i];
+    out[i] = d > 0 ? (d <= cut ? d : level) : 0.0;
+  }
 }
 
 std::vector<double> waterfill(double capacity,
@@ -352,7 +406,11 @@ void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
     for (std::size_t i = 0; i < n; ++i) {
       split_demand_[i] = split_eff_[i][kind];
     }
-    waterfill_into(grant[kind], split_demand_, split_out_, split_wf_[r]);
+    waterfill_into(grant[kind], split_demand_, split_out_, split_wf_);
+    HYBRIDMR_AUDIT_CHECK(
+        equal_demands_equal_grants(split_demand_, split_out_),
+        "cluster.machine", "equal_demands_equal_grants", now,
+        {{"vm", name()}, {"resource", cluster::to_string(kind)}});
     for (std::size_t i = 0; i < n; ++i) split_alloc_[i][kind] = split_out_[i];
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -531,8 +589,11 @@ void Machine::recompute(RecomputeCause cause) {
   for (int r = 0; r < kNumResources; ++r) {
     const auto kind = static_cast<ResourceKind>(r);
     for (std::size_t i = 0; i < n; ++i) scratch_d_[i] = scratch_demands_[i][kind];
-    waterfill_into(capacity_[kind], scratch_d_, scratch_alloc_,
-                   scratch_wf_[r]);
+    waterfill_into(capacity_[kind], scratch_d_, scratch_alloc_, scratch_wf_);
+    HYBRIDMR_AUDIT_CHECK(
+        equal_demands_equal_grants(scratch_d_, scratch_alloc_),
+        "cluster.machine", "equal_demands_equal_grants", now,
+        {{"machine", name()}, {"resource", cluster::to_string(kind)}});
     for (std::size_t i = 0; i < n; ++i) scratch_grants_[i][kind] = scratch_alloc_[i];
   }
 

@@ -14,7 +14,6 @@
 // finish time actually changed.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -50,24 +49,25 @@ enum class RecomputeCause {
   kEager,        // eager mode recompute-on-every-mutation
 };
 
-/// Reusable sort-order scratch for waterfill_into(): hot callers keep one
-/// per call site so steady-state allocation is zero. Doubles as a memo of
-/// the last fill through this scratch: identical capacity + demands replay
-/// the previous allocation (a pure function of those inputs), so a VM
-/// redistributing an unchanged grant across unchanged member demands skips
-/// the sort entirely.
+/// Reusable group table for waterfill_into(): hot callers keep one per
+/// call site so steady-state allocation is zero. Only fills with more than
+/// a handful of distinct demand values use it (fewer fit on the stack).
 struct WaterfillScratch {
-  std::vector<std::uint32_t> order;
-  double last_capacity = -1;
-  std::vector<double> last_demands;
-  std::vector<double> last_out;
-  bool valid = false;
+  /// One distinct positive demand value and how many consumers ask for it.
+  struct Group {
+    double value = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<Group> groups;
 };
 
 /// Max-min fair ("water-filling") split of `capacity` across `demands`,
 /// written into `out` (must have the same extent as `demands`). Total
 /// allocated never exceeds capacity; no consumer gets more than its demand;
-/// unsatisfied consumers get equal shares.
+/// unsatisfied consumers get one equal level. Non-positive and NaN demands
+/// get 0 and do not count. The grants depend only on the multiset of
+/// demands: equal demands get bitwise-equal grants, and permuting the
+/// demands permutes the grants.
 void waterfill_into(double capacity, std::span<const double> demands,
                     std::span<double> out, WaterfillScratch& scratch);
 
@@ -206,15 +206,12 @@ class VirtualMachine : public ExecutionSite {
   // aggregate_demand() memo (see reallocate()).
   mutable Resources agg_cache_{};
   mutable bool agg_dirty_ = true;
-  // Scratch for distribute(): reused across recomputes. One waterfill
-  // scratch per resource kind — the per-kind demand vectors differ, so a
-  // shared scratch would thrash its memo 4x per distribute and never
-  // replay across recomputes.
+  // Scratch for distribute(): reused across recomputes.
   std::vector<Resources> split_alloc_;
   std::vector<Resources> split_eff_;
   std::vector<double> split_demand_;
   std::vector<double> split_out_;
-  std::array<WaterfillScratch, kNumResources> split_wf_;
+  WaterfillScratch split_wf_;
 };
 
 /// A physical server. Root of the allocation hierarchy.
@@ -335,14 +332,12 @@ class Machine : public ExecutionSite {
   std::uint64_t reschedule_skips_ = 0;
 
   // recompute() scratch, reused across passes (allocation-free steady
-  // state; sized to native workloads + VMs). Per-kind waterfill scratches
-  // so each resource's memo survives the 4-kind interleave (see
-  // VirtualMachine::split_wf_).
+  // state; sized to native workloads + VMs).
   std::vector<Resources> scratch_demands_;
   std::vector<Resources> scratch_grants_;
   std::vector<double> scratch_d_;
   std::vector<double> scratch_alloc_;
-  std::array<WaterfillScratch, kNumResources> scratch_wf_;
+  WaterfillScratch scratch_wf_;
 
   // Cached telemetry metric handles (null when telemetry is not wired).
   telemetry::TimeSeriesMetric* tel_cpu_ = nullptr;

@@ -15,6 +15,15 @@ using cluster::Resources;
 using cluster::VirtualMachine;
 using mapred::TaskAttempt;
 
+bool restores_before(const TaskAttempt& a, const TaskAttempt& b) {
+  if (a.started_at() != b.started_at()) return a.started_at() < b.started_at();
+  const mapred::Task& ta = a.task();
+  const mapred::Task& tb = b.task();
+  if (ta.job().id() != tb.job().id()) return ta.job().id() < tb.job().id();
+  if (ta.type() != tb.type()) return ta.type() < tb.type();
+  return ta.index() < tb.index();
+}
+
 std::vector<TaskAttempt*> Arbiter::rank_interferers(
     const Machine& host, const std::vector<TaskAttempt*>& running) const {
   std::vector<std::pair<double, TaskAttempt*>> scored;
@@ -445,14 +454,9 @@ void InterferencePreventionSystem::restore_where_healthy() {
     const bool eligible = !monitored || healthy_streak_[host] >= needed;
     if (eligible) to_restore.push_back(attempt);
   }
-  // Deterministic restore order: oldest attempt first (the action map is
-  // keyed by pointer, whose order is not reproducible).
   std::sort(to_restore.begin(), to_restore.end(),
             [](const TaskAttempt* a, const TaskAttempt* b) {
-              if (a->started_at() != b->started_at()) {
-                return a->started_at() < b->started_at();
-              }
-              return a->task().index() < b->task().index();
+              return restores_before(*a, *b);
             });
   for (TaskAttempt* a : to_restore) {
     if (restored >= options_.max_restores_per_epoch) break;

@@ -89,6 +89,14 @@ class Arbiter {
   Estimator* estimator_;  // owned by HybridMRScheduler::estimator_
 };
 
+/// The order the IPS steps actions down in when several become eligible in
+/// one epoch: the oldest attempt first, then by job id, task type and task
+/// index. A strict total order over live attempts, so the restores never
+/// depend on where the attempts sit in memory (the action map is keyed by
+/// pointer).
+[[nodiscard]] bool restores_before(const mapred::TaskAttempt& a,
+                                   const mapred::TaskAttempt& b);
+
 class InterferencePreventionSystem {
  public:
   struct Stats {

@@ -549,7 +549,13 @@ FlowHandle Hdfs::transfer(ExecutionSite& src, ExecutionSite& dst,
 FlowHandle Hdfs::transfer_batch(
     const std::vector<std::pair<ExecutionSite*, sim::MegaBytes>>& sources,
     ExecutionSite& dst, DoneFn done, int max_streams) {
-  assert(!sources.empty());
+  if (sources.empty()) {
+    throw std::invalid_argument("transfer_batch needs at least one source");
+  }
+  if (max_streams < 1) {
+    throw std::invalid_argument("transfer_batch needs max_streams >= 1, got " +
+                                std::to_string(max_streams));
+  }
   if (sources.size() == 1) {
     return transfer(*sources.front().first, dst, sources.front().second,
                     std::move(done));

@@ -190,7 +190,8 @@ class Hdfs {
   /// byte share of the batch, so per-machine disk/net accounting matches
   /// the per-flow model it replaces. A single source degenerates to a plain
   /// transfer() (identical demands and workload names). `sources` must be
-  /// remote to `dst` (no same-site or same-host entries) and non-empty.
+  /// remote to `dst` (no same-site or same-host entries). Throws
+  /// std::invalid_argument when `sources` is empty or `max_streams` < 1.
   FlowHandle transfer_batch(
       const std::vector<std::pair<cluster::ExecutionSite*, sim::MegaBytes>>&
           sources,

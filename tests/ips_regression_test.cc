@@ -1,5 +1,5 @@
-// Regressions for two IPS restore-path bugs (see docs/WHATIF.md for the
-// release-observer wiring these pin down):
+// Regressions for three IPS restore-path bugs (see docs/WHATIF.md for the
+// release-observer wiring the first two pin down):
 //
 //   Bug 1 — the flap-guard ratchet only ever went up. A host that
 //   re-violated soon after restores doubled its required healthy streak
@@ -19,7 +19,11 @@
 //   TaskTracker::release), and epoch-start pruning drops per-host entries
 //   for unpowered machines.
 //
-// Both tests fail against the pre-fix IPS.
+//   Bug 3 — restores of attempts that started at the same instant with the
+//   same task index were ordered by pointer. Fix: restores_before() also
+//   breaks ties by job id and task type.
+//
+// Each test fails against the pre-fix IPS.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -162,6 +166,38 @@ TEST(IpsStaleState, CrashErasesActionsImmediatelyAndPrunesHostMaps) {
   // Epoch-start pruning: the dead host's hysteresis entries are gone.
   EXPECT_FALSE(ips.tracks_host(*shape.host));
   ips.stop();
+}
+
+// --- Bug 3: restore order must not depend on memory layout --------------
+
+// Two jobs submitted together launch their first map tasks at the same
+// instant with the same task index, so start time and index alone rank the
+// two attempts equal. The IPS keys its actions by pointer, so with such a
+// tie the restore order (one restore per epoch) followed the attempts'
+// addresses, which differ between two runs of one seed in one process.
+TEST(IpsRestoreOrder, SameInstantAttemptsOfTwoJobsAreTotallyOrdered) {
+  harness::TestBed bed;
+  bed.add_native_nodes(2);
+  const auto small = workload::sort_job().with_input_gb(0.25);
+  const mapred::Job* first = bed.mr().submit(small);
+  const mapred::Job* second = bed.mr().submit(small);
+  bed.run_until(1.0);
+
+  const mapred::TaskAttempt* a = nullptr;
+  const mapred::TaskAttempt* b = nullptr;
+  for (const mapred::TaskAttempt* t : bed.mr().running_attempts()) {
+    if (t->task().type() != mapred::TaskType::kMap || t->task().index() != 0) {
+      continue;
+    }
+    if (&t->task().job() == first) a = t;
+    if (&t->task().job() == second) b = t;
+  }
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(a->started_at(), b->started_at()) << "no tie to break";
+  EXPECT_TRUE(restores_before(*a, *b));
+  EXPECT_FALSE(restores_before(*b, *a));
+  EXPECT_FALSE(restores_before(*a, *a));
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 // (TEST_P / INSTANTIATE_TEST_SUITE_P), not just at hand-picked points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,6 +76,169 @@ TEST_P(WaterfillProperty, ConservationAndFairness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaterfillProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------- grouped waterfill ----
+
+// The fill as it was before equal demands were levelled as one group: sort
+// the consumers by demand, then hand each in turn min(demand, remaining /
+// unsatisfied). Equal demands get whatever the division chain gives at
+// their sorted position, so their grants can differ in the last bits, in
+// std::sort's tie order. Kept as the oracle the grouped fill must match to
+// rounding.
+std::vector<double> reference_waterfill(double capacity,
+                                        std::span<const double> demands) {
+  const std::size_t n = demands.size();
+  std::vector<double> out(n, 0.0);
+  if (n == 0 || capacity <= 0) return out;
+  double total = 0;
+  for (const double d : demands) total += d > 0 ? d : 0.0;
+  if (total <= capacity) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = demands[i] > 0 ? demands[i] : 0.0;
+    }
+  } else {
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return demands[a] < demands[b];
+              });
+
+    double remaining = capacity;
+    std::size_t unsatisfied = n;
+    for (const std::uint32_t idx : order) {
+      const double fair = remaining / static_cast<double>(unsatisfied);
+      const double got = std::min(demands[idx], fair);
+      out[idx] = got < 0 ? 0 : got;
+      remaining -= out[idx];
+      --unsatisfied;
+    }
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct FillCase {
+  double capacity = 0;
+  std::vector<double> demands;
+};
+
+// `n` consumers over `distinct` demand values, each value present, in
+// random order; capacity 20-90% of the total demand, so the fill is
+// contended.
+FillCase tied_case(sim::Rng& rng, int n, int distinct) {
+  std::vector<double> values(static_cast<std::size_t>(distinct));
+  for (auto& v : values) v = rng.uniform(0.5, 60);
+  FillCase c;
+  double total = 0;
+  for (int i = 0; i < n; ++i) {
+    c.demands.push_back(values[static_cast<std::size_t>(i % distinct)]);
+    total += c.demands.back();
+  }
+  rng.shuffle(std::span<double>(c.demands));
+  c.capacity = rng.uniform(0.2, 0.9) * total;
+  return c;
+}
+
+// Checks one fill against the three laws that hold for any demands:
+// agreement with the reference sweep, equal grants for equal demands, and
+// permutation of the grants with the demands. Returns the number of laws
+// broken, so a caller can tell how many cases fail.
+int broken_laws(sim::Rng& rng, const FillCase& c) {
+  const std::vector<double> got = cluster::waterfill(c.capacity, c.demands);
+  const std::vector<double> ref = reference_waterfill(c.capacity, c.demands);
+  const std::size_t n = c.demands.size();
+  int broken = 0;
+
+  std::size_t far = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::abs(got[i] - ref[i]) > 1e-12 * std::abs(ref[i])) ++far;
+  }
+  EXPECT_EQ(far, 0u) << "grants off the reference sweep by > 1e-12";
+  broken += far > 0 ? 1 : 0;
+
+  std::map<double, std::uint64_t> grant_of;  // demand -> first grant's bits
+  std::size_t unequal = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, fresh] = grant_of.emplace(c.demands[i], bits(got[i]));
+    if (!fresh && it->second != bits(got[i])) ++unequal;
+  }
+  EXPECT_EQ(unequal, 0u) << "equal demands got different grants";
+  broken += unequal > 0 ? 1 : 0;
+
+  std::vector<std::size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  rng.shuffle(std::span<std::size_t>(perm));
+  std::vector<double> shuffled(n);
+  for (std::size_t i = 0; i < n; ++i) shuffled[i] = c.demands[perm[i]];
+  const std::vector<double> moved = cluster::waterfill(c.capacity, shuffled);
+  std::size_t unpermuted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bits(moved[i]) != bits(got[perm[i]])) ++unpermuted;
+  }
+  EXPECT_EQ(unpermuted, 0u) << "shuffling the demands changed some grant";
+  broken += unpermuted > 0 ? 1 : 0;
+  return broken;
+}
+
+class WaterfillGroupedProperty : public ::testing::TestWithParam<int> {};
+
+// The shape of contended fills in a shuffle: 17-64 consumers with 1-4
+// distinct demands (the linear-scan buckets).
+TEST_P(WaterfillGroupedProperty, FewDistinctDemandsKeepTheLaws) {
+  sim::Rng rng(GetParam());
+  for (int trial = 0; trial < 200; ++trial) {
+    const FillCase c =
+        tied_case(rng, rng.uniform_int(17, 64), rng.uniform_int(1, 4));
+    ASSERT_EQ(broken_laws(rng, c), 0) << "trial " << trial;
+  }
+}
+
+// More distinct values than the linear scan holds: the sort-and-encode
+// buckets.
+TEST_P(WaterfillGroupedProperty, ManyDistinctDemandsKeepTheLaws) {
+  sim::Rng rng(GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    const FillCase c = tied_case(rng, 512, 17);
+    ASSERT_EQ(broken_laws(rng, c), 0) << "trial " << trial;
+  }
+}
+
+// NaN, negative and zero demands get 0 and leave every other grant exactly
+// as if they were not there (the reference's comparator is not a strict
+// weak order with NaN, so this law is checked against the fill itself).
+TEST_P(WaterfillGroupedProperty, NonPositiveAndNanDemandsAreAbsent) {
+  const double junk[] = {std::numeric_limits<double>::quiet_NaN(), -3.5, 0.0,
+                         -0.0, -std::numeric_limits<double>::infinity()};
+  sim::Rng rng(GetParam());
+  for (int trial = 0; trial < 100; ++trial) {
+    const bool many = trial % 4 == 0;
+    const FillCase c = many ? tied_case(rng, 512, 17)
+                            : tied_case(rng, rng.uniform_int(17, 64),
+                                        rng.uniform_int(1, 4));
+    const std::vector<double> clean = cluster::waterfill(c.capacity, c.demands);
+    std::vector<double> mixed;
+    std::vector<std::optional<std::size_t>> source;  // nullopt: junk
+    for (std::size_t i = 0; i < c.demands.size(); ++i) {
+      while (rng.bernoulli(0.3)) {
+        mixed.push_back(junk[rng.index(std::size(junk))]);
+        source.emplace_back();
+      }
+      mixed.push_back(c.demands[i]);
+      source.emplace_back(i);
+    }
+    const std::vector<double> got = cluster::waterfill(c.capacity, mixed);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+      const double want = source[i] ? clean[*source[i]] : 0.0;
+      ASSERT_EQ(bits(got[i]), bits(want))
+          << "trial " << trial << " index " << i << " demand " << mixed[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WaterfillGroupedProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------- event-queue seats ----

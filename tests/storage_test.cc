@@ -1,6 +1,11 @@
 // Tests for the HDFS model: placement, locality, flows, TestDFSIO.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "sim/simulation.h"
 #include "storage/dfsio.h"
@@ -142,6 +147,38 @@ TEST_F(HdfsTest, TransferLoopbackAvoidsNetwork) {
   const double remote_time = sim.now() - loop_time;
   EXPECT_TRUE(remote_done);
   EXPECT_LT(loop_time, remote_time);
+}
+
+// A batch with no source, or with no stream to pull through, would be a
+// flow that never finishes (zero streams is zero rate, infinite work). It
+// is rejected up front, with one source as with several.
+TEST_F(HdfsTest, TransferBatchRejectsNoSourcesOrNoStreams) {
+  Machine* dst_host = cluster.add_machine();
+  auto* dst = cluster.add_vm(*dst_host);
+  std::vector<std::pair<cluster::ExecutionSite*, sim::MegaBytes>> sources;
+  bool done = false;
+  auto on_done = [&] { done = true; };
+  EXPECT_THROW(hdfs.transfer_batch(sources, *dst, on_done),
+               std::invalid_argument);
+  for (int i = 0; i < 2; ++i) {
+    Machine* src_host = cluster.add_machine();
+    sources.emplace_back(cluster.add_vm(*src_host), sim::MegaBytes{60});
+  }
+  for (const int streams : {0, -1}) {
+    EXPECT_THROW(hdfs.transfer_batch(sources, *dst, on_done, streams),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        hdfs.transfer_batch({sources.front()}, *dst, on_done, streams),
+        std::invalid_argument);
+  }
+  sim.run();
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(dst->workloads().empty());
+
+  hdfs.transfer_batch(sources, *dst, on_done, 1);
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(std::isfinite(sim.now()));
 }
 
 TEST_F(HdfsTest, FlowCancelStopsWork) {
