@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths: the
 // event queue, the max-min fair allocator, machine recomputation, the
-// regression fits, one dispatch pass, and an end-to-end small job.
+// regression fits, one dispatch pass, one dispatch wave over host-capped
+// trackers, and an end-to-end small job.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "harness/testbed.h"
@@ -225,6 +227,67 @@ void BM_DispatchPass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DispatchPass)->Arg(16)->Arg(128)->Arg(512);
+
+// One dispatch wave on `range(0)` virtual hosts x 2 VMs, where every other
+// host runs at its cap of 2 attempts per core. The capped hosts' VMs have 3
+// map slots each (4 running between them, so each has a slot free) and
+// hold every datanode; the other hosts' VMs have 1 slot, full. 16 live jobs
+// keep about 8 maps per host pending. An iteration requeues one attempt on a
+// capped host (its slot frees, and the host drops below the cap) and the
+// dispatch that follows refills the host: it visits the trackers that can
+// launch and picks a map local to them. The bed is rebuilt (untimed) every
+// kPassesPerBed passes, like BM_DispatchPass's.
+void BM_DispatchWave(benchmark::State& state) {
+  constexpr int kPassesPerBed = 64;
+  constexpr int kJobs = 16;
+  const int hosts = static_cast<int>(state.range(0));
+  std::vector<const mapred::TaskTracker*> capped;
+  auto make_bed = [hosts, &capped] {
+    harness::TestBed::Options options;
+    options.telemetry = false;
+    options.speculative_execution = false;
+    auto bed = std::make_unique<harness::TestBed>(options);
+    capped.clear();
+    for (int h = 0; h < hosts; ++h) {
+      cluster::Machine& host = *bed->add_plain_machines(1).front();
+      for (int v = 0; v < 2; ++v) {
+        cluster::VirtualMachine* vm = bed->add_plain_vm(host);
+        if (h % 2 == 0) {
+          bed->hdfs().add_datanode(*vm);
+          capped.push_back(bed->mr().add_tracker(*vm, 3, 0));
+        } else {
+          bed->mr().add_tracker(*vm, 1, 0);
+        }
+      }
+    }
+    // 3 running per host on average, 8 pending: one map per 0.125 GB block.
+    const double gb = 0.125 * (3 * hosts + 8 * hosts) / kJobs;
+    for (int j = 0; j < kJobs; ++j) {
+      bed->mr().submit(workload::sort_job().with_input_gb(gb));
+    }
+    return bed;
+  };
+  auto bed = make_bed();
+  int passes = 0;
+  for (auto _ : state) {
+    if (passes == kPassesPerBed) {
+      state.PauseTiming();
+      bed.reset();
+      bed = make_bed();
+      passes = 0;
+      state.ResumeTiming();
+    }
+    // Capped hosts in rotation; whichever of the host's VMs runs work.
+    const std::size_t host =
+        static_cast<std::size_t>(passes) % (capped.size() / 2);
+    const mapred::TaskTracker* tracker = capped[2 * host];
+    if (tracker->running().empty()) tracker = capped[2 * host + 1];
+    bed->mr().requeue(*tracker->running().front(), /*ban_tracker=*/false);
+    ++passes;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DispatchWave)->Arg(24)->Arg(96);
 
 void BM_EndToEndSmallJob(benchmark::State& state) {
   for (auto _ : state) {

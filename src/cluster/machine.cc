@@ -446,6 +446,7 @@ void Machine::attach_vm(VirtualMachine* vm) {
   assert(vm != nullptr && vm->host_machine() == nullptr);
   vm->attach_to(this);
   vms_.push_back(vm);
+  coordinator_.bump_membership_epoch();
   invalidate();
 }
 
@@ -464,6 +465,7 @@ void Machine::detach_vm(VirtualMachine* vm) {
   }
   vm->attach_to(nullptr);
   vms_.erase(it);
+  coordinator_.bump_membership_epoch();
   invalidate();
 }
 

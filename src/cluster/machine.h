@@ -230,10 +230,15 @@ class Machine : public ExecutionSite {
   [[nodiscard]] const Calibration& calibration() const { return cal_; }
 
   // --- VM hosting (VMs owned by the cluster) ---
+  /// Both bump the coordinator's membership epoch.
   void attach_vm(VirtualMachine* vm);
   void detach_vm(VirtualMachine* vm);
   [[nodiscard]] const std::vector<VirtualMachine*>& vms() const {
     return vms_;
+  }
+  /// The cluster-wide coordinator this machine reallocates through.
+  [[nodiscard]] const ReallocCoordinator& coordinator() const {
+    return coordinator_;
   }
 
   // --- power ---

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -68,12 +69,22 @@ class ReallocCoordinator {
   /// count, dirty-set size distribution and wall-time scope.
   void set_profiler(telemetry::Profiler* prof);
 
+  /// Moves whenever a VM attaches to or detaches from a machine
+  /// (Machine::attach_vm/detach_vm: placement, migration, crash teardown,
+  /// reboot). Readers that cache per-host aggregates of VM-resident state,
+  /// like the JobTracker's host-load gate, rebuild them when it moves.
+  [[nodiscard]] std::uint64_t membership_epoch() const {
+    return membership_epoch_;
+  }
+  void bump_membership_epoch() { ++membership_epoch_; }
+
  private:
   sim::Simulation& sim_;
   std::size_t hook_token_;
   std::vector<Machine*> dirty_;
   std::vector<Machine*> sample_pending_;
   bool eager_ = false;
+  std::uint64_t membership_epoch_ = 0;
   telemetry::Profiler* prof_ = nullptr;
   telemetry::ScopeId prof_drain_scope_;
 };

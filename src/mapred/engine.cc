@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "audit/invariants.h"
+#include "cluster/realloc.h"
 #include "sim/log.h"
 #include "telemetry/telemetry.h"
 
@@ -51,6 +53,10 @@ TaskTracker* MapReduceEngine::add_tracker(cluster::ExecutionSite& site,
   TaskTracker* tr = trackers_.back().get();
   tr->index_ = static_cast<std::uint32_t>(trackers_.size() - 1);
   tracker_by_site_.emplace(&tr->site(), tr);
+  if (membership_ == nullptr && site.host_machine() != nullptr) {
+    membership_ = &site.host_machine()->coordinator();
+  }
+  tr->host_load_ = host_load_of(site);
   update_offer(*tr);
   return tr;
 }
@@ -78,14 +84,74 @@ bool MapReduceEngine::remove_tracker(cluster::ExecutionSite& site) {
 
 void MapReduceEngine::update_offer(TaskTracker& tracker) {
   const int partition = tracker.site().is_virtual() ? 1 : 0;
+  const bool open = !tracker.blacklisted_ &&
+                    (tracker.host_load_ == nullptr ||
+                     !tracker.host_load_->capped());
   for (TaskType type : kTaskTypes) {
     auto& offers = offers_[type_index(type)][partition];
-    if (!tracker.blacklisted_ && tracker.free_slots(type) > 0) {
+    if (open && tracker.free_slots(type) > 0) {
       offers.insert(tracker.index_);
     } else {
       offers.erase(tracker.index_);
     }
   }
+}
+
+int MapReduceEngine::host_cap(const cluster::Machine& host) {
+  return static_cast<int>(2 * host.capacity().cpu);
+}
+
+HostLoad* MapReduceEngine::host_load_of(const cluster::ExecutionSite& site) {
+  const cluster::Machine* host = site.host_machine();
+  if (host == nullptr) return nullptr;
+  HostLoad& load = host_load_[host];
+  load.host = host;
+  load.cap = host_cap(*host);
+  return &load;
+}
+
+void MapReduceEngine::add_host_running(const TaskTracker& tracker,
+                                       int delta) {
+  HostLoad* load = tracker.host_load_;
+  if (load == nullptr) return;
+  const bool was_capped = load->capped();
+  load->running += delta;
+  if (load->capped() != was_capped) update_host_offers(*load->host);
+}
+
+void MapReduceEngine::update_host_offers(const cluster::Machine& host) {
+  // Every site whose host_machine() is `host`: the machine itself and the
+  // VMs it hosts now (VirtualMachine::host_machine() is non-null exactly
+  // while listed in Machine::vms()).
+  const auto update_site = [this](const cluster::ExecutionSite& site) {
+    const auto it = tracker_by_site_.find(&site);
+    if (it != tracker_by_site_.end()) update_offer(*it->second);
+  };
+  update_site(host);
+  for (const cluster::VirtualMachine* vm : host.vms()) update_site(*vm);
+}
+
+void MapReduceEngine::sync_host_load() {
+  if (membership_ == nullptr ||
+      membership_->membership_epoch() == host_epoch_) {
+    return;
+  }
+  // A VM moved, left or (re)joined a host since the totals were counted:
+  // its running attempts now count toward a different host. Both the
+  // record a tracker counted toward and its current one restart from
+  // zero, so a host left without trackers reads 0, not a stale total.
+  host_epoch_ = membership_->membership_epoch();
+  for (const auto& tr : trackers_) {
+    if (tr->host_load_ != nullptr) tr->host_load_->running = 0;
+    tr->host_load_ = host_load_of(tr->site());
+    if (tr->host_load_ != nullptr) tr->host_load_->running = 0;
+  }
+  for (const auto& tr : trackers_) {
+    if (tr->host_load_ != nullptr) {
+      tr->host_load_->running += static_cast<int>(tr->running().size());
+    }
+  }
+  for (const auto& tr : trackers_) update_offer(*tr);
 }
 
 void MapReduceEngine::rebuild_dispatch_index() {
@@ -167,40 +233,6 @@ std::vector<TaskAttempt*> MapReduceEngine::running_attempts() const {
   return out;
 }
 
-bool MapReduceEngine::host_gated(const TaskTracker& tracker,
-                                 std::uint64_t& tracker_scans) const {
-  const cluster::Machine* host = tracker.site().host_machine();
-  if (host == nullptr) return false;
-  // Every tracker on this host is either the host's own native site or one
-  // of its attached VMs (VirtualMachine::host_machine() is non-null exactly
-  // while listed in Machine::vms()), so summing those sites' running counts
-  // reproduces the old all-tracker co-host scan in O(VMs per host).
-  int running = 0;
-  auto add_site = [&](const cluster::ExecutionSite* site) {
-    ++tracker_scans;
-    auto it = tracker_by_site_.find(site);
-    if (it != tracker_by_site_.end()) {
-      running += static_cast<int>(it->second->running().size());
-    }
-  };
-  add_site(host);
-  for (const cluster::VirtualMachine* vm : host->vms()) add_site(vm);
-#if defined(HYBRIDMR_AUDIT_ENABLED)
-  int scanned = 0;
-  for (const auto& other : trackers_) {
-    if (other->site().host_machine() == host) {
-      scanned += static_cast<int>(other->running().size());
-    }
-  }
-  HYBRIDMR_AUDIT_CHECK(running == scanned, "mapred.engine",
-                       "host_gate_matches_scan", sim_.now(),
-                       {{"host", host->name()},
-                        {"site_sum", audit::num(running)},
-                        {"tracker_scan", audit::num(scanned)}});
-#endif
-  return running >= static_cast<int>(2 * host->capacity().cpu);
-}
-
 bool MapReduceEngine::dispatch_wave(bool locality_only,
                                     std::uint64_t& tracker_scans,
                                     std::uint64_t& launches) {
@@ -209,15 +241,17 @@ bool MapReduceEngine::dispatch_wave(bool locality_only,
   // tracker scan, with map tried before reduce on each tracker — but only
   // the sets of a (type, partition) whose pick can possibly succeed
   // (schedulable_pending counts the same eligibility, pool and pending
-  // flags pick() tests, so a zero is a proof, not a heuristic).
-  // Launches during the wave mutate the sets (slot grants drop trackers,
-  // synchronous sibling kills re-add them) and the counters, so the cursor
-  // re-enters via lower_bound instead of holding an iterator, and every
-  // test re-reads the counters; a tracker whose slot frees behind the
-  // cursor is picked up by the next wave, exactly as the full re-scan
-  // would.
+  // flags pick() tests, so a zero is a proof, not a heuristic), and only
+  // trackers whose host is under the cap (the sets leave the others out).
+  // Launches during the wave mutate the sets (slot grants and a host
+  // reaching its cap drop trackers, synchronous sibling kills re-add them)
+  // and the counters, so the cursor re-enters via lower_bound instead of
+  // holding an iterator, and every test re-reads the counters; a tracker
+  // whose slot frees behind the cursor is picked up by the next wave,
+  // exactly as the full re-scan would.
   std::uint32_t pos = 0;
   for (;;) {
+    sync_host_load();
     std::uint32_t idx = std::numeric_limits<std::uint32_t>::max();
     for (TaskType type : kTaskTypes) {
       for (const bool virtual_site : {false, true}) {
@@ -231,7 +265,7 @@ bool MapReduceEngine::dispatch_wave(bool locality_only,
     TaskTracker& tr = *trackers_[idx];
     pos = idx + 1;
     ++tracker_scans;
-    if (host_gated(tr, tracker_scans)) continue;
+    audit_verify_visit(tr);
     const bool virtual_site = tr.site().is_virtual();
     for (TaskType type : kTaskTypes) {
       if (schedulable_pending(type, virtual_site) <= 0) continue;
@@ -303,7 +337,9 @@ void MapReduceEngine::dispatch() {
     std::erase_if(live_.submit_order_, [](const Job* j) { return !j->live(); });
     live_.stale_ = false;
   }
+  sync_host_load();
   audit_verify_live_work();
+  audit_verify_host_load();
   audit_verify_offers();
   std::uint64_t tracker_scans = 0;
   std::uint64_t launches = 0;
@@ -315,10 +351,10 @@ void MapReduceEngine::dispatch() {
   }
   if (active_jobs() > 0 && any_offer) {
     // Round-robin one slot per tracker per pass (mirrors heartbeat
-    // interleaving), locality round first (Hadoop's delay scheduling). A
-    // per-host concurrency cap of 2 tasks per core acts like slots sized to
-    // the hardware: it stops a host that frees a slot first from vacuuming
-    // the job's tail while other hosts still have capacity — deferred tasks
+    // interleaving), locality round first (Hadoop's delay scheduling). The
+    // per-host concurrency cap (host_cap()) acts like slots sized to the
+    // hardware: it stops a host that frees a slot first from vacuuming the
+    // job's tail while other hosts still have capacity — deferred tasks
     // are picked up on a later completion by a less-loaded host.
     for (bool locality_only : {true, false}) {
       while (dispatch_wave(locality_only, tracker_scans, launches)) {
@@ -346,24 +382,33 @@ void MapReduceEngine::requeue(TaskAttempt& attempt, bool ban_tracker) {
   }
   attempt.kill();
   ++requeue_count_;
-  // If every tracker is now banned, forgive the bans so the task can still
-  // finish somewhere — except the most recent one: re-dispatching straight
-  // back onto the tracker the attempt was just evicted from would undo the
-  // IPS eviction the ban encodes. That last ban expires after a short
-  // grace period instead.
-  if (task.banned_trackers.size() >= trackers_.size()) {
-    const TaskTracker* recent = ban_tracker ? evicted_from : nullptr;
-    task.banned_trackers.clear();
-    if (recent != nullptr) {
-      task.banned_trackers.insert(recent);
-      Task* tp = &task;
-      sim_.after(options_.requeue_ban_grace_s, [this, tp, recent]() {
-        if (tp->completed() || tp->job().finished()) return;
-        if (tp->banned_trackers.erase(recent) > 0) dispatch();
-      });
-    }
-  }
+  forgive_saturated_bans(task, ban_tracker ? evicted_from : nullptr);
   dispatch();
+}
+
+void MapReduceEngine::forgive_saturated_bans(Task& task,
+                                             const TaskTracker* recent) {
+  // Bans that cover every tracker able to run the task — each one neither
+  // blacklisted nor excluded by the job's pool — would starve it, so they
+  // are forgiven and the task can still finish somewhere. Except the most
+  // recent one: re-dispatching straight back onto the tracker the attempt
+  // was just evicted from would undo the IPS eviction the ban encodes.
+  // That last ban expires after a short grace period instead.
+  if (task.banned_trackers.empty()) return;
+  for (const auto& tr : trackers_) {
+    if (tr->blacklisted_ || !task.job().pool_allows(tr->site().is_virtual())) {
+      continue;
+    }
+    if (!task.banned_trackers.contains(tr.get())) return;
+  }
+  task.banned_trackers.clear();
+  if (recent == nullptr) return;
+  task.banned_trackers.insert(recent);
+  Task* tp = &task;
+  sim_.after(options_.requeue_ban_grace_s, [this, tp, recent]() {
+    if (tp->completed() || tp->job().finished()) return;
+    if (tp->banned_trackers.erase(recent) > 0) dispatch();
+  });
 }
 
 bool MapReduceEngine::fail_attempt(TaskAttempt& attempt, bool ban_tracker) {
@@ -436,6 +481,14 @@ bool MapReduceEngine::mark_tracker_lost(cluster::ExecutionSite& site) {
   requeue_attempts_depending_on(site);
   // Completed map outputs stored here are gone; Hadoop 1 re-executes them.
   reexecute_lost_map_outputs(site);
+  // One tracker fewer can run work: bans that covered every other tracker
+  // able to run a task now cover them all.
+  for (Job* job : live_.submit_order_) {
+    if (!job->live()) continue;
+    for (auto* tasks : {&job->maps_, &job->reduces_}) {
+      for (auto& t : *tasks) forgive_saturated_bans(*t, nullptr);
+    }
+  }
 #if defined(HYBRIDMR_AUDIT_ENABLED)
   // Crash teardown must leave no slot leaked on the dead tracker.
   HYBRIDMR_AUDIT_CHECK(
@@ -734,15 +787,73 @@ void MapReduceEngine::audit_verify_live_work() const {
 #endif
 }
 
+namespace {
+
+// Running attempts per physical host by a full tracker scan: what the
+// engine's host totals must equal (audit checkpoints only).
+[[maybe_unused]] std::map<const cluster::Machine*, int> scan_host_load(
+    const std::vector<std::unique_ptr<TaskTracker>>& trackers) {
+  std::map<const cluster::Machine*, int> load;
+  for (const auto& tr : trackers) {
+    if (const cluster::Machine* host = tr->site().host_machine()) {
+      load[host] += static_cast<int>(tr->running().size());
+    }
+  }
+  return load;
+}
+
+}  // namespace
+
+void MapReduceEngine::audit_verify_host_load() const {
+#if defined(HYBRIDMR_AUDIT_ENABLED)
+  const auto scan = scan_host_load(trackers_);
+  for (const auto& tr : trackers_) {
+    const cluster::Machine* host = tr->site().host_machine();
+    const HostLoad* load = tr->host_load_;
+    // The tracker's record is its current host's, and its count is exact.
+    HYBRIDMR_AUDIT_CHECK(
+        (host == nullptr) == (load == nullptr) &&
+            (host == nullptr ||
+             (load->host == host && load->running == scan.at(host))),
+        "mapred.engine", "host_load_conserved", sim_.now(),
+        {{"site", tr->site().name()},
+         {"host", host == nullptr ? "none" : host->name()},
+         {"recorded_host", load == nullptr ? "none" : load->host->name()},
+         {"total", audit::num(load == nullptr ? 0 : load->running)},
+         {"tracker_scan", audit::num(host == nullptr ? 0 : scan.at(host))}});
+  }
+#endif
+}
+
+void MapReduceEngine::audit_verify_visit(const TaskTracker& tracker) const {
+#if defined(HYBRIDMR_AUDIT_ENABLED)
+  const cluster::Machine* host = tracker.site().host_machine();
+  if (host == nullptr) return;
+  const int running = scan_host_load(trackers_).at(host);
+  HYBRIDMR_AUDIT_CHECK(running < host_cap(*host), "mapred.engine",
+                       "host_gate_matches_scan", sim_.now(),
+                       {{"host", host->name()},
+                        {"site", tracker.site().name()},
+                        {"tracker_scan", audit::num(running)},
+                        {"cap", audit::num(host_cap(*host))}});
+#else
+  (void)tracker;
+#endif
+}
+
 void MapReduceEngine::audit_verify_offers() const {
 #if defined(HYBRIDMR_AUDIT_ENABLED)
+  const auto load = scan_host_load(trackers_);
   for (TaskType type : kTaskTypes) {
     for (const bool virtual_site : {false, true}) {
       std::set<std::uint32_t> scan;
       for (std::uint32_t i = 0; i < trackers_.size(); ++i) {
         const TaskTracker& tr = *trackers_[i];
+        const cluster::Machine* host = tr.site().host_machine();
+        const bool capped =
+            host != nullptr && load.at(host) >= host_cap(*host);
         if (tr.site().is_virtual() == virtual_site && !tr.blacklisted_ &&
-            tr.free_slots(type) > 0) {
+            tr.free_slots(type) > 0 && !capped) {
           scan.insert(i);
         }
       }

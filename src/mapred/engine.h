@@ -28,6 +28,16 @@ class Histogram;
 
 namespace hybridmr::mapred {
 
+/// Running attempts on one physical host, over the trackers on its own
+/// site and on its VMs: what the JobTracker's per-host gate reads.
+struct HostLoad {
+  const cluster::Machine* host = nullptr;
+  int running = 0;
+  /// 2 running attempts per core, like slots sized to the hardware.
+  int cap = 0;
+  [[nodiscard]] bool capped() const { return running >= cap; }
+};
+
 class MapReduceEngine {
  public:
   struct Options {
@@ -130,11 +140,17 @@ class MapReduceEngine {
 
   // --- internals used by TaskAttempt / TaskTracker ---
   void attempt_finished(TaskAttempt& attempt);
-  /// Re-derives `tracker`'s free-slot offer-set membership after a slot
-  /// grant/release or blacklist transition. Idempotent and O(log trackers);
-  /// called from TaskTracker::launch/release and the blacklist paths so the
-  /// offer set is never stale when dispatch() reads it.
+  /// Re-derives `tracker`'s offer-set membership after a slot grant or
+  /// release, a blacklist transition or its host crossing the load cap.
+  /// Idempotent and O(log trackers); called from TaskTracker::launch/
+  /// release, add_host_running and the blacklist paths so the offer set is
+  /// never stale when dispatch() reads it.
   void update_offer(TaskTracker& tracker);
+  /// Moves the running-attempt total of `tracker`'s physical host by
+  /// `delta`, re-offering or withdrawing every tracker on the host when
+  /// the total crosses the host cap. O(1) on the tracker's cached load
+  /// record; called only by TaskTracker::launch()/release().
+  void add_host_running(const TaskTracker& tracker, int delta);
   /// Applies a change of `delta` pending tasks of `type` in `job` to the
   /// engine-wide schedulable counters (a no-op unless the job is eligible
   /// for `type`). Called only by Task::sync_pending().
@@ -191,8 +207,15 @@ class MapReduceEngine {
   void audit_verify_live_work() const;
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): each offer set holds
   /// exactly the unblacklisted trackers of its partition with a free slot
-  /// of its type — the full tracker scan the offer walk replaced.
+  /// of its type whose host is under the cap — the full tracker scan the
+  /// offer walk replaced.
   void audit_verify_offers() const;
+  /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): each host's running
+  /// total equals the running attempts of the trackers on it.
+  void audit_verify_host_load() const;
+  /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): the tracker a wave is
+  /// about to visit sits on a host under the cap, by a full tracker scan.
+  void audit_verify_visit(const TaskTracker& tracker) const;
   /// Every job state write goes through here: it keeps the live list, the
   /// fair-order index and the schedulable counters in step with the state.
   void set_state(Job& job, JobState state);
@@ -202,12 +225,22 @@ class MapReduceEngine {
   /// Renumbers tracker indices and rebuilds the offer set + site map after
   /// a structural change (remove_tracker). Cold path.
   void rebuild_dispatch_index();
-  /// Exact per-host concurrency gate in O(VMs on the host): sums the
-  /// running counts of the trackers on the host's native site and each of
-  /// its VMs via the site map (Machine::vms() is live topology, so
-  /// migration keeps this correct without hooks).
-  [[nodiscard]] bool host_gated(const TaskTracker& tracker,
-                                std::uint64_t& tracker_scans) const;
+  /// Per-host concurrency cap: 2 running attempts per core.
+  [[nodiscard]] static int host_cap(const cluster::Machine& host);
+  /// The load record of the machine `site` runs on (null when detached),
+  /// with its cap set and its count left as it was.
+  HostLoad* host_load_of(const cluster::ExecutionSite& site);
+  /// Re-derives the offer-set membership of every tracker on `host`.
+  void update_host_offers(const cluster::Machine& host);
+  /// Re-points every tracker at its site's current host, recounts the
+  /// host totals and re-derives every offer when the coordinator's
+  /// membership epoch has moved since the last count (a VM attached,
+  /// detached or migrated). Cold path.
+  void sync_host_load();
+  /// Forgives `task`'s bans when they cover every unblacklisted tracker its
+  /// job's pool admits, keeping `recent` (when non-null) banned for the
+  /// requeue grace period.
+  void forgive_saturated_bans(Task& task, const TaskTracker* recent);
   /// One dispatch sweep over the offer sets. Returns true when anything
   /// launched.
   bool dispatch_wave(bool locality_only, std::uint64_t& tracker_scans,
@@ -234,11 +267,24 @@ class MapReduceEngine {
   // its type and partition is nonzero — during a saturated map phase that
   // leaves a handful of slot offers per wave instead of the whole cluster,
   // and pool-restricted work never walks the other partition's offers.
-  // The site map serves O(1) tracker_on() and the per-host gate; it is
-  // only ever *looked up*, never iterated, so unordered is determinism-safe.
+  // A tracker whose host is at the cap (host_cap()) is left out of every
+  // set until the host's total drops below it, so a wave visits only
+  // trackers that can launch.
+  // The site and host maps serve O(1) tracker_on() and the host gate; they
+  // are only ever *looked up*, never iterated, so unordered is
+  // determinism-safe.
   std::array<std::array<std::set<std::uint32_t>, 2>, 2> offers_;
   std::unordered_map<const cluster::ExecutionSite*, TaskTracker*>
       tracker_by_site_;
+  // One load record per physical host a tracker has run on; each tracker
+  // caches a pointer to its host's (records are never erased, so the
+  // pointers stay valid). Kept by add_host_running() and recounted by
+  // sync_host_load() when `membership_` reports a topology change.
+  std::unordered_map<const cluster::Machine*, HostLoad> host_load_;
+  // The cluster's coordinator (owned by HybridCluster), taken from the
+  // first tracker on an attached site; null while no tracker has a host.
+  const cluster::ReallocCoordinator* membership_ = nullptr;
+  std::uint64_t host_epoch_ = 0;
   std::vector<std::unique_ptr<Job>> jobs_;
   // Index over the live jobs (submit and fair order), maintained by
   // set_state() and add_running(); what the scheduler picks from.

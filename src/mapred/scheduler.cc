@@ -1,5 +1,7 @@
 #include "mapred/scheduler.h"
 
+#include <cstdint>
+
 namespace hybridmr::mapred {
 
 bool TaskScheduler::eligible(const Job& job, TaskType type) {
@@ -19,25 +21,40 @@ Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
                                    const storage::Hdfs& hdfs,
                                    bool locality_only) {
   const auto& tasks = type == TaskType::kMap ? job.maps() : job.reduces();
-  Task* host_local = nullptr;
-  Task* fallback = nullptr;
-  for (const auto& t : tasks) {
-    if (!t->pending()) continue;
-    if (t->banned_trackers.contains(&tracker)) continue;
-    if (type == TaskType::kMap) {
-      const auto loc =
-          hdfs.locality_of(job.input_file(), t->index(), &tracker.site());
-      if (loc == storage::Locality::kNodeLocal) return t.get();
-      if (loc == storage::Locality::kHostLocal && host_local == nullptr) {
-        host_local = t.get();
-      }
+  const auto usable = [&tracker](const Task& t) {
+    return t.pending() && !t.banned_trackers.contains(&tracker);
+  };
+  if (type == TaskType::kMap) {
+    // Map i reads block i, so the locality index lists candidate maps.
+    const cluster::ExecutionSite& own = tracker.site();
+    for (const std::uint32_t b : hdfs.blocks_on(job.input_file(), own)) {
+      if (usable(*tasks[b])) return tasks[b].get();  // node-local
     }
-    if (fallback == nullptr) fallback = t.get();
-    if (type == TaskType::kReduce) break;  // reduces have no locality
+    // Host-local: a replica on another site of the same physical machine,
+    // i.e. the machine itself or one of the VMs it hosts now. The lowest
+    // index wins, so each list is read only up to the best found so far.
+    if (const cluster::Machine* host = own.host_machine()) {
+      std::uint32_t best = static_cast<std::uint32_t>(tasks.size());
+      const auto scan = [&](const cluster::ExecutionSite& site) {
+        if (&site == &own) return;
+        for (const std::uint32_t b : hdfs.blocks_on(job.input_file(), site)) {
+          if (b >= best) return;
+          if (usable(*tasks[b])) {
+            best = b;
+            return;
+          }
+        }
+      };
+      scan(*host);
+      for (const cluster::VirtualMachine* vm : host->vms()) scan(*vm);
+      if (best < tasks.size()) return tasks[best].get();
+    }
+    if (locality_only) return nullptr;
   }
-  if (host_local != nullptr) return host_local;
-  if (locality_only && type == TaskType::kMap) return nullptr;
-  return fallback;
+  for (const auto& t : tasks) {
+    if (usable(*t)) return t.get();
+  }
+  return nullptr;
 }
 
 Task* FifoScheduler::pick(TaskTracker& tracker, TaskType type,

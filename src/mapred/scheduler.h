@@ -76,9 +76,12 @@ class TaskScheduler {
   /// its pool admits the tracker's site, and a task of the type is pending.
   /// A false here means pick_from_job() would return nullptr.
   static bool offers(const Job& job, TaskType type, const TaskTracker& tracker);
-  /// Picks a pending task of `type` from `job`, preferring map tasks whose
-  /// input block has a replica on (or host-local to) the tracker's site.
-  /// With `locality_only`, non-local map tasks are not offered at all.
+  /// Picks a pending task of `type` from `job` that `tracker` is not
+  /// banned from. Local maps are looked up in Hdfs::blocks_on(), not found
+  /// by scanning the job's maps: the first in the tracker's own site's
+  /// list (node-local), else the lowest-index one listed on another site
+  /// of its physical machine (host-local), else, unless `locality_only`,
+  /// the first in index order. A reduce is the first in index order.
   static Task* pick_from_job(Job& job, TaskType type, TaskTracker& tracker,
                              const storage::Hdfs& hdfs, bool locality_only);
 };

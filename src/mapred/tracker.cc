@@ -76,6 +76,7 @@ TaskAttempt* TaskTracker::launch(Task& task) {
   running_.push_back(raw);
   // Offer-set update before start() for the same reason: a synchronous
   // finish re-derives membership from the post-release counts.
+  engine_->add_host_running(*this, 1);
   engine_->update_offer(*this);
   raw->set_base_caps(static_slot_share(task.type()));
   raw->start();
@@ -95,6 +96,7 @@ void TaskTracker::release(TaskAttempt* attempt) {
     --running_reduces_;
   }
   engine_->add_running(attempt->task().job(), -1);
+  engine_->add_host_running(*this, -1);
   engine_->update_offer(*this);
   audit_verify_slots();
 }

@@ -9,6 +9,8 @@
 
 namespace hybridmr::mapred {
 
+struct HostLoad;
+
 class TaskTracker {
  public:
   TaskTracker(MapReduceEngine& engine, cluster::ExecutionSite& site,
@@ -62,6 +64,9 @@ class TaskTracker {
   // Position in the engine's trackers_ vector; keys the free-slot offer
   // set. Assigned by add_tracker, renumbered on remove_tracker.
   std::uint32_t index_ = 0;
+  // The load record of the host this tracker's site ran on when the engine
+  // last counted (null: detached); owned by MapReduceEngine::host_load_.
+  HostLoad* host_load_ = nullptr;
   std::vector<TaskAttempt*> running_;
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "audit/invariants.h"
 #include "telemetry/telemetry.h"
@@ -37,8 +39,9 @@ void Hdfs::audit_verify_placement() const {
 #if defined(HYBRIDMR_AUDIT_ENABLED)
   for (std::size_t f = 0; f < files_.size(); ++f) {
     const File& file = files_[f];
-    for (std::size_t b = 0; b < file.block_replicas.size(); ++b) {
-      const auto& reps = file.block_replicas[b];
+    std::size_t indexed = 0;
+    for (std::size_t b = 0; b < file.blocks(); ++b) {
+      const auto reps = file.replicas(b);
       const auto detail = [&](const char* what) {
         return std::vector<audit::Detail>{
             {"file", file.name},
@@ -50,7 +53,7 @@ void Hdfs::audit_verify_placement() const {
       // A block may be empty only when a crash destroyed its last replica
       // (and then it must be marked lost): "no replicas" and "lost" are
       // the same condition seen from two ledgers.
-      const bool lost = b < file.block_lost.size() && file.block_lost[b] != 0;
+      const bool lost = file.block_lost[b] != 0;
       HYBRIDMR_AUDIT_CHECK(reps.empty() == lost, "storage.hdfs",
                            "replicas_match_placement", -1,
                            detail(lost ? "lost block still has replicas"
@@ -70,8 +73,24 @@ void Hdfs::audit_verify_placement() const {
         HYBRIDMR_AUDIT_CHECK(!dup, "storage.hdfs",
                              "replicas_match_placement", -1,
                              detail("duplicate replica for block"));
+        const auto listed = blocks_on(f, *reps[i]->site());
+        HYBRIDMR_AUDIT_CHECK(
+            std::binary_search(listed.begin(), listed.end(),
+                               static_cast<std::uint32_t>(b)),
+            "storage.hdfs", "locality_index_matches_replicas", -1,
+            detail("replica missing from the locality index"));
+        indexed += 1;
       }
     }
+    // Every replica is listed and the index holds nothing else.
+    HYBRIDMR_AUDIT_CHECK(
+        indexed == file.index_blocks.size() &&
+            file.index_sites.size() == file.index_blocks.size(),
+        "storage.hdfs", "locality_index_matches_replicas", -1,
+        {{"file", file.name},
+         {"replicas", audit::num(static_cast<double>(indexed))},
+         {"indexed",
+          audit::num(static_cast<double>(file.index_blocks.size()))}});
   }
 #endif
 }
@@ -83,13 +102,18 @@ bool Hdfs::remove_datanode(ExecutionSite& site) {
   DataNode* leaving = it->get();
 
   for (auto& file : files_) {
-    for (std::size_t b = 0; b < file.block_replicas.size(); ++b) {
-      auto& reps = file.block_replicas[b];
+    if (std::find(file.replica_nodes.begin(), file.replica_nodes.end(),
+                  leaving) == file.replica_nodes.end()) {
+      continue;
+    }
+    auto per_block = replica_lists(file);
+    for (std::size_t b = 0; b < per_block.size(); ++b) {
+      auto& reps = per_block[b];
       auto pos = std::find(reps.begin(), reps.end(), leaving);
       if (pos == reps.end()) continue;
-      const sim::MegaBytes mb = block_mb_of(
-          file.size_mb, static_cast<int>(b),
-          static_cast<int>(file.block_replicas.size()), file.block_mb);
+      const sim::MegaBytes mb =
+          block_mb_of(file.size_mb, static_cast<int>(b),
+                      static_cast<int>(per_block.size()), file.block_mb);
       // Pick a surviving target not already holding the block.
       DataNode* target = nullptr;
       std::size_t probe = sim_.rng().index(datanodes_.size());
@@ -121,6 +145,7 @@ bool Hdfs::remove_datanode(ExecutionSite& site) {
       re_replicated_mb_ += mb;
       transfer(*source, *target->site(), mb, nullptr);
     }
+    set_replicas(file, per_block);
   }
   datanodes_.erase(it);
   audit_verify_placement();
@@ -142,8 +167,13 @@ int Hdfs::crash_datanodes(const std::vector<ExecutionSite*>& sites) {
   };
 
   for (auto& file : files_) {
-    for (std::size_t b = 0; b < file.block_replicas.size(); ++b) {
-      auto& reps = file.block_replicas[b];
+    if (std::none_of(file.replica_nodes.begin(), file.replica_nodes.end(),
+                     is_dying)) {
+      continue;
+    }
+    auto per_block = replica_lists(file);
+    for (std::size_t b = 0; b < per_block.size(); ++b) {
+      auto& reps = per_block[b];
       const std::size_t before = reps.size();
       reps.erase(std::remove_if(reps.begin(), reps.end(), is_dying),
                  reps.end());
@@ -158,9 +188,9 @@ int Hdfs::crash_datanodes(const std::vector<ExecutionSite*>& sites) {
       // Restore the replication factor from a surviving copy. The replica
       // map is updated immediately (NameNode bookkeeping); the copy
       // traffic is injected asynchronously, as in the decommission path.
-      const sim::MegaBytes mb = block_mb_of(
-          file.size_mb, static_cast<int>(b),
-          static_cast<int>(file.block_replicas.size()), file.block_mb);
+      const sim::MegaBytes mb =
+          block_mb_of(file.size_mb, static_cast<int>(b),
+                      static_cast<int>(per_block.size()), file.block_mb);
       ExecutionSite* source = reps.front()->site();
       for (std::size_t i = 0; i < killed; ++i) {
         DataNode* target = nullptr;
@@ -182,6 +212,7 @@ int Hdfs::crash_datanodes(const std::vector<ExecutionSite*>& sites) {
         transfer(*source, *target->site(), mb, nullptr);
       }
     }
+    set_replicas(file, per_block);
   }
   datanodes_.erase(
       std::remove_if(datanodes_.begin(), datanodes_.end(),
@@ -204,9 +235,9 @@ bool Hdfs::has_lost_block(FileId file) const {
 int Hdfs::min_replication() const {
   int min_reps = -1;
   for (const auto& file : files_) {
-    for (std::size_t b = 0; b < file.block_replicas.size(); ++b) {
-      if (b < file.block_lost.size() && file.block_lost[b] != 0) continue;
-      const int n = static_cast<int>(file.block_replicas[b].size());
+    for (std::size_t b = 0; b < file.blocks(); ++b) {
+      if (file.block_lost[b] != 0) continue;
+      const int n = static_cast<int>(file.replicas(b).size());
       if (min_reps < 0 || n < min_reps) min_reps = n;
     }
   }
@@ -230,7 +261,13 @@ Hdfs::FileId Hdfs::stage_file(const std::string& name, sim::MegaBytes size_mb,
                       : cal_.hdfs_block_mb;
   const int blocks = std::max(
       1, static_cast<int>(std::ceil(file.size_mb / file.block_mb)));
-  file.block_replicas.reserve(static_cast<std::size_t>(blocks));
+  const int want = std::min<int>(cal_.hdfs_replicas,
+                                 static_cast<int>(datanodes_.size()));
+  auto& nodes = file.replica_nodes;
+  file.replica_start.reserve(static_cast<std::size_t>(blocks) + 1);
+  nodes.reserve(static_cast<std::size_t>(blocks) *
+                static_cast<std::size_t>(want));
+  file.replica_start.push_back(0);
   for (int b = 0; b < blocks; ++b) {
     // Random primary with a rotating offset: spreads blocks evenly like
     // HDFS's random placement without correlating consecutive blocks with
@@ -240,30 +277,32 @@ Hdfs::FileId Hdfs::stage_file(const std::string& name, sim::MegaBytes size_mb,
                                  2654435761u) %
         datanodes_.size();
     ++placement_cursor_;
-    DataNode* primary = datanodes_[start].get();
-    std::vector<DataNode*> reps{primary};
-    const int want = std::min<int>(cal_.hdfs_replicas,
-                                   static_cast<int>(datanodes_.size()));
+    const auto first = static_cast<std::ptrdiff_t>(nodes.size());
+    nodes.push_back(datanodes_[start].get());
     std::size_t probe = start + 1 + sim_.rng().index(datanodes_.size());
-    while (static_cast<int>(reps.size()) < want) {
+    while (static_cast<int>(nodes.size() - first) < want) {
       DataNode* candidate = datanodes_[probe++ % datanodes_.size()].get();
-      if (std::find(reps.begin(), reps.end(), candidate) == reps.end()) {
-        reps.push_back(candidate);
+      if (std::find(nodes.begin() + first, nodes.end(), candidate) ==
+          nodes.end()) {
+        nodes.push_back(candidate);
       }
     }
     const sim::MegaBytes mb = block_mb_of(file.size_mb, b, blocks,
                                           file.block_mb);
-    for (DataNode* dn : reps) dn->add_stored(mb);
-    file.block_replicas.push_back(std::move(reps));
+    for (auto it = nodes.begin() + first; it != nodes.end(); ++it) {
+      (*it)->add_stored(mb);
+    }
+    file.replica_start.push_back(static_cast<std::uint32_t>(nodes.size()));
   }
-  file.block_lost.assign(file.block_replicas.size(), 0);
+  file.block_lost.assign(static_cast<std::size_t>(blocks), 0);
+  index_replicas(file);
   files_.push_back(std::move(file));
   audit_verify_placement();
   return files_.size() - 1;
 }
 
 int Hdfs::num_blocks(FileId file) const {
-  return static_cast<int>(files_[file].block_replicas.size());
+  return static_cast<int>(files_[file].blocks());
 }
 
 sim::MegaBytes Hdfs::block_mb_of(sim::MegaBytes size_mb, int block, int blocks,
@@ -275,24 +314,71 @@ sim::MegaBytes Hdfs::block_mb_of(sim::MegaBytes size_mb, int block, int blocks,
 
 sim::MegaBytes Hdfs::block_size_mb(FileId file, int block) const {
   const File& f = files_[file];
-  return block_mb_of(f.size_mb, block,
-                     static_cast<int>(f.block_replicas.size()), f.block_mb);
+  return block_mb_of(f.size_mb, block, static_cast<int>(f.blocks()),
+                     f.block_mb);
 }
 
-const std::vector<DataNode*>& Hdfs::replicas(FileId file, int block) const {
-  return files_[file].block_replicas[static_cast<std::size_t>(block)];
+std::span<DataNode* const> Hdfs::replicas(FileId file, int block) const {
+  return files_[file].replicas(static_cast<std::size_t>(block));
 }
 
-Locality Hdfs::locality_of(FileId file, int block,
-                           const ExecutionSite* site) const {
-  Locality best = Locality::kRemote;
-  for (const DataNode* dn : replicas(file, block)) {
-    if (dn->site() == site) return Locality::kNodeLocal;
-    if (site != nullptr && same_host(*dn->site(), *site)) {
-      best = Locality::kHostLocal;
+std::vector<std::vector<DataNode*>> Hdfs::replica_lists(const File& file) {
+  std::vector<std::vector<DataNode*>> per_block(file.blocks());
+  for (std::size_t b = 0; b < per_block.size(); ++b) {
+    const auto reps = file.replicas(b);
+    per_block[b].assign(reps.begin(), reps.end());
+  }
+  return per_block;
+}
+
+void Hdfs::set_replicas(File& file,
+                        const std::vector<std::vector<DataNode*>>& per_block) {
+  std::vector<std::uint32_t> start{0};
+  std::vector<DataNode*> nodes;
+  start.reserve(per_block.size() + 1);
+  for (const auto& reps : per_block) {
+    nodes.insert(nodes.end(), reps.begin(), reps.end());
+    start.push_back(static_cast<std::uint32_t>(nodes.size()));
+  }
+  nodes.shrink_to_fit();
+  file.replica_start = std::move(start);
+  file.replica_nodes = std::move(nodes);
+  index_replicas(file);
+}
+
+void Hdfs::index_replicas(File& file) {
+  std::vector<std::pair<const ExecutionSite*, std::uint32_t>> entries;
+  entries.reserve(file.replica_nodes.size());
+  for (std::size_t b = 0; b < file.blocks(); ++b) {
+    for (const DataNode* dn : file.replicas(b)) {
+      entries.emplace_back(dn->site(), static_cast<std::uint32_t>(b));
     }
   }
-  return best;
+  // Sites sort by address, which varies between runs; only equal_range
+  // lookups read that order, and within one site blocks stay ascending.
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first
+               ? std::less<const ExecutionSite*>{}(a.first, b.first)
+               : a.second < b.second;
+  });
+  std::vector<const ExecutionSite*> sites(entries.size());
+  std::vector<std::uint32_t> blocks(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    sites[i] = entries[i].first;
+    blocks[i] = entries[i].second;
+  }
+  file.index_sites = std::move(sites);
+  file.index_blocks = std::move(blocks);
+}
+
+std::span<const std::uint32_t> Hdfs::blocks_on(
+    FileId file, const ExecutionSite& site) const {
+  const File& f = files_[file];
+  const auto [lo, hi] =
+      std::equal_range(f.index_sites.begin(), f.index_sites.end(), &site,
+                       std::less<const ExecutionSite*>{});
+  return {f.index_blocks.data() + (lo - f.index_sites.begin()),
+          static_cast<std::size_t>(hi - lo)};
 }
 
 void FlowHandle::cancel() {

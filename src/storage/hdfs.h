@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,11 +158,16 @@ class Hdfs {
 
   [[nodiscard]] int num_blocks(FileId file) const;
   [[nodiscard]] sim::MegaBytes block_size_mb(FileId file, int block) const;
-  [[nodiscard]] const std::vector<DataNode*>& replicas(FileId file,
-                                                       int block) const;
-  /// Best achievable locality when `site` reads this block.
-  [[nodiscard]] Locality locality_of(FileId file, int block,
-                                     const cluster::ExecutionSite* site) const;
+  [[nodiscard]] std::span<DataNode* const> replicas(FileId file,
+                                                    int block) const;
+  /// The blocks of `file` with a replica on `site`, in ascending index
+  /// order (empty when it holds none): the locality index the JobTracker
+  /// picks data-local maps from. O(log replicas of the file); exact at
+  /// every instant, because stage_file, remove_datanode and
+  /// crash_datanodes — the only writers of the replica map — rebuild it
+  /// for each file they touch.
+  [[nodiscard]] std::span<const std::uint32_t> blocks_on(
+      FileId file, const cluster::ExecutionSite& site) const;
 
   // --- asynchronous I/O (all costs are real workloads) ---
 
@@ -215,15 +222,41 @@ class Hdfs {
   }
 
  private:
+  // A file's replica map and locality index are flat arrays sized exactly
+  // to its replicas (a file of many small blocks, like Pi's 1 MB splits,
+  // would pay a heap block per block for nested lists).
   struct File {
     std::string name;
     sim::MegaBytes size_mb;
     sim::MegaBytes block_mb;
-    std::vector<std::vector<DataNode*>> block_replicas;
-    // 1 for blocks whose last replica died in a crash (indexed like
-    // block_replicas; the audit pairs "no replicas" with "marked lost").
+    // Block b's replicas: replica_nodes[replica_start[b], replica_start[b+1]).
+    std::vector<std::uint32_t> replica_start;
+    std::vector<DataNode*> replica_nodes;
+    // 1 for blocks whose last replica died in a crash (one per block; the
+    // audit pairs "no replicas" with "marked lost").
     std::vector<char> block_lost;
+    // Locality index (blocks_on()): one entry per replica, sorted by
+    // (site, block); index_blocks[i] is the block whose replica lives on
+    // index_sites[i], so one lookup is a binary search.
+    std::vector<const cluster::ExecutionSite*> index_sites;
+    std::vector<std::uint32_t> index_blocks;
+
+    [[nodiscard]] std::size_t blocks() const { return block_lost.size(); }
+    [[nodiscard]] std::span<DataNode* const> replicas(std::size_t b) const {
+      return {replica_nodes.data() + replica_start[b],
+              replica_start[b + 1] - replica_start[b]};
+    }
   };
+
+  /// `file`'s replica map as one list per block (for the cold paths that
+  /// edit it).
+  static std::vector<std::vector<DataNode*>> replica_lists(const File& file);
+  /// Replaces `file`'s replica map with `per_block` and rebuilds its
+  /// locality index.
+  static void set_replicas(
+      File& file, const std::vector<std::vector<DataNode*>>& per_block);
+  /// Rebuilds `file`'s locality index from its replica map.
+  static void index_replicas(File& file);
 
   /// Runs a flow: `primary` paces the transfer; `secondaries` model the load
   /// on other participants and are detached when the primary completes.

@@ -295,6 +295,59 @@ TEST(MapReduce, RequeueBansTrackerAndStillFinishes) {
   EXPECT_GE(bed.mr().requeued(), 1);
 }
 
+// IPS-style evictions ban a job's only map from every tracker still able
+// to run it; a tracker loss shrinks that set, before or after the bans.
+// The bans must be forgiven (all but the latest, for a grace period) or
+// the job starves: bans on a lost tracker, or on one the job cannot use,
+// do not count toward covering the live ones.
+TEST(MapReduce, BanOnEveryLiveTrackerIsForgiven) {
+  enum class Order { kLossThenBan, kBanThenLoss, kBanThenLossWhilePending };
+  for (const Order order : {Order::kLossThenBan, Order::kBanThenLoss,
+                            Order::kBanThenLossWhilePending}) {
+    TestBed bed;
+    std::vector<cluster::ExecutionSite*> sites = bed.add_native_nodes(
+        order == Order::kBanThenLossWhilePending ? 2 : 3);
+    if (order == Order::kBanThenLossWhilePending) {
+      // A reduce-only tracker: live and unbanned, yet no map can run there.
+      cluster::Machine* reducer = bed.add_plain_machines(1).front();
+      bed.mr().add_tracker(*reducer, /*map_slots=*/0, /*reduce_slots=*/2);
+      sites.push_back(reducer);
+    }
+    Job* job = bed.mr().submit(small_sort(0.1));
+    ASSERT_EQ(job->maps().size(), 1u);
+    Task& map = *job->maps().front();
+    auto evict = [&] {
+      TaskAttempt* a = map.running_attempt();
+      ASSERT_NE(a, nullptr);
+      bed.mr().requeue(*a, /*ban_tracker=*/true);
+    };
+    auto lose = [&] {
+      cluster::ExecutionSite* site = sites.back();
+      if (order == Order::kBanThenLoss) {
+        // The one tracker left unbanned, where the map now runs.
+        ASSERT_NE(map.running_attempt(), nullptr);
+        site = &map.running_attempt()->site();
+      } else if (order == Order::kBanThenLossWhilePending) {
+        EXPECT_TRUE(map.pending()) << "bans cover both map trackers";
+      }
+      bed.mr().mark_tracker_lost(*site);
+    };
+    if (order == Order::kLossThenBan) {
+      lose();
+      bed.sim().at(1.0, evict);
+      bed.sim().at(2.0, evict);
+    } else {
+      bed.sim().at(1.0, evict);
+      bed.sim().at(2.0, evict);
+      bed.sim().at(3.0, lose);
+    }
+    bed.run_until(3600);
+    EXPECT_EQ(job->state(), JobState::kDone)
+        << "order " << static_cast<int>(order) << ": "
+        << (map.pending() ? "map starved" : "map not pending");
+  }
+}
+
 TEST(MapReduce, SplitArchitectureOutperformsCombined) {
   // Paper Fig. 2(d): split TaskTracker/DataNode VMs beat combined VMs.
   auto spec = small_sort(2.0);
@@ -449,12 +502,15 @@ TEST(DispatchEquivalence, PooledIndexedMatchesNaive) {
   EXPECT_EQ(digest_of(indexed), 0x2a6e13d954c8d149u);
   // Profiled (the JSON report and trace then carry profiler data), the
   // placements are the same again. The pool-aware offer walk skips the
-  // trackers whose partition has nothing to take: one offer set per type
-  // visited 11,854 trackers here.
+  // trackers whose partition has nothing to take (one offer set per type
+  // visited 11,854 trackers here), and the host-load-aware sets skip the
+  // trackers whose host is at its cap (visiting them and summing their
+  // hosts' sites counted 4,512). Audit builds count the same: their scans
+  // are not visits.
   std::uint64_t scans = 0;
   const ReportArtifacts profiled = run_pooled_scenario(&scans);
   EXPECT_EQ(profiled.csv, indexed.csv);
-  EXPECT_EQ(scans, 4512u);
+  EXPECT_EQ(scans, 265u);
 }
 
 // --- fair order: the live-job index vs the per-pick sort it replaced ---
@@ -669,6 +725,64 @@ TEST(DispatchOfferSet, SurvivesCrashTeardownAndRestore) {
   ASSERT_TRUE(second->finished());
   EXPECT_GT(attempts_on(*second, *t0), 0)
       << "restored tracker must be back in the offer sets";
+}
+
+TEST(DispatchOfferSet, GateFollowsVmMigration) {
+  // A host runs at most 2 attempts per core. Host `a` (2 cores: cap 4)
+  // holds VM `full` (2 map slots) and VM `spare` (5): the first dispatch
+  // fills `full` and gives `spare` two maps, then leaves `spare` out of the
+  // offer sets while host `a` sits at its cap.
+  TestBed::Options options;
+  options.speculative_execution = false;
+  TestBed bed(options);
+  const std::vector<cluster::Machine*> hosts = bed.add_plain_machines(2);
+  cluster::Machine& a = *hosts[0];
+  cluster::Machine& b = *hosts[1];
+  cluster::VirtualMachine* full = bed.add_plain_vm(a);
+  cluster::VirtualMachine* spare = bed.add_plain_vm(a);
+  for (cluster::VirtualMachine* vm : {full, spare}) {
+    bed.hdfs().add_datanode(*vm);
+  }
+  const TaskTracker* t_full = bed.mr().add_tracker(*full, 2, 0);
+  const TaskTracker* t_spare = bed.mr().add_tracker(*spare, 5, 0);
+  ASSERT_EQ(a.capacity().cpu, 2.0);
+
+  bed.mr().submit(small_sort(2.0));
+  ASSERT_EQ(t_full->running().size(), 2u);
+  ASSERT_EQ(t_spare->running().size(), 2u);
+  // Park the first four attempts so only the topology moves.
+  for (TaskAttempt* at : bed.mr().running_attempts()) at->set_paused(true);
+
+  // Once `full` lands on host b, host a runs 2: the next dispatch must give
+  // `spare` two more maps, and stop there.
+  std::size_t spare_after_move = 0;
+  ASSERT_TRUE(bed.cluster().migrator().migrate(
+      *full, b, [&](const cluster::MigrationRecord&) {
+        bed.mr().dispatch();
+        spare_after_move = t_spare->running().size();
+      }));
+  bed.run_until(600);
+  EXPECT_EQ(spare_after_move, 4u)
+      << "host a fell below its cap when full left; spare must be offered";
+  EXPECT_EQ(t_full->running().size(), 2u);
+
+  // Crash teardown detaches `spare` after its attempts die with the host;
+  // on reboot it re-attaches empty, and its restored tracker takes maps up
+  // to the cap again (4 of its 5 slots): neither stale totals nor a lost
+  // gate survive the round trip.
+  faults::FaultInjector injector(bed.sim(), bed.cluster(), bed.hdfs(),
+                                 bed.mr(), faults::FaultSchedule{});
+  std::size_t spare_after_reboot = 0;
+  bed.sim().at(700.0, [&] {
+    ASSERT_TRUE(injector.crash_machine(a, sim::Duration{10.0}));
+    EXPECT_TRUE(t_spare->running().empty());
+  });
+  bed.sim().at(710.5, [&] {
+    ASSERT_EQ(spare->host_machine(), &a);
+    spare_after_reboot = t_spare->running().size();
+  });
+  bed.run_until(720);
+  EXPECT_EQ(spare_after_reboot, 4u);
 }
 
 }  // namespace

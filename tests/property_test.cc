@@ -21,8 +21,11 @@
 #include "cluster/migration.h"
 #include "harness/testbed.h"
 #include "interactive/presets.h"
+#include "mapred/engine.h"
+#include "mapred/scheduler.h"
 #include "sim/event_queue.h"
 #include "stats/regression.h"
+#include "storage/hdfs.h"
 #include "workload/benchmarks.h"
 
 namespace hybridmr {
@@ -382,6 +385,173 @@ TEST_P(MachineProperty, SpeedNeverExceedsOne) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineProperty,
                          ::testing::Values(11, 23, 37, 59));
+
+// ------------------------------------- locality pick vs scanning oracle ----
+
+// The scanning pick, the oracle the indexed TaskScheduler::pick_from_job
+// must match pick for pick: it visits every usable (pending, not banned)
+// task and derives each map's locality from its replica list. The first
+// node-local map wins at once, else the first host-local one, else,
+// outside the locality round, the first usable task.
+mapred::Task* reference_pick_from_job(mapred::Job& job, mapred::TaskType type,
+                                      mapred::TaskTracker& tracker,
+                                      const storage::Hdfs& hdfs,
+                                      bool locality_only) {
+  const auto& tasks =
+      type == mapred::TaskType::kMap ? job.maps() : job.reduces();
+  mapred::Task* host_local = nullptr;
+  mapred::Task* fallback = nullptr;
+  for (const auto& t : tasks) {
+    if (!t->pending()) continue;
+    if (t->banned_trackers.contains(&tracker)) continue;
+    if (type == mapred::TaskType::kMap) {
+      auto loc = storage::Locality::kRemote;
+      for (const storage::DataNode* dn :
+           hdfs.replicas(job.input_file(), t->index())) {
+        if (dn->site() == &tracker.site()) {
+          loc = storage::Locality::kNodeLocal;
+          break;
+        }
+        if (storage::same_host(*dn->site(), tracker.site())) {
+          loc = storage::Locality::kHostLocal;
+        }
+      }
+      if (loc == storage::Locality::kNodeLocal) return t.get();
+      if (loc == storage::Locality::kHostLocal && host_local == nullptr) {
+        host_local = t.get();
+      }
+    }
+    if (fallback == nullptr) fallback = t.get();
+    if (type == mapred::TaskType::kReduce) break;
+  }
+  if (host_local != nullptr) return host_local;
+  if (locality_only && type == mapred::TaskType::kMap) return nullptr;
+  return fallback;
+}
+
+// Exposes the engine's pick (a protected static of every scheduler).
+struct PickProbe : mapred::TaskScheduler {
+  using TaskScheduler::pick_from_job;
+};
+
+class LocalityPickProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(LocalityPickProperty, IndexedPickMatchesScanningOracle) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  TestBed::Options options;
+  options.seed = static_cast<std::uint64_t>(GetParam());
+  options.telemetry = false;
+  TestBed bed(options);
+  bed.add_native_nodes(rng.uniform_int(1, 3));
+  const int vhosts = rng.uniform_int(1, 3);
+  for (int h = 0; h < vhosts; ++h) {
+    bed.add_virtual_nodes(1, rng.uniform_int(1, 3));
+  }
+  // A split host: a datanode-only VM whose blocks are host-local to the
+  // tracker-only VMs beside it and node-local to nobody.
+  bed.add_split_nodes(1, rng.uniform_int(1, 2));
+
+  auto& mr = bed.mr();
+  const int jobs = rng.uniform_int(3, 6);
+  for (int j = 0; j < jobs; ++j) {
+    const double gb = 0.125 * rng.uniform_int(4, 32);
+    bed.sim().at(rng.uniform(0, 10), [&mr, gb] {
+      mr.submit(workload::sort_job().with_input_gb(gb));
+    });
+  }
+  // One tracker VM leaves its host mid-run (frozen, like an IPS detach):
+  // from then on it has no host-local sites at all.
+  std::vector<cluster::VirtualMachine*> tracker_vms;
+  for (const auto& tr : mr.trackers()) {
+    if (tr->site().is_virtual()) {
+      tracker_vms.push_back(static_cast<cluster::VirtualMachine*>(&tr->site()));
+    }
+  }
+  cluster::VirtualMachine* detached =
+      tracker_vms[rng.index(tracker_vms.size())];
+  bed.sim().at(rng.uniform(5, 15), [detached] {
+    detached->host_machine()->detach_vm(detached);
+  });
+  bed.run_until(rng.uniform(20, 40));
+  ASSERT_EQ(detached->host_machine(), nullptr);
+
+  // Random bans on the unfinished tasks of the live jobs.
+  for (const auto& job : mr.jobs()) {
+    if (!job->live()) continue;
+    for (const auto* tasks : {&job->maps(), &job->reduces()}) {
+      for (const auto& t : *tasks) {
+        if (t->completed() || !rng.bernoulli(0.3)) continue;
+        for (int k = rng.uniform_int(1, 2); k > 0; --k) {
+          t->banned_trackers.insert(
+              mr.trackers()[rng.index(mr.trackers().size())].get());
+        }
+      }
+    }
+  }
+
+  int node_local = 0;
+  int host_local = 0;
+  int mismatches = 0;
+  auto check_all_picks = [&](const char* when) {
+    for (const auto& tr : mr.trackers()) {
+      for (const auto& job : mr.jobs()) {
+        if (!job->live()) continue;
+        for (const auto type : {mapred::TaskType::kMap,
+                                mapred::TaskType::kReduce}) {
+          for (const bool locality_only : {true, false}) {
+            mapred::Task* want = reference_pick_from_job(
+                *job, type, *tr, bed.hdfs(), locality_only);
+            mapred::Task* got = PickProbe::pick_from_job(
+                *job, type, *tr, bed.hdfs(), locality_only);
+            if (got != want) ++mismatches;
+            EXPECT_EQ(got, want)
+                << when << ": tracker " << tr->site().name() << ", job "
+                << job->id()
+                << (type == mapred::TaskType::kMap ? " map" : " reduce")
+                << (locality_only ? ", locality round" : ", any round");
+            if (want == nullptr || !locality_only ||
+                type != mapred::TaskType::kMap) {
+              continue;
+            }
+            const auto on_site =
+                bed.hdfs().blocks_on(job->input_file(), tr->site());
+            const bool local = std::binary_search(
+                on_site.begin(), on_site.end(),
+                static_cast<std::uint32_t>(want->index()));
+            ++(local ? node_local : host_local);
+          }
+        }
+      }
+    }
+  };
+  check_all_picks("mid-run");
+
+  // Replica moves: a crash (no surviving source on the dead node) and a
+  // decommission, each on a datanode that also runs a tracker.
+  std::vector<cluster::ExecutionSite*> dn_trackers;
+  for (const auto& tr : mr.trackers()) {
+    if (bed.hdfs().datanode_on(&tr->site()) != nullptr) {
+      dn_trackers.push_back(&tr->site());
+    }
+  }
+  ASSERT_GE(dn_trackers.size(), 2u);
+  const std::size_t crashed = rng.index(dn_trackers.size());
+  ASSERT_EQ(bed.hdfs().crash_datanodes({dn_trackers[crashed]}), 1);
+  check_all_picks("after crash_datanodes");
+  dn_trackers.erase(dn_trackers.begin() +
+                    static_cast<std::ptrdiff_t>(crashed));
+  ASSERT_TRUE(bed.hdfs().remove_datanode(
+      *dn_trackers[rng.index(dn_trackers.size())]));
+  check_all_picks("after remove_datanode");
+
+  EXPECT_EQ(mismatches, 0);
+  // The picks exercised both locality tiers.
+  EXPECT_GT(node_local, 0);
+  EXPECT_GT(host_local, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LocalityPickProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 // ------------------------------------------------------ job monotonics ----
 

@@ -108,9 +108,14 @@ TEST_F(HdfsTest, LocalityDetection) {
   Machine* other = cluster.add_machine();
   hdfs.add_datanode(*vm1);
   const auto f = hdfs.stage_file("in", sim::MegaBytes{10});
-  EXPECT_EQ(hdfs.locality_of(f, 0, vm1), Locality::kNodeLocal);
-  EXPECT_EQ(hdfs.locality_of(f, 0, vm2), Locality::kHostLocal);
-  EXPECT_EQ(hdfs.locality_of(f, 0, other), Locality::kRemote);
+  // The locality index lists the block on its datanode's site only; a
+  // sibling VM reaches it host-locally through the shared machine.
+  ASSERT_EQ(hdfs.blocks_on(f, *vm1).size(), 1u);
+  EXPECT_EQ(hdfs.blocks_on(f, *vm1).front(), 0u);
+  EXPECT_TRUE(hdfs.blocks_on(f, *vm2).empty());
+  EXPECT_TRUE(hdfs.blocks_on(f, *other).empty());
+  EXPECT_TRUE(same_host(*vm1, *vm2));
+  EXPECT_FALSE(same_host(*vm1, *other));
 }
 
 TEST_F(HdfsTest, WriteReplicatesToStoredState) {
