@@ -4,8 +4,8 @@ A lambda handed to Simulation/EventQueue ``at`` / ``after`` / ``every``
 outlives the statement that registered it. Three strong-capture shapes
 are latent use-after-free / leak bugs there, and all three have an
 established weak-capture idiom in this codebase (machine.cc,
-engine.cc, dfsio.cc: ``std::weak_ptr<T> weak = strong;`` capture ``weak``,
-lock inside):
+dfsio.cc, simulation.cc: ``std::weak_ptr<T> weak = strong;`` capture
+``weak``, lock inside):
 
   1. ``shared_from_this()`` in the capture list — the event queue keeps
      the object alive arbitrarily long; teardown leaks until the event
@@ -120,7 +120,7 @@ def scan(source: SourceFile) -> list[Finding]:
                         f"lambda registered with {method}() captures "
                         f"shared_ptr '{bare}' by value; convert to "
                         "std::weak_ptr before the capture and lock inside "
-                        "(see machine.cc / engine.cc for the idiom)")))
+                        "(see machine.cc / dfsio.cc for the idiom)")))
 
         if method == "every" and captured_this:
             # Is the registration's PeriodicHandle used? Look back to the
@@ -143,7 +143,7 @@ def scan(source: SourceFile) -> list[Finding]:
     return findings
 
 
-# Rule catalog for --list-rules / --sarif.
+# Rule catalog for --list-rules.
 RULES = {
     "capture-lifetime": (
         "strong self-capture (shared_from_this / by-copy shared_ptr / "

@@ -224,7 +224,7 @@ def _flag(source: SourceFile, body_lines: list[int], container: str,
     return findings
 
 
-# Rule catalog for --list-rules / --sarif.
+# Rule catalog for --list-rules.
 RULES = {
     "wall-clock": "host clock or host randomness in simulated code",
     "unordered-iteration": (

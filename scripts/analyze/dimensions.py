@@ -5,11 +5,7 @@ sim::MBps, sim::Watts, sim::Joules, sim::Duration, ...) whose operators
 only admit dimensionally valid arithmetic. A raw ``double`` parameter or
 field whose *name* claims a unit (``block_mb``, ``bw_mbps``,
 ``idle_watts``, ``timeout_secs``, ``deadline``...) re-opens the door to
-the mixed-unit bugs the types exist to prevent, so new ones are rejected.
-
-Pre-migration declarations live in the committed baseline
-(scripts/analyze/baseline.json) keyed by rule|file|identifier; they are
-reported only with --no-baseline. New code must use the strong types.
+the mixed-unit bugs the types exist to prevent, so they are rejected.
 """
 
 from __future__ import annotations
@@ -69,40 +65,7 @@ def scan(source: SourceFile) -> list[Finding]:
     return findings
 
 
-def scan_libclang(cindex, tu, source: SourceFile) -> list[Finding]:
-    """AST variant: parameter/field/variable declarations of canonical
-    double/float type with a unit-claiming spelling."""
-    if not source.rel.startswith("src/") or source.rel == "src/sim/units.h":
-        return []
-    kinds = {cindex.CursorKind.PARM_DECL, cindex.CursorKind.FIELD_DECL,
-             cindex.CursorKind.VAR_DECL}
-    findings: list[Finding] = []
-    want = source.path.resolve().as_posix()
-    for cursor in tu.cursor.walk_preorder():
-        if cursor.kind not in kinds or not cursor.location.file:
-            continue
-        if cursor.location.file.name != want:
-            continue
-        canonical = cursor.type.get_canonical().spelling
-        if canonical not in ("double", "float") and not re.search(
-                r"<\s*(?:double|float)\s*>", canonical):
-            continue
-        name = cursor.spelling or ""
-        if not unit_like(name):
-            continue
-        lineno = cursor.location.line
-        if RULE in source.allowed(lineno):
-            continue
-        findings.append(Finding(
-            rule=RULE, file=source.rel, line=lineno, identifier=name,
-            message=(
-                f"raw double '{name}' is named like a quantity; use the "
-                "strong type from sim/units.h so unit mixing is a compile "
-                "error")))
-    return findings
-
-
-# Rule catalog for --list-rules / --sarif.
+# Rule catalog for --list-rules.
 RULES = {
     "dim-raw-double": (
         "raw double/float declaration whose name claims a unit; use the "

@@ -1,26 +1,14 @@
-"""Translation-unit discovery and analysis engines for hybridmr-analyze.
+"""Source discovery, the shared source cache and compile-database coverage
+for hybridmr-analyze.
 
-Two engines produce the same rule set:
-
-  tokens    Pure-python tokenizer passes over literal-blanked source.
-            Always available; this is what CI runs, so the gate can never
-            silently no-op just because libclang is missing.
-
-  libclang  AST-driven passes through the clang python bindings, resolved
-            against compile_commands.json. Preferred when the bindings are
-            importable; requesting it explicitly (--engine libclang) on a
-            machine without the bindings is a hard error, never a skip.
-
-``--engine auto`` probes for libclang and falls back to tokens with a
-notice on stderr.
+Every rule pass is a pure-python tokenizer over literal-blanked source, so
+the analyzer needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import shlex
-import sys
 from pathlib import Path
 
 from findings import SourceFile, load_source
@@ -66,14 +54,6 @@ class SourceCache:
                     toks.append((idx + 1, m.start(), m.group(0)))
             self._tokens[key] = toks
         return self._tokens[key]
-
-
-def repo_root(start: Path) -> Path:
-    p = start.resolve()
-    for candidate in (p, *p.parents):
-        if (candidate / ".git").exists():
-            return candidate
-    return p
 
 
 def collect_files(paths: list[Path]) -> list[Path]:
@@ -127,79 +107,3 @@ def check_tu_coverage(files: list[Path], compile_commands: list[dict],
                 f"hybridmr-analyze: {rel} is not in compile_commands.json "
                 "(not built, analyzed from source only)")
     return warnings
-
-
-# ------------------------------------------------------------- libclang ----
-
-def probe_libclang():
-    """Returns the clang.cindex module, or None when unavailable."""
-    try:
-        import clang.cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        clang.cindex.Index.create()
-    except Exception:  # missing libclang.so despite bindings
-        return None
-    return clang.cindex
-
-
-def resolve_engine(requested: str):
-    """Maps --engine {auto,tokens,libclang} to ('tokens'|'libclang', module).
-
-    Explicitly requested libclang MUST resolve or we abort loudly: a CI
-    config that asks for AST analysis and silently gets nothing is the
-    exact failure mode this tool exists to prevent.
-    """
-    if requested == "tokens":
-        return "tokens", None
-    cindex = probe_libclang()
-    if requested == "libclang":
-        if cindex is None:
-            raise SystemExit(
-                "hybridmr-analyze: --engine libclang requested but the clang "
-                "python bindings (python3 -m clang.cindex) are unavailable; "
-                "install them or use --engine tokens. Refusing to silently "
-                "skip AST analysis.")
-        return "libclang", cindex
-    # auto
-    if cindex is None:
-        print("hybridmr-analyze: libclang bindings unavailable; using the "
-              "tokenizer engine", file=sys.stderr)
-        return "tokens", None
-    return "libclang", cindex
-
-
-def clang_args_for(file: Path, compile_commands: list[dict],
-                   repo: Path) -> list[str]:
-    """Compiler args for `file` from the compile database (TUs), or the
-    args of any sibling TU for headers."""
-    want = file.resolve().as_posix()
-    fallback: list[str] = []
-    for entry in compile_commands:
-        args = entry.get("arguments")
-        if args is None:
-            args = shlex.split(entry.get("command", ""))
-        # Drop compiler, -c/-o pairs and the input path.
-        cleaned: list[str] = []
-        skip = False
-        for a in args[1:]:
-            if skip:
-                skip = False
-                continue
-            if a in ("-c", "-o"):
-                skip = (a == "-o")
-                continue
-            if a.endswith((".cc", ".cpp", ".cxx", ".o")):
-                continue
-            cleaned.append(a)
-        f = Path(entry.get("file", ""))
-        if not f.is_absolute():
-            f = Path(entry.get("directory", ".")) / f
-        if f.resolve().as_posix() == want:
-            return cleaned
-        if not fallback:
-            fallback = cleaned
-    if not fallback:
-        fallback = [f"-I{repo / 'src'}", "-std=c++20"]
-    return fallback

@@ -1,16 +1,14 @@
-"""Finding model, suppressions and baseline handling for hybridmr-analyze.
+"""Finding model and inline suppressions for hybridmr-analyze.
 
-A Finding pins a rule violation to file:line. Its *key* — ``rule|file|ident``
-— is deliberately line-free so committed baselines survive unrelated edits
-that only shift line numbers.
+A Finding pins a rule violation to file:line.
 
 Suppression: append ``// sim-lint: allow(<rule>[, <rule>...])`` to the
-offending line or the line directly above it.
+offending line or the line directly above it. It is the only suppression;
+there is no baseline file.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,10 +23,6 @@ class Finding:
     line: int  # 1-based
     message: str
     identifier: str = ""  # declared name / included header / cycle label
-
-    @property
-    def key(self) -> str:
-        return f"{self.rule}|{self.file}|{self.identifier}"
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}: [{self.rule}] {self.message}"
@@ -146,25 +140,3 @@ def load_source(path: Path, repo: Path) -> SourceFile:
         allow.append({r.strip() for r in m.group(1).split(",")} if m else set())
     rel = path.resolve().relative_to(repo.resolve()).as_posix()
     return SourceFile(path=path, rel=rel, raw=raw, code=code, allow=allow)
-
-
-# ------------------------------------------------------------- baseline ----
-
-def load_baseline(path: Path | None) -> set[str]:
-    if path is None or not path.exists():
-        return set()
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return set(data.get("grandfathered", []))
-
-
-def write_baseline(path: Path, findings: list[Finding]) -> None:
-    keys = sorted({f.key for f in findings})
-    payload = {
-        "comment": (
-            "Grandfathered hybridmr-analyze findings. Keys are "
-            "rule|file|identifier (line-free). Do not add entries for new "
-            "code; migrate it to sim/units.h types instead."
-        ),
-        "grandfathered": keys,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

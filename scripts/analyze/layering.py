@@ -180,7 +180,7 @@ def cycle_findings(
     return findings
 
 
-# Rule catalog for --list-rules / --sarif.
+# Rule catalog for --list-rules.
 RULES = {
     "layer-upward-include": (
         "#include from a lower src/ layer into a higher one (the layer "

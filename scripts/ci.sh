@@ -9,10 +9,9 @@
 #   release      Release build + full ctest suite (also produces the
 #                compile database the next two stages resolve against)
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
-#                (dimensions, layering, capture-lifetime, determinism)
-#                gated by the committed baseline — blocking, never
-#                skipped; exit 1 (findings) and exit 2 (broken analyzer)
-#                are reported distinctly
+#                (dimensions, layering, capture-lifetime, determinism) —
+#                blocking, never skipped; exit 1 (findings) and exit 2
+#                (broken analyzer) are reported distinctly
 #   clang-tidy   bugprone/performance/modernize/cppcoreguidelines profile
 #                against the Release compile database (skipped with a
 #                notice when clang-tidy is not installed)
@@ -103,7 +102,7 @@ fi
 
 # --- lint (always-on, blocking) ---------------------------------------------
 echo "=== [lint] hybridmr-analyze --rules determinism ==="
-if python3 "$repo/scripts/analyze/hybridmr-analyze" --engine tokens \
+if python3 "$repo/scripts/analyze/hybridmr-analyze" \
     --rules determinism "$repo/src" "$repo/tests" "$repo/bench" \
     "$repo/examples"; then
   note_stage lint PASS
@@ -131,13 +130,11 @@ run_analyze_stage() {  # stage-name [analyzer args...]
   return "$code"
 }
 
-# --- analyze: full static-analysis suite, baseline-gated, never skipped ------
-# The SARIF artifact is for code-review tooling; emitting it does not change
-# the gate (findings still decide the exit status).
+# --- analyze: full static-analysis suite, never skipped ----------------------
 echo "=== [analyze] scripts/analyze/hybridmr-analyze ==="
 run_analyze_stage analyze \
     --compile-commands "$root/release/compile_commands.json" \
-    --sarif "$root/analyze.sarif" "$repo/src" || true
+    "$repo/src" || true
 
 # --- clang-tidy (needs the compile database from the release tree) ----------
 if command -v clang-tidy > /dev/null 2>&1; then

@@ -659,48 +659,15 @@ void Machine::recompute(RecomputeCause cause) {
        {"peak_watts", audit::num(power_model_.peak_watts.value())}});
   energy_.record(now, watts);
   if (tel_cpu_ != nullptr) {
-    // Windowed hub metrics aggregate count/sum, so a same-instant revision
-    // cannot just overwrite: withhold the newest sample until the clock
-    // moves past its timestamp, then publish exactly one.
-    if (tel_pending_ && tel_pending_time_ < now) publish_sample_now();
-    tel_pending_ = true;
-    tel_pending_time_ = now;
-    tel_pending_cpu_ = utilization(ResourceKind::kCpu);
-    tel_pending_disk_ = utilization(ResourceKind::kDisk);
-    tel_pending_watts_ = watts;
-    if (!tel_queued_) {
-      coordinator_.mark_sample_pending(this);
-      tel_queued_ = true;
-    }
+    tel_cpu_->sample_coalesced(now, utilization(ResourceKind::kCpu));
+    tel_disk_->sample_coalesced(now, utilization(ResourceKind::kDisk));
+    tel_watts_->sample_coalesced(now, watts.value());
   }
-}
-
-void Machine::publish_sample_now() {
-  tel_pending_ = false;
-  if (tel_cpu_ == nullptr) return;
-  tel_cpu_->sample(tel_pending_time_, tel_pending_cpu_);
-  tel_disk_->sample(tel_pending_time_, tel_pending_disk_);
-  tel_watts_->sample(tel_pending_time_, tel_pending_watts_.value());
-}
-
-bool Machine::publish_pending_sample(sim::SimTime now) {
-  if (tel_pending_ && tel_pending_time_ < now) publish_sample_now();
-  if (!tel_pending_) {
-    tel_queued_ = false;
-    return true;
-  }
-  return false;
-}
-
-void Machine::publish_pending_sample() {
-  if (tel_pending_) publish_sample_now();
-  tel_queued_ = false;
 }
 
 void Machine::set_telemetry(telemetry::Hub* hub) {
   if (hub == nullptr) {
     tel_cpu_ = tel_disk_ = tel_watts_ = nullptr;
-    tel_pending_ = false;
     prof_ = nullptr;
     return;
   }

@@ -309,17 +309,7 @@ class Machine : public ExecutionSite {
   /// per-machine time-series metrics so recompute() stays allocation-free.
   void set_telemetry(telemetry::Hub* hub);
 
-  /// Publishes the withheld telemetry sample once `now` has moved past its
-  /// timestamp. Returns true when nothing remains withheld (coordinator
-  /// drops the machine from its pending list). Coordinator-internal.
-  bool publish_pending_sample(sim::SimTime now);
-  /// Unconditionally publishes the withheld sample (end-of-run flush).
-  void publish_pending_sample();
-
  private:
-  // Samples the pending telemetry values into the hub.
-  void publish_sample_now();
-
   sim::Simulation& sim_;
   Resources capacity_;
   const Calibration& cal_;
@@ -345,19 +335,12 @@ class Machine : public ExecutionSite {
   WaterfillScratch scratch_wf_;
 
   // Cached telemetry metric handles (null when telemetry is not wired).
+  // recompute() samples them coalesced, so k same-instant recomputes leave
+  // one sample in deferred and eager mode alike (windowed metrics
+  // aggregate counts and sums, so duplicates would skew them).
   telemetry::TimeSeriesMetric* tel_cpu_ = nullptr;
   telemetry::TimeSeriesMetric* tel_disk_ = nullptr;
   telemetry::TimeSeriesMetric* tel_watts_ = nullptr;
-  // The latest sample of one simulated instant is withheld until the clock
-  // moves past it, so k same-instant recomputes publish one sample in
-  // deferred and eager mode alike (windowed metrics aggregate counts and
-  // sums, so duplicates would skew them).
-  bool tel_pending_ = false;
-  bool tel_queued_ = false;  // in the coordinator's pending list
-  sim::SimTime tel_pending_time_ = 0;
-  double tel_pending_cpu_ = 0;
-  double tel_pending_disk_ = 0;
-  sim::Watts tel_pending_watts_;
 
   // Cached profiler handle (null unless a profiled run; see realloc.h for
   // how causes are attributed).

@@ -43,26 +43,10 @@ void ReallocCoordinator::drain() {
     }
     dirty_.clear();
   }
-  if (!sample_pending_.empty()) {
-    const sim::SimTime now = sim_.now();
-    std::size_t keep = 0;
-    for (Machine* m : sample_pending_) {
-      // Publish once the clock has moved past the sample's instant: no
-      // further same-time recompute can revise it.
-      if (!m->publish_pending_sample(now)) sample_pending_[keep++] = m;
-    }
-    sample_pending_.resize(keep);
-  }
-}
-
-void ReallocCoordinator::flush_samples() {
-  for (Machine* m : sample_pending_) m->publish_pending_sample();
-  sample_pending_.clear();
 }
 
 void ReallocCoordinator::forget(Machine* machine) {
   std::erase(dirty_, machine);
-  std::erase(sample_pending_, machine);
 }
 
 }  // namespace hybridmr::cluster

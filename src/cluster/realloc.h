@@ -46,23 +46,11 @@ class ReallocCoordinator {
   /// machine guarantees it enqueues itself at most once.
   void mark_dirty(Machine* machine) { dirty_.push_back(machine); }
 
-  /// Queues a machine whose latest telemetry sample is being withheld
-  /// until the clock moves past its timestamp (so several same-instant
-  /// recomputes publish one sample, matching eager mode's coalescing).
-  void mark_sample_pending(Machine* machine) {
-    sample_pending_.push_back(machine);
-  }
-
-  /// Recomputes every dirty machine (in first-marked order), then
-  /// publishes withheld telemetry samples whose timestamp the clock has
-  /// passed. Runs automatically at event boundaries via the flush hook.
+  /// Recomputes every dirty machine (in first-marked order). Runs
+  /// automatically at event boundaries via the flush hook.
   void drain();
 
-  /// Publishes every withheld telemetry sample regardless of timestamp.
-  /// Call before reading the telemetry registry at the end of a run.
-  void flush_samples();
-
-  /// Drops a machine from the pending lists (machine teardown).
+  /// Drops a machine from the dirty list (machine teardown).
   void forget(Machine* machine);
 
   /// Attaches the profiler (null detaches): drains record their pass
@@ -82,7 +70,6 @@ class ReallocCoordinator {
   sim::Simulation& sim_;
   std::size_t hook_token_;
   std::vector<Machine*> dirty_;
-  std::vector<Machine*> sample_pending_;
   bool eager_ = false;
   std::uint64_t membership_epoch_ = 0;
   telemetry::Profiler* prof_ = nullptr;

@@ -55,9 +55,6 @@ class Workload {
 
   // --- progress ---
   [[nodiscard]] bool finite() const { return total_work_ >= 0; }
-  [[nodiscard]] sim::Duration total_work() const {
-    return sim::Duration{total_work_};
-  }
   /// Work-at-full-speed left. Drains any pending reallocation of the
   /// host machine first (settling accrued progress), like speed().
   [[nodiscard]] sim::Duration remaining() const;
@@ -70,15 +67,6 @@ class Workload {
   /// callers never observe stale shares (defined out of line for that).
   [[nodiscard]] double speed() const;
   [[nodiscard]] const Resources& allocated() const;
-
-  // --- cumulative usage (for the LRM resource profiler) ---
-  // Counters are settled lazily: they are current as of the machine's last
-  // reallocation. Call host_machine()->settle_now() first for an exact
-  // reading at an arbitrary instant.
-  [[nodiscard]] sim::Duration cpu_seconds_used() const {
-    return cpu_seconds_;
-  }
-  [[nodiscard]] sim::MegaBytes io_mb_done() const { return io_mb_; }
   [[nodiscard]] sim::SimTime started_at() const { return started_at_; }
 
   /// Invoked (by the hosting machine) when the work completes; the workload
@@ -90,10 +78,10 @@ class Workload {
 
   // === Internal interface used by the allocation engine ===
 
-  /// Accrues progress and usage for the interval since the last settle, at
-  /// the current speed/allocation. Returns MB of I/O performed in the
-  /// interval (for the VM buffer-cache model). Inline: the reallocation
-  /// engine calls this once per resident workload per recompute.
+  /// Accrues progress for the interval since the last settle, at the
+  /// current speed. Returns MB of I/O performed in the interval (for the
+  /// VM buffer-cache model). Inline: the reallocation engine calls this
+  /// once per resident workload per recompute.
   double settle(sim::SimTime now) {
     const double dt = now - last_settle_;
     last_settle_ = now;
@@ -101,10 +89,7 @@ class Workload {
     if (finite()) {
       remaining_ = remaining_ - dt * speed_ > 0 ? remaining_ - dt * speed_ : 0;
     }
-    cpu_seconds_ += sim::Duration{allocated_.cpu * dt};
-    const double io = (allocated_.disk + allocated_.net) * dt;
-    io_mb_ += sim::MegaBytes{io};
-    return io;
+    return (allocated_.disk + allocated_.net) * dt;
   }
 
   /// Installs the new allocation and speed (after settle).
@@ -148,8 +133,6 @@ class Workload {
   Resources allocated_{};
   sim::SimTime last_settle_ = 0;
   sim::SimTime started_at_ = 0;
-  sim::Duration cpu_seconds_;
-  sim::MegaBytes io_mb_;
   ExecutionSite* site_ = nullptr;  // owned by HybridCluster
 };
 

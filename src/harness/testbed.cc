@@ -25,7 +25,7 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
     if (v == "0" || v == "off") options_.profile = false;
   }
   sim_ = std::make_unique<sim::Simulation>(options_.seed);
-  if ((options_.telemetry || options_.profile) && telemetry::compiled_in()) {
+  if (options_.telemetry || options_.profile) {
     tel_ = std::make_unique<telemetry::Hub>();
   }
   if (tel_ && options_.profile) {
@@ -187,9 +187,6 @@ std::vector<double> TestBed::run_jobs(
 
 telemetry::RunReport TestBed::report(
     const std::vector<const interactive::InteractiveApp*>& apps) const {
-  // Publish any telemetry samples still withheld for same-instant
-  // coalescing, so the registry snapshot below is complete.
-  cluster_->reallocator().flush_samples();
   telemetry::RunReport report;
   const double end = sim_->now();
   report.sim_end_s = end;

@@ -28,15 +28,14 @@ class TestBed {
     std::uint64_t seed = 42;
     std::string scheduler = "fair";  // paper's testbed uses FairScheduler
     bool speculative_execution = true;
-    /// Wires a telemetry::Hub through cluster + engine (no-op when the
-    /// build has telemetry compiled out).
+    /// Wires a telemetry::Hub through cluster + engine. False is the one
+    /// off switch: no hub, so every component records nothing.
     bool telemetry = true;
     /// Enables the simulation profiler (scoped wall timers + deterministic
     /// work-attribution counters; see telemetry/profiler.h). Forces a hub
     /// even when `telemetry` is false. The HYBRIDMR_PROFILE environment
     /// variable (1/on/0/off) overrides this at construction, so any
-    /// harness binary can be profiled without a rebuild. No-op when
-    /// telemetry is compiled out.
+    /// harness binary can be profiled without a rebuild.
     bool profile = false;
     /// Watchdog for long runs, active only when `profile` is on: zero
     /// thresholds disable each check (see Profiler::WatchdogOptions).
@@ -62,7 +61,7 @@ class TestBed {
     return options_.calibration;
   }
 
-  /// The run's telemetry hub; null when disabled or compiled out.
+  /// The run's telemetry hub; null when disabled.
   [[nodiscard]] telemetry::Hub* telemetry() const { return tel_.get(); }
 
   /// The what-if engine over this testbed's simulation, built on first
@@ -71,7 +70,7 @@ class TestBed {
   [[nodiscard]] whatif::WhatIfEngine& whatif();
 
   /// The run's profiler; null unless profiling is live (Options::profile /
-  /// HYBRIDMR_PROFILE with telemetry compiled in).
+  /// HYBRIDMR_PROFILE).
   [[nodiscard]] telemetry::Profiler* profiler() const {
     return tel_ && tel_->profiler.enabled() ? &tel_->profiler : nullptr;
   }

@@ -897,27 +897,15 @@ TaskTracker* MapReduceEngine::tracker_with_free_slot(
 }
 
 void MapReduceEngine::maybe_start_speculation_monitor() {
-  if (!options_.speculative_execution || speculation_monitor_running_) return;
-  speculation_monitor_running_ = true;
-  // The ticker holds itself only weakly; the pending event owns the strong
-  // reference, so the monitor is destroyed when it stops rescheduling (or
-  // when the queue is torn down) instead of leaking in a self-cycle.
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_tick = tick;
-  *tick = [this, weak_tick]() {
+  if (!options_.speculative_execution || speculation_ticker_.active()) return;
+  // Stops itself once no job is live; the next submit starts it again.
+  speculation_ticker_ = sim_.every(options_.speculation_interval_s, [this]() {
     if (active_jobs() == 0) {
-      speculation_monitor_running_ = false;
+      speculation_ticker_.cancel();
       return;
     }
     speculation_scan();
-    if (auto self = weak_tick.lock()) {
-      sim_.after(options_.speculation_interval_s, [self]() { (*self)(); });
-    }
-  };
-  // Deliberate: this one strong capture is what the weak self-reference
-  // above balances against.
-  // sim-lint: allow(capture-lifetime)
-  sim_.after(options_.speculation_interval_s, [tick]() { (*tick)(); });
+  });
 }
 
 void MapReduceEngine::speculation_scan() {

@@ -292,7 +292,7 @@ class MapReduceEngine {
   // Pending tasks of eligible jobs per (task type, PlacementPool); see
   // schedulable_pending().
   std::array<std::array<int, 3>, 2> schedulable_{};
-  bool speculation_monitor_running_ = false;
+  sim::PeriodicHandle speculation_ticker_;
   int speculative_count_ = 0;
   int requeue_count_ = 0;
   int jobs_failed_ = 0;

@@ -225,60 +225,55 @@ void TaskAttempt::next_phase() {
 
 void TaskAttempt::begin_shuffle(sim::MegaBytes total_mb) {
   phase_flow_total_ = total_mb.value();
-  shuffle_queue_.clear();
-  shuffle_next_ = 0;
 
   // Group this reducer's share of each map output by source site, in
   // first-map order (pointer-keyed ordering would be nondeterministic; the
-  // unordered map is a lookup index only — the queue itself carries the
+  // unordered map is a lookup index only — the plan itself carries the
   // deterministic order).
   const auto& maps = task_->job().maps();
   const double per_map =
       maps.empty() ? 0 : total_mb.value() / static_cast<double>(maps.size());
+  std::vector<std::pair<cluster::ExecutionSite*, double>> plan;
   std::unordered_map<const cluster::ExecutionSite*, std::size_t> slot_of;
   slot_of.reserve(maps.size());
   for (const auto& m : maps) {
     cluster::ExecutionSite* src = m->output_site();
     if (src == nullptr) src = &site();  // defensive: treat as local
-    const auto [it, inserted] = slot_of.emplace(src, shuffle_queue_.size());
+    const auto [it, inserted] = slot_of.emplace(src, plan.size());
     if (inserted) {
-      shuffle_queue_.emplace_back(src, per_map);
+      plan.emplace_back(src, per_map);
     } else {
-      shuffle_queue_[it->second].second += per_map;
+      plan[it->second].second += per_map;
     }
   }
 #if defined(HYBRIDMR_AUDIT_ENABLED)
   // Conservation through the shuffle: partitioning the reducer's input by
   // source site must neither create nor lose bytes.
-  sim::MegaBytes queued_mb;
-  for (const auto& [src, mb] : shuffle_queue_) queued_mb += sim::MegaBytes{mb};
+  sim::MegaBytes planned_mb;
+  for (const auto& [src, mb] : plan) planned_mb += sim::MegaBytes{mb};
   HYBRIDMR_AUDIT_CHECK(
-      std::abs(queued_mb.value() - (maps.empty() ? 0.0 : total_mb.value())) <=
+      std::abs(planned_mb.value() - (maps.empty() ? 0.0 : total_mb.value())) <=
           1e-6 * std::max(1.0, total_mb.value()),
       "mapred.task", "shuffle_mb_conserved", engine_->sim().now(),
       {{"attempt", label()},
        {"total_mb", audit::num(total_mb.value())},
-       {"queued_mb", audit::num(queued_mb.value())},
-       {"sources", audit::num(static_cast<double>(shuffle_queue_.size()))}});
+       {"planned_mb", audit::num(planned_mb.value())},
+       {"sources", audit::num(static_cast<double>(plan.size()))}});
 #endif
-  if (shuffle_queue_.empty()) {
+  if (plan.empty()) {
     phase_finished();
     return;
   }
   engine_->note_shuffle_started(*this, total_mb,
-                                static_cast<int>(shuffle_queue_.size()));
-  pump_shuffle();
-}
+                                static_cast<int>(plan.size()));
 
-void TaskAttempt::pump_shuffle() {
   // Launch the whole shuffle in one wave: local and loopback sources keep
   // their individual disk-paced flows (there are O(VMs/host) of those),
   // but every remote source folds into ONE batched flow, so a reducer's
   // shuffle costs one completion event however many machines feed it —
   // event count grows with reducers, not reducers x machines.
   std::vector<std::pair<cluster::ExecutionSite*, sim::MegaBytes>> remote;
-  for (; shuffle_next_ < shuffle_queue_.size(); ++shuffle_next_) {
-    auto [src, mb] = shuffle_queue_[shuffle_next_];
+  for (const auto& [src, mb] : plan) {
     if (src != &site() && !storage::same_host(*src, site())) {
       remote.emplace_back(src, sim::MegaBytes{mb});
       continue;
@@ -288,7 +283,7 @@ void TaskAttempt::pump_shuffle() {
         [this, mb]() { flow_completed(sim::MegaBytes{mb}); });
     if (paused_) handle.set_paused(true);
     handle.set_caps(caps_);
-    flows_.push_back({handle, sim::MegaBytes{mb}, src});
+    flows_.push_back({handle, sim::MegaBytes{mb}, {src}});
   }
   if (remote.empty()) return;
   sim::MegaBytes remote_mb;
@@ -299,8 +294,8 @@ void TaskAttempt::pump_shuffle() {
   if (paused_) handle.set_paused(true);
   handle.set_caps(caps_);
   ActiveFlow flow{handle, remote_mb};
-  flow.batch_srcs.reserve(remote.size());
-  for (const auto& [src, mb] : remote) flow.batch_srcs.push_back(src);
+  flow.srcs.reserve(remote.size());
+  for (const auto& [src, mb] : remote) flow.srcs.push_back(src);
   flows_.push_back(std::move(flow));
 }
 
@@ -312,10 +307,7 @@ void TaskAttempt::flow_completed(sim::MegaBytes mb) {
                                 return !f.handle.active();
                               }),
                flows_.end());
-  if (shuffle_next_ < shuffle_queue_.size()) pump_shuffle();
-  if (flows_.empty() && shuffle_next_ >= shuffle_queue_.size()) {
-    phase_finished();
-  }
+  if (flows_.empty()) phase_finished();
 }
 
 void TaskAttempt::phase_finished() {
@@ -396,17 +388,11 @@ bool TaskAttempt::depends_on(const cluster::ExecutionSite& s) const {
   if (!running()) return false;
   if (&site() == &s) return true;
   for (const auto& f : flows_) {
-    if (f.src == &s) return true;
-    for (const cluster::ExecutionSite* member : f.batch_srcs) {
-      if (member == &s) return true;
+    for (const cluster::ExecutionSite* src : f.srcs) {
+      if (src == &s) return true;
     }
     const cluster::Workload* p = f.handle.primary();
     if (p != nullptr && p->site() == &s) return true;
-  }
-  // Queued-but-unfetched shuffle sources: the map output lives on `s` and
-  // is about to be read from there.
-  for (std::size_t i = shuffle_next_; i < shuffle_queue_.size(); ++i) {
-    if (shuffle_queue_[i].first == &s) return true;
   }
   return false;
 }

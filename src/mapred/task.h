@@ -146,9 +146,10 @@ class TaskAttempt {
   [[nodiscard]] std::string label() const;
 
   /// True if this running attempt depends on `site` for anything beyond
-  /// its own slot: it runs there, has an in-flight flow sourced or served
-  /// there, or still has shuffle fetches queued from map outputs there.
-  /// Used by the crash path to decide which attempts to requeue.
+  /// its own slot: it runs there, or has an in-flight flow sourced or
+  /// served there (a shuffle launches every fetch at once, so no fetch
+  /// waits in a queue). Used by the crash path to decide which attempts to
+  /// requeue.
   [[nodiscard]] bool depends_on(const cluster::ExecutionSite& s) const;
 
  private:
@@ -165,7 +166,6 @@ class TaskAttempt {
   void build_phases();
   void next_phase();
   void begin_shuffle(sim::MegaBytes total_mb);
-  void pump_shuffle();
   void flow_completed(sim::MegaBytes mb);
   void phase_finished();
   void teardown();
@@ -183,19 +183,13 @@ class TaskAttempt {
   struct ActiveFlow {
     storage::FlowHandle handle;
     sim::MegaBytes amount_mb;
-    // Remote site the flow pulls from (shuffle fetches); null for HDFS
+    // Sites a shuffle fetch pulls from: one for a local or loopback fetch,
+    // every member of a batched remote fetch (the crash path requeues this
+    // attempt when any of them dies mid-fetch). Empty for HDFS
     // reads/writes whose endpoints the storage layer picked.
-    cluster::ExecutionSite* src = nullptr;
-    // Member sources of a batched shuffle flow (the crash path requeues
-    // this attempt when any of them dies mid-fetch).
-    std::vector<cluster::ExecutionSite*> batch_srcs;
+    std::vector<cluster::ExecutionSite*> srcs = {};
   };
   std::vector<ActiveFlow> flows_;  // in-flight HDFS flows of this phase
-  // Shuffle fetch plan: per-source byte shares, launched in one wave
-  // (local and loopback sources as individual flows, every remote source
-  // coalesced into one batched flow).
-  std::vector<std::pair<cluster::ExecutionSite*, double>> shuffle_queue_;
-  std::size_t shuffle_next_ = 0;
   sim::MegaBytes flow_done_mb_;
   double phase_flow_total_ = 0;
 

@@ -222,10 +222,6 @@ int Hdfs::crash_datanodes(const std::vector<ExecutionSite*>& sites) {
   return static_cast<int>(dying.size());
 }
 
-int Hdfs::crash_datanode(ExecutionSite& site) {
-  return crash_datanodes({&site});
-}
-
 bool Hdfs::has_lost_block(FileId file) const {
   const File& f = files_[file];
   return std::any_of(f.block_lost.begin(), f.block_lost.end(),

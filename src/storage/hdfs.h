@@ -123,8 +123,6 @@ class Hdfs {
   /// go through one call); a block whose last replica died is marked lost
   /// and counted in blocks_lost(). Returns the number of datanodes killed.
   int crash_datanodes(const std::vector<cluster::ExecutionSite*>& sites);
-  /// Single-site convenience wrapper around crash_datanodes().
-  int crash_datanode(cluster::ExecutionSite& site);
 
   /// Blocks whose last replica was destroyed by a crash (never recovers).
   [[nodiscard]] int blocks_lost() const { return blocks_lost_; }

@@ -4,9 +4,8 @@
 // Design rules:
 //   - record paths are O(1) and allocation-free (histograms use fixed bucket
 //     arrays, time series only allocate when a new window opens);
-//   - everything compiles out when the HYBRIDMR_TELEMETRY CMake option is
-//     OFF (the registry still exists so consumers link, but record calls
-//     become empty inline functions);
+//   - one off switch: a run without telemetry has no hub, so components
+//     hold null metric pointers and record nothing;
 //   - iteration order is insertion order, so exports are deterministic.
 #pragma once
 
@@ -21,25 +20,12 @@
 
 namespace hybridmr::telemetry {
 
-#if defined(HYBRIDMR_TELEMETRY_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-/// True when telemetry recording is compiled into this build.
-constexpr bool compiled_in() { return kCompiledIn; }
-
 /// Monotonically increasing total (events seen, MB shuffled, ...).
 class Counter {
  public:
   void add(double delta = 1.0) {
-    if constexpr (kCompiledIn) {
-      value_ += delta;
-      ++events_;
-    } else {
-      (void)delta;
-    }
+    value_ += delta;
+    ++events_;
   }
 
   [[nodiscard]] double value() const { return value_; }
@@ -53,14 +39,8 @@ class Counter {
 /// Last-write-wins instantaneous value (running attempts, powered servers).
 class Gauge {
  public:
-  void set(double value) {
-    if constexpr (kCompiledIn) value_ = value;
-    else (void)value;
-  }
-  void add(double delta) {
-    if constexpr (kCompiledIn) value_ += delta;
-    else (void)delta;
-  }
+  void set(double value) { value_ = value; }
+  void add(double delta) { value_ += delta; }
 
   [[nodiscard]] double value() const { return value_; }
 
@@ -81,15 +61,11 @@ class Histogram {
   Histogram(double lo, double hi) : lo_(lo), hi_(hi > lo ? hi : lo + 1) {}
 
   void record(double v) {
-    if constexpr (kCompiledIn) {
-      ++counts_[bucket_of(v)];
-      ++count_;
-      sum_ += v;
-      if (count_ == 1 || v < min_) min_ = v;
-      if (count_ == 1 || v > max_) max_ = v;
-    } else {
-      (void)v;
-    }
+    ++counts_[bucket_of(v)];
+    ++count_;
+    sum_ += v;
+    if (count_ == 1 || v < min_) min_ = v;
+    if (count_ == 1 || v > max_) max_ = v;
   }
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
@@ -145,45 +121,70 @@ class TimeSeriesMetric {
       : window_s_(window_s > 0 ? window_s : 1.0) {}
 
   void sample(double now, double value) {
-    if constexpr (kCompiledIn) {
-      const auto idx = static_cast<std::int64_t>(now / window_s_);
-      if (!live_open_ || idx != live_idx_) {
-        if (live_open_) completed_.push_back(live_);
-        live_ = Window{static_cast<double>(idx) * window_s_, 0, 0, 0, 0};
-        live_idx_ = idx;
-        live_open_ = true;
-      }
-      ++live_.count;
-      live_.sum += value;
-      if (live_.count == 1 || value < live_.min) live_.min = value;
-      if (live_.count == 1 || value > live_.max) live_.max = value;
-      ++total_count_;
-      total_sum_ += value;
-    } else {
-      (void)now;
-      (void)value;
+    const std::int64_t idx = index_of(now);
+    if (!live_open_ || idx != live_idx_) {
+      if (live_open_) completed_.push_back(live_);
+      live_ = empty_window(idx);
+      live_idx_ = idx;
+      live_open_ = true;
     }
+    add(live_, value);
+    ++total_count_;
+    total_sum_ += value;
+  }
+
+  /// Like sample(), but several samples at one simulated instant count as
+  /// one holding the newest value, the stats::TimeSeries::add_coalesced
+  /// contract: the newest sample is held until a sample at a later instant
+  /// arrives, and every read counts it. Do not mix with sample() on one
+  /// series.
+  void sample_coalesced(double now, double value) {
+    if (held_ && held_time_ < now) sample(held_time_, held_value_);
+    held_ = true;
+    held_time_ = now;
+    held_value_ = value;
   }
 
   [[nodiscard]] double window_seconds() const { return window_s_; }
-  [[nodiscard]] std::uint64_t count() const { return total_count_; }
+  [[nodiscard]] std::uint64_t count() const {
+    return total_count_ + (held_ ? 1 : 0);
+  }
   [[nodiscard]] double mean() const {
-    return total_count_ ? total_sum_ / total_count_ : 0;
+    const std::uint64_t n = count();
+    return n ? (total_sum_ + (held_ ? held_value_ : 0)) / n : 0;
   }
   /// Mean of the most recent window with samples (0 when empty).
   [[nodiscard]] double last() const {
-    if (live_open_ && live_.count > 0) return live_.sum / live_.count;
-    return completed_.empty() ? 0 : completed_.back().mean();
+    const std::vector<Window> all = windows();
+    return all.empty() ? 0 : all.back().mean();
   }
 
   /// All windows, oldest first, including the still-open one.
   [[nodiscard]] std::vector<Window> windows() const {
     std::vector<Window> out = completed_;
     if (live_open_) out.push_back(live_);
+    if (held_) {
+      const std::int64_t idx = index_of(held_time_);
+      if (!live_open_ || idx != live_idx_) out.push_back(empty_window(idx));
+      add(out.back(), held_value_);
+    }
     return out;
   }
 
  private:
+  [[nodiscard]] std::int64_t index_of(double t) const {
+    return static_cast<std::int64_t>(t / window_s_);
+  }
+  [[nodiscard]] Window empty_window(std::int64_t idx) const {
+    return Window{static_cast<double>(idx) * window_s_, 0, 0, 0, 0};
+  }
+  static void add(Window& w, double value) {
+    ++w.count;
+    w.sum += value;
+    if (w.count == 1 || value < w.min) w.min = value;
+    if (w.count == 1 || value > w.max) w.max = value;
+  }
+
   double window_s_;
   std::vector<Window> completed_;
   Window live_{};
@@ -191,6 +192,10 @@ class TimeSeriesMetric {
   bool live_open_ = false;
   std::uint64_t total_count_ = 0;
   double total_sum_ = 0;
+  // sample_coalesced()'s newest sample, not yet in the windows above.
+  bool held_ = false;
+  double held_time_ = 0;
+  double held_value_ = 0;
 };
 
 /// Owns all metrics of one run, keyed by name. Components fetch their

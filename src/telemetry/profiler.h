@@ -24,8 +24,8 @@
 // grants the wall-clock allowance to this module only (see
 // scripts/analyze/determinism.py WALL_CLOCK_SANCTIONED).
 //
-// Everything compiles out with the HYBRIDMR_TELEMETRY CMake option: record
-// paths become empty inlines and instrumentation sites keep a null pointer.
+// A run without profiling keeps a null Profiler* at every instrumentation
+// site, so it records nothing.
 #pragma once
 
 #include <array>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "sim/probe.h"
-#include "telemetry/metrics.h"
 
 namespace hybridmr::sim {
 class Simulation;
@@ -169,14 +168,10 @@ class Profiler : public sim::DispatchProbe {
   Profiler& operator=(const Profiler&) = delete;
 
   /// Profiling is off by default even when telemetry is on; TestBed enables
-  /// it for Options::profile / HYBRIDMR_PROFILE=1 runs. When disabled (or
-  /// compiled out) every record path is a no-op and instrumentation sites
-  /// hold a null Profiler*.
-  void enable(bool on = true) {
-    if constexpr (kCompiledIn) enabled_ = on;
-    else (void)on;
-  }
-  [[nodiscard]] bool enabled() const { return kCompiledIn && enabled_; }
+  /// it for Options::profile / HYBRIDMR_PROFILE=1 runs. When disabled every
+  /// record path is a no-op and instrumentation sites hold a null Profiler*.
+  void enable(bool on = true) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Attaches the simulation so the watchdog can stop a stalled run.
   void set_simulation(sim::Simulation* sim) { sim_ = sim; }
@@ -194,21 +189,11 @@ class Profiler : public sim::DispatchProbe {
   ScopeId intern(const std::string& name);
 
   void add(WorkCounter c, std::uint64_t n = 1) {
-    if constexpr (kCompiledIn) {
-      if (enabled_) work_[static_cast<std::size_t>(c)] += n;
-    } else {
-      (void)c;
-      (void)n;
-    }
+    if (enabled_) work_[static_cast<std::size_t>(c)] += n;
   }
 
   void record_dist(WorkDist d, std::uint64_t value) {
-    if constexpr (kCompiledIn) {
-      if (enabled_) dists_[static_cast<std::size_t>(d)].record(value);
-    } else {
-      (void)d;
-      (void)value;
-    }
+    if (enabled_) dists_[static_cast<std::size_t>(d)].record(value);
   }
 
   /// record_dist() plus a deterministic trace mark at sim time `now` when a
@@ -299,8 +284,8 @@ class Profiler : public sim::DispatchProbe {
   std::string stall_reason_;
 };
 
-/// RAII scope guard. Null profiler (telemetry off / profiling disabled)
-/// costs one pointer compare; instrumentation sites cache the pointer as
+/// RAII scope guard. Null profiler (profiling disabled) costs one pointer
+/// compare; instrumentation sites cache the pointer as
 /// null unless profiling is live, mirroring the `tel_` metric idiom.
 class Scope {
  public:

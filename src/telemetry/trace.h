@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/metrics.h"
 
 namespace hybridmr::telemetry {
 
@@ -69,33 +68,16 @@ class TraceRecorder {
   /// Point event at `now`.
   void instant(double now, EventKind kind, std::string name,
                std::string track, Args args = {}) {
-    if constexpr (kCompiledIn) {
-      events_.push_back({now, 0, kind, 'i', std::move(name), std::move(track),
-                         std::move(args)});
-    } else {
-      (void)now;
-      (void)kind;
-      (void)name;
-      (void)track;
-      (void)args;
-    }
+    events_.push_back({now, 0, kind, 'i', std::move(name), std::move(track),
+                       std::move(args)});
   }
 
   /// Span event covering [start_s, start_s + dur_s] (emitted at completion,
   /// when the duration is known).
   void complete(double start_s, double dur_s, EventKind kind,
                 std::string name, std::string track, Args args = {}) {
-    if constexpr (kCompiledIn) {
-      events_.push_back({start_s, dur_s < 0 ? 0 : dur_s, kind, 'X',
-                         std::move(name), std::move(track), std::move(args)});
-    } else {
-      (void)start_s;
-      (void)dur_s;
-      (void)kind;
-      (void)name;
-      (void)track;
-      (void)args;
-    }
+    events_.push_back({start_s, dur_s < 0 ? 0 : dur_s, kind, 'X',
+                       std::move(name), std::move(track), std::move(args)});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {

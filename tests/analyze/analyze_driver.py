@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
 """ctest driver for scripts/analyze/hybridmr-analyze.
 
-Six checks:
+Five checks:
 
   1. fixtures   The known-violation tree under tests/analyze/fixtures/
                 produces EXACTLY the expected (rule, file, line) set —
                 nothing missing (a rule went no-op), nothing extra (a
                 rule regressed into noise), suppressed/clean decoys
                 absent.
-  2. clean src  The real src/ tree with the committed baseline reports
-                zero findings and exits 0 — the state CI gates on.
-  3. loud fail  --engine libclang on a machine without the clang python
-                bindings must abort with a nonzero exit and an explicit
-                refusal, never silently skip (skipped when the bindings
-                are actually importable).
-  4. lint       The determinism group alone, invoked exactly as ci.sh's
+  2. clean src  The real src/ tree reports zero findings and exits 0 —
+                the state CI gates on.
+  3. lint       The determinism group alone, invoked exactly as ci.sh's
                 lint stage does, exits 1 on the determinism fixtures and
-                0 on src/ tests/ bench/ examples/.
-  5. catalog    --list-rules prints every registered rule; --sarif
-                emits a parseable SARIF 2.1.0 log whose results agree
-                with the pinned determinism findings.
-  6. exit codes 0 clean / 1 findings / 2 configuration-or-internal
-                error: unknown rules or groups and an unwritable report
-                path must all exit 2, never 0 or 1.
+                reports exactly their pinned findings, and exits 0 on
+                src/ tests/ bench/ examples/.
+  4. catalog    --list-rules prints every registered rule.
+  5. exit codes 0 clean / 1 findings / 2 configuration-or-internal
+                error: an unknown rule and an unwritable report path
+                must both exit 2, never 0 or 1.
 """
 
 from __future__ import annotations
@@ -61,15 +56,15 @@ EXPECTED = sorted([
     ("eager-recompute", "src/sim/determ_bad.cc", 34),
 ])
 
-# The determinism rules' share of EXPECTED: what ci.sh's lint stage and
-# the SARIF check below must report for the fixture tree.
+# The determinism rules' share of EXPECTED: what ci.sh's lint stage must
+# report for the fixture tree.
 DETERMINISM_RULES = {"wall-clock", "unordered-iteration",
                      "unordered-accumulation", "simtime-eq",
                      "eager-recompute"}
 DETERMINISM_EXPECTED = [e for e in EXPECTED if e[0] in DETERMINISM_RULES]
 
 # ci.sh's lint stage, verbatim.
-LINT = ("--engine", "tokens", "--rules", "determinism")
+LINT = ("--rules", "determinism")
 
 failures: list[str] = []
 
@@ -88,8 +83,8 @@ def run(*argv: str) -> subprocess.CompletedProcess:
 # --- 1. fixture tree: exact findings -----------------------------------
 with tempfile.TemporaryDirectory() as td:
     out = Path(td) / "findings.json"
-    p = run(str(ANALYZE), "--root", str(FIXTURES), "--no-baseline",
-            "--engine", "tokens", "--json", str(out), str(FIXTURES / "src"))
+    p = run(str(ANALYZE), "--root", str(FIXTURES), "--json", str(out),
+            str(FIXTURES / "src"))
     check("fixtures exit status is 1", p.returncode == 1,
           f"got {p.returncode}\n{p.stdout}\n{p.stderr}")
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -99,27 +94,14 @@ with tempfile.TemporaryDirectory() as td:
     extra = [g for g in got if g not in EXPECTED]
     check("fixture findings match expected set", not missing and not extra,
           f"missing={missing} extra={extra}")
-    check("fixture run reports its engine", payload["engine"] in
-          ("tokens", "libclang"), str(payload.get("engine")))
 
-# --- 2. real src/ is clean under the committed baseline ----------------
-p = run(str(ANALYZE), "--engine", "tokens", str(REPO / "src"))
-check("src/ clean with committed baseline (exit 0)", p.returncode == 0,
+# --- 2. real src/ is clean ----------------------------------------------
+p = run(str(ANALYZE), str(REPO / "src"))
+check("src/ clean (exit 0)", p.returncode == 0,
       f"exit {p.returncode}\n{p.stdout}")
 check("src/ summary says 0 findings", "0 findings" in p.stdout, p.stdout)
 
-# --- 3. explicit libclang without bindings fails loudly ----------------
-probe = run("-c", "import clang.cindex")
-if probe.returncode != 0:
-    p = run(str(ANALYZE), "--engine", "libclang", str(REPO / "src"))
-    check("--engine libclang aborts when bindings missing",
-          p.returncode not in (0, 1), f"exit {p.returncode}")
-    check("libclang abort message is explicit",
-          "Refusing to silently skip" in p.stderr, p.stderr)
-else:
-    print("skip --engine libclang abort checks (bindings present)")
-
-# --- 4. lint: the determinism group exactly as ci.sh runs it ----------
+# --- 3. lint: the determinism group exactly as ci.sh runs it ----------
 p = run(str(ANALYZE), *LINT, str(FIXTURES / "src" / "sim" / "determ_bad.cc"))
 check("lint finds determinism violations (exit 1)",
       p.returncode == 1, f"exit {p.returncode}\n{p.stdout}\n{p.stderr}")
@@ -133,40 +115,28 @@ p = run(str(ANALYZE), *LINT, str(REPO / "src"), str(REPO / "tests"),
 check("lint clean over src/tests/bench/examples (exit 0)",
       p.returncode == 0, f"exit {p.returncode}\n{p.stdout}")
 
-# --- 5. rule catalog and SARIF output ----------------------------------
+with tempfile.TemporaryDirectory() as td:
+    out = Path(td) / "findings.json"
+    p = run(str(ANALYZE), "--root", str(FIXTURES), *LINT, "--json", str(out),
+            str(FIXTURES / "src"))
+    check("lint over the fixture tree exits 1", p.returncode == 1,
+          f"exit {p.returncode}\n{p.stderr}")
+    got = sorted((f["rule"], f["file"], f["line"])
+                 for f in json.loads(out.read_text(encoding="utf-8"))
+                 ["findings"])
+    check("lint findings agree with the pinned determinism findings",
+          got == DETERMINISM_EXPECTED, f"got={got}")
+
+# --- 4. rule catalog ---------------------------------------------------
 p = run(str(ANALYZE), "--list-rules")
 check("--list-rules exits 0", p.returncode == 0, f"exit {p.returncode}")
 for rule in ["dim-raw-double", "layer-cycle", "capture-lifetime",
              "wall-clock", "eager-recompute"]:
     check(f"--list-rules names {rule}", rule in p.stdout, p.stdout)
 
-with tempfile.TemporaryDirectory() as td:
-    sarif_path = Path(td) / "findings.sarif"
-    p = run(str(ANALYZE), "--root", str(FIXTURES), "--no-baseline", *LINT,
-            "--sarif", str(sarif_path), str(FIXTURES / "src"))
-    check("determinism fixtures with --sarif still exit 1",
-          p.returncode == 1, f"exit {p.returncode}\n{p.stderr}")
-    sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
-    check("sarif declares version 2.1.0", sarif.get("version") == "2.1.0",
-          str(sarif.get("version")))
-    results = sarif["runs"][0]["results"]
-    got = sorted((r["ruleId"],
-                  r["locations"][0]["physicalLocation"]["artifactLocation"]
-                  ["uri"],
-                  r["locations"][0]["physicalLocation"]["region"]
-                  ["startLine"]) for r in results)
-    check("sarif results agree with the pinned determinism findings",
-          got == DETERMINISM_EXPECTED, f"got={got}")
-    rules = {r["id"] for r in
-             sarif["runs"][0]["tool"]["driver"]["rules"]}
-    check("sarif rule metadata covers the fired rules",
-          {r for r, _f, _l in DETERMINISM_EXPECTED} <= rules, str(rules))
-
-# --- 6. exit-code hygiene: config/internal errors are 2, never 0/1 -----
+# --- 5. exit-code hygiene: config/internal errors are 2, never 0/1 -----
 p = run(str(ANALYZE), "--rules", "no-such-rule", str(REPO / "src"))
 check("unknown rule exits 2", p.returncode == 2, f"exit {p.returncode}")
-p = run(str(ANALYZE), "--group", "no-such-group", str(REPO / "src"))
-check("unknown group exits 2", p.returncode == 2, f"exit {p.returncode}")
 p = run(str(ANALYZE), *LINT, "--json", "/nonexistent-dir/findings.json",
         str(REPO / "src"))
 check("unwritable report path exits 2 (internal error, not findings)",

@@ -24,14 +24,12 @@ TEST(WorkloadEdge, ServiceWorkloadNeverCompletes) {
   bool fired = false;
   w->on_complete = [&] { fired = true; };
   m->add(w);
-  sim.at(1000, [&] { m->settle_now(); });  // settle the lazy usage counters
+  sim.at(1000, [&] { m->settle_now(); });  // run the clock to t=1000
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_FALSE(w->done());
   EXPECT_FALSE(w->finite());
   EXPECT_DOUBLE_EQ(w->progress(), 0);
-  // But it accrued usage.
-  EXPECT_NEAR(w->cpu_seconds_used().value(), 500, 1e-6);
 }
 
 TEST(WorkloadEdge, CapsOnServiceWorkloadLimitAllocation) {

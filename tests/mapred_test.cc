@@ -379,6 +379,55 @@ TEST(MapReduce, CrossHostShuffleCostsMoreThanSameHost) {
   EXPECT_GT(cross_host, 0);
 }
 
+// A reducer launches its whole shuffle at once: local and loopback fetches
+// as their own flows, every remote source in one batched flow. The crash
+// path must still see each source, so mid-shuffle the reducer depends on
+// every site that holds one of its map outputs, and on no other site.
+TEST(MapReduce, ShuffleDependsOnEveryFetchSource) {
+  TestBed::Options options;
+  options.speculative_execution = false;
+  TestBed bed(options);
+  const std::vector<cluster::Machine*> hosts = bed.add_plain_machines(4);
+  cluster::VirtualMachine* own = bed.add_plain_vm(*hosts[0]);
+  cluster::VirtualMachine* neighbour = bed.add_plain_vm(*hosts[0]);
+  // One map slot per source site, so the four maps leave one output on
+  // each; only `own` takes the reducer.
+  const std::vector<cluster::ExecutionSite*> sources = {own, neighbour,
+                                                        hosts[1], hosts[2]};
+  for (cluster::ExecutionSite* s : sources) {
+    bed.hdfs().add_datanode(*s);
+    bed.mr().add_tracker(*s, /*map_slots=*/1, /*reduce_slots=*/s == own);
+  }
+  // The fifth site stores input blocks but runs no task.
+  cluster::ExecutionSite* idle = hosts[3];
+  bed.hdfs().add_datanode(*idle);
+
+  Job* job = bed.mr().submit(small_sort(4 * 128.0 / 1024).with_reducers(1));
+  ASSERT_EQ(job->maps().size(), 4u);
+  ASSERT_EQ(job->reduces().size(), 1u);
+  const Task& reduce = *job->reduces().front();
+  const auto shuffle_started = [&] {
+    const auto& events = bed.telemetry()->trace.events();
+    return std::any_of(events.begin(), events.end(), [](const auto& e) {
+      return e.kind == telemetry::EventKind::kShuffleStart;
+    });
+  };
+  while (!shuffle_started() && bed.sim().now() < 3600) {
+    bed.run_until(bed.sim().now() + 0.1);
+  }
+  const TaskAttempt* reducer = reduce.running_attempt();
+  ASSERT_NE(reducer, nullptr) << "no reducer in its shuffle by t=3600";
+  ASSERT_EQ(&reducer->site(), own);
+  for (cluster::ExecutionSite* s : sources) {
+    EXPECT_TRUE(std::any_of(
+        job->maps().begin(), job->maps().end(),
+        [s](const auto& m) { return m->output_site() == s; }))
+        << s->name() << " holds no map output";
+    EXPECT_TRUE(reducer->depends_on(*s)) << s->name();
+  }
+  EXPECT_FALSE(reducer->depends_on(*idle));
+}
+
 TEST(MapReduce, JobRecordsLocalityBenefit) {
   TestBed bed;
   bed.add_native_nodes(4);
@@ -444,7 +493,6 @@ ReportArtifacts run_report_scenario() {
 }
 
 TEST(DispatchEquivalence, IndexedMatchesNaiveByteForByte) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   // The naive dispatch's artifacts, queue-mechanics counters included.
   EXPECT_EQ(digest_of(run_report_scenario()), 0x201985dfab5eb326u);
 }
@@ -492,7 +540,6 @@ ReportArtifacts run_pooled_scenario(std::uint64_t* scans) {
 }
 
 TEST(DispatchEquivalence, PooledIndexedMatchesNaive) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const ReportArtifacts indexed = run_pooled_scenario(nullptr);
   // Re-derived when the grouped water-fill replaced the sort-and-chain
   // sweep (whose ties gave equal demands ulp-different grants, and which

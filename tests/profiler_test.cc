@@ -207,7 +207,6 @@ ProfiledRun run_profiled(std::uint64_t seed) {
 }
 
 TEST(ProfilerDeterminism, SameSeedSameWorkCounters) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const ProfiledRun a = run_profiled(99);
   const ProfiledRun b = run_profiled(99);
   EXPECT_EQ(a.work_json, b.work_json);
@@ -219,7 +218,6 @@ TEST(ProfilerDeterminism, SameSeedSameWorkCounters) {
 }
 
 TEST(ProfilerDeterminism, EventCountersConserve) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const ProfiledRun a = run_profiled(7);
   // Every event ever scheduled was processed, cancelled, or is still live.
   EXPECT_EQ(a.scheduled, a.processed + a.cancelled + a.live);
@@ -245,7 +243,6 @@ TEST(ProfilerDeterminism, ReportCarriesQueueMechanicsWithProfilerOff) {
 }
 
 TEST(ProfilerDeterminism, RecomputeCauseCountersSumToRecomputes) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   harness::TestBed::Options opt;
   opt.profile = true;
   harness::TestBed bed(opt);
@@ -267,7 +264,6 @@ TEST(ProfilerDeterminism, RecomputeCauseCountersSumToRecomputes) {
 // --- Watchdog ----------------------------------------------------------------
 
 TEST(Watchdog, SameTimeLivelockStallsTheRun) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   sim::Simulation sim(1);
   telemetry::Profiler prof;
   prof.enable();
@@ -290,7 +286,6 @@ TEST(Watchdog, SameTimeLivelockStallsTheRun) {
 }
 
 TEST(Watchdog, HealthyRunDoesNotStall) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   harness::TestBed::Options opt;
   opt.profile = true;
   opt.watchdog.max_same_time_events = 100000;

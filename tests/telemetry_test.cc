@@ -18,7 +18,6 @@ namespace {
 // --- metrics primitives ---
 
 TEST(Counter, AccumulatesValueAndEvents) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Counter c;
   c.add();
   c.add(2.5);
@@ -27,7 +26,6 @@ TEST(Counter, AccumulatesValueAndEvents) {
 }
 
 TEST(Gauge, LastWriteWins) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Gauge g;
   g.set(7);
   g.add(-2);
@@ -35,7 +33,6 @@ TEST(Gauge, LastWriteWins) {
 }
 
 TEST(Histogram, PercentilesOfUniformDistribution) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Histogram h(0, 100);
   // 0.5, 1.5, ..., 99.5: a uniform fill, one value per unit.
   for (int i = 0; i < 100; ++i) h.record(i + 0.5);
@@ -52,7 +49,6 @@ TEST(Histogram, PercentilesOfUniformDistribution) {
 }
 
 TEST(Histogram, OutOfRangeValuesClampToEdgeBuckets) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Histogram h(0, 10);
   h.record(-5);
   h.record(25);
@@ -65,7 +61,6 @@ TEST(Histogram, OutOfRangeValuesClampToEdgeBuckets) {
 }
 
 TEST(TimeSeriesMetric, WindowBoundariesAreAligned) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::TimeSeriesMetric ts(5.0);
   ts.sample(0.0, 1);
   ts.sample(4.999, 3);  // still the [0, 5) window
@@ -84,6 +79,41 @@ TEST(TimeSeriesMetric, WindowBoundariesAreAligned) {
   EXPECT_DOUBLE_EQ(windows[2].mean(), 20.0);
   EXPECT_EQ(ts.count(), 4u);
   EXPECT_DOUBLE_EQ(ts.last(), 20.0);
+}
+
+TEST(TimeSeriesMetric, CoalescedSamplesKeepTheLastPerInstant) {
+  telemetry::TimeSeriesMetric ts(1.0);
+  ts.sample_coalesced(1.0, 4);
+  ts.sample_coalesced(1.0, 6);  // revises the t=1 sample
+  // A read before t=2 counts the held sample, once.
+  EXPECT_EQ(ts.count(), 1u);
+  EXPECT_DOUBLE_EQ(ts.mean(), 6.0);
+  EXPECT_DOUBLE_EQ(ts.last(), 6.0);
+  ASSERT_EQ(ts.windows().size(), 1u);
+  EXPECT_EQ(ts.windows()[0].count, 1u);
+
+  ts.sample_coalesced(2.0, 10);
+  auto windows = ts.windows();
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_DOUBLE_EQ(windows[0].start, 1.0);
+  EXPECT_EQ(windows[0].count, 1u);
+  EXPECT_DOUBLE_EQ(windows[0].min, 6.0);
+  EXPECT_DOUBLE_EQ(windows[0].max, 6.0);
+  EXPECT_DOUBLE_EQ(windows[1].start, 2.0);
+  EXPECT_EQ(windows[1].count, 1u);
+  EXPECT_DOUBLE_EQ(windows[1].mean(), 10.0);
+  EXPECT_EQ(ts.count(), 2u);
+  EXPECT_DOUBLE_EQ(ts.mean(), 8.0);
+
+  // A held sample in the open window folds into it on read.
+  ts.sample_coalesced(2.5, 12);
+  windows = ts.windows();
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[1].count, 2u);
+  EXPECT_DOUBLE_EQ(windows[1].mean(), 11.0);
+  EXPECT_DOUBLE_EQ(windows[1].max, 12.0);
+  EXPECT_DOUBLE_EQ(ts.last(), 11.0);
+  EXPECT_EQ(ts.count(), 3u);
 }
 
 TEST(Registry, FetchOrCreateReturnsSameMetric) {
@@ -105,7 +135,6 @@ TEST(Registry, FetchOrCreateReturnsSameMetric) {
 }
 
 TEST(Registry, JsonExportIsWellFormed) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Registry reg;
   reg.counter("jobs", "").add(4);
   std::ostringstream os;
@@ -119,7 +148,6 @@ TEST(Registry, JsonExportIsWellFormed) {
 // --- trace recorder ---
 
 TEST(TraceRecorder, ExportsJsonlAndChrome) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::TraceRecorder trace;
   trace.instant(1.5, telemetry::EventKind::kJobSubmit, "sort-j0", "jobs",
                 {{"maps", "8"}});
@@ -261,7 +289,6 @@ TEST(TestBedTelemetry, ReportContainsEverySubmittedJob) {
 }
 
 TEST(TestBedTelemetry, HubRecordsEngineAndMachineMetrics) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   harness::TestBed bed;
   bed.add_native_nodes(2);
   bed.run_job(workload::wcount().with_input_gb(0.5));
@@ -294,7 +321,6 @@ TEST(TestBedTelemetry, OptOutLeavesHubNull) {
 }
 
 TEST(TestBedTelemetry, SameSeedRunsProduceIdenticalArtifacts) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const RunArtifacts first = run_scenario(7);
   const RunArtifacts second = run_scenario(7);
   EXPECT_FALSE(first.trace_jsonl.empty());

@@ -400,7 +400,7 @@ TEST(WhatIfPredictiveIps, PoolSizeDoesNotChangeTheRun) {
 // time, then maximize progress; ties keep the earlier (cheaper) candidate.
 TEST(WhatIfPredictiveIps, LookaheadRecordsNameTheBestScoredCandidate) {
   Engine e(/*seed=*/7, /*predictive=*/true);
-  if (e.bed.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_NE(e.bed.telemetry(), nullptr);
   e.hybrid->set_telemetry(e.bed.telemetry());
   e.run_until(400.0);
 
