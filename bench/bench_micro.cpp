@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths: the
-// event queue, the max-min fair allocator, machine recomputation, the
+// event queue, the max-min fair allocator, machine recomputation (one
+// class per VM, and a shuffle's many members in few classes), the
 // regression fits, one dispatch pass, one dispatch wave over host-capped
 // trackers, and an end-to-end small job.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -71,12 +73,13 @@ void BM_WaterfillTied(benchmark::State& state) {
     demands[i] = values[i % 3];
     total += demands[i];
   }
+  const std::vector<std::uint32_t> ones(n, 1);
   std::vector<double> out(n);
   cluster::WaterfillScratch scratch;
   bool low = false;
   for (auto _ : state) {
     low = !low;
-    cluster::waterfill_into((low ? 0.30 : 0.31) * total, demands, out,
+    cluster::waterfill_into((low ? 0.30 : 0.31) * total, demands, ones, out,
                             scratch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -109,6 +112,34 @@ void BM_MachineRecompute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * workloads);
 }
 BENCHMARK(BM_MachineRecompute)->Arg(4)->Arg(16)->Arg(64);
+
+// The shape the demand classes target: two VMs, each holding `per_vm`
+// finite flows whose disk/net demands take BM_WaterfillTied's three values
+// in turn, so each VM fills three classes, every fill is contended, and
+// every member still settles, installs and reschedules.
+void BM_MachineRecomputeShuffle(benchmark::State& state) {
+  const int per_vm = static_cast<int>(state.range(0));
+  const double values[] = {2.5, 25.0, 50.0};
+  sim::Simulation sim;
+  cluster::HybridCluster hc(sim);
+  auto* machine = hc.add_machine();
+  for (auto* vm : {hc.add_vm(*machine), hc.add_vm(*machine)}) {
+    for (int i = 0; i < per_vm; ++i) {
+      cluster::Resources d;
+      d.cpu = values[i % 3] / 100;
+      d.disk = values[i % 3];
+      d.net = values[i % 3];
+      d.memory = 16;
+      vm->add(std::make_shared<cluster::Workload>(
+          "f" + std::to_string(i), d, sim::Duration{100}));
+    }
+  }
+  for (auto _ : state) {
+    machine->recompute();  // sim-lint: allow(eager-recompute)
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * per_vm);
+}
+BENCHMARK(BM_MachineRecomputeShuffle)->Arg(48);
 
 // A k-mutation burst at one simulated instant — the placement-burst /
 // DRM-epoch pattern. Deferred reallocation coalesces the burst into one

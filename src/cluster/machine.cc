@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -21,41 +22,74 @@ namespace {
 // O(1) per machine instead of O(events).
 constexpr std::size_t kMaxMachineSeriesSamples = 16384;
 
-// Audit checkpoint after every per-resource fill: consumers with equal
-// demands hold bitwise-equal grants, so the split cannot depend on the
-// order the consumers were listed in.
+// Audit checkpoint after a site installs its grants: members whose
+// effective demands of `kind` are equal hold bitwise-equal grants of it,
+// and so do the `singles` (a machine's VMs), so the split cannot depend on
+// the order the consumers were listed in or on how they were grouped. It
+// reads the grants the members hold, not the class rows, where it would
+// hold by construction.
 [[maybe_unused]] bool equal_demands_equal_grants(
-    std::span<const double> demands, std::span<const double> grants) {
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    for (std::size_t j = i + 1; j < demands.size(); ++j) {
-      if (demands[j] == demands[i] && grants[j] != grants[i]) return false;
+    std::span<const WorkloadPtr> members,
+    std::span<const DemandClasses::Row> singles, ResourceKind kind) {
+  std::vector<std::pair<double, double>> held;  // (demand, grant)
+  for (const auto& w : members) {
+    held.emplace_back(w->effective_demand()[kind], w->allocated()[kind]);
+  }
+  for (const auto& row : singles) {
+    held.emplace_back(row.effective[kind], row.grant[kind]);
+  }
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    for (std::size_t j = i + 1; j < held.size(); ++j) {
+      if (held[j].first == held[i].first && held[j].second != held[i].second) {
+        return false;
+      }
     }
   }
   return true;
 }
 
+bool same_bytes(const Resources& a, const Resources& b) {
+  static_assert(sizeof(Resources) == kNumResources * sizeof(double));
+  return std::memcmp(&a, &b, sizeof(Resources)) == 0;
+}
+
+// The class key: everything the grant and the speed read of a member.
+bool in_class(const DemandClasses::Row& row, const Workload& w) {
+  return row.paused == w.paused() &&
+         same_bytes(row.effective, w.effective_demand()) &&
+         same_bytes(row.demand, w.demand());
+}
+
+DemandClasses::Row class_row(const Workload& w) {
+  return {w.demand(), w.effective_demand(), w.paused()};
+}
+
 }  // namespace
 
 void waterfill_into(double capacity, std::span<const double> demands,
+                    std::span<const std::uint32_t> counts,
                     std::span<double> out, WaterfillScratch& scratch) {
   const std::size_t n = demands.size();
   assert(out.size() == n && "output extent must match demands");
+  assert(counts.size() == n && "counts extent must match demands");
   if (n == 0 || capacity <= 0) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
 
-  // 1. Bucket the positive demands by value, in ascending order.
+  // 1. Bucket the positive demands by value, in ascending order, each
+  // group counting the consumers of every row that asks for its value.
   // Contended fills are mostly many flows with a few distinct demands, so
   // a linear scan over a small sorted stack table does it; past kFewValues
-  // distinct values, sort a copy of the values into the scratch table and
+  // distinct values, sort a copy of the rows into the scratch table and
   // run-length encode it.
   using Group = WaterfillScratch::Group;
   constexpr std::size_t kFewValues = 8;
   std::array<Group, kFewValues> few{};
   std::size_t k = 0;
   bool few_values = true;
-  for (const double d : demands) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = demands[i];
     if (!(d > 0)) continue;
     std::size_t g = 0;
     while (g < k && few[g].value < d) ++g;
@@ -69,21 +103,21 @@ void waterfill_into(double capacity, std::span<const double> demands,
       few[g] = {d, 0};
       ++k;
     }
-    ++few[g].count;
+    few[g].count += counts[i];
   }
   std::span<Group> groups(few.data(), k);
   if (!few_values) {
     auto& table = scratch.groups;
     table.clear();
-    for (const double d : demands) {
-      if (d > 0) table.push_back({d, 1});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (demands[i] > 0) table.push_back({demands[i], counts[i]});
     }
     std::sort(table.begin(), table.end(),
               [](const Group& a, const Group& b) { return a.value < b.value; });
     std::size_t runs = 0;
     for (const Group& g : table) {
       if (runs > 0 && table[runs - 1].value == g.value) {
-        ++table[runs - 1].count;
+        table[runs - 1].count += g.count;
       } else {
         table[runs++] = g;
       }
@@ -133,9 +167,62 @@ void waterfill_into(double capacity, std::span<const double> demands,
 std::vector<double> waterfill(double capacity,
                               std::span<const double> demands) {
   std::vector<double> alloc(demands.size(), 0.0);
+  const std::vector<std::uint32_t> ones(demands.size(), 1);
   WaterfillScratch scratch;
-  waterfill_into(capacity, demands, alloc, scratch);
+  waterfill_into(capacity, demands, ones, alloc, scratch);
   return alloc;
+}
+
+void DemandClasses::group(std::span<const WorkloadPtr> members) {
+  rows.clear();
+  counts.clear();
+  row_of.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const Workload& w = *members[i];
+    std::size_t r = 0;
+    while (r < rows.size() && !in_class(rows[r], w)) ++r;
+    if (r == kMaxClasses) {
+      // Too many classes to look up: one class per member.
+      rows.clear();
+      counts.assign(members.size(), 1);
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        rows.push_back(class_row(*members[m]));
+        row_of[m] = static_cast<std::uint32_t>(m);
+      }
+      return;
+    }
+    if (r == rows.size()) {
+      rows.push_back(class_row(w));
+      counts.push_back(0);
+    }
+    ++counts[r];
+    row_of[i] = static_cast<std::uint32_t>(r);
+  }
+}
+
+void DemandClasses::add_single(const Resources& effective) {
+  rows.push_back({{}, effective, false});
+  counts.push_back(1);
+}
+
+void DemandClasses::fill(const Resources& capacity,
+                         telemetry::Profiler* prof) {
+  const std::size_t n = rows.size();
+  column_.resize(n);
+  column_out_.resize(n);
+  for (int r = 0; r < kNumResources; ++r) {
+    const auto kind = static_cast<ResourceKind>(r);
+    for (std::size_t i = 0; i < n; ++i) column_[i] = rows[i].effective[kind];
+    waterfill_into(capacity[kind], column_, counts, column_out_,
+                   fill_scratch_);
+    for (std::size_t i = 0; i < n; ++i) rows[i].grant[kind] = column_out_[i];
+  }
+  if (prof != nullptr) {
+    std::uint64_t consumers = 0;
+    for (const std::uint32_t c : counts) consumers += c;
+    prof->add(telemetry::WorkCounter::kFillMembers, kNumResources * consumers);
+    prof->add(telemetry::WorkCounter::kFillClasses, kNumResources * n);
+  }
 }
 
 double memory_pressure_factor(double ratio, const Calibration& cal) {
@@ -153,14 +240,15 @@ double memory_pressure_factor(double ratio, const Calibration& cal) {
 
 namespace {
 
-/// Speed of a workload given its (raw) demand, grant and efficiencies.
-/// Using the raw demand means throttled or under-provisioned workloads run
-/// proportionally slower, which is exactly the cgroup semantics the DRM
-/// relies on.
-double speed_of(const Workload& w, const Resources& alloc, double eff_cpu,
-                double eff_io, const Calibration& cal) {
-  if (w.paused()) return 0;
-  const Resources& d = w.demand();
+/// Speed of a demand class's members given their (raw) demand, grant and
+/// efficiencies. Using the raw demand means throttled or under-provisioned
+/// workloads run proportionally slower, which is exactly the cgroup
+/// semantics the DRM relies on.
+double speed_of(const DemandClasses::Row& c, double eff_cpu, double eff_io,
+                const Calibration& cal) {
+  if (c.paused) return 0;
+  const Resources& d = c.demand;
+  const Resources& alloc = c.grant;
   // The I/O virtualization tax bites in proportion to how I/O-dominated
   // the workload is: a compute-heavy pipeline with a trickle of disk
   // traffic buffers through the tax, while a bulk stream feels it fully.
@@ -277,15 +365,6 @@ Resources ExecutionSite::total_demand() const {
   return sum;
 }
 
-Resources ExecutionSite::total_allocated() const {
-  if (const Machine* machine = host_machine(); machine != nullptr) {
-    machine->ensure_clean();
-  }
-  Resources sum;
-  for (const auto& w : workloads_) sum += w->allocated();
-  return sum;
-}
-
 // ------------------------------------------------------------------ VM ----
 
 VirtualMachine::VirtualMachine(sim::Simulation& sim, std::string name,
@@ -340,11 +419,6 @@ Resources VirtualMachine::aggregate_demand() const {
   return agg_cache_;
 }
 
-bool VirtualMachine::doing_io() const {
-  const Resources d = aggregate_demand();
-  return d.disk + d.net > 1.0;  // > 1 MB/s counts as active I/O
-}
-
 double VirtualMachine::cpu_efficiency() const {
   return 1.0 - (dom0_ ? cal_.dom0_cpu_tax : cal_.cpu_tax);
 }
@@ -384,42 +458,32 @@ void VirtualMachine::settle_all(sim::SimTime now) {
 }
 
 void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
-                                int active_io_vms) {
+                                int active_io_vms, telemetry::Profiler* prof) {
   const double eff_cpu = cpu_efficiency();
   const double eff_io = io_efficiency(active_io_vms);
   const double migration_factor =
       migrating_ ? 1.0 - cal_.migration_guest_slowdown : 1.0;
-  // Water-fill each resource of the grant across the effective demands,
-  // into scratch reused across recomputes. Demands are gathered in one
-  // pass (one member deref each) and the per-kind columns read from the
-  // contiguous copy, mirroring Machine::recompute's gather.
-  const std::size_t n = workloads_.size();
-  split_alloc_.resize(n);
-  split_eff_.resize(n);
-  split_demand_.resize(n);
-  split_out_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    split_eff_[i] = workloads_[i]->effective_demand();
+  // Water-fill each resource of the grant across the demand classes and
+  // rate each class once; only the install is per member.
+  classes_.group(workloads_);
+  classes_.fill(grant, prof);
+  for (auto& c : classes_.rows) {
+    double speed = paused_ ? 0.0 : speed_of(c, eff_cpu, eff_io, cal_);
+    speed *= migration_factor;
+    c.speed = speed;
+  }
+  for (std::size_t i = 0; i < workloads_.size(); ++i) {
+    const auto& w = workloads_[i];
+    const DemandClasses::Row& c = classes_.rows[classes_.row_of[i]];
+    w->apply_allocation(now, c.grant, c.speed);
+    if (host_ != nullptr) host_->reschedule(w);
   }
   for (int r = 0; r < kNumResources; ++r) {
-    const auto kind = static_cast<ResourceKind>(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      split_demand_[i] = split_eff_[i][kind];
-    }
-    waterfill_into(grant[kind], split_demand_, split_out_, split_wf_);
+    [[maybe_unused]] const auto kind = static_cast<ResourceKind>(r);
     HYBRIDMR_AUDIT_CHECK(
-        equal_demands_equal_grants(split_demand_, split_out_),
-        "cluster.machine", "equal_demands_equal_grants", now,
+        equal_demands_equal_grants(workloads_, {}, kind), "cluster.machine",
+        "equal_demands_equal_grants", now,
         {{"vm", name()}, {"resource", cluster::to_string(kind)}});
-    for (std::size_t i = 0; i < n; ++i) split_alloc_[i][kind] = split_out_[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& w = workloads_[i];
-    double speed =
-        paused_ ? 0.0 : speed_of(*w, split_alloc_[i], eff_cpu, eff_io, cal_);
-    speed *= migration_factor;
-    w->apply_allocation(now, split_alloc_[i], speed);
-    if (host_ != nullptr) host_->reschedule(w);
   }
 }
 
@@ -571,40 +635,41 @@ void Machine::recompute(RecomputeCause cause) {
   for (const auto& w : workloads_) w->settle(now);
   for (auto* vm : vms_) vm->settle_all(now);
 
-  // 2. Gather consumer demands: native workloads, then VMs.
-  const std::size_t n_native = workloads_.size();
-  const std::size_t n = n_native + vms_.size();
-  scratch_demands_.resize(n);
-  scratch_grants_.resize(n);
-  scratch_d_.resize(n);
-  scratch_alloc_.resize(n);
-  for (std::size_t i = 0; i < n_native; ++i) {
-    scratch_demands_[i] =
-        powered_ ? workloads_[i]->effective_demand() : Resources{};
+  // 2. Group the native members into demand classes; each VM is one more
+  // consumer that stands for itself.
+  classes_.group(workloads_);
+  const std::size_t native_rows = classes_.rows.size();
+  for (auto* vm : vms_) {
+    classes_.add_single(powered_ ? vm->aggregate_demand() : Resources{});
   }
-  for (std::size_t j = 0; j < vms_.size(); ++j) {
-    scratch_demands_[n_native + j] =
-        powered_ ? vms_[j]->aggregate_demand() : Resources{};
+  const std::span<const DemandClasses::Row> vm_rows(
+      classes_.rows.data() + native_rows, vms_.size());
+
+  // 3. Water-fill each physical resource across the rows (an unpowered
+  // machine has nothing to grant) and rate each native class once, with
+  // no virtualization tax.
+  classes_.fill(powered_ ? capacity_ : Resources{}, prof_);
+  for (std::size_t c = 0; c < native_rows; ++c) {
+    classes_.rows[c].speed = speed_of(classes_.rows[c], 1.0, 1.0, cal_);
   }
 
-  // 3. Water-fill each physical resource across consumers.
+  // 4. Install per native member. The utilization total sums the grants
+  // in consumer order (members, then VMs), one term per consumer.
+  allocated_total_ = {};
+  for (std::size_t i = 0; i < workloads_.size(); ++i) {
+    const auto& w = workloads_[i];
+    const DemandClasses::Row& c = classes_.rows[classes_.row_of[i]];
+    w->apply_allocation(now, c.grant, c.speed);
+    reschedule(w);
+    allocated_total_ += c.grant;
+  }
+  for (const auto& row : vm_rows) allocated_total_ += row.grant;
   for (int r = 0; r < kNumResources; ++r) {
-    const auto kind = static_cast<ResourceKind>(r);
-    for (std::size_t i = 0; i < n; ++i) scratch_d_[i] = scratch_demands_[i][kind];
-    waterfill_into(capacity_[kind], scratch_d_, scratch_alloc_, scratch_wf_);
+    [[maybe_unused]] const auto kind = static_cast<ResourceKind>(r);
     HYBRIDMR_AUDIT_CHECK(
-        equal_demands_equal_grants(scratch_d_, scratch_alloc_),
+        equal_demands_equal_grants(workloads_, vm_rows, kind),
         "cluster.machine", "equal_demands_equal_grants", now,
         {{"machine", name()}, {"resource", cluster::to_string(kind)}});
-    for (std::size_t i = 0; i < n; ++i) scratch_grants_[i][kind] = scratch_alloc_[i];
-  }
-
-  // 4. Apply to native workloads (no virtualization tax).
-  for (std::size_t i = 0; i < n_native; ++i) {
-    const auto& w = workloads_[i];
-    const double speed = speed_of(*w, scratch_grants_[i], 1.0, 1.0, cal_);
-    w->apply_allocation(now, scratch_grants_[i], speed);
-    reschedule(w);
   }
 
   // 5. Let each VM distribute its grant internally. The I/O-activity census
@@ -612,19 +677,17 @@ void Machine::recompute(RecomputeCause cause) {
   // (when unpowered the gathered demand is zero, but so is every grant, so
   // the efficiency factor it feeds is unobservable).
   int active_io_vms = 0;
-  for (std::size_t j = 0; j < vms_.size(); ++j) {
-    const Resources& d = scratch_demands_[n_native + j];
+  for (const auto& row : vm_rows) {
+    const Resources& d = row.effective;
     if (d.disk + d.net > 1.0) ++active_io_vms;  // > 1 MB/s = active I/O
   }
   for (std::size_t j = 0; j < vms_.size(); ++j) {
-    vms_[j]->distribute(now, scratch_grants_[n_native + j], active_io_vms);
+    vms_[j]->distribute(now, vm_rows[j].grant, active_io_vms, prof_);
   }
 
   // 6. Metrics and power. Same-instant recordings coalesce: several
   // recomputes at one timestamp leave exactly one sample holding the final
   // value, so deferred and eager reallocation produce identical series.
-  allocated_total_ = {};
-  for (const auto& g : scratch_grants_) allocated_total_ += g;
   for (int r = 0; r < kNumResources; ++r) {
     const auto kind = static_cast<ResourceKind>(r);
     util_series_[r].add_coalesced(now, utilization(kind));

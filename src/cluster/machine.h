@@ -9,9 +9,10 @@
 // demand or cap change marks the host machine dirty via invalidate(), and
 // the machine recomputes once per event boundary (or earlier, on the first
 // read of allocation-dependent state through ensure_clean()). recompute()
-// itself is allocation-free in steady state: it water-fills into per-machine
-// scratch buffers and only moves a completion event when the workload's
-// finish time actually changed.
+// itself is allocation-free in steady state: each site groups its members
+// into demand classes in a reusable table, fills and rates each class once,
+// and only moves a completion event when the workload's finish time
+// actually changed.
 #pragma once
 
 #include <cstdint>
@@ -61,19 +62,63 @@ struct WaterfillScratch {
   std::vector<Group> groups;
 };
 
-/// Max-min fair ("water-filling") split of `capacity` across `demands`,
-/// written into `out` (must have the same extent as `demands`). Total
-/// allocated never exceeds capacity; no consumer gets more than its demand;
-/// unsatisfied consumers get one equal level. Non-positive and NaN demands
-/// get 0 and do not count. The grants depend only on the multiset of
-/// demands: equal demands get bitwise-equal grants, and permuting the
-/// demands permutes the grants.
+/// Max-min fair ("water-filling") split of `capacity` across consumers,
+/// written into `out`. Row i stands for `counts[i]` consumers that each
+/// demand `demands[i]`, and out[i] is what each of them gets (all three
+/// spans have the same extent). Total allocated never exceeds capacity; no
+/// consumer gets more than its demand; unsatisfied consumers get one equal
+/// level. Non-positive and NaN demands get 0 and do not count. The grants
+/// depend only on the multiset of demands: equal demands get bitwise-equal
+/// grants, whether they sit in one row or several, and permuting the rows
+/// permutes the grants.
 void waterfill_into(double capacity, std::span<const double> demands,
+                    std::span<const std::uint32_t> counts,
                     std::span<double> out, WaterfillScratch& scratch);
 
-/// Allocating convenience wrapper around waterfill_into() (tests, cold
-/// paths).
+/// Allocating convenience wrapper around waterfill_into(), one consumer
+/// per demand (tests, cold paths).
 std::vector<double> waterfill(double capacity, std::span<const double> demands);
+
+/// Reusable demand-class table: one per site, so steady-state allocation
+/// is zero. A class is the members whose raw demand, effective demand and
+/// pause flag agree byte for byte, which is everything the grant and the
+/// speed read of a member; a class's members therefore get one grant and
+/// one speed, and the site fills and rates each class once. Lookup is a
+/// linear scan over at most kMaxClasses classes; a site with more gives
+/// every member its own class (the same code, nothing grouped).
+class DemandClasses {
+ public:
+  static constexpr std::size_t kMaxClasses = 8;
+
+  /// One row of the fill: a class of members, or a consumer that stands
+  /// for itself alone (a machine's VM; only `effective` and `grant` used).
+  struct Row {
+    Resources demand;     // raw demand (the speed reads it)
+    Resources effective;  // after caps and pause (the fill reads it)
+    bool paused = false;
+    Resources grant{};
+    double speed = 0;
+  };
+
+  /// Rebuilds the table from `members`: classes in first-appearance order,
+  /// and row_of[i] the class of member i.
+  void group(std::span<const WorkloadPtr> members);
+  /// Appends a row for one consumer that is not a member.
+  void add_single(const Resources& effective);
+  /// Water-fills each resource of `capacity` across the rows, each row
+  /// counting for its consumers, into the rows' grants. Counts the
+  /// consumers and rows filled when `prof` is non-null.
+  void fill(const Resources& capacity, telemetry::Profiler* prof);
+
+  std::vector<Row> rows;
+  std::vector<std::uint32_t> counts;  // consumers per row
+  std::vector<std::uint32_t> row_of;  // row per member
+
+ private:
+  std::vector<double> column_;
+  std::vector<double> column_out_;
+  WaterfillScratch fill_scratch_;
+};
 
 /// Piecewise-linear memory-pressure speed factor for an alloc/demand ratio.
 double memory_pressure_factor(double ratio, const Calibration& cal);
@@ -117,9 +162,6 @@ class ExecutionSite {
   }
   /// Sum of effective demands of resident workloads.
   [[nodiscard]] Resources total_demand() const;
-  /// Sum of current allocations of resident workloads (drains any pending
-  /// reallocation of the host machine first).
-  [[nodiscard]] Resources total_allocated() const;
 
  protected:
   explicit ExecutionSite(std::string name) : name_(std::move(name)) {}
@@ -172,9 +214,6 @@ class VirtualMachine : public ExecutionSite {
   }
   void invalidate_demand_cache() override { agg_dirty_ = true; }
 
-  /// True when the VM is presently generating disk/net demand.
-  [[nodiscard]] bool doing_io() const;
-
   /// Effective CPU / I/O efficiency given `active_io_vms` co-resident VMs
   /// currently performing I/O (includes this one).
   [[nodiscard]] double cpu_efficiency() const;
@@ -182,9 +221,10 @@ class VirtualMachine : public ExecutionSite {
 
   // --- internal: called by Machine / HybridCluster ---
   void attach_to(Machine* host) { host_ = host; }
-  /// Distributes the grant across resident workloads; applies taxes;
-  /// returns I/O MB settled (already folded into the cache counter).
-  void distribute(sim::SimTime now, const Resources& grant, int active_io_vms);
+  /// Distributes the grant across resident workloads by demand class and
+  /// applies the taxes. `prof` (null unless profiled) counts the fill.
+  void distribute(sim::SimTime now, const Resources& grant, int active_io_vms,
+                  telemetry::Profiler* prof);
   /// Settles all resident workloads and decays the recent-I/O counter.
   void settle_all(sim::SimTime now);
 
@@ -206,12 +246,8 @@ class VirtualMachine : public ExecutionSite {
   // aggregate_demand() memo (see reallocate()).
   mutable Resources agg_cache_{};
   mutable bool agg_dirty_ = true;
-  // Scratch for distribute(): reused across recomputes.
-  std::vector<Resources> split_alloc_;
-  std::vector<Resources> split_eff_;
-  std::vector<double> split_demand_;
-  std::vector<double> split_out_;
-  WaterfillScratch split_wf_;
+  // distribute()'s class table, reused across recomputes.
+  DemandClasses classes_;
 };
 
 /// A physical server. Root of the allocation hierarchy.
@@ -252,7 +288,6 @@ class Machine : public ExecutionSite {
     ensure_clean();
     return energy_;
   }
-  [[nodiscard]] const PowerModel& power_model() const { return power_model_; }
 
   // --- metrics ---
   /// Instantaneous utilization (allocated / capacity) per resource.
@@ -326,13 +361,9 @@ class Machine : public ExecutionSite {
   std::uint64_t recompute_count_ = 0;
   std::uint64_t reschedule_skips_ = 0;
 
-  // recompute() scratch, reused across passes (allocation-free steady
-  // state; sized to native workloads + VMs).
-  std::vector<Resources> scratch_demands_;
-  std::vector<Resources> scratch_grants_;
-  std::vector<double> scratch_d_;
-  std::vector<double> scratch_alloc_;
-  WaterfillScratch scratch_wf_;
+  // recompute()'s class table: native members' classes, then one row per
+  // VM. Reused across passes (allocation-free steady state).
+  DemandClasses classes_;
 
   // Cached telemetry metric handles (null when telemetry is not wired).
   // recompute() samples them coalesced, so k same-instant recomputes leave

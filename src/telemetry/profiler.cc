@@ -100,6 +100,10 @@ const char* to_string(WorkCounter c) {
       return "hdfs_writes";
     case WorkCounter::kHdfsFlows:
       return "hdfs_flows";
+    case WorkCounter::kFillMembers:
+      return "fill_members";
+    case WorkCounter::kFillClasses:
+      return "fill_classes";
     case WorkCounter::kCount:
       break;
   }

@@ -104,6 +104,8 @@ enum class WorkCounter {
   kHdfsReads,             // HDFS block reads started
   kHdfsWrites,            // HDFS writes started
   kHdfsFlows,             // point-to-point flows opened
+  kFillMembers,           // consumers water-filled, summed over resources
+  kFillClasses,           // demand-class rows those fills visited
   kCount,
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -145,10 +146,54 @@ FillCase tied_case(sim::Rng& rng, int n, int distinct) {
   return c;
 }
 
-// Checks one fill against the three laws that hold for any demands:
-// agreement with the reference sweep, equal grants for equal demands, and
-// permutation of the grants with the demands. Returns the number of laws
-// broken, so a caller can tell how many cases fail.
+// The count-weighted fill over (value, count) rows, one row per distinct
+// demand (by bytes, so NaN, -0.0 and +0.0 each get their own), in random
+// order, with some values split over two rows the way members of two demand
+// classes can ask for one amount. Returns the number of consumers whose
+// expanded-list grant differs from their row's grant in any bit.
+std::size_t count_weighted_mismatches(sim::Rng& rng, double capacity,
+                                      std::span<const double> demands) {
+  const std::vector<double> expanded = cluster::waterfill(capacity, demands);
+  std::map<std::uint64_t, std::vector<std::size_t>> consumers_of;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    consumers_of[bits(demands[i])].push_back(i);
+  }
+  std::vector<std::vector<std::size_t>> rows;
+  for (auto& [value_bits, consumers] : consumers_of) {
+    if (consumers.size() > 1 && rng.bernoulli(0.3)) {
+      const auto split = consumers.begin() +
+                         static_cast<std::ptrdiff_t>(
+                             1 + rng.index(consumers.size() - 1));
+      rows.emplace_back(consumers.begin(), split);
+      rows.emplace_back(split, consumers.end());
+    } else {
+      rows.push_back(std::move(consumers));
+    }
+  }
+  rng.shuffle(std::span<std::vector<std::size_t>>(rows));
+  std::vector<double> values;
+  std::vector<std::uint32_t> counts;
+  for (const auto& row : rows) {
+    values.push_back(demands[row.front()]);
+    counts.push_back(static_cast<std::uint32_t>(row.size()));
+  }
+  std::vector<double> grants(rows.size());
+  cluster::WaterfillScratch scratch;
+  cluster::waterfill_into(capacity, values, counts, grants, scratch);
+  std::size_t mismatched = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const std::size_t i : rows[r]) {
+      if (bits(expanded[i]) != bits(grants[r])) ++mismatched;
+    }
+  }
+  return mismatched;
+}
+
+// Checks one fill against the four laws that hold for any demands:
+// agreement with the reference sweep, equal grants for equal demands,
+// permutation of the grants with the demands, and the count-weighted fill
+// of the rows granting what the expanded list grants. Returns the number of
+// laws broken, so a caller can tell how many cases fail.
 int broken_laws(sim::Rng& rng, const FillCase& c) {
   const std::vector<double> got = cluster::waterfill(c.capacity, c.demands);
   const std::vector<double> ref = reference_waterfill(c.capacity, c.demands);
@@ -183,6 +228,11 @@ int broken_laws(sim::Rng& rng, const FillCase& c) {
   }
   EXPECT_EQ(unpermuted, 0u) << "shuffling the demands changed some grant";
   broken += unpermuted > 0 ? 1 : 0;
+
+  const std::size_t weighted =
+      count_weighted_mismatches(rng, c.capacity, c.demands);
+  EXPECT_EQ(weighted, 0u) << "count-weighted rows differ from the list";
+  broken += weighted > 0 ? 1 : 0;
   return broken;
 }
 
@@ -238,6 +288,8 @@ TEST_P(WaterfillGroupedProperty, NonPositiveAndNanDemandsAreAbsent) {
       ASSERT_EQ(bits(got[i]), bits(want))
           << "trial " << trial << " index " << i << " demand " << mixed[i];
     }
+    ASSERT_EQ(count_weighted_mismatches(rng, c.capacity, mixed), 0u)
+        << "trial " << trial;
   }
 }
 
@@ -385,6 +437,299 @@ TEST_P(MachineProperty, SpeedNeverExceedsOne) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineProperty,
                          ::testing::Values(11, 23, 37, 59));
+
+// ------------------------------------ demand classes vs per-member fill ----
+
+// A member's speed as the per-member path rated it: the most-constrained
+// grant/demand ratio (the I/O tax weighted by how I/O-bound the raw demand
+// is), scaled by memory pressure.
+double reference_speed(const Workload& w, const Resources& alloc,
+                       double eff_cpu, double eff_io,
+                       const cluster::Calibration& cal) {
+  if (w.paused()) return 0;
+  const Resources& d = w.demand();
+  double eff_io_weighted = eff_io;
+  const double io_demand = d.disk + d.net;
+  if (io_demand > 0 && d.cpu > 0) {
+    const double f_io =
+        io_demand / (io_demand + d.cpu * cal.hdfs_stream_disk_mbps.value());
+    eff_io_weighted = 1.0 - (1.0 - eff_io) * f_io;
+  }
+  double speed = 1.0;
+  if (d.cpu > 0) speed = std::min(speed, alloc.cpu * eff_cpu / d.cpu);
+  if (d.disk > 0) {
+    speed = std::min(speed, alloc.disk * eff_io_weighted / d.disk);
+  }
+  if (d.net > 0) speed = std::min(speed, alloc.net * eff_io_weighted / d.net);
+  if (d.memory > 0) {
+    speed *= cluster::memory_pressure_factor(alloc.memory / d.memory, cal);
+  }
+  return speed;
+}
+
+// Per-resource fill of `capacity` over `demands`, one consumer each.
+std::vector<Resources> fill_each(const Resources& capacity,
+                                 const std::vector<Resources>& demands) {
+  std::vector<Resources> grants(demands.size());
+  for (int r = 0; r < cluster::kNumResources; ++r) {
+    const auto kind = static_cast<cluster::ResourceKind>(r);
+    std::vector<double> column;
+    for (const Resources& d : demands) column.push_back(d[kind]);
+    const std::vector<double> out = cluster::waterfill(capacity[kind], column);
+    for (std::size_t i = 0; i < out.size(); ++i) grants[i][kind] = out[i];
+  }
+  return grants;
+}
+
+struct MemberExpect {
+  Resources alloc;
+  double speed = 0;
+  sim::SimTime completion = 0;  // finite members only
+};
+
+struct ReferenceAllocation {
+  std::map<const Workload*, MemberExpect> members;
+  Resources allocated_total;  // summed in consumer order
+};
+
+// The recompute as it was before demand classes, member by member: fill
+// each resource across the native members and the VMs, rate every native
+// member, then inside each VM fill its grant across its members and rate
+// each with the VM's taxes. Kept as the oracle the class fill must match
+// bit for bit. Reads the state a recompute at the current instant just
+// settled, so it must run right after one.
+ReferenceAllocation reference_distribute(cluster::Machine& m) {
+  const auto& cal = m.calibration();
+  const sim::SimTime now = m.simulation().now();
+  const auto& natives = m.workloads();
+  const auto& vms = m.vms();
+  std::vector<Resources> demands;
+  for (const auto& w : natives) {
+    demands.push_back(m.powered() ? w->effective_demand() : Resources{});
+  }
+  for (const auto* vm : vms) {
+    demands.push_back(m.powered() ? vm->aggregate_demand() : Resources{});
+  }
+  const std::vector<Resources> grants = fill_each(m.capacity(), demands);
+
+  ReferenceAllocation ref;
+  auto expect = [&](const cluster::WorkloadPtr& w, const Resources& alloc,
+                    double speed) {
+    MemberExpect e{alloc, w->done() ? 0 : speed, w->completion_time};
+    if (w->finite() && !w->done()) {
+      e.completion = e.speed <= 0
+                         ? std::numeric_limits<double>::infinity()
+                         : now + (w->remaining() / e.speed).value();
+    }
+    ref.members[w.get()] = e;
+  };
+  for (std::size_t i = 0; i < natives.size(); ++i) {
+    expect(natives[i], grants[i],
+           reference_speed(*natives[i], grants[i], 1.0, 1.0, cal));
+  }
+  int active_io_vms = 0;
+  for (std::size_t j = 0; j < vms.size(); ++j) {
+    const Resources& d = demands[natives.size() + j];
+    if (d.disk + d.net > 1.0) ++active_io_vms;
+  }
+  for (std::size_t j = 0; j < vms.size(); ++j) {
+    const cluster::VirtualMachine& vm = *vms[j];
+    const double eff_cpu = vm.cpu_efficiency();
+    const double eff_io = vm.io_efficiency(active_io_vms);
+    const double migration_factor =
+        vm.migrating() ? 1.0 - cal.migration_guest_slowdown : 1.0;
+    std::vector<Resources> member_demands;
+    for (const auto& w : vm.workloads()) {
+      member_demands.push_back(w->effective_demand());
+    }
+    const std::vector<Resources> member_grants =
+        fill_each(grants[natives.size() + j], member_demands);
+    for (std::size_t i = 0; i < member_grants.size(); ++i) {
+      const auto& w = vm.workloads()[i];
+      double speed =
+          vm.paused()
+              ? 0.0
+              : reference_speed(*w, member_grants[i], eff_cpu, eff_io, cal);
+      speed *= migration_factor;
+      expect(w, member_grants[i], speed);
+    }
+  }
+  for (const Resources& g : grants) ref.allocated_total += g;
+  return ref;
+}
+
+bool same_bytes(const Resources& a, const Resources& b) {
+  return bits(a.cpu) == bits(b.cpu) && bits(a.memory) == bits(b.memory) &&
+         bits(a.disk) == bits(b.disk) && bits(a.net) == bits(b.net);
+}
+
+// What a demand class is keyed on: the raw and effective demand's bytes
+// and the pause flag.
+std::array<std::uint64_t, 9> class_key(const Workload& w) {
+  const Resources& d = w.demand();
+  const Resources& e = w.effective_demand();
+  return {bits(d.cpu),    bits(d.memory), bits(d.disk),
+          bits(d.net),    bits(e.cpu),    bits(e.memory),
+          bits(e.disk),   bits(e.net),    w.paused() ? 1u : 0u};
+}
+
+// Random hosts of native members and 1-3 VMs whose members draw from at
+// most 4 demand vectors: up to 3 that differ only above a shared cpu cap,
+// so capped members of different vectors share one effective demand but
+// not one speed, and sometimes a zero demand. Members pause and resume,
+// caps come and go, a VM pauses, another migrates, a host powers off,
+// members finish and arrive; one VM holds more demand classes than the
+// class table looks up. After every round each host is recomputed, and
+// every member's grant, speed and finish time, and each machine's
+// utilization, must equal the per-member reference's bit for bit.
+class DemandClassProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  sim::Simulation sim(static_cast<std::uint64_t>(GetParam()));
+  cluster::HybridCluster hc(sim);
+
+  struct Host {
+    cluster::Machine* machine = nullptr;
+    std::vector<cluster::VirtualMachine*> vms;
+    std::vector<cluster::ExecutionSite*> sites;  // the machine, then VMs
+    std::vector<Resources> vectors;
+    Resources cap = Resources::unbounded();  // cpu under every nonzero vector
+    std::vector<cluster::WorkloadPtr> members;
+  };
+  std::vector<Host> hosts(4);
+  int serial = 0;
+  auto add_member = [&](Host& h, cluster::ExecutionSite& site) {
+    const Resources& d = h.vectors[rng.index(h.vectors.size())];
+    const sim::Duration work = rng.bernoulli(0.1)
+                                   ? Workload::kService
+                                   : sim::Duration{rng.uniform(5, 60)};
+    auto w = std::make_shared<Workload>("m" + std::to_string(serial++), d,
+                                        work);
+    if (rng.bernoulli(0.4)) w->set_caps(h.cap);
+    if (rng.bernoulli(0.15)) w->set_paused(true);
+    site.add(w);
+    h.members.push_back(w);
+  };
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    Host& host = hosts[h];
+    host.machine = hc.add_machine();
+    host.sites.push_back(host.machine);
+    for (int v = rng.uniform_int(1, 3); v > 0; --v) {
+      host.vms.push_back(hc.add_vm(*host.machine));
+      host.sites.push_back(host.vms.back());
+    }
+    Resources base{rng.uniform(0.2, 1.0), rng.uniform(50, 400),
+                   rng.uniform(5, 60), rng.uniform(0, 60)};
+    for (int k = rng.uniform_int(1, 3); k > 0; --k) {
+      host.vectors.push_back(base);
+      base.cpu *= rng.uniform(1.1, 1.6);
+    }
+    // A pure delay: only the pause flag tells its paused members (speed 0)
+    // from its running ones (speed 1).
+    if (rng.bernoulli(0.5)) host.vectors.emplace_back();
+    host.cap.cpu = 0.8 * host.vectors.front().cpu;
+    for (std::size_t s = 0; s < host.sites.size(); ++s) {
+      for (int k = rng.uniform_int(s == 0 ? 0 : 3, s == 0 ? 6 : 20); k > 0;
+           --k) {
+        add_member(host, *host.sites[s]);
+      }
+    }
+  }
+  // Past the class table's bound: one VM with a service member per extra
+  // demand vector (never finishing, so the site stays past it).
+  cluster::VirtualMachine* wide = hosts[0].vms.front();
+  const std::size_t extra = cluster::DemandClasses::kMaxClasses + 1 +
+                            rng.index(3);
+  for (std::size_t k = 0; k < extra; ++k) {
+    wide->add(std::make_shared<Workload>(
+        "wide" + std::to_string(k),
+        Resources{0.1, 64, 2.0 + static_cast<double>(k), 1.0},
+        Workload::kService));
+  }
+
+  int shared_effective = 0;  // capped pairs: one effective demand, two raw
+  int past_bound = 0;        // checks of a site past the table's bound
+  int checked = 0;
+  sim::SimTime t = 0;
+  for (int round = 0; round < 8; ++round) {
+    t += rng.uniform(1, 8);
+    sim.run_until(t);
+    for (Host& host : hosts) {
+      for (auto* vm : host.vms) {
+        if (rng.bernoulli(0.25)) vm->set_paused(!vm->paused());
+        if (rng.bernoulli(0.25)) vm->set_migrating(!vm->migrating());
+      }
+      if (rng.bernoulli(0.2)) {
+        host.machine->set_powered(!host.machine->powered());
+      }
+      for (int k = rng.uniform_int(0, 3); k > 0; --k) {
+        add_member(host, *host.sites[rng.index(host.sites.size())]);
+      }
+    }
+    for (Host& host : hosts) {
+      for (const auto& w : host.members) {
+        if (w->site() == nullptr) continue;
+        if (rng.bernoulli(0.1)) w->set_paused(!w->paused());
+        if (rng.bernoulli(0.1)) {
+          Resources cap = Resources::unbounded();
+          if (rng.bernoulli(0.5)) cap.cpu = host.cap.cpu * 0.5;
+          w->set_caps(cap);
+        }
+      }
+    }
+    for (Host& host : hosts) {
+      host.machine->invalidate();
+      host.machine->ensure_clean();
+      const ReferenceAllocation ref = reference_distribute(*host.machine);
+      for (int r = 0; r < cluster::kNumResources; ++r) {
+        const auto kind = static_cast<cluster::ResourceKind>(r);
+        const double cap = host.machine->capacity()[kind];
+        const double want = cap > 0 ? ref.allocated_total[kind] / cap : 0;
+        EXPECT_EQ(bits(host.machine->utilization(kind)), bits(want))
+            << "round " << round << " " << host.machine->name() << " "
+            << cluster::to_string(kind);
+      }
+      for (cluster::ExecutionSite* site : host.sites) {
+        std::set<std::array<std::uint64_t, 9>> keys;
+        const auto& ws = site->workloads();
+        for (std::size_t i = 0; i < ws.size(); ++i) {
+          const Workload& w = *ws[i];
+          const MemberExpect& e = ref.members.at(&w);
+          ++checked;
+          for (int r = 0; r < cluster::kNumResources; ++r) {
+            const auto kind = static_cast<cluster::ResourceKind>(r);
+            EXPECT_EQ(bits(w.allocated()[kind]), bits(e.alloc[kind]))
+                << "round " << round << " " << site->name() << " member "
+                << w.name() << " " << cluster::to_string(kind);
+          }
+          EXPECT_EQ(bits(w.speed()), bits(e.speed))
+              << "round " << round << " " << site->name() << " member "
+              << w.name();
+          EXPECT_EQ(bits(w.completion_time), bits(e.completion))
+              << "round " << round << " " << site->name() << " member "
+              << w.name();
+          keys.insert(class_key(w));
+          for (std::size_t j = 0; j < i; ++j) {
+            const Workload& o = *ws[j];
+            if (!w.paused() && !o.paused() &&
+                same_bytes(w.effective_demand(), o.effective_demand()) &&
+                !same_bytes(w.demand(), o.demand())) {
+              ++shared_effective;
+            }
+          }
+        }
+        if (keys.size() > cluster::DemandClasses::kMaxClasses) ++past_bound;
+      }
+    }
+  }
+  EXPECT_GT(checked, 200);
+  EXPECT_GT(shared_effective, 0);
+  EXPECT_GT(past_bound, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DemandClassProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 // ------------------------------------- locality pick vs scanning oracle ----
 

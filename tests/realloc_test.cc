@@ -5,6 +5,7 @@
 // and the bounded TimeSeries machinery that keeps long runs O(max) memory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -175,7 +176,8 @@ TEST(WaterfillSpan, MatchesAllocatingVersion) {
     for (double capacity : {0.0, 1.0, 7.0, 100.0}) {
       const std::vector<double> expect = waterfill(capacity, demands);
       std::vector<double> got(demands.size(), -1);
-      waterfill_into(capacity, demands, got, scratch);
+      const std::vector<std::uint32_t> ones(demands.size(), 1);
+      waterfill_into(capacity, demands, ones, got, scratch);
       ASSERT_EQ(got.size(), expect.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_DOUBLE_EQ(got[i], expect[i])
