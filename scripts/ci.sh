@@ -6,12 +6,13 @@
 #                (skipped with a notice when clang-format is not installed)
 #   lint         hybridmr-analyze determinism rule group over src/ tests/
 #                bench/ examples/ — blocking
-#   release      Release build + full ctest suite (also produces the
-#                compile database the next two stages resolve against)
+#   release      Release build + full ctest suite, the examples included
+#                (also produces the compile database the next two stages
+#                resolve against)
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
-#                (dimensions, layering, capture-lifetime, determinism) —
-#                blocking, never skipped; exit 1 (findings) and exit 2
-#                (broken analyzer) are reported distinctly
+#                (dimensions, layering, capture-lifetime, determinism,
+#                unused-api) — blocking, never skipped; exit 1 (findings)
+#                and exit 2 (broken analyzer) are reported distinctly
 #   clang-tidy   bugprone/performance/modernize/cppcoreguidelines profile
 #                against the Release compile database (skipped with a
 #                notice when clang-tidy is not installed)
@@ -32,7 +33,9 @@
 #   determinism  two same-seed quickstart runs; telemetry artifacts must be
 #                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
 #                (the profiler's wall-clock data must never leak into the
-#                reports, so profiled runs must stay byte-identical too)
+#                reports, so profiled runs must stay byte-identical too);
+#                then two runs each of adaptive_datacenter and
+#                cluster_sim_cli, whose stdout must be byte-identical
 #   profile      simulation-profiler smoke in the sanitize tree: bench_scale
 #                scale/24 with --profile + armed watchdog, hotspot table via
 #                scripts/profile_report.py, and a work-counter fingerprint
@@ -263,7 +266,7 @@ fi
 note_stage whatif "$whatif_result"
 
 # --- determinism: same seed => byte-identical telemetry artifacts ------------
-echo "=== [determinism] two same-seed quickstart runs ==="
+echo "=== [determinism] two same-seed runs of each example ==="
 qs="$root/release/examples/quickstart"
 det_result=FAIL
 if [ -x "$qs" ]; then
@@ -307,6 +310,19 @@ if [ -x "$qs" ]; then
 else
   echo "determinism: quickstart binary missing ($qs)"
 fi
+# adaptive_datacenter and cluster_sim_cli print their whole result: two
+# same-seed runs of each must print the same bytes.
+mkdir -p "$root/det-examples"
+for run in adaptive_datacenter "cluster_sim_cli sort 8 virtual 4"; do
+  out="$root/det-examples/${run%% *}"
+  # $run is unquoted on purpose: it splits into the binary and its arguments.
+  if ! ("$root/release/examples/"$run > "$out-a.txt" 2>&1 &&
+        "$root/release/examples/"$run > "$out-b.txt" 2>&1 &&
+        cmp -s "$out-a.txt" "$out-b.txt"); then
+    echo "determinism: ${run%% *} failed or differs between same-seed runs"
+    det_result=FAIL
+  fi
+done
 note_stage determinism "$det_result"
 
 # --- profile: profiler smoke under sanitizers ---------------------------------

@@ -85,10 +85,6 @@ struct Calibration {
   double mem_hard_slope = 0.7;     // spill-bound slope below the knee
   double mem_floor = 0.4;          // minimum speed factor
 
-  // --- Interactive / SLA ---
-  double sla_response_time_s = 2.0;  // paper §IV: 2 s
-  double control_epoch_s = 10.0;     // Phase II controller period
-
   /// The default testbed calibration.
   static const Calibration& standard() {
     static const Calibration c{};
@@ -97,10 +93,6 @@ struct Calibration {
 
   [[nodiscard]] Resources pm_capacity() const {
     return {pm_cores, pm_memory_mb.value(), pm_disk_mbps.value(),
-            pm_net_mbps.value()};
-  }
-  [[nodiscard]] Resources vm_nominal() const {
-    return {vm_vcpus, vm_memory_mb.value(), pm_disk_mbps.value(),
             pm_net_mbps.value()};
   }
 };

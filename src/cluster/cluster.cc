@@ -83,31 +83,12 @@ double HybridCluster::mean_utilization(ResourceKind kind, double t0,
   return n > 0 ? total / n : 0;
 }
 
-int HybridCluster::powered_machines() const {
-  int n = 0;
-  for (const auto& m : machines_) {
-    if (m->powered()) ++n;
-  }
-  return n;
-}
-
 void HybridCluster::set_telemetry(telemetry::Hub* hub) {
   tel_ = hub;
   migrator_.set_telemetry(hub);
   realloc_.set_profiler(
       hub != nullptr && hub->profiler.enabled() ? &hub->profiler : nullptr);
   for (const auto& m : machines_) m->set_telemetry(hub);
-}
-
-int HybridCluster::power_off_idle() {
-  int count = 0;
-  for (const auto& m : machines_) {
-    if (m->powered() && m->vms().empty() && m->workloads().empty()) {
-      m->set_powered(false);
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace hybridmr::cluster

@@ -74,11 +74,6 @@ class HybridCluster {
   [[nodiscard]] double mean_utilization(ResourceKind kind, double t0,
                                         double t1) const;
 
-  [[nodiscard]] int powered_machines() const;
-
-  /// Powers off every machine hosting neither VMs nor workloads.
-  int power_off_idle();
-
   /// Attaches the whole cluster (machines, migrator, and machines added
   /// later) to a telemetry hub. Null detaches.
   void set_telemetry(telemetry::Hub* hub);

@@ -318,6 +318,7 @@ class Machine : public ExecutionSite {
   /// I/O MB, progress) up to date at the current instant, applying any
   /// pending reallocation first. For profiler-style readers; allocations
   /// are unchanged.
+  // sim-lint: allow(unused-api) storage_test, edge_test read settled counters
   void settle_now();
 
   /// Recomputes the whole allocation for this machine (native + VMs).
@@ -332,6 +333,7 @@ class Machine : public ExecutionSite {
   }
   /// Completion events left in place because the finish time was
   /// unchanged (the reschedule-churn fix; tests/benchmarks).
+  // sim-lint: allow(unused-api) realloc_test: the reschedule-churn fix
   [[nodiscard]] std::uint64_t reschedule_skips() const {
     return reschedule_skips_;
   }

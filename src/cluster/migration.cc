@@ -82,7 +82,6 @@ bool Migrator::migrate(VirtualMachine& vm, Machine& dest, DoneFn done) {
   record->transferred_mb = plan.transferred_mb;
   record->rounds = plan.rounds;
 
-  ++in_flight_;
   vm.set_migrating(true);
   if (tel_ != nullptr) {
     tel_->trace.instant(
@@ -144,7 +143,6 @@ void Migrator::complete(const std::shared_ptr<InFlight>& flight) {
   flight->dest->attach_vm(vmp);
   vmp->set_paused(false);
   vmp->set_migrating(false);
-  --in_flight_;
   history_.push_back(*record);
   sim::log_info(sim_.now(), "migrator",
                 record->vm + ": " + record->from + " -> " + record->to);
@@ -197,7 +195,6 @@ int Migrator::abort_involving(Machine& machine) {
     // The VM never left its source: roll back to a plain running state.
     flight->vm->set_paused(false);
     flight->vm->set_migrating(false);
-    --in_flight_;
     flight->record->aborted = true;
     history_.push_back(*flight->record);
     sim::log_info(sim_.now(), "migrator",

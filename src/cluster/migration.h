@@ -87,11 +87,11 @@ class Migrator {
   /// callback is NOT fired. Returns the number of migrations aborted.
   int abort_involving(Machine& machine);
 
+  // sim-lint: allow(unused-api) cluster_test, faults_test: finished moves
   [[nodiscard]] const std::vector<MigrationRecord>& history() const {
     return history_;
   }
   [[nodiscard]] const MigrationModel& model() const { return model_; }
-  [[nodiscard]] int in_flight() const { return in_flight_; }
 
   /// Attaches the migrator to a telemetry hub (null detaches).
   void set_telemetry(telemetry::Hub* hub);
@@ -125,7 +125,6 @@ class Migrator {
   MigrationModel model_;
   std::vector<MigrationRecord> history_;
   std::vector<std::shared_ptr<InFlight>> active_;
-  int in_flight_ = 0;
   telemetry::Hub* tel_ = nullptr;
 };
 

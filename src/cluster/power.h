@@ -43,11 +43,6 @@ class EnergyMeter {
     return sim::Joules{series_.integrate(t0, t1)};
   }
 
-  /// Energy in watt-hours over [t0, t1] (reporting convenience).
-  [[nodiscard]] double watt_hours(sim::SimTime t0, sim::SimTime t1) const {
-    return joules(t0, t1).value() / 3600.0;
-  }
-
   /// Mean power over [t0, t1] (0 W if the window is empty).
   [[nodiscard]] sim::Watts mean_watts(sim::SimTime t0, sim::SimTime t1) const {
     return t1 > t0 ? joules(t0, t1) / sim::Duration{t1 - t0} : sim::Watts{};

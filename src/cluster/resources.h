@@ -77,13 +77,6 @@ struct Resources {
             std::min(disk, o.disk), std::min(net, o.net)};
   }
 
-  /// True when every component of *this is <= the matching one of `o`
-  /// (with a small tolerance).
-  [[nodiscard]] bool fits_in(const Resources& o, double eps = 1e-9) const {
-    return cpu <= o.cpu + eps && memory <= o.memory + eps &&
-           disk <= o.disk + eps && net <= o.net + eps;
-  }
-
   /// Largest component-wise ratio this/capacity (0 where capacity is 0).
   /// This is the "dominant share" used by placement heuristics.
   [[nodiscard]] double dominant_share(const Resources& capacity) const {
@@ -104,10 +97,6 @@ struct Resources {
       out[kind] = std::clamp((*this)[kind], 0.0, hi[kind]);
     }
     return out;
-  }
-
-  [[nodiscard]] bool is_zero(double eps = 1e-12) const {
-    return cpu < eps && memory < eps && disk < eps && net < eps;
   }
 
   [[nodiscard]] std::string to_string() const;

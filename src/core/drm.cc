@@ -252,7 +252,7 @@ void DynamicResourceManager::epoch() {
     reports.push_back(lrm.profile(resident, now));
   }
 
-  last_contention_ = detector_.classify(reports, estimator_);
+  const auto contention = detector_.classify(reports, estimator_);
   const auto stats = balancer_.balance(reports, exempt_);
   for (const auto& m : cluster_.machines()) {
     balancer_.balance_host_io(*m, reports, lifetime_);
@@ -271,15 +271,15 @@ void DynamicResourceManager::epoch() {
     if (resumes > 0) tel_memory_resumes_->add(resumes);
     if (shares > 0) tel_vm_share_updates_->add(shares);
     const bool active = caps + pauses + resumes + shares > 0 ||
-                        !last_contention_.deficit.empty() ||
-                        !last_contention_.hogging.empty();
+                        !contention.deficit.empty() ||
+                        !contention.hogging.empty();
     if (active) {
       tel_->trace.instant(
           now, telemetry::EventKind::kDrmDecision, "drm_epoch", "drm",
           {{"deficit", telemetry::json_num(
-                           static_cast<double>(last_contention_.deficit.size()))},
+                           static_cast<double>(contention.deficit.size()))},
            {"hogging", telemetry::json_num(
-                           static_cast<double>(last_contention_.hogging.size()))},
+                           static_cast<double>(contention.hogging.size()))},
            {"cap_updates", telemetry::json_num(caps)},
            {"memory_pauses", telemetry::json_num(pauses)},
            {"memory_resumes", telemetry::json_num(resumes)},

@@ -147,9 +147,6 @@ class DynamicResourceManager {
   [[nodiscard]] const PerformanceBalancer::Stats& lifetime_stats() const {
     return lifetime_;
   }
-  [[nodiscard]] const ContentionDetector::Result& last_contention() const {
-    return last_contention_;
-  }
 
   /// Attaches the DRM to a telemetry hub (null detaches).
   void set_telemetry(telemetry::Hub* hub);
@@ -162,7 +159,6 @@ class DynamicResourceManager {
   DrmOptions options_;
   ContentionDetector detector_;
   PerformanceBalancer balancer_;
-  ContentionDetector::Result last_contention_;
   PerformanceBalancer::Stats lifetime_;
   sim::PeriodicHandle ticker_;
   std::function<bool(const mapred::TaskAttempt&)> exempt_;

@@ -36,7 +36,6 @@ class TaskModel {
  public:
   void add(const TaskSample& sample);
 
-  [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
   [[nodiscard]] const TaskSample& last() const { return samples_.back(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
@@ -47,10 +46,12 @@ class TaskModel {
                                     const cluster::Resources& demand) const;
 
   /// Estimated seconds to completion at the current rate.
+  // sim-lint: allow(unused-api) core_test: the rate-based estimate
   [[nodiscard]] double estimated_remaining_s() const;
 
   /// Estimated seconds to completion if the task were granted its full
   /// demand (the balancer's target state).
+  // sim-lint: allow(unused-api) core_deep_test: the fitted estimate
   [[nodiscard]] double estimated_remaining_at_full_s() const;
 
   /// Resource with the largest relative gap between demand and allocation
@@ -81,6 +82,7 @@ class Estimator {
   /// Drops models for attempts not in the live set (call once per epoch).
   void retain_only(const std::vector<mapred::TaskAttempt*>& live);
 
+  // sim-lint: allow(unused-api) core_test, core_deep_test: live models
   [[nodiscard]] std::size_t tracked() const { return models_.size(); }
 
  private:

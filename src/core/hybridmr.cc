@@ -17,7 +17,7 @@ HybridMRScheduler::HybridMRScheduler(sim::Simulation& sim,
       cluster_(cluster),
       mr_(mr),
       options_(std::move(options)),
-      profiler_(profile_db_, make_simulated_runner(options_.profiling_seed)),
+      profiler_(profile_db_, make_simulated_runner()),
       phase1_(profiler_, options_.phase1),
       drm_(sim, mr, cluster, estimator_, options_.drm),
       ips_(sim, mr, cluster, monitor_, estimator_, options_.ips) {

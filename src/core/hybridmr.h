@@ -38,7 +38,6 @@ struct HybridMROptions {
   bool enable_phase1 = true;
   bool enable_drm = true;
   bool enable_ips = true;
-  std::uint64_t profiling_seed = 1234;
 };
 
 class HybridMRScheduler {
@@ -81,6 +80,7 @@ class HybridMRScheduler {
   /// The what-if engine backing model-predictive IPS arbitration; present
   /// whenever `options.ips.model_predictive` is set (docs/WHATIF.md).
   [[nodiscard]] whatif::WhatIfEngine* whatif() { return whatif_.get(); }
+  // sim-lint: allow(unused-api) core_test: deployed apps are monitored
   [[nodiscard]] interactive::SlaMonitor& sla_monitor() { return monitor_; }
   [[nodiscard]] Estimator& estimator() { return estimator_; }
   [[nodiscard]] const HybridMROptions& options() const { return options_; }

@@ -15,6 +15,15 @@ using cluster::Resources;
 using cluster::VirtualMachine;
 using mapred::TaskAttempt;
 
+namespace {
+
+/// Cap multiplier applied by the throttle action.
+constexpr double kThrottleFactor = 0.4;
+/// Restores applied per epoch (gradual back-off).
+constexpr int kMaxRestoresPerEpoch = 1;
+
+}  // namespace
+
 bool restores_before(const TaskAttempt& a, const TaskAttempt& b) {
   if (a.started_at() != b.started_at()) return a.started_at() < b.started_at();
   const mapred::Task& ta = a.task();
@@ -153,7 +162,7 @@ void InterferencePreventionSystem::escalate(TaskAttempt& attempt) {
   auto it = actions_.find(&attempt);
   if (it == actions_.end()) {
     // Level 1: throttle the task's shares.
-    Resources caps = attempt.current_demand() * options_.throttle_factor;
+    Resources caps = attempt.current_demand() * kThrottleFactor;
     caps.memory = attempt.caps().memory;  // heap cannot shrink in flight
     attempt.set_caps(caps);
     actions_[&attempt] = ActionLevel::kThrottled;
@@ -404,7 +413,7 @@ void InterferencePreventionSystem::restore_where_healthy() {
   // Track per-host healthy streaks: a host is healthy when every resident
   // app sits below margin * SLA. Actions step down only after
   // `restore_streak` consecutive healthy epochs (hysteresis), and only
-  // `max_restores_per_epoch` at a time (gradual back-off).
+  // kMaxRestoresPerEpoch at a time (gradual back-off).
   std::map<const Machine*, bool> host_healthy;
   for (auto* app : monitor_.apps()) {
     if (!app->running()) continue;
@@ -459,7 +468,7 @@ void InterferencePreventionSystem::restore_where_healthy() {
               return restores_before(*a, *b);
             });
   for (TaskAttempt* a : to_restore) {
-    if (restored >= options_.max_restores_per_epoch) break;
+    if (restored >= kMaxRestoresPerEpoch) break;
     auto it = actions_.find(a);
     if (it->second == ActionLevel::kPaused) {
       a->set_paused(false);

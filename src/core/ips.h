@@ -47,10 +47,6 @@ struct IpsOptions {
   /// Consecutive healthy epochs required before stepping an action down
   /// (hysteresis against throttle/restore flapping).
   int restore_streak = 3;
-  /// Restores applied per epoch (gradual back-off).
-  int max_restores_per_epoch = 1;
-  /// Cap multiplier applied by the throttle action.
-  double throttle_factor = 0.4;
   /// Actions (escalations) applied per violating app per epoch.
   int max_actions_per_epoch = 2;
   bool allow_requeue = true;
@@ -138,21 +134,23 @@ class InterferencePreventionSystem {
   }
 
   /// Live managed attempts (throttled or paused).
+  // sim-lint: allow(unused-api) ips_regression_test: actions after a crash
   [[nodiscard]] int action_count() const {
     return static_cast<int>(actions_.size());
   }
 
   /// The flap-guard's current required healthy streak for `host`
   /// (restore_streak when no ratchet is active).
+  // sim-lint: allow(unused-api) ips_regression_test: the ratchet decays
   [[nodiscard]] int required_streak(const cluster::Machine& host) const;
 
   /// True while any per-host map (healthy streak, flap ratchet, last
   /// restore time) still carries state for `host`.
+  // sim-lint: allow(unused-api) ips_regression_test: crashed hosts go
   [[nodiscard]] bool tracks_host(const cluster::Machine& host) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const IpsOptions& options() const { return options_; }
-  [[nodiscard]] Arbiter& arbiter() { return arbiter_; }
 
   /// Attaches the IPS to a telemetry hub (null detaches).
   void set_telemetry(telemetry::Hub* hub) { tel_ = hub; }

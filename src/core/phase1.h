@@ -27,11 +27,6 @@ class PhaseOneScheduler {
     /// as the estimation targets.
     int native_cluster_size = 24;
     int virtual_cluster_size = 48;
-    /// Virtualization overhead (relative JCT increase) considered
-    /// "significant" when the job carries no explicit SLO. Calibrated to
-    /// the unloaded training cluster, where overheads are smaller than on
-    /// a busy production cluster (see EXPERIMENTS.md).
-    double overhead_threshold = 0.065;
     /// Training-cluster shapes (paper: "a small training cluster"), in
     /// physical machines. The virtual training partition packs
     /// `vms_per_host` VMs onto the same number of PMs, so the native /
@@ -39,7 +34,6 @@ class PhaseOneScheduler {
     /// (24 PMs vs 48 VMs on 24 PMs).
     std::vector<int> training_cluster_sizes = {2, 4};
     std::vector<double> training_data_gbs = {1.0, 2.0};
-    int training_runs = 1;
     int vms_per_host = 2;
     /// Train lazily on first sight of a job (else estimation uses whatever
     /// profiles already exist).

@@ -62,22 +62,10 @@ TrainingRunner make_simulated_runner(std::uint64_t seed) {
 
 void JobProfiler::train(const mapred::JobSpec& spec, bool virtual_cluster,
                         std::span<const int> cluster_sizes,
-                        std::span<const double> data_gbs, int runs) {
+                        std::span<const double> data_gbs) {
   for (int csize : cluster_sizes) {
     for (double dgb : data_gbs) {
-      ProfileEntry avg;
-      for (int r = 0; r < runs; ++r) {
-        const ProfileEntry e = runner_(spec, virtual_cluster, csize, dgb);
-        avg = e;  // keep identity fields
-        if (r > 0) {
-          // incremental averaging over runs
-          const double w = 1.0 / (r + 1);
-          avg.jct_s = avg.jct_s * (1 - w) + e.jct_s * w;
-          avg.map_s = avg.map_s * (1 - w) + e.map_s * w;
-          avg.reduce_s = avg.reduce_s * (1 - w) + e.reduce_s * w;
-        }
-      }
-      db_->add(avg);
+      db_->add(runner_(spec, virtual_cluster, csize, dgb));
     }
   }
 }

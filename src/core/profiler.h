@@ -51,11 +51,13 @@ class JobProfiler {
   JobProfiler(ProfileDatabase& db, TrainingRunner runner)
       : db_(&db), runner_(std::move(runner)) {}
 
-  /// Populates the database: runs the job on each (cluster size, data size)
-  /// combination, averaging over `runs` executions (the paper averages 3).
+  /// Populates the database: runs the job once on each (cluster size,
+  /// data size) combination and stores the runner's profile. The paper
+  /// averages 3 runs of a real cluster; the simulated runner is a pure
+  /// function of its inputs, so repeats would measure the same run again.
   void train(const mapred::JobSpec& spec, bool virtual_cluster,
              std::span<const int> cluster_sizes,
-             std::span<const double> data_gbs, int runs = 1);
+             std::span<const double> data_gbs);
 
   /// Algorithm 1: estimated JCT of `spec` on `cluster_size` nodes.
   [[nodiscard]] Estimate estimate(const mapred::JobSpec& spec,

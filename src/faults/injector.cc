@@ -19,7 +19,6 @@ void FaultInjector::arm() {
     sim_.at(spec.at, [this, spec]() { fire(spec); });
   }
   if (schedule_.task_failure_rate > 0) schedule_next_task_failure();
-  if (schedule_.crash_rate > 0) schedule_next_crash();
 }
 
 void FaultInjector::fire(const FaultSpec& spec) {
@@ -63,20 +62,6 @@ void FaultInjector::schedule_next_task_failure() {
   sim_.after(sim::Duration{gap}, [this]() {
     fail_attempt();
     schedule_next_task_failure();
-  });
-}
-
-void FaultInjector::schedule_next_crash() {
-  const double gap = rng_.exponential(schedule_.crash_rate);
-  if (schedule_.rate_horizon_s > 0 &&
-      sim_.now() + gap > schedule_.rate_horizon_s) {
-    return;
-  }
-  // sim-lint: allow(capture-lifetime)
-  sim_.after(sim::Duration{gap}, [this]() {
-    Machine* m = pick_machine("");
-    if (m != nullptr) crash_machine(*m, schedule_.crash_recover_after);
-    schedule_next_crash();
   });
 }
 

@@ -48,8 +48,8 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules every one-shot fault and starts the Poisson streams. Call
-  /// once, before running the simulation.
+  /// Schedules every one-shot fault and starts the task-failure stream.
+  /// Call once, before running the simulation.
   void arm();
 
   // --- direct injection (tests / custom chaos drivers) ---
@@ -82,6 +82,7 @@ class FaultInjector {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
   /// Machines currently crashed (not yet rebooted).
+  // sim-lint: allow(unused-api) faults_test: crashed machines reboot
   [[nodiscard]] int machines_down() const {
     return static_cast<int>(down_.size());
   }
@@ -102,7 +103,6 @@ class FaultInjector {
 
   void fire(const FaultSpec& spec);
   void schedule_next_task_failure();
-  void schedule_next_crash();
   [[nodiscard]] cluster::Machine* pick_machine(const std::string& target);
   [[nodiscard]] bool is_down(const cluster::Machine& machine) const;
 

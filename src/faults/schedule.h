@@ -1,9 +1,9 @@
 // Declarative fault schedules for the FaultInjector.
 //
-// A schedule mixes one-shot faults pinned to simulated instants with
-// Poisson-rate fault streams, all drawn from the schedule's own seed so a
-// chaos run is reproducible bit-for-bit and fault draws never perturb the
-// simulation's main RNG stream.
+// A schedule mixes one-shot faults pinned to simulated instants with a
+// Poisson-rate stream of task failures, all drawn from the schedule's own
+// seed so a chaos run is reproducible bit-for-bit and fault draws never
+// perturb the simulation's main RNG stream.
 #pragma once
 
 #include <cstdint>
@@ -41,20 +41,17 @@ struct FaultSchedule {
   /// Poisson rate (faults/simulated second) of random task-attempt
   /// failures; 0 disables the stream.
   double task_failure_rate = 0;
-  /// Poisson rate of random machine crashes; 0 disables the stream.
-  double crash_rate = 0;
-  /// Reboot delay applied to rate-generated crashes.
-  sim::Duration crash_recover_after{60.0};
-  /// Rate streams stop scheduling past this simulated time. <= 0 means no
-  /// horizon — beware that an ever-rearming stream keeps the event queue
-  /// non-empty, so run_jobs()-style "drain the queue" loops never exit.
+  /// The failure stream stops scheduling past this simulated time. <= 0
+  /// means no horizon — beware that an ever-rearming stream keeps the
+  /// event queue non-empty, so run_jobs()-style "drain the queue" loops
+  /// never exit.
   double rate_horizon_s = 0;
 
   /// Seed for the injector's private RNG (victim picks, inter-arrivals).
   std::uint64_t seed = 0x5eedf417;
 
   [[nodiscard]] bool empty() const {
-    return one_shot.empty() && task_failure_rate <= 0 && crash_rate <= 0;
+    return one_shot.empty() && task_failure_rate <= 0;
   }
 };
 

@@ -10,6 +10,20 @@ namespace hybridmr::interactive {
 
 using cluster::Resources;
 
+namespace {
+
+/// Response-time floor.
+constexpr sim::Duration kMinResponse{0.05};
+/// Latency model refresh period.
+constexpr sim::Duration kUpdatePeriod{5.0};
+/// Log-space stddev of the lognormal jitter on reported latency.
+constexpr double kNoiseSd = 0.04;
+/// Capacity reserved relative to the peak offered load: interactive VMs
+/// are deliberately over-provisioned (the paper's core premise, §I).
+constexpr double kOverprovisionFactor = 2.5;
+
+}  // namespace
+
 InteractiveApp::InteractiveApp(sim::Simulation& sim,
                                cluster::ExecutionSite& site, AppParams params,
                                int clients)
@@ -20,11 +34,10 @@ InteractiveApp::~InteractiveApp() { stop(); }
 Resources InteractiveApp::offered_demand() const {
   // Peak load the client population could offer if served at the floor
   // latency, times the over-provisioning headroom.
-  const double lambda_max =
-      clients_ / (params_.think_time_s + params_.min_response_s).value();
+  const double lambda_max = clients_ / (kThinkTime + kMinResponse).value();
   Resources d;
-  d.cpu = lambda_max * params_.cpu_s_per_req * params_.overprovision_factor;
-  d.disk = lambda_max * params_.io_mb_per_req * params_.overprovision_factor;
+  d.cpu = lambda_max * params_.cpu_s_per_req * kOverprovisionFactor;
+  d.disk = lambda_max * params_.io_mb_per_req * kOverprovisionFactor;
   d.memory = params_.memory_mb.value();
   return d;
 }
@@ -36,7 +49,7 @@ void InteractiveApp::start() {
       cluster::Workload::kService);
   site_->add(service_);
   refresh();
-  ticker_ = sim_.every(params_.update_period_s, [this]() { refresh(); });
+  ticker_ = sim_.every(kUpdatePeriod, [this]() { refresh(); });
 }
 
 void InteractiveApp::stop() {
@@ -58,7 +71,7 @@ void InteractiveApp::set_clients(int clients) {
 void InteractiveApp::refresh() {
   if (!service_) return;
   if (clients_ <= 0) {
-    response_s_ = params_.min_response_s.value();
+    response_s_ = kMinResponse.value();
     throughput_rps_ = 0;
     response_series_.add(sim_.now(), response_s_);
     note_telemetry();
@@ -66,7 +79,7 @@ void InteractiveApp::refresh() {
   }
   const Resources alloc = service_->allocated();
   const double N = clients_;
-  const double Z = params_.think_time_s.value();
+  const double Z = kThinkTime.value();
 
   // Queueing congestion at the shared physical resources: utilization by
   // *other* consumers on the host (collocated VMs, batch tasks) lengthens
@@ -107,14 +120,10 @@ void InteractiveApp::refresh() {
   // Closed PS station with N clients, think Z:  R^2 + R(Z - s(N+1)) - sZ = 0.
   const double b = Z - s * (N + 1);
   double r = (-b + std::sqrt(b * b + 4.0 * s * Z)) / 2.0;
-  r = std::max(r, params_.min_response_s.value());
+  r = std::max(r, kMinResponse.value());
 
   // Lognormal jitter makes timelines realistic without changing the mean.
-  const double jitter =
-      params_.noise_sd > 0
-          ? std::exp(sim_.rng().normal(0.0, params_.noise_sd))
-          : 1.0;
-  response_s_ = r * jitter;
+  response_s_ = r * std::exp(sim_.rng().normal(0.0, kNoiseSd));
   throughput_rps_ = N / (response_s_ + Z);
   response_series_.add(sim_.now(), response_s_);
   note_telemetry();

@@ -25,21 +25,17 @@ namespace hybridmr::interactive {
 
 struct AppParams {
   std::string name = "app";
-  sim::Duration think_time_s{7.0};
   double cpu_s_per_req = 0.0035;  // core-seconds per request
   double io_mb_per_req = 0.01;    // disk MB per request
   sim::MegaBytes memory_mb{512};  // resident footprint
   sim::Duration sla_s{2.0};       // response-time SLA (paper: 2 s)
-  sim::Duration min_response_s{0.05};  // response-time floor
-  sim::Duration update_period_s{5.0};  // latency model refresh
-  double noise_sd = 0.04;  // lognormal jitter on reported latency
-  // Capacity reserved relative to the peak offered load — interactive VMs
-  // are deliberately over-provisioned (the paper's core premise, §I).
-  double overprovision_factor = 2.5;
 };
 
 class InteractiveApp {
  public:
+  /// Each client's think time between a response and its next request.
+  static constexpr sim::Duration kThinkTime{7.0};
+
   InteractiveApp(sim::Simulation& sim, cluster::ExecutionSite& site,
                  AppParams params, int clients);
   ~InteractiveApp();
@@ -58,6 +54,7 @@ class InteractiveApp {
   /// Latest modelled mean response time (seconds).
   [[nodiscard]] double response_time_s() const { return response_s_; }
   /// Latest modelled throughput (requests/second).
+  // sim-lint: allow(unused-api) property_test: the closed-loop identity
   [[nodiscard]] double throughput_rps() const { return throughput_rps_; }
   [[nodiscard]] bool sla_violated() const {
     return sim::Duration{response_s_} > params_.sla_s;

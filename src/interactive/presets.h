@@ -4,8 +4,6 @@
 // TPC-W adds database I/O, Olio is the most I/O-heavy.
 #pragma once
 
-#include <memory>
-
 #include "interactive/app.h"
 
 namespace hybridmr::interactive {
@@ -35,21 +33,6 @@ inline AppParams olio_params() {
   p.io_mb_per_req = 0.050;
   p.memory_mb = sim::MegaBytes{600};
   return p;
-}
-
-inline std::unique_ptr<InteractiveApp> make_rubis(
-    sim::Simulation& sim, cluster::ExecutionSite& site, int clients) {
-  return std::make_unique<InteractiveApp>(sim, site, rubis_params(), clients);
-}
-
-inline std::unique_ptr<InteractiveApp> make_tpcw(
-    sim::Simulation& sim, cluster::ExecutionSite& site, int clients) {
-  return std::make_unique<InteractiveApp>(sim, site, tpcw_params(), clients);
-}
-
-inline std::unique_ptr<InteractiveApp> make_olio(
-    sim::Simulation& sim, cluster::ExecutionSite& site, int clients) {
-  return std::make_unique<InteractiveApp>(sim, site, olio_params(), clients);
 }
 
 }  // namespace hybridmr::interactive

@@ -24,8 +24,6 @@ class SlaMonitor {
     return out;
   }
 
-  [[nodiscard]] bool any_violation() const { return !violators().empty(); }
-
   /// Fraction of samples above SLA for one app over [t0, t1].
   static double violation_fraction(const InteractiveApp& app, double t0,
                                    double t1) {

@@ -22,6 +22,14 @@ constexpr const char* kJobTrack = "jobs";
 
 constexpr TaskType kTaskTypes[] = {TaskType::kMap, TaskType::kReduce};
 
+/// Period of the speculation monitor's straggler scan.
+constexpr sim::Duration kSpeculationInterval{5.0};
+/// Minimum runtime before an attempt can be judged a straggler.
+constexpr sim::Duration kSpeculationMinElapsed{30.0};
+/// When a saturated ban set is forgiven on requeue, the most recent
+/// tracker stays banned for this long before being forgiven too.
+constexpr sim::Duration kRequeueBanGrace{3.0};
+
 int type_index(TaskType type) { return type == TaskType::kMap ? 0 : 1; }
 
 // A job submitted to a cluster without a TaskTracker could never run.
@@ -405,7 +413,7 @@ void MapReduceEngine::forgive_saturated_bans(Task& task,
   if (recent == nullptr) return;
   task.banned_trackers.insert(recent);
   Task* tp = &task;
-  sim_.after(options_.requeue_ban_grace_s, [this, tp, recent]() {
+  sim_.after(kRequeueBanGrace, [this, tp, recent]() {
     if (tp->completed() || tp->job().finished()) return;
     if (tp->banned_trackers.erase(recent) > 0) dispatch();
   });
@@ -899,7 +907,7 @@ TaskTracker* MapReduceEngine::tracker_with_free_slot(
 void MapReduceEngine::maybe_start_speculation_monitor() {
   if (!options_.speculative_execution || speculation_ticker_.active()) return;
   // Stops itself once no job is live; the next submit starts it again.
-  speculation_ticker_ = sim_.every(options_.speculation_interval_s, [this]() {
+  speculation_ticker_ = sim_.every(kSpeculationInterval, [this]() {
     if (active_jobs() == 0) {
       speculation_ticker_.cancel();
       return;
@@ -921,7 +929,7 @@ void MapReduceEngine::speculation_scan() {
   std::vector<std::pair<int, TaskType>> mature;
   for (const auto& tr : trackers_) {
     for (const TaskAttempt* a : tr->running()) {
-      if (sim::Duration{a->elapsed()} >= options_.speculation_min_elapsed_s) {
+      if (sim::Duration{a->elapsed()} >= kSpeculationMinElapsed) {
         mature.emplace_back(a->task().job().id(), a->task().type());
       }
     }
@@ -945,7 +953,7 @@ void MapReduceEngine::speculation_scan() {
       }
       TaskAttempt* a = t->running_attempt();
       if (a == nullptr ||
-          sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
+          sim::Duration{a->elapsed()} < kSpeculationMinElapsed) {
         continue;
       }
       sum_rate += a->progress_rate();
@@ -967,7 +975,7 @@ void MapReduceEngine::speculation_scan() {
       if (t->completed() || t->speculative_launched) continue;
       TaskAttempt* a = t->running_attempt();
       if (a == nullptr ||
-          sim::Duration{a->elapsed()} < options_.speculation_min_elapsed_s) {
+          sim::Duration{a->elapsed()} < kSpeculationMinElapsed) {
         continue;
       }
       if (a->progress() > 0.9) continue;

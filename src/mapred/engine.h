@@ -42,15 +42,9 @@ class MapReduceEngine {
  public:
   struct Options {
     bool speculative_execution = true;
-    sim::Duration speculation_interval_s{5.0};
-    /// Minimum runtime before an attempt can be judged a straggler.
-    sim::Duration speculation_min_elapsed_s{30.0};
     /// Hadoop's mapred.map.max.attempts: a task whose attempts genuinely
     /// fail this many times takes its whole job down.
     int max_attempts = 4;
-    /// When a saturated ban set is forgiven on requeue, the most recent
-    /// tracker stays banned for this long before being forgiven too.
-    sim::Duration requeue_ban_grace_s{3.0};
   };
 
   MapReduceEngine(sim::Simulation& sim, storage::Hdfs& hdfs,

@@ -65,6 +65,7 @@ class Job {
 
   // --- timing (simulated seconds; -1 until reached) ---
   [[nodiscard]] double submit_time() const { return submit_time_; }
+  // sim-lint: allow(unused-api) mapred_test: phase timing order
   [[nodiscard]] double map_phase_end() const { return map_phase_end_; }
   [[nodiscard]] double finish_time() const { return finish_time_; }
 

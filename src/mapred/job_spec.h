@@ -60,12 +60,6 @@ struct JobSpec {
     return s;
   }
 
-  [[nodiscard]] JobSpec with_desired_jct(sim::Duration jct) const {
-    JobSpec s = *this;
-    s.desired_jct_s = jct;
-    return s;
-  }
-
   [[nodiscard]] sim::MegaBytes input_mb() const {
     return sim::MegaBytes{input_gb * 1024.0};
   }

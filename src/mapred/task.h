@@ -60,10 +60,6 @@ class Task {
   /// Trackers this task must not run on again (IPS re-queue exclusions).
   std::set<const TaskTracker*> banned_trackers;
 
-  /// Attempts that ended in genuine failure (not kills): compared against
-  /// the engine's max_attempts bound, like Hadoop's mapred.map.max.attempts.
-  [[nodiscard]] int failed_attempts() const { return failed_attempts_; }
-
  private:
   friend class MapReduceEngine;
   friend class TaskTracker;
@@ -76,6 +72,8 @@ class Task {
   Job* job_;
   TaskType type_;
   int index_;
+  // Attempts that ended in genuine failure (not kills): compared against
+  // the engine's max_attempts bound, like Hadoop's mapred.map.max.attempts.
   int failed_attempts_ = 0;
   bool completed_ = false;
   bool pending_ = false;

@@ -46,6 +46,7 @@ class TaskTracker {
 
   /// Blacklisted trackers hold their slots but receive no new work
   /// (heartbeat timeout / crashed host). Set by the engine.
+  // sim-lint: allow(unused-api) mapred_test, faults_test: heartbeat loss
   [[nodiscard]] bool blacklisted() const { return blacklisted_; }
 
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): per-type running

@@ -41,6 +41,7 @@ class Log {
   }
 
   /// Replaces the output sink; an empty sink restores the stdout default.
+  // sim-lint: allow(unused-api) telemetry_test captures a warning
   static void set_sink(Sink sink) { sink_ref() = std::move(sink); }
 
   /// The standard "[ 123.456s] LEVEL tag: message" line.
@@ -111,10 +112,6 @@ inline void log_info(SimTime now, const std::string& tag,
 inline void log_warn(SimTime now, const std::string& tag,
                      const std::string& msg) {
   Log::write(LogLevel::kWarn, now, tag, msg);
-}
-inline void log_error(SimTime now, const std::string& tag,
-                      const std::string& msg) {
-  Log::write(LogLevel::kError, now, tag, msg);
 }
 
 }  // namespace hybridmr::sim

@@ -33,21 +33,9 @@ class Rng {
     return d(engine_);
   }
 
-  /// Normal truncated to [lo, hi] by clamping.
-  double normal_clamped(double mean, double stddev, double lo, double hi) {
-    const double v = normal(mean, stddev);
-    return v < lo ? lo : (v > hi ? hi : v);
-  }
-
   /// Exponential with the given rate (mean = 1/rate).
   double exponential(double rate) {
     std::exponential_distribution<double> d(rate);
-    return d(engine_);
-  }
-
-  /// Lognormal with log-space mean/stddev.
-  double lognormal(double log_mean, double log_stddev) {
-    std::lognormal_distribution<double> d(log_mean, log_stddev);
     return d(engine_);
   }
 

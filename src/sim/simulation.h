@@ -204,6 +204,7 @@ class Simulation {
   Rng& named_rng(const std::string& name, std::uint64_t seed);
 
   /// Names of the registered auxiliary streams, in sorted order.
+  // sim-lint: allow(unused-api) sim_test, whatif_test: stream registry
   [[nodiscard]] std::vector<std::string> named_rng_streams() const;
 
  private:

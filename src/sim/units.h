@@ -97,8 +97,8 @@ struct Quantity {
   }
 
   // Ordered comparisons are always safe; exact equality on derived values
-  // shares SimTime's rounding caveat — prefer ordered forms or
-  // sim::same_amount() where intent matters.
+  // shares SimTime's rounding caveat — prefer ordered forms, or
+  // sim::same_time() on the values where intent matters.
   friend constexpr auto operator<=>(Quantity a, Quantity b) = default;
 
  private:
@@ -186,14 +186,6 @@ constexpr Quantity<Tag> operator*(Fraction f, Quantity<Tag> q) {
 }
 
 // --- tolerance-style comparisons ------------------------------------------
-
-/// The sanctioned exact comparison for strong quantities, mirroring
-/// sim::same_time() for SimTime: use it only when both operands came from
-/// the same computation, so the intent is visible.
-template <class Tag>
-constexpr bool same_amount(Quantity<Tag> a, Quantity<Tag> b) {
-  return same_time(a.value(), b.value());
-}
 
 /// Durations are the strong-typed view of SimTime spans; comparing them for
 /// exact equality inherits the same rules as SimTime (rule simtime-eq).

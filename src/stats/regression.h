@@ -47,6 +47,7 @@ class PiecewiseLinearRegression {
 
   [[nodiscard]] double predict(double x) const;
   [[nodiscard]] double breakpoint() const { return breakpoint_; }
+  // sim-lint: allow(unused-api) stats_test: breakpoint detection
   [[nodiscard]] bool has_break() const { return has_break_; }
   [[nodiscard]] double r_squared() const { return r2_; }
 

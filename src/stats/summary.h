@@ -49,24 +49,4 @@ double percentile(std::span<const double> values, double p);
 /// Mean of a span (0 for empty).
 double mean(std::span<const double> values);
 
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  /// alpha in (0, 1]: weight of the newest observation.
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  double update(double v) {
-    value_ = seeded_ ? alpha_ * v + (1 - alpha_) * value_ : v;
-    seeded_ = true;
-    return value_;
-  }
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool seeded() const { return seeded_; }
-
- private:
-  double alpha_;
-  double value_ = 0;
-  bool seeded_ = false;
-};
-
 }  // namespace hybridmr::stats

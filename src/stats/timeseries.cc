@@ -90,13 +90,4 @@ std::vector<double> TimeSeries::values() const {
   return out;
 }
 
-void TimeSeries::trim_before(double t) {
-  auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const Sample& s, double v) { return s.time < v; });
-  if (it == samples_.begin()) return;
-  --it;  // keep one sample at/before t
-  samples_.erase(samples_.begin(), it);
-}
-
 }  // namespace hybridmr::stats

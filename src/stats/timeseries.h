@@ -30,7 +30,6 @@ class TimeSeries {
   /// value_at() for times at/after the merged region's end. Long runs
   /// thus keep O(max) memory at geometrically coarsening resolution.
   void set_max_samples(std::size_t max);
-  [[nodiscard]] std::size_t max_samples() const { return max_samples_; }
 
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
@@ -41,6 +40,7 @@ class TimeSeries {
   [[nodiscard]] double mean_in(double t0, double t1) const;
 
   /// Latest value at or before `t` (0 before the first sample).
+  // sim-lint: allow(unused-api) realloc_test: compaction keeps values
   [[nodiscard]] double value_at(double t) const;
 
   /// Time integral of the step function defined by the samples over
@@ -49,10 +49,6 @@ class TimeSeries {
 
   /// Values only (e.g. for Summary::of).
   [[nodiscard]] std::vector<double> values() const;
-
-  /// Drops samples older than `t`, keeping the most recent older sample so
-  /// value_at() stays correct at the boundary.
-  void trim_before(double t);
 
  private:
   // Halves the resolution of everything but the most recent samples; see

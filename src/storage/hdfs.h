@@ -33,6 +33,7 @@ class DataNode {
   explicit DataNode(cluster::ExecutionSite& site) : site_(&site) {}
 
   [[nodiscard]] cluster::ExecutionSite* site() const { return site_; }
+  // sim-lint: allow(unused-api) storage_test: replica balance
   [[nodiscard]] sim::MegaBytes stored_mb() const { return stored_mb_; }
   void add_stored(sim::MegaBytes mb) { stored_mb_ += mb; }
 
@@ -131,12 +132,14 @@ class Hdfs {
   /// Minimum replica count over all non-lost blocks; -1 with no blocks.
   /// After crash recovery this should re-converge to the replication
   /// factor (the audit's replica invariant builds on it).
+  // sim-lint: allow(unused-api) faults_test: replicas re-converge
   [[nodiscard]] int min_replication() const;
 
   /// Re-replication traffic caused by decommissions and crashes.
   [[nodiscard]] sim::MegaBytes re_replicated_mb() const {
     return re_replicated_mb_;
   }
+  // sim-lint: allow(unused-api) storage_test, reconfig_test: datanodes
   [[nodiscard]] const std::vector<std::unique_ptr<DataNode>>& datanodes()
       const {
     return datanodes_;

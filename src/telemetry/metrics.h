@@ -79,6 +79,7 @@ class Histogram {
   /// Approximate percentile, p in [0, 100].
   [[nodiscard]] double percentile(double p) const;
 
+  // sim-lint: allow(unused-api) telemetry_test: histogram edges
   [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const {
     return counts_;
   }
@@ -152,11 +153,6 @@ class TimeSeriesMetric {
   [[nodiscard]] double mean() const {
     const std::uint64_t n = count();
     return n ? (total_sum_ + (held_ ? held_value_ : 0)) / n : 0;
-  }
-  /// Mean of the most recent window with samples (0 when empty).
-  [[nodiscard]] double last() const {
-    const std::vector<Window> all = windows();
-    return all.empty() ? 0 : all.back().mean();
   }
 
   /// All windows, oldest first, including the still-open one.

@@ -72,6 +72,7 @@ class LogHistogram {
   /// report that sample for every percentile).
   [[nodiscard]] double percentile(double p) const;
 
+  // sim-lint: allow(unused-api) profiler_test: bucket boundaries
   [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const {
     return counts_;
   }

@@ -87,6 +87,7 @@ class TraceRecorder {
   void clear() { events_.clear(); }
 
   /// One JSON object per line; deterministic for a fixed seed.
+  // sim-lint: allow(unused-api) mapred_test, realloc_test: trace digests
   void to_jsonl(std::ostream& os) const;
 
   /// Chrome trace_event JSON (the "JSON Array Format" with metadata), valid

@@ -7,7 +7,7 @@ Five checks:
                 produces EXACTLY the expected (rule, file, line) set —
                 nothing missing (a rule went no-op), nothing extra (a
                 rule regressed into noise), suppressed/clean decoys
-                absent.
+                absent (unused-api: the fixture tests/ file is no consumer).
   2. clean src  The real src/ tree reports zero findings and exits 0 —
                 the state CI gates on.
   3. lint       The determinism group alone, invoked exactly as ci.sh's
@@ -54,6 +54,11 @@ EXPECTED = sorted([
     ("unordered-accumulation", "src/sim/determ_bad.cc", 23),
     ("simtime-eq", "src/sim/determ_bad.cc", 29),
     ("eager-recompute", "src/sim/determ_bad.cc", 34),
+    # dim_bad.h's set_deadline is also a public function nothing calls:
+    ("unused-api", "src/cluster/dim_bad.h", 15),
+    ("unused-api", "src/stats/api_bad.h", 12),
+    ("unused-api", "src/stats/api_bad.h", 18),
+    ("unused-api", "src/stats/api_bad.h", 26),
 ])
 
 # The determinism rules' share of EXPECTED: what ci.sh's lint stage must
@@ -131,7 +136,7 @@ with tempfile.TemporaryDirectory() as td:
 p = run(str(ANALYZE), "--list-rules")
 check("--list-rules exits 0", p.returncode == 0, f"exit {p.returncode}")
 for rule in ["dim-raw-double", "layer-cycle", "capture-lifetime",
-             "wall-clock", "eager-recompute"]:
+             "wall-clock", "eager-recompute", "unused-api"]:
     check(f"--list-rules names {rule}", rule in p.stdout, p.stdout)
 
 # --- 5. exit-code hygiene: config/internal errors are 2, never 0/1 -----

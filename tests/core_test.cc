@@ -164,11 +164,14 @@ TEST(PhaseOne, DesiredJctRuleOverridesThreshold) {
   config.virtual_cluster_size = 8;
   config.auto_train = false;
   PhaseOneScheduler phase1(profiler, config);
+  mapred::JobSpec spec = workload::sort_job();
   // SLO tighter than the virtual estimate -> native despite low overhead.
-  auto d = phase1.place(workload::sort_job().with_desired_jct(sim::Duration{105}));
+  spec.desired_jct_s = sim::Duration{105};
+  auto d = phase1.place(spec);
   EXPECT_EQ(d.pool, mapred::PlacementPool::kNativeOnly);
   // Loose SLO -> virtual.
-  d = phase1.place(workload::sort_job().with_desired_jct(sim::Duration{200}));
+  spec.desired_jct_s = sim::Duration{200};
+  d = phase1.place(spec);
   EXPECT_EQ(d.pool, mapred::PlacementPool::kVirtualOnly);
 }
 

@@ -1,6 +1,8 @@
 // Tests for the interactive application model and SLA monitoring.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cluster/cluster.h"
 #include "interactive/app.h"
 #include "interactive/presets.h"
@@ -24,7 +26,7 @@ class InteractiveTest : public ::testing::Test {
 TEST_F(InteractiveTest, LightLoadMeetsSla) {
   Machine* host = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*host);
-  auto app = make_rubis(sim, *vm, 300);
+  auto app = std::make_unique<InteractiveApp>(sim, *vm, rubis_params(), 300);
   app->start();
   sim.run_until(60);
   EXPECT_LT(app->response_time_s(), app->params().sla_s.value());
@@ -35,7 +37,7 @@ TEST_F(InteractiveTest, LightLoadMeetsSla) {
 TEST_F(InteractiveTest, LatencyRisesWithClients) {
   Machine* host = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*host);
-  auto app = make_rubis(sim, *vm, 200);
+  auto app = std::make_unique<InteractiveApp>(sim, *vm, rubis_params(), 200);
   app->start();
   sim.run_until(30);
   const double light = app->response_time_s();
@@ -54,7 +56,8 @@ TEST_F(InteractiveTest, HockeyStickAroundSaturation) {
     HybridCluster c{s};
     Machine* host = c.add_machine();
     VirtualMachine* vm = c.add_vm(*host);
-    auto app = make_rubis(s, *vm, clients);
+    auto app =
+        std::make_unique<InteractiveApp>(s, *vm, rubis_params(), clients);
     app->start();
     s.run_until(30);
     latencies.push_back(app->response_time_s());
@@ -71,7 +74,9 @@ TEST_F(InteractiveTest, BatchInterferenceRaisesLatency) {
   Machine* host = cluster.add_machine();
   VirtualMachine* app_vm = cluster.add_vm(*host);
   VirtualMachine* batch_vm = cluster.add_vm(*host);
-  auto app = make_olio(sim, *app_vm, 900);  // Olio is I/O heavy
+  // Olio is I/O heavy.
+  auto app =
+      std::make_unique<InteractiveApp>(sim, *app_vm, olio_params(), 900);
   app->start();
   sim.run_until(30);
   const double alone = app->response_time_s();
@@ -91,12 +96,15 @@ TEST_F(InteractiveTest, BatchInterferenceRaisesLatency) {
 TEST_F(InteractiveTest, SlaMonitorFlagsViolators) {
   Machine* host = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*host);
-  auto ok_app = make_rubis(sim, *vm, 100);
+  auto ok_app =
+      std::make_unique<InteractiveApp>(sim, *vm, rubis_params(), 100);
   ok_app->start();
 
   Machine* host2 = cluster.add_machine();
   VirtualMachine* vm2 = cluster.add_vm(*host2);
-  auto hot_app = make_rubis(sim, *vm2, 8000);  // far past saturation
+  // Far past saturation.
+  auto hot_app =
+      std::make_unique<InteractiveApp>(sim, *vm2, rubis_params(), 8000);
   hot_app->start();
 
   SlaMonitor monitor;
@@ -106,7 +114,6 @@ TEST_F(InteractiveTest, SlaMonitorFlagsViolators) {
   const auto violators = monitor.violators();
   ASSERT_EQ(violators.size(), 1u);
   EXPECT_EQ(violators[0], hot_app.get());
-  EXPECT_TRUE(monitor.any_violation());
   ok_app->stop();
   hot_app->stop();
 }
@@ -114,7 +121,7 @@ TEST_F(InteractiveTest, SlaMonitorFlagsViolators) {
 TEST_F(InteractiveTest, ViolationFractionComputed) {
   Machine* host = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*host);
-  auto app = make_rubis(sim, *vm, 8000);
+  auto app = std::make_unique<InteractiveApp>(sim, *vm, rubis_params(), 8000);
   app->start();
   sim.run_until(60);
   EXPECT_GT(SlaMonitor::violation_fraction(*app, 0, 60), 0.9);
@@ -124,7 +131,7 @@ TEST_F(InteractiveTest, ViolationFractionComputed) {
 TEST_F(InteractiveTest, StopRemovesServiceWorkload) {
   Machine* host = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*host);
-  auto app = make_tpcw(sim, *vm, 500);
+  auto app = std::make_unique<InteractiveApp>(sim, *vm, tpcw_params(), 500);
   app->start();
   EXPECT_EQ(vm->workloads().size(), 1u);
   app->stop();

@@ -1026,7 +1026,8 @@ TEST_P(ClientSweep, ThroughputScalesWithClientsUntilSaturation) {
   EXPECT_GT(app.throughput_rps(), 0);
   // Closed-loop identity: X = N / (R + Z).
   const double expected =
-      GetParam() / (app.response_time_s() + app.params().think_time_s.value());
+      GetParam() /
+      (app.response_time_s() + interactive::InteractiveApp::kThinkTime.value());
   EXPECT_NEAR(app.throughput_rps(), expected, expected * 0.01);
   app.stop();
 }

@@ -216,15 +216,6 @@ TEST(Rng, UniformIntInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, NormalClampedRespectsBounds) {
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal_clamped(0, 10, -1, 1);
-    EXPECT_GE(v, -1);
-    EXPECT_LE(v, 1);
-  }
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(3);
   std::vector<int> v{1, 2, 3, 4, 5, 6};

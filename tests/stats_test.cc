@@ -137,16 +137,6 @@ TEST(Summary, OfValues) {
   EXPECT_DOUBLE_EQ(s.max, 5);
 }
 
-TEST(Ewma, ConvergesTowardInput) {
-  Ewma e(0.5);
-  e.update(10);
-  EXPECT_DOUBLE_EQ(e.value(), 10);  // seeded with first sample
-  e.update(0);
-  EXPECT_DOUBLE_EQ(e.value(), 5);
-  e.update(0);
-  EXPECT_DOUBLE_EQ(e.value(), 2.5);
-}
-
 TEST(TimeSeries, ValueAtStepFunction) {
   TimeSeries ts;
   ts.add(0, 1);
@@ -176,16 +166,6 @@ TEST(TimeSeries, MeanInWindow) {
   ts.add(2, 30);
   EXPECT_NEAR(ts.mean_in(0.5, 2.5), 25, 1e-12);
   EXPECT_DOUBLE_EQ(ts.mean_in(5, 6), 0);
-}
-
-TEST(TimeSeries, TrimKeepsBoundarySample) {
-  TimeSeries ts;
-  ts.add(0, 1);
-  ts.add(10, 2);
-  ts.add(20, 3);
-  ts.trim_before(15);
-  EXPECT_DOUBLE_EQ(ts.value_at(15), 2);  // sample at 10 retained
-  EXPECT_EQ(ts.size(), 2u);
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ TEST(TimeSeriesMetric, WindowBoundariesAreAligned) {
   EXPECT_DOUBLE_EQ(windows[2].start, 10.0);
   EXPECT_DOUBLE_EQ(windows[2].mean(), 20.0);
   EXPECT_EQ(ts.count(), 4u);
-  EXPECT_DOUBLE_EQ(ts.last(), 20.0);
 }
 
 TEST(TimeSeriesMetric, CoalescedSamplesKeepTheLastPerInstant) {
@@ -88,9 +87,9 @@ TEST(TimeSeriesMetric, CoalescedSamplesKeepTheLastPerInstant) {
   // A read before t=2 counts the held sample, once.
   EXPECT_EQ(ts.count(), 1u);
   EXPECT_DOUBLE_EQ(ts.mean(), 6.0);
-  EXPECT_DOUBLE_EQ(ts.last(), 6.0);
   ASSERT_EQ(ts.windows().size(), 1u);
   EXPECT_EQ(ts.windows()[0].count, 1u);
+  EXPECT_DOUBLE_EQ(ts.windows()[0].mean(), 6.0);
 
   ts.sample_coalesced(2.0, 10);
   auto windows = ts.windows();
@@ -112,7 +111,6 @@ TEST(TimeSeriesMetric, CoalescedSamplesKeepTheLastPerInstant) {
   EXPECT_EQ(windows[1].count, 2u);
   EXPECT_DOUBLE_EQ(windows[1].mean(), 11.0);
   EXPECT_DOUBLE_EQ(windows[1].max, 12.0);
-  EXPECT_DOUBLE_EQ(ts.last(), 11.0);
   EXPECT_EQ(ts.count(), 3u);
 }
 
