@@ -20,10 +20,6 @@ namespace hybridmr::bench {
 using harness::Table;
 using harness::TestBed;
 
-/// The paper's testbed scale: 24 physical servers, 48 VMs.
-inline constexpr int kPaperPms = 24;
-inline constexpr int kPaperVms = 48;
-
 /// Runs `spec` once on a fresh native cluster of `nodes` PMs.
 inline double native_jct(const mapred::JobSpec& spec, int nodes,
                          std::uint64_t seed = 42) {
@@ -48,12 +44,6 @@ inline double virtual_jct(const mapred::JobSpec& spec, int hosts,
 /// Scales a benchmark's input, keeping the paper's name/resource mix.
 inline mapred::JobSpec sized(const mapred::JobSpec& spec, double gb) {
   return spec.with_input_gb(gb);
-}
-
-/// Pins reducers so native/virtual comparisons hold logical parallelism
-/// constant (see DESIGN.md §3).
-inline mapred::JobSpec pinned(const mapred::JobSpec& spec, int reducers) {
-  return spec.with_reducers(reducers);
 }
 
 }  // namespace hybridmr::bench

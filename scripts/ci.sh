@@ -29,7 +29,8 @@
 #                the sanitize and audit trees, a same-seed bench_whatif
 #                sweep-fingerprint diff, and the capacity sweep gated by
 #                perf_gate.py against BENCH_whatif.json (cold/forked >= 5x;
-#                forked_serial/forked >= 1.5x when >= 2 CPUs were free)
+#                forked_serial/forked >= 1.5x when >= 2 CPUs were free; the
+#                stage result names a rule the gate skipped)
 #   determinism  two same-seed quickstart runs; telemetry artifacts must be
 #                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
 #                (the profiler's wall-clock data must never leak into the
@@ -255,13 +256,26 @@ if [ -x "$wb" ]; then
           --out "$whatif_dir/whatif.json" > /dev/null &&
         python3 "$repo/scripts/perf_gate.py" check \
           --baseline "$repo/BENCH_whatif.json" \
-          --run "$whatif_dir/whatif.json"); then
+          --run "$whatif_dir/whatif.json" | tee "$whatif_dir/gate.txt"); then
     echo "whatif: warmed-vs-cold gate failed"
     whatif_result=FAIL
   fi
 else
   echo "whatif: $wb missing (release build failed?)"
   whatif_result=FAIL
+fi
+# A ratio rule perf_gate skipped (too few free CPUs for the side-by-side
+# claim) is named in the stage result, so a host that is always contended
+# shows in the summary instead of passing silently.
+if [ "$whatif_result" = PASS ] && [ -f "$whatif_dir/gate.txt" ]; then
+  skips="$(sed -n 's/.* SKIP (\(.*\))$/\1/p' "$whatif_dir/gate.txt")"
+  if [ -n "$skips" ]; then
+    n_skips="$(printf '%s\n' "$skips" | wc -l)"
+    noun=rules
+    [ "$n_skips" -eq 1 ] && noun=rule
+    reasons="$(printf '%s\n' "$skips" | sed 's/^[^ ]* //' | paste -sd ';' -)"
+    whatif_result="PASS ($n_skips ratio $noun skipped: $reasons)"
+  fi
 fi
 note_stage whatif "$whatif_result"
 

@@ -592,8 +592,8 @@ void Machine::reschedule(const WorkloadPtr& workload) {
   }
   if (workload->completion_event.valid() &&
       sim_.defer(workload->completion_event, target)) {
-    // The pending event moves in place (O(1) when postponing) and keeps
-    // its creation seq, so same-time ties resolve in creation order.
+    // The pending event moves in place and keeps its creation seq, so
+    // same-time ties resolve in creation order.
     workload->completion_time = target;
     if (prof_ != nullptr) {
       prof_->add(telemetry::WorkCounter::kRescheduleDeferred);

@@ -54,12 +54,6 @@ struct JobSpec {
     return s;
   }
 
-  [[nodiscard]] JobSpec with_reducers(int n) const {
-    JobSpec s = *this;
-    s.num_reducers = n;
-    return s;
-  }
-
   [[nodiscard]] sim::MegaBytes input_mb() const {
     return sim::MegaBytes{input_gb * 1024.0};
   }

@@ -1,21 +1,23 @@
 // Cancellable discrete-event queue.
 //
 // Events are (time, callback) pairs ordered by time with FIFO tie-breaking.
-// Every scheduled event gets a stable EventId that can later be cancelled in
-// O(1); cancelled events are dropped lazily when they reach the head of the
-// heap, so cancellation never restructures the heap.
+// Every scheduled event gets a stable EventId that can later be cancelled
+// or moved to another time. The heap is exact: it holds one item per live
+// event and nothing else. Each live event records its heap position, so
+// cancel() erases at that position and defer() rewrites the time there and
+// sifts.
 //
 // Handlers live in a generation-indexed slot vector rather than a hash map:
 // an EventId packs (slot index, slot generation), so push/cancel/pop resolve
 // handlers with two array reads and no hashing, and slot reuse means a
 // steady-state simulation allocates nothing per event (the slot pool and the
-// heap grow to the high-water mark once and are then recycled).
+// heap grow to the high-water mark of live events once and are then
+// recycled).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 namespace hybridmr::sim {
@@ -42,7 +44,7 @@ struct EventId {
   friend bool operator==(EventId a, EventId b) { return a.value == b.value; }
 };
 
-/// Min-heap of timed callbacks with O(1) cancellation.
+/// Indexed min-heap of timed callbacks.
 ///
 /// Not thread-safe: the simulation is single-threaded by design (determinism
 /// is a feature; see DESIGN.md).
@@ -65,19 +67,16 @@ class EventQueue {
   /// (the handler and its id stay valid). Returns false if the event
   /// already fired or was cancelled — callers then push() a fresh event.
   ///
-  /// This is the lazy-deletion path that replaces cancel+push churn:
-  /// postponing is O(1) (the slot's authoritative seat is bumped and the
-  /// stale heap item is re-seated only when it surfaces at the head),
-  /// advancing pushes one extra heap item at the earlier time and lets the
-  /// superseded item skim away as a duplicate. Heap items are therefore a
-  /// *superset* of live events; only the slot's (time, seq) seat is
-  /// authoritative. defer() never consumes a tie-break seq: the event
-  /// keeps the seq it was pushed with, so same-time FIFO ties resolve in
-  /// creation order no matter how often an event was rescheduled or how
-  /// reschedules were coalesced — tie order is a property of the workload,
-  /// not of the reschedule policy. Conservation
-  /// (total_pushed == fired + cancelled + live) counts events, not heap
-  /// items, so defer() never touches those totals.
+  /// The event's heap item is rewritten where it sits and sifted toward
+  /// the root when it moves earlier, toward the leaves when it moves
+  /// later: O(log n) either way, and the heap never holds a second item
+  /// for it. defer() never consumes a tie-break seq: the event keeps the
+  /// seq it was pushed with, so same-time FIFO ties resolve in creation
+  /// order no matter how often an event was rescheduled or how reschedules
+  /// were coalesced — tie order is a property of the workload, not of the
+  /// reschedule policy. Conservation
+  /// (total_pushed == fired + cancelled + live) counts events, so defer()
+  /// never touches those totals.
   bool defer(EventId id, SimTime time);
 
   /// True when no live (non-cancelled) events remain.
@@ -87,7 +86,7 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest live event. Empty queue -> nullopt.
-  [[nodiscard]] std::optional<SimTime> next_time();
+  [[nodiscard]] std::optional<SimTime> next_time() const;
 
   /// Removes and returns the earliest live event. Empty queue -> nullopt.
   std::optional<Entry> pop();
@@ -118,37 +117,39 @@ class EventQueue {
   [[nodiscard]] std::size_t max_size() const { return max_size_; }
 
  private:
+  // Children per heap node. Four halves the depth of a binary heap, and a
+  // node's children sit side by side, so a sift reads fewer cache lines.
+  static constexpr std::uint32_t kArity = 4;
+  // Seat::pos of a slot that holds no event.
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+
   // An EventId packs the slot index (low 32 bits, biased by one so the
   // all-zero id stays invalid) and the slot's generation at push time
   // (high 32 bits). A slot's generation bumps on every release, so stale
   // ids — fired, cancelled or cleared — can never alias a reused slot.
-  struct Slot {
-    std::function<void()> fn;
-    // Authoritative (time, seq) seat of the event. Heap items carry the
-    // seat they were inserted with; defer() moves only the time (seq is
-    // fixed at push) and skim() reconciles stale items when they surface,
-    // so same-time FIFO ties always resolve in event-creation order,
-    // independent of the reschedule history.
-    SimTime time = 0;
-    std::uint64_t seq = 0;
+  //
+  // Per-slot bookkeeping is kept apart from the handlers: the sifts
+  // rewrite the position of every item they move, and these 8-byte seats
+  // pack eight to a cache line where a handler alone takes 32 bytes.
+  struct Seat {
     std::uint32_t gen = 0;
-    bool live = false;
+    std::uint32_t pos = kNotQueued;  // heap index while the slot is live
   };
 
-  struct HeapItem {
+  // The authoritative (time, seq) of one live event. seq is the push
+  // order and never changes, so same-time ties resolve in creation order.
+  struct Item {
     SimTime time;
-    std::uint64_t seq;  // insertion order, for FIFO tie-breaking
-    std::uint64_t id;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      // Ordered comparisons only: exact ==/!= on SimTime doubles is a
-      // lint violation (see sim::same_time).
-      if (a.time > b.time) return true;
-      if (b.time > a.time) return false;
-      return a.seq > b.seq;
-    }
-  };
+  static bool before(const Item& a, const Item& b) {
+    // Ordered comparisons only: exact ==/!= on SimTime doubles is a lint
+    // violation (see sim::same_time).
+    if (a.time < b.time) return true;
+    if (b.time < a.time) return false;
+    return a.seq < b.seq;
+  }
 
   static std::uint32_t slot_index(std::uint64_t id) {
     return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
@@ -161,22 +162,40 @@ class EventQueue {
            (static_cast<std::uint64_t>(index) + 1);
   }
 
-  // The slot a live id refers to, or nullptr when the id is stale/invalid.
-  [[nodiscard]] Slot* live_slot(std::uint64_t id);
+  // The heap position of the event a live id refers to, or kNotQueued
+  // when the id is stale or invalid.
+  [[nodiscard]] std::uint32_t live_pos(std::uint64_t id) const;
+
+  // Writes `item` at heap index `pos` and records the position in its seat.
+  void place(std::uint32_t pos, const Item& item) {
+    heap_[pos] = item;
+    seats_[item.slot].pos = pos;
+  }
+
+  // Moves the hole at `pos` toward the root (sift_up) or the leaves
+  // (sift_down) until `item` fits there, then places it.
+  void sift_up(std::uint32_t pos, const Item& item);
+  void sift_down(std::uint32_t pos, const Item& item);
+
+  // Removes the item at `pos` (the last item fills the hole and sifts).
+  // Returns the slot that filled it, or kNotQueued when `pos` was last.
+  std::uint32_t erase_at(std::uint32_t pos);
 
   // Destroys the handler, bumps the generation and recycles the slot.
   void release(std::uint32_t index);
 
-  // Drops cancelled items from the heap head.
-  void skim();
+  // Audit checkpoint: the heap holds exactly the live events, and `index`
+  // sits at the position its seat records. Every operation checks the
+  // slot it acts on before acting and the slot it placed afterwards
+  // (kNotQueued: none).
+  void audit_heap(std::uint32_t index) const;
 
-  // Audit checkpoint: every live handler must have a heap item (an
-  // orphaned handler could never fire and would leak its captures).
-  void audit_no_orphans() const;
-
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Item> heap_;
+  std::vector<Seat> seats_;
+  std::vector<std::function<void()>> handlers_;  // by slot index
   std::vector<std::uint32_t> free_slots_;
+  // Counted by push and release, apart from heap_.size(), so that
+  // heap_matches_live compares two independent tallies.
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t total_pushed_ = 0;

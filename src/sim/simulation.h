@@ -78,10 +78,11 @@ class Simulation {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Moves a pending event to absolute time `t` without cancelling it
-  /// (see EventQueue::defer — O(1) when postponing, one heap push when
-  /// advancing). Returns false when the event already fired or was
-  /// cancelled; callers then schedule a fresh one with at(). Past times
-  /// clamp to now() under the same audit/log policy as at().
+  /// (see EventQueue::defer — the event's one heap item is rewritten in
+  /// place and sifted, O(log n) either way). Returns false when the event
+  /// already fired or was cancelled; callers then schedule a fresh one
+  /// with at(). Past times clamp to now() under the same audit/log policy
+  /// as at().
   bool defer(EventId id, SimTime t) {
     return queue_.defer(id, clamp_to_now(t, "defer"));
   }

@@ -310,7 +310,8 @@ TEST(Drm, MemoryAdmissionPausesOversubscribedTasks) {
 TEST(Drm, ManagementImprovesMemoryHeavyJct) {
   // Fig. 8(b) mechanics: Twitter on a small virtual cluster with and
   // without the Phase II DRM.
-  auto spec = workload::twitter().with_input_gb(0.5).with_reducers(4);
+  auto spec = workload::twitter().with_input_gb(0.5);
+  spec.num_reducers = 4;
 
   TestBed plain;
   plain.add_virtual_nodes(2, 2);

@@ -1,10 +1,11 @@
 // EventQueue cancellation and reschedule edge cases: lifetimes, cancellation
 // races and defer() seats that the happy-path tests in sim_test.cc do not
-// reach. These pin down the lazy-deletion contract (cancel and postpone
-// never restructure the heap, handlers die exactly once) that the
-// leak-clean teardown work relies on. The seat contract itself (FIFO ties
-// follow creation order however events were deferred) is checked against
-// an ordered model by EventQueueProperty in property_test.cc.
+// reach. These pin down the exact-heap contract (a cancelled or deferred
+// event leaves no item behind that could fire again, handlers die exactly
+// once) that the leak-clean teardown work relies on. The seat contract
+// itself (FIFO ties follow creation order however events were deferred) is
+// checked against an ordered model by EventQueueProperty in
+// property_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,7 +36,7 @@ TEST(EventQueueEdge, DoubleCancelSecondIsNoOp) {
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
   EXPECT_EQ(q.size(), 1u);
-  // The cancelled heap entry must not resurface as a fireable event.
+  // The cancelled event must not resurface as a fireable one.
   auto e = q.pop();
   ASSERT_TRUE(e.has_value());
   EXPECT_DOUBLE_EQ(e->time, 2.0);
@@ -72,8 +73,8 @@ TEST(EventQueueEdge, HandlerDestroyedOnCancel) {
   sentinel.reset();
   EXPECT_FALSE(watch.expired());
   EXPECT_TRUE(q.cancel(id));
-  // Lazy cancellation may keep the heap entry, but the handler (and the
-  // captures it owns) must die immediately.
+  // Cancellation erases the heap item, and the handler (and the captures
+  // it owns) must die with it, immediately.
   EXPECT_TRUE(watch.expired());
 }
 
@@ -127,10 +128,10 @@ TEST(EventQueueEdge, DeferPostponesAndAdvancesInPlace) {
   const EventId a = q.push(10.0, [&] { fired.push_back("a"); });
   q.push(20.0, [&] { fired.push_back("b"); });
   const EventId c = q.push(30.0, [&] { fired.push_back("c"); });
-  // Postpone: the stale seat at 10 is re-seated when it surfaces.
+  // Postpone: a's item moves from 10 to 25 where it sits.
   EXPECT_TRUE(q.defer(a, 25.0));
-  // Advance: a fresh heap item at 5; the superseded one at 30 stays behind
-  // as a duplicate and must skim away instead of firing c twice.
+  // Advance: c's item moves from 30 to 5; nothing is left at 30 that
+  // could fire c twice.
   EXPECT_TRUE(q.defer(c, 5.0));
   EXPECT_EQ(q.size(), 3u);  // same events, new seats
   EXPECT_EQ(q.total_deferred(), 2u);
@@ -171,8 +172,8 @@ TEST(EventQueueEdge, StaleHeapItemsAreSkimmed) {
   q.push(3.0, [] {});
   q.cancel(cancelled);
   q.defer(postponed, 4.0);
-  // The head holds a cancelled item (1.0) and a stale seat (2.0); both
-  // skim away before the first live event surfaces.
+  // The cancelled event (1.0) left the heap and the postponed one moved
+  // from 2.0 to 4.0, so the first live event is the one at 3.0.
   EXPECT_EQ(q.next_time(), std::optional<SimTime>(3.0));
   auto e = q.pop();
   ASSERT_TRUE(e.has_value());

@@ -73,7 +73,9 @@ TEST(MapReduce, TaskCountsMatchSpec) {
 TEST(MapReduce, ExplicitReducerCountHonored) {
   TestBed bed;
   bed.add_native_nodes(4);
-  Job* job = bed.mr().submit(small_sort().with_reducers(2));
+  JobSpec spec = small_sort();
+  spec.num_reducers = 2;
+  Job* job = bed.mr().submit(spec);
   bed.sim().run();
   EXPECT_EQ(job->reduces().size(), 2u);
   EXPECT_TRUE(job->finished());
@@ -127,7 +129,8 @@ TEST(MapReduce, LargerInputTakesLonger) {
 TEST(MapReduce, VirtualClusterSlowerThanNative) {
   // The headline substrate behaviour behind Fig. 1(a): same physical
   // hardware (4 PMs), I/O-bound job, virtual pays the virtualization taxes.
-  const auto spec = small_sort(2.0).with_reducers(4);
+  auto spec = small_sort(2.0);
+  spec.num_reducers = 4;
   TestBed native;
   native.add_native_nodes(4);
   const double native_jct = native.run_job(spec);
@@ -140,8 +143,10 @@ TEST(MapReduce, VirtualClusterSlowerThanNative) {
 }
 
 TEST(MapReduce, CpuBoundSuffersLessVirtualizationPenalty) {
-  auto cpu_spec = workload::kmeans().with_input_gb(1.0).with_reducers(4);
-  auto io_spec = small_sort(1.0).with_reducers(4);
+  auto cpu_spec = workload::kmeans().with_input_gb(1.0);
+  cpu_spec.num_reducers = 4;
+  auto io_spec = small_sort(1.0);
+  io_spec.num_reducers = 4;
 
   TestBed n1;
   n1.add_native_nodes(4);
@@ -402,7 +407,9 @@ TEST(MapReduce, ShuffleDependsOnEveryFetchSource) {
   cluster::ExecutionSite* idle = hosts[3];
   bed.hdfs().add_datanode(*idle);
 
-  Job* job = bed.mr().submit(small_sort(4 * 128.0 / 1024).with_reducers(1));
+  JobSpec spec = small_sort(4 * 128.0 / 1024);
+  spec.num_reducers = 1;
+  Job* job = bed.mr().submit(spec);
   ASSERT_EQ(job->maps().size(), 4u);
   ASSERT_EQ(job->reduces().size(), 1u);
   const Task& reduce = *job->reduces().front();

@@ -302,6 +302,117 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WaterfillGroupedProperty,
 // seq it was created with, so same-time ties pop in creation order however
 // often (and in whatever coalescing regime) an event was moved. The model
 // is that contract stated directly: a set ordered by (time, creation seq).
+// Each operation drives the queue and the model together and reports where
+// they disagree. Under HYBRIDMR_AUDIT every queue operation also checks
+// heap_matches_live (the heap holds exactly the live events, each at the
+// position its slot records).
+struct SeatModel {
+  SeatModel() = default;
+  // The queued handlers hold `this`.
+  SeatModel(const SeatModel&) = delete;
+  SeatModel& operator=(const SeatModel&) = delete;
+
+  sim::EventQueue q;
+  std::set<std::pair<sim::SimTime, std::size_t>> seats;  // (time, seq)
+  std::vector<sim::EventId> ids;                         // by creation seq
+  std::vector<std::optional<sim::SimTime>> seat_of;      // nullopt: dead
+  std::size_t fired = 0;
+  std::uint64_t deferred = 0;
+  std::uint64_t cancelled = 0;
+
+  std::size_t push(sim::SimTime t) {
+    const std::size_t seq = ids.size();
+    ids.push_back(q.push(t, [this, seq] { fired = seq; }));
+    seat_of.emplace_back(t);
+    seats.emplace(t, seq);
+    return seq;
+  }
+
+  ::testing::AssertionResult defer(std::size_t seq, sim::SimTime t) {
+    const bool live = seat_of[seq].has_value();
+    if (q.defer(ids[seq], t) != live) {
+      return ::testing::AssertionFailure()
+             << "defer of seq " << seq << " returned " << !live;
+    }
+    if (live) {
+      seats.erase({*seat_of[seq], seq});
+      seats.emplace(t, seq);
+      seat_of[seq] = t;
+      ++deferred;
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  ::testing::AssertionResult cancel(std::size_t seq) {
+    const bool live = seat_of[seq].has_value();
+    if (q.cancel(ids[seq]) != live) {
+      return ::testing::AssertionFailure()
+             << "cancel of seq " << seq << " returned " << !live;
+    }
+    if (live) {
+      seats.erase({*seat_of[seq], seq});
+      seat_of[seq].reset();
+      ++cancelled;
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  ::testing::AssertionResult pop() {
+    auto e = q.pop();
+    if (e.has_value() == seats.empty()) {
+      return ::testing::AssertionFailure()
+             << "pop " << (e ? "returned an event" : "returned nothing")
+             << " with " << seats.size() << " live in the model";
+    }
+    if (!e) return ::testing::AssertionSuccess();
+    e->fn();
+    const auto [time, seq] = *seats.begin();
+    seats.erase(seats.begin());
+    seat_of[seq].reset();
+    if (fired != seq || !sim::same_time(e->time, time) ||
+        !(e->id == ids[seq])) {
+      return ::testing::AssertionFailure()
+             << "popped seq " << fired << " at " << e->time
+             << ", model head is seq " << seq << " at " << time
+             << " (tie order must follow creation order)";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  ::testing::AssertionResult clear() {
+    const std::size_t dropped = q.clear();
+    if (dropped != seats.size()) {
+      return ::testing::AssertionFailure()
+             << "clear dropped " << dropped << ", model holds "
+             << seats.size();
+    }
+    cancelled += dropped;
+    for (const auto& [time, seq] : seats) seat_of[seq].reset();
+    seats.clear();
+    return ::testing::AssertionSuccess();
+  }
+
+  [[nodiscard]] ::testing::AssertionResult agrees() const {
+    const std::optional<sim::SimTime> next = q.next_time();
+    if (q.size() != seats.size() || next.has_value() == seats.empty() ||
+        (next && !sim::same_time(*next, seats.begin()->first))) {
+      return ::testing::AssertionFailure()
+             << "queue holds " << q.size() << " events, model "
+             << seats.size();
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  // Pops everything left, then checks the lifetime totals.
+  void drain() {
+    while (!seats.empty()) ASSERT_TRUE(pop());
+    EXPECT_FALSE(q.pop().has_value());
+    EXPECT_EQ(q.total_pushed(), ids.size());
+    EXPECT_EQ(q.total_deferred(), deferred);
+    EXPECT_EQ(q.total_cancelled(), cancelled);
+  }
+};
+
 // Random push / defer (earlier, later, to +inf) / cancel / pop sequences
 // over a few integer times make ties common; every pop must be the model's
 // head, and ids that fired or were cancelled must be rejected.
@@ -310,65 +421,56 @@ class EventQueueProperty : public ::testing::TestWithParam<int> {};
 TEST_P(EventQueueProperty, DeferMatchesOrderedSeatModel) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   sim::Rng rng(GetParam());
-  sim::EventQueue q;
-  std::set<std::pair<sim::SimTime, std::size_t>> model;  // (time, seq)
-  std::vector<sim::EventId> ids;                         // by creation seq
-  std::vector<std::optional<sim::SimTime>> seat_of;      // nullopt: dead
-  std::size_t fired = 0;
-  std::uint64_t deferred = 0;
-  std::uint64_t cancelled = 0;
-
-  auto pop_and_check = [&] {
-    auto e = q.pop();
-    ASSERT_EQ(e.has_value(), !model.empty());
-    if (!e) return;
-    e->fn();
-    const auto [time, seq] = *model.begin();
-    model.erase(model.begin());
-    seat_of[seq].reset();
-    EXPECT_EQ(fired, seq) << "tie order must follow creation order";
-    EXPECT_EQ(e->time, time);
-    EXPECT_TRUE(e->id == ids[seq]);
-  };
-
+  SeatModel m;
   for (int step = 0; step < 4000; ++step) {
-    const int op = ids.empty() ? 0 : rng.uniform_int(0, 99);
+    const int op = m.ids.empty() ? 0 : rng.uniform_int(0, 99);
     const sim::SimTime t =
         rng.bernoulli(0.1) ? kInf : static_cast<double>(rng.uniform_int(0, 4));
     if (op < 30) {
-      const std::size_t seq = ids.size();
-      ids.push_back(q.push(t, [&fired, seq] { fired = seq; }));
-      seat_of.emplace_back(t);
-      model.emplace(t, seq);
+      m.push(t);
     } else if (op < 65) {
-      const std::size_t seq = rng.index(ids.size());
-      const bool live = seat_of[seq].has_value();
-      ASSERT_EQ(q.defer(ids[seq], t), live) << "step " << step;
-      if (live) {
-        model.erase({*seat_of[seq], seq});
-        model.emplace(t, seq);
-        seat_of[seq] = t;
-        ++deferred;
-      }
+      ASSERT_TRUE(m.defer(rng.index(m.ids.size()), t)) << "step " << step;
     } else if (op < 75) {
-      const std::size_t seq = rng.index(ids.size());
-      const bool live = seat_of[seq].has_value();
-      ASSERT_EQ(q.cancel(ids[seq]), live) << "step " << step;
-      if (live) {
-        model.erase({*seat_of[seq], seq});
-        seat_of[seq].reset();
-        ++cancelled;
-      }
+      ASSERT_TRUE(m.cancel(rng.index(m.ids.size()))) << "step " << step;
     } else {
-      pop_and_check();
+      ASSERT_TRUE(m.pop()) << "step " << step;
     }
-    ASSERT_EQ(q.size(), model.size()) << "step " << step;
+    ASSERT_TRUE(m.agrees()) << "step " << step;
   }
-  while (!model.empty()) pop_and_check();
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.total_pushed(), ids.size());
-  EXPECT_EQ(q.total_deferred(), deferred);
-  EXPECT_EQ(q.total_cancelled(), cancelled);
+  m.drain();
+}
+
+// The shapes production runs: a workload's completion is pushed parked at
+// +inf and advanced by its first recompute (ExecutionSite::add), sometimes
+// only later; a removed workload's event is cancelled right after a
+// reschedule moved it; and Simulation::shutdown() clears the queue with
+// events in flight, after which the queue keeps serving.
+TEST_P(EventQueueProperty, ParkAdvanceCancelClearMatchOrderedSeatModel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::Rng rng(GetParam());
+  SeatModel m;
+  for (int step = 0; step < 4000; ++step) {
+    const int op = m.ids.empty() ? 0 : rng.uniform_int(0, 99);
+    const auto t = static_cast<double>(rng.uniform_int(0, 4));
+    if (op < 30) {
+      const std::size_t seq = m.push(kInf);
+      if (rng.bernoulli(0.8)) {
+        ASSERT_TRUE(m.defer(seq, t)) << "step " << step;
+      }
+    } else if (op < 60) {
+      ASSERT_TRUE(m.defer(rng.index(m.ids.size()), t)) << "step " << step;
+    } else if (op < 70) {
+      const std::size_t seq = rng.index(m.ids.size());
+      ASSERT_TRUE(m.defer(seq, t)) << "step " << step;
+      ASSERT_TRUE(m.cancel(seq)) << "step " << step;
+    } else if (op < 72) {
+      ASSERT_TRUE(m.clear()) << "step " << step;
+    } else {
+      ASSERT_TRUE(m.pop()) << "step " << step;
+    }
+    ASSERT_TRUE(m.agrees()) << "step " << step;
+  }
+  m.drain();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty,

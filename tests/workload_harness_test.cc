@@ -45,7 +45,6 @@ TEST(Benchmarks, ResourceClassesMatchPaper) {
 TEST(Benchmarks, WithHelpersDeriveSpecs) {
   const auto base = workload::sort_job();
   EXPECT_DOUBLE_EQ(base.with_input_gb(3).input_gb, 3);
-  EXPECT_EQ(base.with_reducers(7).num_reducers, 7);
   EXPECT_NEAR(base.with_input_gb(3).input_mb().value(), 3072, 1e-9);
 }
 
