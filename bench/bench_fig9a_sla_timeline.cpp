@@ -2,9 +2,9 @@
 // MapReduce jobs; HybridMR's IPS detects the SLA excursions and migrates /
 // throttles the interfering batch work, restoring latency.
 //
-// The timeline is reconstructed after the run from shared telemetry — the
-// per-app `app.<name>.response_s` time series and the kIpsAction trace
-// events — instead of sampling live with sim-time callbacks.
+// The timeline is reconstructed after the run — each app's response-time
+// series and the kIpsAction trace events — instead of sampling live with
+// sim-time callbacks.
 #include "common.h"
 
 #include "telemetry/telemetry.h"
@@ -14,15 +14,15 @@ using namespace hybridmr::bench;
 
 namespace {
 
-// Mean of all samples falling in minute `minute` (windows are 10 s, so six
-// windows per minute), 0 when the app saw no samples there.
-double minute_mean(const telemetry::TimeSeriesMetric& ts, int minute) {
+// Mean of the samples in [60 (minute - 1), 60 minute), 0 when the app saw
+// no samples there.
+double minute_mean(const interactive::InteractiveApp& app, int minute) {
   double sum = 0;
-  std::uint64_t n = 0;
-  for (const auto& w : ts.windows()) {
-    if (w.start >= 60.0 * (minute - 1) && w.start < 60.0 * minute) {
-      sum += w.sum;
-      n += w.count;
+  std::size_t n = 0;
+  for (const auto& s : app.response_series().samples()) {
+    if (s.time >= 60.0 * (minute - 1) && s.time < 60.0 * minute) {
+      sum += s.value;
+      ++n;
     }
   }
   return n ? sum / n : 0;
@@ -66,8 +66,6 @@ int main() {
       "Figure 9(a): response time (ms) of RUBiS and TPC-W over 35 minutes "
       "(SLA = 2000 ms; MapReduce jobs arrive at minute 10)");
   const telemetry::Hub* tel = bed.telemetry();
-  const auto* rubis_ts = tel->registry.find("app.rubis.response_s");
-  const auto* tpcw_ts = tel->registry.find("app.tpcw.response_s");
   Table table({"minute", "RUBiS (ms)", "TPC-W (ms)", "IPS actions",
                "migrations"});
   for (int minute = 1; minute <= 35; ++minute) {
@@ -86,8 +84,8 @@ int main() {
       }
     }
     table.row({std::to_string(minute),
-               Table::num(1000 * minute_mean(*rubis_ts->series, minute), 0),
-               Table::num(1000 * minute_mean(*tpcw_ts->series, minute), 0),
+               Table::num(1000 * minute_mean(rubis, minute), 0),
+               Table::num(1000 * minute_mean(tpcw, minute), 0),
                std::to_string(actions), std::to_string(migrations)});
   }
   table.print();

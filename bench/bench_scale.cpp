@@ -1,8 +1,10 @@
 // End-to-end scale sweep: a fig8-class heterogeneous batch (sort + grep +
 // wordcount) on a virtualized cluster, swept from the paper's 24 physical
 // machines up to 384. Reports host wall-clock per sweep point plus simulated
-// event throughput, and emits a google-benchmark-shaped JSON file that
-// scripts/perf_gate.py compares against the committed BENCH_scale.json.
+// event throughput; with --out FILE it also writes a google-benchmark-shaped
+// JSON file that scripts/perf_gate.py compares against the committed
+// BENCH_scale.json (without --out nothing is written, so a sweep run from
+// the repo root cannot overwrite that baseline).
 //
 // With --profile FILE the sweep additionally runs with the simulation
 // profiler enabled and writes one profile JSON (work counters, wall-time
@@ -164,7 +166,7 @@ void write_profiles(const char* path, const std::vector<SweepPoint>& points) {
 int main(int argc, char** argv) {
   std::vector<int> sizes{24, 96, 384};
   std::uint64_t seed = 42;
-  const char* out = "BENCH_scale.json";
+  const char* out = nullptr;
   ProfileOptions prof;
   const char* profile_out = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -206,7 +208,7 @@ int main(int argc, char** argv) {
       break;  // the watchdog stopped the sim mid-run; larger points would too
     }
   }
-  write_json(out, points);
+  if (out != nullptr) write_json(out, points);
   if (profile_out != nullptr) write_profiles(profile_out, points);
   if (stalled) {
     std::fprintf(stderr, "bench_scale: watchdog stall (see log above)\n");

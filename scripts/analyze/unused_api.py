@@ -1,7 +1,9 @@
-"""unused-api: a public src/ function that nothing in the program calls.
+"""unused-api: a public src/ or bench/ function that nothing calls.
 
 A function declared at namespace scope, or in a public section, of a src/
-header is a finding when its name appears nowhere in
+header named on the command line, or of any bench/ header (the helpers the
+bench binaries share; hmrbench's files belong to the benchmark and are
+not declared), is a finding when its name appears nowhere in
 <root>/{src,bench,examples,hmrbench} apart from its own declarations and
 definitions. Tests are not consumers. The match is by name, so any use of
 a name keeps every function of that name alive. The one escape is
@@ -20,6 +22,8 @@ from findings import Finding, SourceFile
 
 RULE = "unused-api"
 CONSUMER_DIRS = ("src", "bench", "examples", "hmrbench")
+# Declared on every run, whatever paths the command line names.
+ALWAYS_DECLARED = "bench/"
 
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d[\w.']*|::|->|\S")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
@@ -70,7 +74,7 @@ def _declarator(stmt: list[Token]) -> int | None:
 
 
 class FileScan:
-    """One walk over a file: the identifiers it uses, and (for a src/
+    """One walk over a file: the identifiers it uses, and (for a declaring
     header) the public functions it declares as (name, line) pairs."""
 
     def __init__(self, source: SourceFile, collect_api: bool):
@@ -176,16 +180,21 @@ def _allow_names_tests(source: SourceFile, line: int, root: Path) -> bool:
     return False
 
 
+def _declares(rel: str, declaring: set[str]) -> bool:
+    return rel.endswith(".h") and (
+        rel.startswith(ALWAYS_DECLARED)
+        or (rel in declaring and rel.startswith("src/")))
+
+
 def findings(declaring: set[str], cache: SourceCache) -> list[Finding]:
     """Findings for the public functions of the src/ headers in
-    ``declaring`` (root-relative paths) whose names no consumer uses."""
+    ``declaring`` (root-relative paths) and of every bench/ header whose
+    names no consumer uses."""
     uses: Counter[str] = Counter()
     api: list[tuple[SourceFile, str, int]] = []
     for path in consumer_files(cache.root):
         source = cache.source(path)
-        scan = FileScan(source, source.rel in declaring
-                        and source.rel.startswith("src/")
-                        and source.rel.endswith(".h"))
+        scan = FileScan(source, _declares(source.rel, declaring))
         uses.update(scan.uses)
         api.extend((source, name, line) for name, line in scan.api)
     out: list[Finding] = []
@@ -209,6 +218,6 @@ def findings(declaring: set[str], cache: SourceCache) -> list[Finding]:
 
 # Rule catalog for --list-rules.
 RULES = {
-    RULE: ("public src/ header function whose name nothing in src, bench, "
-           "examples or hmrbench uses (tests are not consumers)"),
+    RULE: ("public src/ or bench/ header function whose name nothing in "
+           "src, bench, examples or hmrbench uses (tests are not consumers)"),
 }

@@ -721,26 +721,10 @@ void Machine::recompute(RecomputeCause cause) {
        {"idle_watts", audit::num(power_model_.idle_watts.value())},
        {"peak_watts", audit::num(power_model_.peak_watts.value())}});
   energy_.record(now, watts);
-  if (tel_cpu_ != nullptr) {
-    tel_cpu_->sample_coalesced(now, utilization(ResourceKind::kCpu));
-    tel_disk_->sample_coalesced(now, utilization(ResourceKind::kDisk));
-    tel_watts_->sample_coalesced(now, watts.value());
-  }
 }
 
 void Machine::set_telemetry(telemetry::Hub* hub) {
-  if (hub == nullptr) {
-    tel_cpu_ = tel_disk_ = tel_watts_ = nullptr;
-    prof_ = nullptr;
-    return;
-  }
-  tel_cpu_ =
-      &hub->registry.timeseries("machine." + name() + ".cpu_util", 5.0, "frac");
-  tel_disk_ = &hub->registry.timeseries("machine." + name() + ".disk_util", 5.0,
-                                        "frac");
-  tel_watts_ =
-      &hub->registry.timeseries("machine." + name() + ".watts", 5.0, "W");
-  prof_ = hub->profiler.enabled() ? &hub->profiler : nullptr;
+  prof_ = hub != nullptr && hub->profiler.enabled() ? &hub->profiler : nullptr;
   if (prof_ != nullptr) {
     prof_recompute_scope_ = prof_->intern("cluster.machine.recompute");
   }

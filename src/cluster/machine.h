@@ -32,7 +32,6 @@
 namespace hybridmr::telemetry {
 struct Hub;
 class Profiler;
-class TimeSeriesMetric;
 }  // namespace hybridmr::telemetry
 
 namespace hybridmr::cluster {
@@ -342,8 +341,8 @@ class Machine : public ExecutionSite {
   /// recomputed finish time equals the already-scheduled one.
   void reschedule(const WorkloadPtr& workload);
 
-  /// Attaches this machine to a telemetry hub; registers and caches its
-  /// per-machine time-series metrics so recompute() stays allocation-free.
+  /// Attaches this machine to a telemetry hub: caches the hub's profiler
+  /// when profiling is live (null detaches).
   void set_telemetry(telemetry::Hub* hub);
 
  private:
@@ -366,14 +365,6 @@ class Machine : public ExecutionSite {
   // recompute()'s class table: native members' classes, then one row per
   // VM. Reused across passes (allocation-free steady state).
   DemandClasses classes_;
-
-  // Cached telemetry metric handles (null when telemetry is not wired).
-  // recompute() samples them coalesced, so k same-instant recomputes leave
-  // one sample in deferred and eager mode alike (windowed metrics
-  // aggregate counts and sums, so duplicates would skew them).
-  telemetry::TimeSeriesMetric* tel_cpu_ = nullptr;
-  telemetry::TimeSeriesMetric* tel_disk_ = nullptr;
-  telemetry::TimeSeriesMetric* tel_watts_ = nullptr;
 
   // Cached profiler handle (null unless a profiled run; see realloc.h for
   // how causes are attributed).

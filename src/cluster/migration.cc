@@ -147,11 +147,6 @@ void Migrator::complete(const std::shared_ptr<InFlight>& flight) {
   sim::log_info(sim_.now(), "migrator",
                 record->vm + ": " + record->from + " -> " + record->to);
   if (tel_ != nullptr) {
-    tel_->registry.counter("cluster.migrations").add();
-    tel_->registry.counter("cluster.migration_mb", "MB")
-        .add(record->transferred_mb.value());
-    tel_->registry.histogram("cluster.migration_downtime_s", 0.0, 2.0, "s")
-        .record(record->downtime_seconds.value());
     tel_->trace.complete(
         record->started_at, sim_.now() - record->started_at,
         telemetry::EventKind::kMigrationEnd, record->vm, record->from,
@@ -201,7 +196,6 @@ int Migrator::abort_involving(Machine& machine) {
                   flight->record->vm + ": aborted " + flight->record->from +
                       " -> " + flight->record->to);
     if (tel_ != nullptr) {
-      tel_->registry.counter("cluster.migrations_aborted").add();
       tel_->trace.instant(sim_.now(), telemetry::EventKind::kMigrationAbort,
                           flight->record->vm, flight->record->from,
                           {{"to", flight->record->to}});

@@ -38,7 +38,7 @@ ContentionDetector::Result ContentionDetector::classify(
       if (model == nullptr || model->empty()) continue;
       if (model->bottleneck().has_value() &&
           model->last().alloc.dominant_share(model->last().demand) <
-              deficit_threshold) {
+              kDeficitThreshold) {
         result.deficit.push_back(a);
         host_has_deficit[host] = true;
       }
@@ -266,10 +266,6 @@ void DynamicResourceManager::epoch() {
     const int pauses = lifetime_.memory_pauses - before.memory_pauses;
     const int resumes = lifetime_.memory_resumes - before.memory_resumes;
     const int shares = lifetime_.vm_share_updates - before.vm_share_updates;
-    if (caps > 0) tel_cap_updates_->add(caps);
-    if (pauses > 0) tel_memory_pauses_->add(pauses);
-    if (resumes > 0) tel_memory_resumes_->add(resumes);
-    if (shares > 0) tel_vm_share_updates_->add(shares);
     const bool active = caps + pauses + resumes + shares > 0 ||
                         !contention.deficit.empty() ||
                         !contention.hogging.empty();
@@ -286,20 +282,6 @@ void DynamicResourceManager::epoch() {
            {"vm_share_updates", telemetry::json_num(shares)}});
     }
   }
-}
-
-void DynamicResourceManager::set_telemetry(telemetry::Hub* hub) {
-  tel_ = hub;
-  if (hub == nullptr) {
-    tel_cap_updates_ = tel_memory_pauses_ = tel_memory_resumes_ =
-        tel_vm_share_updates_ = nullptr;
-    return;
-  }
-  auto& reg = hub->registry;
-  tel_cap_updates_ = &reg.counter("drm.cap_updates");
-  tel_memory_pauses_ = &reg.counter("drm.memory_pauses");
-  tel_memory_resumes_ = &reg.counter("drm.memory_resumes");
-  tel_vm_share_updates_ = &reg.counter("drm.vm_share_updates");
 }
 
 void DynamicResourceManager::start() {

@@ -25,7 +25,6 @@
 
 namespace hybridmr::telemetry {
 struct Hub;
-class Counter;
 }  // namespace hybridmr::telemetry
 
 namespace hybridmr::core {
@@ -71,12 +70,12 @@ class ContentionDetector {
   };
 
   /// A task is deficit when its dominant allocation ratio is below
-  /// `deficit_threshold`; hogging when it is (near) fully satisfied while
+  /// `kDeficitThreshold`; hogging when it is (near) fully satisfied while
   /// a deficit task shares its physical host.
   [[nodiscard]] Result classify(const std::vector<NodeReport>& reports,
                                 const Estimator& estimator) const;
 
-  double deficit_threshold = 0.75;
+  static constexpr double kDeficitThreshold = 0.75;
 };
 
 /// GRM component: computes and applies the resource adjustments.
@@ -149,7 +148,7 @@ class DynamicResourceManager {
   }
 
   /// Attaches the DRM to a telemetry hub (null detaches).
-  void set_telemetry(telemetry::Hub* hub);
+  void set_telemetry(telemetry::Hub* hub) { tel_ = hub; }
 
  private:
   sim::Simulation& sim_;
@@ -163,10 +162,6 @@ class DynamicResourceManager {
   sim::PeriodicHandle ticker_;
   std::function<bool(const mapred::TaskAttempt&)> exempt_;
   telemetry::Hub* tel_ = nullptr;
-  telemetry::Counter* tel_cap_updates_ = nullptr;
-  telemetry::Counter* tel_memory_pauses_ = nullptr;
-  telemetry::Counter* tel_memory_resumes_ = nullptr;
-  telemetry::Counter* tel_vm_share_updates_ = nullptr;
 };
 
 }  // namespace hybridmr::core

@@ -83,23 +83,6 @@ double TaskModel::predict_rate(const Resources& alloc,
   return std::clamp(predicted, 0.0, base * 1.5);
 }
 
-double TaskModel::estimated_remaining_s() const {
-  if (samples_.empty()) return 0;
-  const TaskSample& s = samples_.back();
-  const double remaining = std::max(0.0, 1.0 - s.progress);
-  if (s.rate <= 1e-9) return remaining > 0 ? 1e9 : 0;
-  return remaining / s.rate;
-}
-
-double TaskModel::estimated_remaining_at_full_s() const {
-  if (samples_.empty()) return 0;
-  const TaskSample& s = samples_.back();
-  const double remaining = std::max(0.0, 1.0 - s.progress);
-  const double rate = predict_rate(s.demand, s.demand);
-  if (rate <= 1e-9) return remaining > 0 ? 1e9 : 0;
-  return remaining / rate;
-}
-
 std::optional<ResourceKind> TaskModel::bottleneck() const {
   if (samples_.empty()) return std::nullopt;
   const TaskSample& s = samples_.back();

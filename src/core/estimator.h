@@ -7,11 +7,10 @@
 //   - CPU:    linear regression        rate ~ a + b * cpu_alloc
 //   - memory: piecewise-linear         rate ~ pw(mem_ratio)
 //   - I/O:    exponential regression   rate ~ a * exp(b * io_alloc)
-// The fitted models answer two questions the DRM/IPS ask:
-//   1. how long until this task completes (progress-score time series ->
-//      estimated completion time), and
-//   2. how would its rate change under a different allocation (the
-//      "resource imbalance" the PerformanceBalancer redistributes).
+// The fitted models answer the question the DRM/IPS ask: how would a task's
+// rate change under a different allocation (the "resource imbalance" the
+// PerformanceBalancer redistributes)? The latest sample also names the
+// task's bottleneck resource, its deficit and its interference score.
 #pragma once
 
 #include <map>
@@ -42,17 +41,9 @@ class TaskModel {
   /// Predicted progress rate under allocation `alloc` for demand `demand`.
   /// Uses the fitted per-resource regressions when enough samples exist,
   /// otherwise the analytic proportional model.
+  // sim-lint: allow(unused-api) core_deep_test: the fitted rate models
   [[nodiscard]] double predict_rate(const cluster::Resources& alloc,
                                     const cluster::Resources& demand) const;
-
-  /// Estimated seconds to completion at the current rate.
-  // sim-lint: allow(unused-api) core_test: the rate-based estimate
-  [[nodiscard]] double estimated_remaining_s() const;
-
-  /// Estimated seconds to completion if the task were granted its full
-  /// demand (the balancer's target state).
-  // sim-lint: allow(unused-api) core_deep_test: the fitted estimate
-  [[nodiscard]] double estimated_remaining_at_full_s() const;
 
   /// Resource with the largest relative gap between demand and allocation
   /// in the latest sample; nullopt when fully satisfied.
@@ -70,7 +61,7 @@ class TaskModel {
   std::vector<TaskSample> samples_;
 };
 
-/// Registry of task models for every running attempt.
+/// The task models of every running attempt, keyed by attempt.
 class Estimator {
  public:
   /// Records one epoch observation for `attempt`.

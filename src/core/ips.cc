@@ -142,7 +142,7 @@ void InterferencePreventionSystem::prune_stale_state() {
 
 int InterferencePreventionSystem::required_streak(const Machine& host) const {
   const auto it = required_streak_.find(&host);
-  return it == required_streak_.end() ? options_.restore_streak : it->second;
+  return it == required_streak_.end() ? kRestoreStreak : it->second;
 }
 
 bool InterferencePreventionSystem::tracks_host(const Machine& host) const {
@@ -389,7 +389,7 @@ bool InterferencePreventionSystem::mitigate(interactive::InteractiveApp& app) {
   if (last != last_restore_.end() &&
       sim_.now() - last->second < 6 * options_.epoch_s) {
     int& required = required_streak_[host];
-    required = std::min(64, std::max(options_.restore_streak, required) * 2);
+    required = std::min(64, std::max(kRestoreStreak, required) * 2);
   }
   const auto running = mr_.running_attempts();
   const auto ranked = arbiter_.rank_interferers(*host, running);
@@ -412,7 +412,7 @@ bool InterferencePreventionSystem::mitigate(interactive::InteractiveApp& app) {
 void InterferencePreventionSystem::restore_where_healthy() {
   // Track per-host healthy streaks: a host is healthy when every resident
   // app sits below margin * SLA. Actions step down only after
-  // `restore_streak` consecutive healthy epochs (hysteresis), and only
+  // `kRestoreStreak` consecutive healthy epochs (hysteresis), and only
   // kMaxRestoresPerEpoch at a time (gradual back-off).
   std::map<const Machine*, bool> host_healthy;
   for (auto* app : monitor_.apps()) {
@@ -443,7 +443,7 @@ void InterferencePreventionSystem::restore_where_healthy() {
     if (streak > 0 && streak % options_.ratchet_decay_epochs == 0) {
       it->second /= 2;
     }
-    if (it->second <= options_.restore_streak) {
+    if (it->second <= kRestoreStreak) {
       it = required_streak_.erase(it);
     } else {
       ++it;
@@ -456,7 +456,7 @@ void InterferencePreventionSystem::restore_where_healthy() {
     const Machine* host = attempt->site().host_machine();
     const bool monitored = host_healthy.contains(host);
     const int needed =
-        std::max(options_.restore_streak,
+        std::max(kRestoreStreak,
                  monitored && required_streak_.contains(host)
                      ? required_streak_.at(host)
                      : 0);
@@ -488,7 +488,6 @@ void InterferencePreventionSystem::note_action(
     const char* action, const std::string& target, const std::string& track,
     std::vector<std::pair<std::string, std::string>> extra) {
   if (tel_ == nullptr) return;
-  tel_->registry.counter(std::string("ips.") + action + "s").add();
   extra.insert(extra.begin(), {"target", target});
   tel_->trace.instant(sim_.now(), telemetry::EventKind::kIpsAction, action,
                       track, std::move(extra));
@@ -500,10 +499,6 @@ void InterferencePreventionSystem::epoch() {
   stats_.violations_seen += static_cast<int>(violators.size());
   // (Violation onsets are traced by the apps themselves; the IPS counts
   // how many violator-epochs it had to arbitrate.)
-  if (tel_ != nullptr && !violators.empty()) {
-    tel_->registry.counter("ips.violations_seen")
-        .add(static_cast<double>(violators.size()));
-  }
   for (auto* app : violators) {
     if (!mitigate(*app)) return;  // forked lookahead child: unwind now
   }

@@ -40,13 +40,15 @@ class WhatIfEngine;
 
 namespace hybridmr::core {
 
+/// Consecutive healthy epochs required before stepping an action down
+/// (hysteresis against throttle/restore flapping); the floor of a host's
+/// flap-guard ratchet.
+constexpr int kRestoreStreak = 3;
+
 struct IpsOptions {
   double epoch_s = 10.0;
   /// Resume batch work when latency is below margin * SLA.
   double restore_margin = 0.7;
-  /// Consecutive healthy epochs required before stepping an action down
-  /// (hysteresis against throttle/restore flapping).
-  int restore_streak = 3;
   /// Actions (escalations) applied per violating app per epoch.
   int max_actions_per_epoch = 2;
   bool allow_requeue = true;
@@ -54,7 +56,7 @@ struct IpsOptions {
   /// Healthy epochs between halvings of a host's flap-guard ratchet: a
   /// host that re-violated soon after restores doubles its required
   /// healthy streak (up to 64), and every `ratchet_decay_epochs`
-  /// consecutive healthy epochs halves it back toward `restore_streak`.
+  /// consecutive healthy epochs halves it back toward `kRestoreStreak`.
   int ratchet_decay_epochs = 6;
   /// Rank candidate mitigations by forked-lookahead prediction instead of
   /// interference scores alone. Requires set_whatif(); see docs/WHATIF.md.
@@ -140,7 +142,7 @@ class InterferencePreventionSystem {
   }
 
   /// The flap-guard's current required healthy streak for `host`
-  /// (restore_streak when no ratchet is active).
+  /// (kRestoreStreak when no ratchet is active).
   // sim-lint: allow(unused-api) ips_regression_test: the ratchet decays
   [[nodiscard]] int required_streak(const cluster::Machine& host) const;
 
@@ -208,8 +210,8 @@ class InterferencePreventionSystem {
   /// (erases actions_ entries the moment their attempt leaves its tracker).
   std::size_t release_observer_token_ = 0;
 
-  /// Counter bump + kIpsAction trace instant for one arbitration action;
-  /// `extra` args follow the "target" arg.
+  /// kIpsAction trace instant for one arbitration action; `extra` args
+  /// follow the "target" arg.
   void note_action(const char* action, const std::string& target,
                    const std::string& track,
                    std::vector<std::pair<std::string, std::string>> extra = {});

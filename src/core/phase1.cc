@@ -16,7 +16,7 @@ constexpr double kOverheadThreshold = 0.065;
 
 void PhaseOneScheduler::ensure_trained(const mapred::JobSpec& spec) {
   // Native training partitions use the listed PM counts; virtual ones pack
-  // vms_per_host VMs per PM so the comparison is at equal hardware.
+  // kVmsPerHost VMs per PM so the comparison is at equal hardware.
   if (profiler_->database().for_job(spec.name, false).empty()) {
     profiler_->train(spec, false, config_.training_cluster_sizes,
                      config_.training_data_gbs);
@@ -25,7 +25,7 @@ void PhaseOneScheduler::ensure_trained(const mapred::JobSpec& spec) {
     std::vector<int> vm_sizes;
     vm_sizes.reserve(config_.training_cluster_sizes.size());
     for (int c : config_.training_cluster_sizes) {
-      vm_sizes.push_back(c * config_.vms_per_host);
+      vm_sizes.push_back(c * kVmsPerHost);
     }
     profiler_->train(spec, true, vm_sizes, config_.training_data_gbs);
   }
@@ -37,7 +37,7 @@ PhaseOneScheduler::Decision PhaseOneScheduler::place(
 
   Decision d;
   // Equal-hardware comparison at the largest training size: c PMs native
-  // vs c*vms_per_host VMs (on c PMs) virtual. Estimation at a trained
+  // vs c*kVmsPerHost VMs (on c PMs) virtual. Estimation at a trained
   // cluster size only extrapolates over data size, which is reliably
   // linear (Fig. 5(d)).
   const int c_train = config_.training_cluster_sizes.empty()
@@ -48,7 +48,7 @@ PhaseOneScheduler::Decision PhaseOneScheduler::place(
   d.native_estimate =
       profiler_->estimate(spec, /*virtual_cluster=*/false, c_train);
   d.virtual_estimate = profiler_->estimate(
-      spec, /*virtual_cluster=*/true, c_train * config_.vms_per_host);
+      spec, /*virtual_cluster=*/true, c_train * kVmsPerHost);
   d.virtual_production = profiler_->estimate(
       spec, /*virtual_cluster=*/true, config_.virtual_cluster_size);
 

@@ -22,6 +22,11 @@ namespace hybridmr::core {
 
 class PhaseOneScheduler {
  public:
+  /// VMs per PM in the virtual training partition. The simulated training
+  /// runner always packs two VMs per host, so no other value compares at
+  /// equal hardware.
+  static constexpr int kVmsPerHost = 2;
+
   struct Config {
     /// Sizes of the two partitions of the production hybrid cluster, used
     /// as the estimation targets.
@@ -29,12 +34,11 @@ class PhaseOneScheduler {
     int virtual_cluster_size = 48;
     /// Training-cluster shapes (paper: "a small training cluster"), in
     /// physical machines. The virtual training partition packs
-    /// `vms_per_host` VMs onto the same number of PMs, so the native /
+    /// `kVmsPerHost` VMs onto the same number of PMs, so the native /
     /// virtual comparison is at equal hardware — the paper's testbed ratio
     /// (24 PMs vs 48 VMs on 24 PMs).
     std::vector<int> training_cluster_sizes = {2, 4};
     std::vector<double> training_data_gbs = {1.0, 2.0};
-    int vms_per_host = 2;
     /// Train lazily on first sight of a job (else estimation uses whatever
     /// profiles already exist).
     bool auto_train = true;

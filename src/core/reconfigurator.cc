@@ -56,7 +56,6 @@ std::vector<VirtualMachine*> Reconfigurator::virtualize_node(
                 machine.name() + ": native -> " +
                     std::to_string(vms_per_host) + " VMs");
   if (tel_ != nullptr) {
-    tel_->registry.counter("reconfig.virtualized").add();
     tel_->trace.instant(cluster_->simulation().now(),
                         telemetry::EventKind::kReconfiguration, "virtualize",
                         machine.name(),
@@ -87,7 +86,6 @@ bool Reconfigurator::nativize_host(Machine& machine) {
                 machine.name() + ": " + std::to_string(vms.size()) +
                     " VMs -> native");
   if (tel_ != nullptr) {
-    tel_->registry.counter("reconfig.nativized").add();
     tel_->trace.instant(
         cluster_->simulation().now(), telemetry::EventKind::kReconfiguration,
         "nativize", machine.name(),

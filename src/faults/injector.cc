@@ -100,9 +100,6 @@ bool FaultInjector::fail_attempt(const std::string& label_prefix) {
   if (victim == nullptr) return false;
   ++stats_.task_failures;
   sim::log_info(sim_.now(), "faults", "task failure: " + victim->label());
-  if (tel_ != nullptr) {
-    tel_->registry.counter("faults.task_failures").add();
-  }
   mr_.fail_attempt(*victim, /*ban_tracker=*/false);
   return true;
 }
@@ -111,9 +108,6 @@ bool FaultInjector::timeout_tracker(ExecutionSite& site,
                                     sim::Duration restore_after) {
   if (!mr_.mark_tracker_lost(site)) return false;
   ++stats_.tracker_timeouts;
-  if (tel_ != nullptr) {
-    tel_->registry.counter("faults.tracker_timeouts").add();
-  }
   if (restore_after >= sim::Duration{0}) {
     ExecutionSite* sp = &site;
     // sim-lint: allow(capture-lifetime)
@@ -181,7 +175,6 @@ bool FaultInjector::crash_machine(Machine& machine,
   machine.set_powered(false);
 
   if (tel_ != nullptr) {
-    tel_->registry.counter("faults.machine_crashes").add();
     tel_->trace.instant(
         sim_.now(), telemetry::EventKind::kMachineCrash, machine.name(),
         machine.name(),
@@ -191,7 +184,6 @@ bool FaultInjector::crash_machine(Machine& machine,
          {"trackers",
           telemetry::json_num(static_cast<int>(rec.tracker_sites.size()))}});
     if (!dn_sites.empty()) {
-      tel_->registry.counter("faults.replica_losses").add();
       tel_->trace.instant(
           sim_.now(), telemetry::EventKind::kReplicaLoss, machine.name(),
           machine.name(),
@@ -227,7 +219,6 @@ void FaultInjector::reboot_machine(Machine& machine) {
     if (mr_.restore_tracker(*s)) ++stats_.tracker_restores;
   }
   if (tel_ != nullptr) {
-    tel_->registry.counter("faults.machine_reboots").add();
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kMachineReboot,
                         machine.name(), machine.name());
   }

@@ -198,7 +198,6 @@ telemetry::RunReport TestBed::report(
   report.max_queue_depth = sim_->max_queue_depth();
   report.max_event_fanout = sim_->max_event_fanout();
   report.flush_scheduled_events = sim_->flush_scheduled_events();
-  report.registry = tel_ ? &tel_->registry : nullptr;
   report.profiler = profiler();
 
   for (const auto& job : mr_->jobs()) {

@@ -129,18 +129,8 @@ void InteractiveApp::refresh() {
   note_telemetry();
 }
 
-void InteractiveApp::set_telemetry(telemetry::Hub* hub) {
-  tel_ = hub;
-  tel_response_ =
-      hub == nullptr
-          ? nullptr
-          : &hub->registry.timeseries("app." + params_.name + ".response_s",
-                                      10.0, "s");
-}
-
 void InteractiveApp::note_telemetry() {
   if (tel_ == nullptr) return;
-  tel_response_->sample(sim_.now(), response_s_);
   const bool violated = sla_violated();
   if (violated != was_violated_) {
     tel_->trace.instant(

@@ -18,7 +18,6 @@
 
 namespace hybridmr::telemetry {
 struct Hub;
-class TimeSeriesMetric;
 }  // namespace hybridmr::telemetry
 
 namespace hybridmr::interactive {
@@ -70,9 +69,9 @@ class InteractiveApp {
   /// Forces one immediate model refresh (normally periodic).
   void refresh();
 
-  /// Attaches the app to a telemetry hub: its response time is sampled into
-  /// `app.<name>.response_s` and SLA violation onsets/recoveries are traced.
-  void set_telemetry(telemetry::Hub* hub);
+  /// Attaches the app to a telemetry hub: SLA violation onsets and
+  /// recoveries are traced.
+  void set_telemetry(telemetry::Hub* hub) { tel_ = hub; }
 
  private:
   [[nodiscard]] cluster::Resources offered_demand() const;
@@ -88,7 +87,6 @@ class InteractiveApp {
   double throughput_rps_ = 0;
   stats::TimeSeries response_series_;
   telemetry::Hub* tel_ = nullptr;
-  telemetry::TimeSeriesMetric* tel_response_ = nullptr;
   bool was_violated_ = false;
 };
 

@@ -220,7 +220,6 @@ Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
                 "submit " + spec.name + " (" + std::to_string(n_maps) +
                     " maps, " + std::to_string(n_reduces) + " reduces)");
   if (tel_ != nullptr) {
-    tel_jobs_submitted_->add();
     tel_->trace.instant(
         sim_.now(), telemetry::EventKind::kJobSubmit,
         spec.name + "-j" + std::to_string(id), kJobTrack,
@@ -383,7 +382,6 @@ void MapReduceEngine::requeue(TaskAttempt& attempt, bool ban_tracker) {
   TaskTracker* evicted_from = &attempt.tracker();
   if (ban_tracker) task.banned_trackers.insert(evicted_from);
   if (tel_ != nullptr) {
-    tel_tasks_killed_->add();
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kTaskKilled,
                         attempt.label(), attempt.site().name(),
                         {{"banned", ban_tracker ? "true" : "false"}});
@@ -425,7 +423,6 @@ bool MapReduceEngine::fail_attempt(TaskAttempt& attempt, bool ban_tracker) {
   ++task.failed_attempts_;
   ++attempt_failures_;
   if (tel_ != nullptr) {
-    tel_tasks_failed_->add();
     tel_->trace.instant(
         sim_.now(), telemetry::EventKind::kTaskFailed, attempt.label(),
         attempt.site().name(),
@@ -459,7 +456,6 @@ void MapReduceEngine::fail_job(Job& job, const std::string& reason) {
   sim::log_info(sim_.now(), "jobtracker",
                 job.spec().name + ": FAILED (" + reason + ")");
   if (tel_ != nullptr) {
-    tel_jobs_failed_->add();
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kJobFailed,
                         job.spec().name + "-j" + std::to_string(job.id()),
                         kJobTrack, {{"reason", reason}});
@@ -572,7 +568,6 @@ int MapReduceEngine::reexecute_lost_map_outputs(
                       " map output(s) lost on " + site.name() +
                       ", re-executing");
     if (tel_ != nullptr) {
-      tel_maps_reexecuted_->add(lost);
       tel_->trace.instant(
           sim_.now(), telemetry::EventKind::kMapOutputLost,
           job->spec().name + "-j" + std::to_string(job->id()), kJobTrack,
@@ -596,9 +591,6 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
   }
 
   if (tel_ != nullptr) {
-    tel_tasks_finished_->add();
-    (task.type() == TaskType::kMap ? tel_map_task_s_ : tel_reduce_task_s_)
-        ->record(attempt.elapsed());
     tel_->trace.complete(attempt.started_at(), attempt.elapsed(),
                          telemetry::EventKind::kTaskFinish, attempt.label(),
                          attempt.site().name());
@@ -631,7 +623,6 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
           sim_.now(), "jobtracker",
           job.spec().name + ": finished, jct=" + std::to_string(job.jct()));
       if (tel_ != nullptr) {
-        tel_jobs_finished_->add();
         tel_->trace.complete(
             job.submit_time(), job.jct(), telemetry::EventKind::kJobFinish,
             job.spec().name + "-j" + std::to_string(job.id()), kJobTrack,
@@ -991,7 +982,6 @@ void MapReduceEngine::speculation_scan() {
                        "copy of " + job->spec().name + " task " +
                            std::to_string(t->index()));
         if (tel_ != nullptr) {
-          tel_speculative_->add();
           tel_->trace.instant(
               sim_.now(), telemetry::EventKind::kSpeculativeLaunch,
               job->spec().name + "-j" + std::to_string(job->id()) +
@@ -1009,39 +999,15 @@ void MapReduceEngine::speculation_scan() {
 
 void MapReduceEngine::set_telemetry(telemetry::Hub* hub) {
   tel_ = hub;
-  if (hub == nullptr) {
-    tel_jobs_submitted_ = tel_jobs_finished_ = tel_tasks_finished_ =
-        tel_tasks_killed_ = tel_speculative_ = tel_shuffle_mb_ =
-            tel_tasks_failed_ = tel_jobs_failed_ = tel_maps_reexecuted_ =
-                nullptr;
-    tel_running_ = nullptr;
-    tel_map_task_s_ = tel_reduce_task_s_ = nullptr;
-    prof_ = nullptr;
-    return;
-  }
-  prof_ = hub->profiler.enabled() ? &hub->profiler : nullptr;
+  prof_ = hub != nullptr && hub->profiler.enabled() ? &hub->profiler : nullptr;
   if (prof_ != nullptr) {
     prof_dispatch_scope_ = prof_->intern("mapred.dispatch");
     prof_speculation_scope_ = prof_->intern("mapred.speculation_scan");
   }
-  auto& reg = hub->registry;
-  tel_jobs_submitted_ = &reg.counter("mapred.jobs_submitted");
-  tel_jobs_finished_ = &reg.counter("mapred.jobs_finished");
-  tel_tasks_finished_ = &reg.counter("mapred.tasks_finished");
-  tel_tasks_killed_ = &reg.counter("mapred.tasks_killed");
-  tel_speculative_ = &reg.counter("mapred.speculative_launches");
-  tel_shuffle_mb_ = &reg.counter("mapred.shuffle_mb", "MB");
-  tel_tasks_failed_ = &reg.counter("mapred.tasks_failed");
-  tel_jobs_failed_ = &reg.counter("mapred.jobs_failed");
-  tel_maps_reexecuted_ = &reg.counter("mapred.maps_reexecuted");
-  tel_running_ = &reg.gauge("mapred.running_attempts", "tasks");
-  tel_map_task_s_ = &reg.histogram("mapred.map_task_s", 0.0, 600.0, "s");
-  tel_reduce_task_s_ = &reg.histogram("mapred.reduce_task_s", 0.0, 600.0, "s");
 }
 
 void MapReduceEngine::note_task_started(const TaskAttempt& attempt) {
   if (tel_ == nullptr) return;
-  tel_running_->add(1);
   tel_->trace.instant(sim_.now(), telemetry::EventKind::kTaskStart,
                       attempt.label(), attempt.site().name());
 }
@@ -1060,15 +1026,12 @@ void MapReduceEngine::note_attempt_released(const TaskAttempt& attempt) {
   for (const auto& fn : release_observers_) {
     if (fn) fn(attempt);
   }
-  if (tel_ == nullptr) return;
-  tel_running_->add(-1);
 }
 
 void MapReduceEngine::note_shuffle_started(const TaskAttempt& attempt,
                                            sim::MegaBytes total_mb,
                                            int sources) {
   if (tel_ == nullptr) return;
-  tel_shuffle_mb_->add(total_mb.value());
   tel_->trace.instant(sim_.now(), telemetry::EventKind::kShuffleStart,
                       attempt.label(), attempt.site().name(),
                       {{"mb", telemetry::json_num(total_mb.value())},

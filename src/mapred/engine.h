@@ -21,9 +21,6 @@
 
 namespace hybridmr::telemetry {
 struct Hub;
-class Counter;
-class Gauge;
-class Histogram;
 }  // namespace hybridmr::telemetry
 
 namespace hybridmr::mapred {
@@ -162,10 +159,11 @@ class MapReduceEngine {
   /// stable), removal nulls the entry.
   std::size_t add_release_observer(std::function<void(const TaskAttempt&)> fn);
   void remove_release_observer(std::size_t token);
+  /// Runs the release observers; the tracker calls it per released attempt.
+  void note_attempt_released(const TaskAttempt& attempt);
 
   /// Telemetry hooks (no-ops without a hub).
   void note_task_started(const TaskAttempt& attempt);
-  void note_attempt_released(const TaskAttempt& attempt);
   void note_shuffle_started(const TaskAttempt& attempt,
                             sim::MegaBytes total_mb, int sources);
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
@@ -297,20 +295,8 @@ class MapReduceEngine {
   // closures hold back-references to their controllers (IPS), which
   // deregister on destruction.
   std::vector<std::function<void(const TaskAttempt&)>> release_observers_;
-  // Telemetry hub plus cached metric handles (all null when detached).
+  // Telemetry hub (null when detached).
   telemetry::Hub* tel_ = nullptr;
-  telemetry::Counter* tel_jobs_submitted_ = nullptr;
-  telemetry::Counter* tel_jobs_finished_ = nullptr;
-  telemetry::Counter* tel_tasks_finished_ = nullptr;
-  telemetry::Counter* tel_tasks_killed_ = nullptr;
-  telemetry::Counter* tel_speculative_ = nullptr;
-  telemetry::Counter* tel_shuffle_mb_ = nullptr;
-  telemetry::Counter* tel_tasks_failed_ = nullptr;
-  telemetry::Counter* tel_jobs_failed_ = nullptr;
-  telemetry::Counter* tel_maps_reexecuted_ = nullptr;
-  telemetry::Gauge* tel_running_ = nullptr;
-  telemetry::Histogram* tel_map_task_s_ = nullptr;
-  telemetry::Histogram* tel_reduce_task_s_ = nullptr;
   // Cached profiler handle (null unless a profiled run).
   telemetry::Profiler* prof_ = nullptr;
   telemetry::ScopeId prof_dispatch_scope_;

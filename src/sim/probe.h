@@ -19,8 +19,10 @@ class DispatchProbe {
  public:
   virtual ~DispatchProbe() = default;
 
-  /// Called after the clock advanced to the event's timestamp, before the
-  /// handler runs. `queue_depth` is the number of live events remaining.
+  /// Called just before the event is popped, so the pop's heap work falls
+  /// inside the event's span. `now` is the event's timestamp (the clock
+  /// advances after the pop); `queue_depth` is the number of live events
+  /// that remain once it is popped.
   virtual void on_event_begin(SimTime now, std::size_t queue_depth) = 0;
 
   /// Called after the handler returned. `fanout` is the number of events

@@ -52,8 +52,11 @@ bool Simulation::dispatch_one() {
   // events, so the run is over. shutdown() discards them as cancelled.
   const auto next = queue_.next_time();
   if (!next || !std::isfinite(*next)) return false;
+  // The event's scope opens before the pop, so the heap's sift-down is
+  // timed with the event; the depth is what remains after the pop.
+  if (probe_) probe_->on_event_begin(*next, queue_.size() - 1);
+  // next_time() found an event, so pop() returns it.
   auto entry = queue_.pop();
-  if (!entry) return false;
   // The virtual clock only moves forward: at() clamps (or aborts, under
   // audit) past target times, and the queue pops in time order.
   HYBRIDMR_AUDIT_CHECK(entry->time >= now_, "sim.simulation",
@@ -61,7 +64,6 @@ bool Simulation::dispatch_one() {
                        {{"event_time", audit::num(entry->time)},
                         {"now", audit::num(now_)}});
   now_ = entry->time;
-  if (probe_) probe_->on_event_begin(now_, queue_.size());
   const std::uint64_t pushed_before = queue_.total_pushed();
   entry->fn();
   const std::uint64_t fanout = queue_.total_pushed() - pushed_before;

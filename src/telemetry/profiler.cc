@@ -132,7 +132,6 @@ Profiler::Profiler() {
 void Profiler::set_watchdog(const WatchdogOptions& options,
                             std::ostream* out) {
   watchdog_ = options;
-  if (watchdog_.check_every_events == 0) watchdog_.check_every_events = 2048;
   watchdog_out_ = out != nullptr ? out : &std::cerr;
   watchdog_armed_ = watchdog_.heartbeat_every_s > 0 ||
                     watchdog_.wall_budget_s > 0 ||
@@ -228,7 +227,7 @@ void Profiler::on_event_end(sim::SimTime now, std::uint64_t fanout,
     }
   }
   last_event_time_ = now;
-  if (events_seen_ % watchdog_.check_every_events == 0) check_watchdog(now);
+  if (events_seen_ % kWatchdogCheckEvery == 0) check_watchdog(now);
 }
 
 void Profiler::check_watchdog(sim::SimTime now) {

@@ -143,9 +143,9 @@ class Profiler : public sim::DispatchProbe {
     // Stop when this many consecutive events fire at one sim timestamp
     // (livelock: the clock is stuck while the queue churns).
     std::uint64_t max_same_time_events = 0;
-    // How often (in events) the watchdog reads the wall clock.
-    std::uint64_t check_every_events = 2048;
   };
+  /// How often (in events) the watchdog reads the wall clock.
+  static constexpr std::uint64_t kWatchdogCheckEvery = 2048;
 
   /// Per-scope aggregated wall statistics.
   struct WallStats {

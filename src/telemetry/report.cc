@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
 
 namespace hybridmr::telemetry {
@@ -100,12 +99,7 @@ void RunReport::to_json(std::ostream& os) const {
        << ",\"violation_fraction\":" << json_num(a.violation_fraction)
        << "}";
   }
-  os << "\n  ],\n  \"metrics\":";
-  if (registry != nullptr) {
-    registry->to_json(os);
-  } else {
-    os << "[]";
-  }
+  os << "\n  ]";
   // Deterministic work-attribution section only; wall-clock stats are
   // deliberately excluded (see report.h).
   if (profiler != nullptr && profiler->enabled()) {

@@ -18,7 +18,6 @@
 namespace hybridmr::telemetry {
 
 class Profiler;
-class Registry;
 
 struct RunReport {
   struct SeriesPoint {
@@ -83,9 +82,6 @@ struct RunReport {
   std::vector<JobRow> jobs;
   std::vector<MachineRow> machines;
   std::vector<AppRow> apps;
-
-  /// Optional metrics snapshot (set by the builder; may be null).
-  const Registry* registry = nullptr;
 
   /// Optional profiler snapshot (set by the builder for profiled runs; may
   /// be null). Only the deterministic *work* section is serialized here —

@@ -41,23 +41,6 @@ TEST(TaskModelFits, LinearCpuModelFromSamples) {
   EXPECT_GT(at_full, at_half * 1.5);
 }
 
-TEST(TaskModelFits, EstimatedRemainingAtFullUsesPrediction) {
-  TaskModel model;
-  for (int i = 1; i <= 5; ++i) {
-    TaskSample s;
-    s.progress = 0.08 * i;
-    s.demand = {1.0, 0, 0, 0};
-    s.alloc = {0.4, 0, 0, 0};
-    s.rate = 0.008;  // starved at 0.4 cores
-    model.add(s);
-  }
-  // At the current (starved) rate: (1 - 0.4) / 0.008 = 75 s.
-  EXPECT_NEAR(model.estimated_remaining_s(), 75, 1.0);
-  // Granted full demand it should finish faster.
-  EXPECT_LT(model.estimated_remaining_at_full_s(),
-            model.estimated_remaining_s());
-}
-
 TEST(ArbiterTest, BestFitPicksTightestHost) {
   sim::Simulation sim(1);
   cluster::HybridCluster hc(sim);
@@ -153,9 +136,9 @@ TEST(PhaseOneTraining, PopulatesBothEnvironments) {
   phase1.ensure_trained(workload::dist_grep());
   EXPECT_EQ(db.for_job("DistGrep", false).size(), 1u);
   EXPECT_EQ(db.for_job("DistGrep", true).size(), 1u);
-  // Virtual training ran on 2 * vms_per_host VM nodes.
+  // Virtual training ran on 2 * kVmsPerHost VM nodes.
   EXPECT_EQ(db.for_job("DistGrep", true)[0].cluster_size,
-            2 * config.vms_per_host);
+            2 * PhaseOneScheduler::kVmsPerHost);
   // Re-training is a no-op once profiles exist.
   phase1.ensure_trained(workload::dist_grep());
   EXPECT_EQ(db.size(), 2u);

@@ -217,15 +217,6 @@ TEST(TaskModelTest, DetectsBottleneckAndDeficit) {
   EXPECT_DOUBLE_EQ(model.deficit().cpu, 0);
 }
 
-TEST(TaskModelTest, EstimatedRemainingFromRate) {
-  TaskModel model;
-  TaskSample s;
-  s.progress = 0.5;
-  s.rate = 0.05;
-  model.add(s);
-  EXPECT_NEAR(model.estimated_remaining_s(), 10.0, 1e-9);
-}
-
 TEST(EstimatorTest, ObservationsBuildRates) {
   TestBed bed;
   bed.add_native_nodes(2);

@@ -85,18 +85,18 @@ TEST(IpsFlapGuard, RatchetDecaysAfterSustainedHealth) {
 
   // Round 2: re-offend inside the flap window — the ratchet must engage.
   bed.mr().submit(workload::sort_job().with_input_gb(1.0));
-  while (ips.required_streak(*shape.host) <= options.restore_streak &&
+  while (ips.required_streak(*shape.host) <= core::kRestoreStreak &&
          bed.sim().now() < 2000) {
     bed.run_until(bed.sim().now() + 10);
   }
-  ASSERT_GT(ips.required_streak(*shape.host), options.restore_streak)
+  ASSERT_GT(ips.required_streak(*shape.host), core::kRestoreStreak)
       << "flap ratchet never engaged";
 
   // Sustained health: the batch drains and the app idles below margin.
   // The decay must walk the requirement back to the floor — pre-fix it
   // stays ratcheted forever.
   bed.run_until(bed.sim().now() + 600);
-  EXPECT_EQ(ips.required_streak(*shape.host), options.restore_streak)
+  EXPECT_EQ(ips.required_streak(*shape.host), core::kRestoreStreak)
       << "flap ratchet never decayed";
   app.stop();
   ips.stop();

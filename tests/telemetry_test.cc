@@ -15,134 +15,6 @@
 namespace hybridmr {
 namespace {
 
-// --- metrics primitives ---
-
-TEST(Counter, AccumulatesValueAndEvents) {
-  telemetry::Counter c;
-  c.add();
-  c.add(2.5);
-  EXPECT_DOUBLE_EQ(c.value(), 3.5);
-  EXPECT_EQ(c.events(), 2u);
-}
-
-TEST(Gauge, LastWriteWins) {
-  telemetry::Gauge g;
-  g.set(7);
-  g.add(-2);
-  EXPECT_DOUBLE_EQ(g.value(), 5);
-}
-
-TEST(Histogram, PercentilesOfUniformDistribution) {
-  telemetry::Histogram h(0, 100);
-  // 0.5, 1.5, ..., 99.5: a uniform fill, one value per unit.
-  for (int i = 0; i < 100; ++i) h.record(i + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 99.5);
-  EXPECT_NEAR(h.mean(), 50.0, 1e-9);
-  // Bucket width is 100/64 ~ 1.56, so percentiles are accurate to about
-  // one bucket.
-  EXPECT_NEAR(h.percentile(50), 50.0, 2.0);
-  EXPECT_NEAR(h.percentile(95), 95.0, 2.0);
-  EXPECT_NEAR(h.percentile(99), 99.0, 2.0);
-  EXPECT_LE(h.percentile(0), h.percentile(100));
-}
-
-TEST(Histogram, OutOfRangeValuesClampToEdgeBuckets) {
-  telemetry::Histogram h(0, 10);
-  h.record(-5);
-  h.record(25);
-  EXPECT_EQ(h.count(), 2u);
-  // True extremes survive even though the samples land in edge buckets.
-  EXPECT_DOUBLE_EQ(h.min(), -5);
-  EXPECT_DOUBLE_EQ(h.max(), 25);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
-
-TEST(TimeSeriesMetric, WindowBoundariesAreAligned) {
-  telemetry::TimeSeriesMetric ts(5.0);
-  ts.sample(0.0, 1);
-  ts.sample(4.999, 3);  // still the [0, 5) window
-  ts.sample(5.0, 10);   // exactly on the edge -> opens [5, 10)
-  ts.sample(12.0, 20);  // skips a window entirely
-  const auto windows = ts.windows();
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_DOUBLE_EQ(windows[0].start, 0.0);
-  EXPECT_EQ(windows[0].count, 2u);
-  EXPECT_DOUBLE_EQ(windows[0].mean(), 2.0);
-  EXPECT_DOUBLE_EQ(windows[0].min, 1.0);
-  EXPECT_DOUBLE_EQ(windows[0].max, 3.0);
-  EXPECT_DOUBLE_EQ(windows[1].start, 5.0);
-  EXPECT_EQ(windows[1].count, 1u);
-  EXPECT_DOUBLE_EQ(windows[2].start, 10.0);
-  EXPECT_DOUBLE_EQ(windows[2].mean(), 20.0);
-  EXPECT_EQ(ts.count(), 4u);
-}
-
-TEST(TimeSeriesMetric, CoalescedSamplesKeepTheLastPerInstant) {
-  telemetry::TimeSeriesMetric ts(1.0);
-  ts.sample_coalesced(1.0, 4);
-  ts.sample_coalesced(1.0, 6);  // revises the t=1 sample
-  // A read before t=2 counts the held sample, once.
-  EXPECT_EQ(ts.count(), 1u);
-  EXPECT_DOUBLE_EQ(ts.mean(), 6.0);
-  ASSERT_EQ(ts.windows().size(), 1u);
-  EXPECT_EQ(ts.windows()[0].count, 1u);
-  EXPECT_DOUBLE_EQ(ts.windows()[0].mean(), 6.0);
-
-  ts.sample_coalesced(2.0, 10);
-  auto windows = ts.windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_DOUBLE_EQ(windows[0].start, 1.0);
-  EXPECT_EQ(windows[0].count, 1u);
-  EXPECT_DOUBLE_EQ(windows[0].min, 6.0);
-  EXPECT_DOUBLE_EQ(windows[0].max, 6.0);
-  EXPECT_DOUBLE_EQ(windows[1].start, 2.0);
-  EXPECT_EQ(windows[1].count, 1u);
-  EXPECT_DOUBLE_EQ(windows[1].mean(), 10.0);
-  EXPECT_EQ(ts.count(), 2u);
-  EXPECT_DOUBLE_EQ(ts.mean(), 8.0);
-
-  // A held sample in the open window folds into it on read.
-  ts.sample_coalesced(2.5, 12);
-  windows = ts.windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[1].count, 2u);
-  EXPECT_DOUBLE_EQ(windows[1].mean(), 11.0);
-  EXPECT_DOUBLE_EQ(windows[1].max, 12.0);
-  EXPECT_EQ(ts.count(), 3u);
-}
-
-TEST(Registry, FetchOrCreateReturnsSameMetric) {
-  telemetry::Registry reg;
-  telemetry::Counter& a = reg.counter("x.events", "ops");
-  telemetry::Counter& b = reg.counter("x.events");
-  EXPECT_EQ(&a, &b);
-  reg.gauge("x.level");
-  reg.histogram("x.latency", 0, 10, "s");
-  ASSERT_EQ(reg.entries().size(), 3u);
-  // Insertion order is preserved, so exports are deterministic.
-  EXPECT_EQ(reg.entries()[0]->name, "x.events");
-  EXPECT_EQ(reg.entries()[1]->name, "x.level");
-  EXPECT_EQ(reg.entries()[2]->name, "x.latency");
-  const telemetry::Registry::Entry* found = reg.find("x.level");
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->type, telemetry::Registry::Type::kGauge);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-}
-
-TEST(Registry, JsonExportIsWellFormed) {
-  telemetry::Registry reg;
-  reg.counter("jobs", "").add(4);
-  std::ostringstream os;
-  reg.to_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"name\":\"jobs\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\":4"), std::string::npos);
-}
-
 // --- trace recorder ---
 
 TEST(TraceRecorder, ExportsJsonlAndChrome) {
@@ -291,18 +163,26 @@ TEST(TestBedTelemetry, HubRecordsEngineAndMachineMetrics) {
   bed.add_native_nodes(2);
   bed.run_job(workload::wcount().with_input_gb(0.5));
 
+  // The engine's facts are trace events (one submit, one finish per task,
+  // one job finish); a machine's utilization is its own series.
   ASSERT_NE(bed.telemetry(), nullptr);
-  const telemetry::Registry& reg = bed.telemetry()->registry;
-  const auto* submitted = reg.find("mapred.jobs_submitted");
-  ASSERT_NE(submitted, nullptr);
-  EXPECT_DOUBLE_EQ(submitted->counter->value(), 1);
-  const auto* finished = reg.find("mapred.tasks_finished");
-  ASSERT_NE(finished, nullptr);
-  EXPECT_GT(finished->counter->value(), 0);
-  const auto* cpu = reg.find("machine.native0.cpu_util");
-  ASSERT_NE(cpu, nullptr);
-  EXPECT_GT(cpu->series->count(), 0u);
-  EXPECT_GT(bed.telemetry()->trace.size(), 0u);
+  ASSERT_EQ(bed.mr().jobs().size(), 1u);
+  const mapred::Job& job = *bed.mr().jobs()[0];
+  std::size_t submits = 0;
+  std::size_t task_finishes = 0;
+  std::size_t job_finishes = 0;
+  for (const auto& e : bed.telemetry()->trace.events()) {
+    if (e.kind == telemetry::EventKind::kJobSubmit) ++submits;
+    if (e.kind == telemetry::EventKind::kTaskFinish) ++task_finishes;
+    if (e.kind == telemetry::EventKind::kJobFinish) ++job_finishes;
+  }
+  EXPECT_EQ(submits, 1u);
+  EXPECT_EQ(task_finishes, job.maps().size() + job.reduces().size());
+  EXPECT_EQ(job_finishes, 1u);
+  EXPECT_FALSE(bed.cluster()
+                   .machines()[0]
+                   ->utilization_series(cluster::ResourceKind::kCpu)
+                   .empty());
 }
 
 TEST(TestBedTelemetry, OptOutLeavesHubNull) {
@@ -312,9 +192,8 @@ TEST(TestBedTelemetry, OptOutLeavesHubNull) {
   bed.add_native_nodes(1);
   EXPECT_EQ(bed.telemetry(), nullptr);
   bed.run_job(workload::pi_est().with_input_gb(0.1));
-  // report() still works without a hub; it just has no metrics block.
+  // report() still works without a hub.
   const telemetry::RunReport report = bed.report();
-  EXPECT_EQ(report.registry, nullptr);
   EXPECT_EQ(report.jobs.size(), 1u);
 }
 
