@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths: the
 // event queue (push/pop, cancellation, and the reschedule churn the
 // allocator drives), the max-min fair allocator, machine recomputation (one
-// class per VM, and a shuffle's many members in few classes), the
+// class per VM, a shuffle's many members in few classes, and the same
+// shuffle with a flow leaving and arriving at every recompute), the
 // regression fits, one dispatch pass, one dispatch wave over host-capped
 // trackers, and an end-to-end small job.
 #include <benchmark/benchmark.h>
@@ -197,6 +198,41 @@ void BM_MachineRecomputeShuffle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * per_vm);
 }
 BENCHMARK(BM_MachineRecomputeShuffle)->Arg(48);
+
+// The shuffle shape with batch-wide's churn: the classes change at every
+// recompute. Each iteration retires the oldest flow of one VM, attaches a
+// flow of the next demand value in its place, and drains the recompute
+// the two mutations marked (the VMs take turns).
+void BM_MachineRecomputeChurn(benchmark::State& state) {
+  const int per_vm = static_cast<int>(state.range(0));
+  const double values[] = {2.5, 25.0, 50.0};
+  sim::Simulation sim;
+  cluster::HybridCluster hc(sim);
+  auto* machine = hc.add_machine();
+  cluster::VirtualMachine* vms[] = {hc.add_vm(*machine), hc.add_vm(*machine)};
+  int next = 0;
+  auto flow = [&] {
+    const double v = values[next++ % 3];
+    cluster::Resources d;
+    d.cpu = v / 100;
+    d.disk = v;
+    d.net = v;
+    d.memory = 16;
+    return std::make_shared<cluster::Workload>("f", d, sim::Duration{100});
+  };
+  for (auto* vm : vms) {
+    for (int i = 0; i < per_vm; ++i) vm->add(flow());
+  }
+  sim.flush();
+  for (auto _ : state) {
+    cluster::VirtualMachine* vm = vms[next % 2];
+    vm->remove(vm->workloads().front().get());
+    vm->add(flow());
+    sim.flush();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * per_vm);
+}
+BENCHMARK(BM_MachineRecomputeChurn)->Arg(48);
 
 // A k-mutation burst at one simulated instant — the placement-burst /
 // DRM-epoch pattern. Deferred reallocation coalesces the burst into one

@@ -42,8 +42,10 @@
 #                scripts/profile_report.py, and a work-counter fingerprint
 #                diff across two same-seed profiled runs
 #   perf         Release bench_micro + bench_scale runs gated by
-#                scripts/perf_gate.py against the committed BENCH_micro.json
-#                / BENCH_scale.json baselines (see docs/PERFORMANCE.md)
+#                scripts/perf_gate.py: first the sweep's work counters,
+#                exactly, against BENCH_scale.profile.json, then the times
+#                against the committed BENCH_micro.json / BENCH_scale.json
+#                baselines (see docs/PERFORMANCE.md)
 #   bench-smoke  hmrbench/run.py --smoke: every hmrbench workload at smoke
 #                size, untraced, traced and through start(); the same-seed
 #                sim digests must agree and no operation may fail — blocking
@@ -380,7 +382,9 @@ note_stage profile "$profile_result"
 # Uses the release tree built above. Micro benches run a filtered subset at a
 # short min_time. The scale sweep runs the CI-gated 24/96/384 points with the
 # profiler + watchdog armed: a hang at any point exits 3 (watchdog stall)
-# instead of spinning forever, and the profile sibling file feeds
+# instead of spinning forever. Its profile must repeat the committed work
+# counters exactly; that check runs before the wall-clock ones, so noise in
+# a micro time cannot hide a counter that moved. The profile also feeds
 # perf_gate.py's hotspot + work-counter context when the gate is red. The
 # committed baselines are min-of-N UNPROFILED measurements (see
 # docs/PERFORMANCE.md); the profiler's overhead is well inside the scale
@@ -402,6 +406,9 @@ if [ -x "$micro" ] && [ -x "$scale" ]; then
       "$scale" --sizes 24,96,384 --out "$perf_dir/scale.json" \
         --profile "$perf_dir/scale.profile.json" \
         --heartbeat-s 60 --wall-budget-s 900 &&
+      python3 "$repo/scripts/perf_gate.py" counters \
+        --baseline "$repo/BENCH_scale.profile.json" \
+        --run "$perf_dir/scale.profile.json" &&
       python3 "$repo/scripts/perf_gate.py" check \
         --baseline "$repo/BENCH_micro.json" --run "$perf_dir/micro.json" &&
       python3 "$repo/scripts/perf_gate.py" check \

@@ -44,10 +44,23 @@ Three kinds of checks, all driven by the baseline file:
                 side-by-side speedup), the rule is reported as SKIP, not
                 checked.
 
+A fourth check compares profiles, not times:
+
+  counters      Every point of the baseline profile (BENCH_scale.profile.json,
+                written by `bench_scale --profile`) must be in the fresh
+                profile with exactly the same `work` counters. They count
+                deterministic work (events, recomputes, tracker scans,
+                launches, fill rows), so they repeat on any host, and a
+                mismatch names the point and the counter. A change that
+                moves a counter on purpose re-records the baseline profile
+                from a profiled sweep and says why.
+
 Usage:
-  perf_gate.py check  --baseline BENCH_micro.json --run fresh.json
-                      [--tolerance 1.75]
-  perf_gate.py update --baseline BENCH_micro.json --run fresh.json
+  perf_gate.py check    --baseline BENCH_micro.json --run fresh.json
+                        [--tolerance 1.75]
+  perf_gate.py update   --baseline BENCH_micro.json --run fresh.json
+  perf_gate.py counters --baseline BENCH_scale.profile.json
+                        --run fresh.profile.json
 
 `update` rewrites the baseline real_time values from the fresh run while
 preserving pre_pr_real_time, min_speedup and ratio_rules, then re-runs
@@ -266,6 +279,31 @@ def check(baseline_doc: dict, run_doc: dict, tolerance: float) -> int:
     return 1 if failures else 0
 
 
+def check_counters(baseline_path: Path, run_path: Path) -> int:
+    """Exact comparison of every point's work counters."""
+    base_points = profile_report.load_profiles(baseline_path)
+    run_points = profile_report.load_profiles(run_path)
+    failures = 0
+    for point in sorted(base_points):
+        if point not in run_points:
+            print(f"  [counters] {point}: MISSING point in run")
+            failures += 1
+            continue
+        old = profile_report.counters(base_points[point])
+        new = profile_report.counters(run_points[point])
+        moved = [k for k in sorted(set(old) | set(new))
+                 if old.get(k) != new.get(k)]
+        for k in moved:
+            print(f"  [counters] {point}: {k} baseline {old.get(k, '-')} "
+                  f"run {new.get(k, '-')} FAIL")
+        failures += len(moved)
+        if not moved:
+            print(f"  [counters] {point}: {len(old)} counters equal ok")
+    print(f"perf_gate: counters of {len(base_points)} points, "
+          f"{failures} failures")
+    return 1 if failures else 0
+
+
 def update(baseline_path: Path, baseline_doc: dict, run_doc: dict,
            tolerance: float) -> int:
     run = by_name(run_doc)
@@ -288,7 +326,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("mode", choices=["check", "update"])
+    parser.add_argument("mode", choices=["check", "update", "counters"])
     parser.add_argument("--baseline", required=True, type=Path,
                         help="committed baseline JSON (BENCH_*.json)")
     parser.add_argument("--run", required=True, type=Path,
@@ -297,6 +335,9 @@ def main() -> int:
                         help="allowed run/baseline slowdown (default 1.75)")
     args = parser.parse_args()
 
+    if args.mode == "counters":
+        print(f"perf_gate: counters {args.run} against {args.baseline}")
+        return check_counters(args.baseline, args.run)
     baseline_doc = load(args.baseline)
     run_doc = load(args.run)
     print(f"perf_gate: {args.mode} {args.run} against {args.baseline} "

@@ -173,55 +173,71 @@ std::vector<double> waterfill(double capacity,
   return alloc;
 }
 
-void DemandClasses::group(std::span<const WorkloadPtr> members) {
-  rows.clear();
-  counts.clear();
-  row_of.resize(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const Workload& w = *members[i];
-    std::size_t r = 0;
-    while (r < rows.size() && !in_class(rows[r], w)) ++r;
-    if (r == kMaxClasses) {
-      // Too many classes to look up: one class per member.
-      rows.clear();
-      counts.assign(members.size(), 1);
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        rows.push_back(class_row(*members[m]));
-        row_of[m] = static_cast<std::uint32_t>(m);
-      }
-      return;
+std::uint32_t DemandClasses::join(const Workload& w) {
+  std::size_t free_row = rows.size();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (counts[r] == 0) {
+      free_row = std::min(free_row, r);
+    } else if (in_class(rows[r], w)) {
+      ++counts[r];
+      changed = true;
+      return static_cast<std::uint32_t>(r);
     }
-    if (r == rows.size()) {
-      rows.push_back(class_row(w));
-      counts.push_back(0);
-    }
-    ++counts[r];
-    row_of[i] = static_cast<std::uint32_t>(r);
   }
+  if (free_row == rows.size()) {
+    rows.emplace_back();
+    counts.push_back(0);
+  }
+  rows[free_row] = class_row(w);
+  counts[free_row] = 1;
+  changed = true;
+  return static_cast<std::uint32_t>(free_row);
 }
 
-void DemandClasses::add_single(const Resources& effective) {
-  rows.push_back({{}, effective, false});
-  counts.push_back(1);
+void DemandClasses::leave(std::uint32_t row) {
+  assert(counts[row] > 0 && "leaving an empty class");
+  if (--counts[row] == 0) {
+    rows[row] = {};  // free: asks for nothing
+    // Trailing free rows go; no member points past the last live row.
+    while (!counts.empty() && counts.back() == 0) {
+      rows.pop_back();
+      counts.pop_back();
+    }
+  }
+  changed = true;
 }
 
-void DemandClasses::fill(const Resources& capacity,
+void DemandClasses::fill(const Resources& capacity, std::span<Row> singles,
                          telemetry::Profiler* prof) {
   const std::size_t n = rows.size();
-  column_.resize(n);
-  column_out_.resize(n);
+  const std::size_t m = n + singles.size();
+  column_.resize(m);
+  column_out_.resize(m);
+  column_counts_.assign(counts.begin(), counts.end());
+  column_counts_.resize(m, 1);
   for (int r = 0; r < kNumResources; ++r) {
     const auto kind = static_cast<ResourceKind>(r);
     for (std::size_t i = 0; i < n; ++i) column_[i] = rows[i].effective[kind];
-    waterfill_into(capacity[kind], column_, counts, column_out_,
+    for (std::size_t j = 0; j < singles.size(); ++j) {
+      column_[n + j] = singles[j].effective[kind];
+    }
+    waterfill_into(capacity[kind], column_, column_counts_, column_out_,
                    fill_scratch_);
     for (std::size_t i = 0; i < n; ++i) rows[i].grant[kind] = column_out_[i];
+    for (std::size_t j = 0; j < singles.size(); ++j) {
+      singles[j].grant[kind] = column_out_[n + j];
+    }
   }
+  changed = false;
   if (prof != nullptr) {
-    std::uint64_t consumers = 0;
-    for (const std::uint32_t c : counts) consumers += c;
+    std::uint64_t consumers = singles.size();
+    std::uint64_t live = singles.size();
+    for (const std::uint32_t c : counts) {
+      consumers += c;
+      live += c > 0 ? 1 : 0;
+    }
     prof->add(telemetry::WorkCounter::kFillMembers, kNumResources * consumers);
-    prof->add(telemetry::WorkCounter::kFillClasses, kNumResources * n);
+    prof->add(telemetry::WorkCounter::kFillClasses, kNumResources * live);
   }
 }
 
@@ -312,6 +328,7 @@ void ExecutionSite::add(WorkloadPtr workload) {
   const sim::SimTime now = simulation().now();
   workload->last_settle_ = now;
   workload->started_at_ = now;
+  workload->site_row_ = classes_.join(*workload);
   workloads_.push_back(std::move(workload));
   const WorkloadPtr& added = workloads_.back();
   if (added->finite() && !added->done()) {
@@ -350,6 +367,7 @@ void ExecutionSite::remove(Workload* workload) {
   keep->speed_ = 0;
   keep->allocated_ = {};
   keep->site_ = nullptr;
+  classes_.leave(keep->site_row_);
   workloads_.erase(it);
   reallocate();
 }
@@ -357,6 +375,35 @@ void ExecutionSite::remove(Workload* workload) {
 void ExecutionSite::reallocate() {
   Machine* machine = host_machine();
   if (machine != nullptr) machine->invalidate();
+}
+
+void ExecutionSite::rekey(Workload& member, bool reallocate) {
+  // A change that left the key as it was (a cap above the demand, say)
+  // keeps the member's row.
+  if (!in_class(classes_.rows[member.site_row_], member)) {
+    classes_.leave(member.site_row_);
+    member.site_row_ = classes_.join(member);
+  }
+  if (reallocate) this->reallocate();
+}
+
+bool ExecutionSite::classes_match_members() const {
+  if (classes_.counts.size() != classes_.rows.size()) return false;
+  std::vector<std::uint32_t> pointing(classes_.rows.size(), 0);
+  for (const auto& w : workloads_) {
+    if (w->site_row_ >= pointing.size() ||
+        !in_class(classes_.rows[w->site_row_], *w)) {
+      return false;
+    }
+    ++pointing[w->site_row_];
+  }
+  for (std::size_t r = 0; r < pointing.size(); ++r) {
+    if (pointing[r] != classes_.counts[r]) return false;
+    if (pointing[r] == 0 && !same_bytes(classes_.rows[r].effective, {})) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Resources ExecutionSite::total_demand() const {
@@ -406,16 +453,26 @@ void VirtualMachine::set_migrating(bool migrating) {
   reallocate();
 }
 
-Resources VirtualMachine::aggregate_demand() const {
-  if (paused_) return {};
-  if (!agg_dirty_) return agg_cache_;
-  Resources sum = total_demand();
+void VirtualMachine::refresh_member_sums() const {
+  if (!agg_dirty_) return;
+  Resources sum;
+  sim::MegaBytes used_mb;
+  for (const auto& w : workloads_) {
+    sum += w->effective_demand();
+    used_mb += sim::MegaBytes{w->demand().memory};
+  }
   Resources limit = caps_;
   limit.cpu = std::min(limit.cpu, vcpus_);
   limit.memory = std::min(limit.memory, memory_mb_.value());
   if (!dom0_) limit.net = std::min(limit.net, cal_.vm_net_cap_mbps.value());
   agg_cache_ = sum.clamped_to(limit);
+  used_mb_ = used_mb;
   agg_dirty_ = false;
+}
+
+Resources VirtualMachine::aggregate_demand() const {
+  if (paused_) return {};
+  refresh_member_sums();
   return agg_cache_;
 }
 
@@ -433,12 +490,9 @@ double VirtualMachine::io_efficiency(int active_io_vms) const {
   // workloads leave free, so combined TaskTracker+DataNode VMs (task heap
   // squeezing the cache) hit the miss penalty much sooner than a dedicated
   // storage VM — the split-architecture advantage of Fig. 2(d)/Fig. 3.
-  sim::MegaBytes used_mb;
-  for (const auto& w : workloads_) {
-    used_mb += sim::MegaBytes{w->demand().memory};
-  }
+  refresh_member_sums();
   const sim::MegaBytes free_mb =
-      std::max(sim::MegaBytes{64.0}, memory_mb_ - used_mb);
+      std::max(sim::MegaBytes{64.0}, memory_mb_ - used_mb_);
   const sim::MegaBytes knee = cal_.io_cache_knee_factor * free_mb;
   if (knee > sim::MegaBytes{}) {
     tax += cal_.io_cache_tax * std::min(1.0, recent_io_mb_ / knee);
@@ -463,18 +517,24 @@ void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
   const double eff_io = io_efficiency(active_io_vms);
   const double migration_factor =
       migrating_ ? 1.0 - cal_.migration_guest_slowdown : 1.0;
-  // Water-fill each resource of the grant across the demand classes and
-  // rate each class once; only the install is per member.
-  classes_.group(workloads_);
-  classes_.fill(grant, prof);
-  for (auto& c : classes_.rows) {
-    double speed = paused_ ? 0.0 : speed_of(c, eff_cpu, eff_io, cal_);
-    speed *= migration_factor;
-    c.speed = speed;
+  HYBRIDMR_AUDIT_CHECK(classes_match_members(), "cluster.machine",
+                       "classes_match_members", now, {{"vm", name()}});
+  // Water-fill each resource of the grant across the demand classes, unless
+  // the last fill had the same classes and grant, and rate each class once;
+  // only the install is per member.
+  if (classes_.changed || !same_bytes(grant, filled_grant_)) {
+    classes_.fill(grant, {}, prof);
+    filled_grant_ = grant;
   }
-  for (std::size_t i = 0; i < workloads_.size(); ++i) {
-    const auto& w = workloads_[i];
-    const DemandClasses::Row& c = classes_.rows[classes_.row_of[i]];
+  for (std::size_t c = 0; c < classes_.rows.size(); ++c) {
+    if (classes_.counts[c] == 0) continue;
+    DemandClasses::Row& row = classes_.rows[c];
+    double speed = paused_ ? 0.0 : speed_of(row, eff_cpu, eff_io, cal_);
+    speed *= migration_factor;
+    row.speed = speed;
+  }
+  for (const auto& w : workloads_) {
+    const DemandClasses::Row& c = class_of(*w);
     w->apply_allocation(now, c.grant, c.speed);
     if (host_ != nullptr) host_->reschedule(w);
   }
@@ -635,39 +695,39 @@ void Machine::recompute(RecomputeCause cause) {
   for (const auto& w : workloads_) w->settle(now);
   for (auto* vm : vms_) vm->settle_all(now);
 
-  // 2. Group the native members into demand classes; each VM is one more
-  // consumer that stands for itself.
-  classes_.group(workloads_);
-  const std::size_t native_rows = classes_.rows.size();
-  for (auto* vm : vms_) {
-    classes_.add_single(powered_ ? vm->aggregate_demand() : Resources{});
+  // 2. The native members' demand classes are standing state; each VM is
+  // one more consumer that stands for itself.
+  HYBRIDMR_AUDIT_CHECK(classes_match_members(), "cluster.machine",
+                       "classes_match_members", now, {{"machine", name()}});
+  vm_rows_.resize(vms_.size());
+  for (std::size_t j = 0; j < vms_.size(); ++j) {
+    vm_rows_[j].effective =
+        powered_ ? vms_[j]->aggregate_demand() : Resources{};
   }
-  const std::span<const DemandClasses::Row> vm_rows(
-      classes_.rows.data() + native_rows, vms_.size());
 
   // 3. Water-fill each physical resource across the rows (an unpowered
   // machine has nothing to grant) and rate each native class once, with
   // no virtualization tax.
-  classes_.fill(powered_ ? capacity_ : Resources{}, prof_);
-  for (std::size_t c = 0; c < native_rows; ++c) {
+  classes_.fill(powered_ ? capacity_ : Resources{}, vm_rows_, prof_);
+  for (std::size_t c = 0; c < classes_.rows.size(); ++c) {
+    if (classes_.counts[c] == 0) continue;
     classes_.rows[c].speed = speed_of(classes_.rows[c], 1.0, 1.0, cal_);
   }
 
   // 4. Install per native member. The utilization total sums the grants
   // in consumer order (members, then VMs), one term per consumer.
   allocated_total_ = {};
-  for (std::size_t i = 0; i < workloads_.size(); ++i) {
-    const auto& w = workloads_[i];
-    const DemandClasses::Row& c = classes_.rows[classes_.row_of[i]];
+  for (const auto& w : workloads_) {
+    const DemandClasses::Row& c = class_of(*w);
     w->apply_allocation(now, c.grant, c.speed);
     reschedule(w);
     allocated_total_ += c.grant;
   }
-  for (const auto& row : vm_rows) allocated_total_ += row.grant;
+  for (const auto& row : vm_rows_) allocated_total_ += row.grant;
   for (int r = 0; r < kNumResources; ++r) {
     [[maybe_unused]] const auto kind = static_cast<ResourceKind>(r);
     HYBRIDMR_AUDIT_CHECK(
-        equal_demands_equal_grants(workloads_, vm_rows, kind),
+        equal_demands_equal_grants(workloads_, vm_rows_, kind),
         "cluster.machine", "equal_demands_equal_grants", now,
         {{"machine", name()}, {"resource", cluster::to_string(kind)}});
   }
@@ -677,12 +737,12 @@ void Machine::recompute(RecomputeCause cause) {
   // (when unpowered the gathered demand is zero, but so is every grant, so
   // the efficiency factor it feeds is unobservable).
   int active_io_vms = 0;
-  for (const auto& row : vm_rows) {
+  for (const auto& row : vm_rows_) {
     const Resources& d = row.effective;
     if (d.disk + d.net > 1.0) ++active_io_vms;  // > 1 MB/s = active I/O
   }
   for (std::size_t j = 0; j < vms_.size(); ++j) {
-    vms_[j]->distribute(now, vm_rows[j].grant, active_io_vms, prof_);
+    vms_[j]->distribute(now, vm_rows_[j].grant, active_io_vms, prof_);
   }
 
   // 6. Metrics and power. Same-instant recordings coalesce: several

@@ -9,10 +9,11 @@
 // demand or cap change marks the host machine dirty via invalidate(), and
 // the machine recomputes once per event boundary (or earlier, on the first
 // read of allocation-dependent state through ensure_clean()). recompute()
-// itself is allocation-free in steady state: each site groups its members
-// into demand classes in a reusable table, fills and rates each class once,
-// and only moves a completion event when the workload's finish time
-// actually changed.
+// itself is allocation-free in steady state: each site keeps its members'
+// demand classes as standing state (a member joins, leaves or is re-keyed
+// when it attaches, detaches or changes its key), fills and rates each
+// class once, and only moves a completion event when the workload's finish
+// time actually changed.
 #pragma once
 
 #include <cstdint>
@@ -78,17 +79,16 @@ void waterfill_into(double capacity, std::span<const double> demands,
 /// per demand (tests, cold paths).
 std::vector<double> waterfill(double capacity, std::span<const double> demands);
 
-/// Reusable demand-class table: one per site, so steady-state allocation
-/// is zero. A class is the members whose raw demand, effective demand and
-/// pause flag agree byte for byte, which is everything the grant and the
-/// speed read of a member; a class's members therefore get one grant and
-/// one speed, and the site fills and rates each class once. Lookup is a
-/// linear scan over at most kMaxClasses classes; a site with more gives
-/// every member its own class (the same code, nothing grouped).
+/// A site's demand classes, kept as standing state. A class is the members
+/// whose raw demand, effective demand and pause flag agree byte for byte,
+/// which is everything the grant and the speed read of a member; a class's
+/// members therefore get one grant and one speed, and the site fills and
+/// rates each class once. Members join a class when they attach, leave it
+/// when they detach, and move when their key changes
+/// (ExecutionSite::rekey). A class that empties frees its row (asks for
+/// nothing, is not rated); the next new class takes it.
 class DemandClasses {
  public:
-  static constexpr std::size_t kMaxClasses = 8;
-
   /// One row of the fill: a class of members, or a consumer that stands
   /// for itself alone (a machine's VM; only `effective` and `grant` used).
   struct Row {
@@ -99,23 +99,26 @@ class DemandClasses {
     double speed = 0;
   };
 
-  /// Rebuilds the table from `members`: classes in first-appearance order,
-  /// and row_of[i] the class of member i.
-  void group(std::span<const WorkloadPtr> members);
-  /// Appends a row for one consumer that is not a member.
-  void add_single(const Resources& effective);
+  /// Adds one member with `w`'s key to its class (a free or new row when
+  /// no live row has the key) and returns the row.
+  std::uint32_t join(const Workload& w);
+  /// Removes one member from `row`; a row left empty is freed.
+  void leave(std::uint32_t row);
   /// Water-fills each resource of `capacity` across the rows, each row
-  /// counting for its consumers, into the rows' grants. Counts the
-  /// consumers and rows filled when `prof` is non-null.
-  void fill(const Resources& capacity, telemetry::Profiler* prof);
+  /// counting for its members, and the `singles`, into their grants.
+  /// Counts the consumers and live rows filled when `prof` is non-null.
+  void fill(const Resources& capacity, std::span<Row> singles,
+            telemetry::Profiler* prof);
 
   std::vector<Row> rows;
-  std::vector<std::uint32_t> counts;  // consumers per row
-  std::vector<std::uint32_t> row_of;  // row per member
+  std::vector<std::uint32_t> counts;  // members per row; 0 = free row
+  /// A member joined or left since the last fill().
+  bool changed = true;
 
  private:
   std::vector<double> column_;
   std::vector<double> column_out_;
+  std::vector<std::uint32_t> column_counts_;
   WaterfillScratch fill_scratch_;
 };
 
@@ -135,15 +138,16 @@ class ExecutionSite {
 
   /// Marks the physical machine underneath for reallocation (deferred and
   /// coalesced; recomputes immediately in eager mode). Virtual so a VM can
-  /// invalidate its aggregate-demand cache on the same mutations that dirty
-  /// the host.
+  /// invalidate its member-sum cache on the same mutations that dirty the
+  /// host.
   virtual void reallocate();
 
-  /// Drops any cached view of member demands *without* scheduling a
-  /// reallocation. Workload::finish() zeroes its effective demand outside
-  /// the reallocate() funnel (the removal that follows reallocates), so it
-  /// calls this to keep a read-barrier recompute in between exact.
-  virtual void invalidate_demand_cache() {}
+  /// The one funnel for a member whose demand, caps, pause or done flag
+  /// changed: moves it to the demand class of its new key and, when
+  /// `reallocate` is set, marks the machine for reallocation.
+  /// Workload::finish passes false (the removal that follows reallocates);
+  /// the re-key still keeps a read-barrier recompute in between exact.
+  virtual void rekey(Workload& member, bool reallocate);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] virtual sim::Simulation& simulation() = 0;
@@ -164,7 +168,17 @@ class ExecutionSite {
 
  protected:
   explicit ExecutionSite(std::string name) : name_(std::move(name)) {}
+
+  /// The class row of a resident member.
+  [[nodiscard]] const DemandClasses::Row& class_of(const Workload& w) const {
+    return classes_.rows[w.site_row_];
+  }
+  /// Audit: every member's row holds its current key, every row counts the
+  /// members that point at it, and a free row asks for nothing.
+  [[nodiscard]] bool classes_match_members() const;
+
   std::vector<WorkloadPtr> workloads_;
+  DemandClasses classes_;
 
  private:
   std::string name_;
@@ -203,15 +217,18 @@ class VirtualMachine : public ExecutionSite {
   [[nodiscard]] bool migrating() const { return migrating_; }
 
   /// Aggregate demand this VM presents to its host. Cached: every mutation
-  /// that can change it (member add/remove/demand/caps/pause, VM caps or
-  /// pause) funnels through reallocate(), which drops the cache.
+  /// that can change it (member add/remove/re-key, VM caps or pause)
+  /// funnels through reallocate() or rekey(), which drop the cache.
   [[nodiscard]] Resources aggregate_demand() const;
 
   void reallocate() override {
     agg_dirty_ = true;
     ExecutionSite::reallocate();
   }
-  void invalidate_demand_cache() override { agg_dirty_ = true; }
+  void rekey(Workload& member, bool reallocate) override {
+    agg_dirty_ = true;
+    ExecutionSite::rekey(member, reallocate);
+  }
 
   /// Effective CPU / I/O efficiency given `active_io_vms` co-resident VMs
   /// currently performing I/O (includes this one).
@@ -221,7 +238,9 @@ class VirtualMachine : public ExecutionSite {
   // --- internal: called by Machine / HybridCluster ---
   void attach_to(Machine* host) { host_ = host; }
   /// Distributes the grant across resident workloads by demand class and
-  /// applies the taxes. `prof` (null unless profiled) counts the fill.
+  /// applies the taxes. The last fill stands when no member joined, left
+  /// or was re-keyed and `grant` is byte-equal to the one it filled.
+  /// `prof` (null unless profiled) counts the fill.
   void distribute(sim::SimTime now, const Resources& grant, int active_io_vms,
                   telemetry::Profiler* prof);
   /// Settles all resident workloads and decays the recent-I/O counter.
@@ -242,11 +261,15 @@ class VirtualMachine : public ExecutionSite {
   // Buffer-cache model: exponentially decayed volume of recent I/O.
   sim::MegaBytes recent_io_mb_;
   sim::SimTime last_decay_ = 0;
-  // aggregate_demand() memo (see reallocate()).
+  // Refreshes the member sums below, in member order, when agg_dirty_.
+  void refresh_member_sums() const;
+  // Member-sum memo (see reallocate()): the clamped aggregate demand and
+  // the memory the members use (io_efficiency()'s buffer-cache tax).
   mutable Resources agg_cache_{};
+  mutable sim::MegaBytes used_mb_;
   mutable bool agg_dirty_ = true;
-  // distribute()'s class table, reused across recomputes.
-  DemandClasses classes_;
+  // The grant distribute() last filled the classes with.
+  Resources filled_grant_{};
 };
 
 /// A physical server. Root of the allocation hierarchy.
@@ -362,9 +385,9 @@ class Machine : public ExecutionSite {
   std::uint64_t recompute_count_ = 0;
   std::uint64_t reschedule_skips_ = 0;
 
-  // recompute()'s class table: native members' classes, then one row per
-  // VM. Reused across passes (allocation-free steady state).
-  DemandClasses classes_;
+  // recompute()'s fill rows for the VMs, one each beside the native
+  // members' classes. Reused across passes (allocation-free steady state).
+  std::vector<DemandClasses::Row> vm_rows_;
 
   // Cached profiler handle (null unless a profiled run; see realloc.h for
   // how causes are attributed).

@@ -22,20 +22,20 @@ void Workload::refresh_eff_demand() {
 void Workload::set_demand(const Resources& demand) {
   demand_ = demand;
   refresh_eff_demand();
-  if (site_ != nullptr) site_->reallocate();
+  if (site_ != nullptr) site_->rekey(*this, true);
 }
 
 void Workload::set_caps(const Resources& caps) {
   caps_ = caps;
   refresh_eff_demand();
-  if (site_ != nullptr) site_->reallocate();
+  if (site_ != nullptr) site_->rekey(*this, true);
 }
 
 void Workload::set_paused(bool paused) {
   if (paused_ == paused) return;
   paused_ = paused;
   refresh_eff_demand();
-  if (site_ != nullptr) site_->reallocate();
+  if (site_ != nullptr) site_->rekey(*this, true);
 }
 
 namespace {
@@ -84,10 +84,9 @@ void Workload::finish(sim::SimTime now) {
   speed_ = 0;
   allocated_ = {};
   refresh_eff_demand();
-  // The demand change above bypasses reallocate() (the removal that
-  // follows reallocates); drop any site-side demand cache now so a read
-  // barrier in between cannot observe the pre-finish demand.
-  if (site_ != nullptr) site_->invalidate_demand_cache();
+  // The removal that follows reallocates; the site still learns the new
+  // demand now, so a read barrier in between cannot observe the old one.
+  if (site_ != nullptr) site_->rekey(*this, false);
 }
 
 }  // namespace hybridmr::cluster

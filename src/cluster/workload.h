@@ -8,6 +8,7 @@
 // no finite work and simply consume resources until removed.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -134,6 +135,7 @@ class Workload {
   sim::SimTime last_settle_ = 0;
   sim::SimTime started_at_ = 0;
   ExecutionSite* site_ = nullptr;  // owned by HybridCluster
+  std::uint32_t site_row_ = 0;     // this member's row at its site
 };
 
 using WorkloadPtr = std::shared_ptr<Workload>;

@@ -51,13 +51,16 @@ void TimeSeries::compact() {
 }
 
 double TimeSeries::mean_in(double t0, double t1) const {
+  // Samples are time-ordered (add() asserts it), so the window is one run:
+  // from the first sample at or after t0 to the last at or before t1.
+  auto it = std::partition_point(
+      samples_.begin(), samples_.end(),
+      [t0](const Sample& s) { return !(s.time >= t0); });
   double sum = 0;
   std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.time >= t0 && s.time <= t1) {
-      sum += s.value;
-      ++n;
-    }
+  for (; it != samples_.end() && it->time <= t1; ++it) {
+    sum += it->value;
+    ++n;
   }
   return n ? sum / static_cast<double>(n) : 0;
 }

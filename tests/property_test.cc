@@ -679,15 +679,24 @@ std::array<std::uint64_t, 9> class_key(const Workload& w) {
 // most 4 demand vectors: up to 3 that differ only above a shared cpu cap,
 // so capped members of different vectors share one effective demand but
 // not one speed, and sometimes a zero demand. Members pause and resume,
-// caps come and go, a VM pauses, another migrates, a host powers off,
-// members finish and arrive; one VM holds more demand classes than the
-// class table looks up. After every round each host is recomputed, and
-// every member's grant, speed and finish time, and each machine's
-// utilization, must equal the per-member reference's bit for bit.
+// caps come and go, demands move to another vector, a VM pauses, another
+// migrates, a host powers off, members finish and arrive; one VM holds
+// more than 8 demand classes. Beside them, one host with three VMs
+// exercises the standing class table: a steady VM whose classes never
+// change while its grant moves (its sibling's demands do), and a capped
+// VM whose grant never moves while its members leave, one of its classes
+// empties and a new class takes the freed row. After every round each
+// host is recomputed, and every member's grant, speed and finish time,
+// and each machine's utilization, must equal the per-member reference's
+// bit for bit.
 class DemandClassProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  // The re-keys and the standing-table host draw from their own stream, so
+  // the random hosts are built from the same draws as before they were
+  // added (later rounds differ once a re-key moves a finish time).
+  sim::Rng side(static_cast<std::uint64_t>(GetParam()) + 1000);
   sim::Simulation sim(static_cast<std::uint64_t>(GetParam()));
   cluster::HybridCluster hc(sim);
 
@@ -738,11 +747,11 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
       }
     }
   }
-  // Past the class table's bound: one VM with a service member per extra
-  // demand vector (never finishing, so the site stays past it).
+  // Many classes: one VM with a service member per extra demand vector
+  // (never finishing, so the site keeps them).
+  constexpr std::size_t kManyClasses = 8;
   cluster::VirtualMachine* wide = hosts[0].vms.front();
-  const std::size_t extra = cluster::DemandClasses::kMaxClasses + 1 +
-                            rng.index(3);
+  const std::size_t extra = kManyClasses + 1 + rng.index(3);
   for (std::size_t k = 0; k < extra; ++k) {
     wide->add(std::make_shared<Workload>(
         "wide" + std::to_string(k),
@@ -750,10 +759,91 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
         Workload::kService));
   }
 
+  // The standing-table host. The steady VM's service members ask for more
+  // disk than the host has, so its disk grant is what its sibling leaves.
+  Host table;
+  table.machine = hc.add_machine();
+  table.sites.push_back(table.machine);
+  for (int v = 0; v < 3; ++v) {
+    table.vms.push_back(hc.add_vm(*table.machine));
+    table.sites.push_back(table.vms.back());
+  }
+  cluster::VirtualMachine* steady = table.vms[0];
+  cluster::VirtualMachine* sibling = table.vms[1];
+  cluster::VirtualMachine* capped = table.vms[2];
+  auto add_service = [&](cluster::ExecutionSite& site, const Resources& d) {
+    auto w = std::make_shared<Workload>("t" + std::to_string(serial++), d,
+                                        Workload::kService);
+    site.add(w);
+    table.members.push_back(w);
+  };
+  for (int k = side.uniform_int(4, 6); k > 0; --k) {
+    add_service(*steady, Resources{0.1, 64, side.bernoulli(0.5) ? 30.0 : 45.0,
+                                   2.0});
+  }
+  auto sibling_demand = [&] {
+    return Resources{0.1, 64, side.uniform(2, 18), 2.0};
+  };
+  for (int k = 0; k < 2; ++k) add_service(*sibling, sibling_demand());
+  // The capped VM's caps sit below its members' total on every resource,
+  // so its aggregate demand, and with it its grant, stays put while its
+  // members leave. Its first member is the only one of its class.
+  capped->set_caps(Resources{0.2, 200, 10, 5});
+  add_service(*capped, Resources{0.05, 32, 4, 1});
+  for (int k = 0; k < 9; ++k) add_service(*capped, Resources{0.1, 100, 8, 3});
+
   int shared_effective = 0;  // capped pairs: one effective demand, two raw
-  int past_bound = 0;        // checks of a site past the table's bound
+  int many_classes = 0;      // checks of a site with many classes
+  int rekeyed = 0;           // set_demand calls that moved a member's class
+  int grant_moved = 0;       // rounds the steady VM's disk grant moved
   int checked = 0;
+  auto check = [&](Host& host, int round) {
+    host.machine->invalidate();
+    host.machine->ensure_clean();
+    const ReferenceAllocation ref = reference_distribute(*host.machine);
+    for (int r = 0; r < cluster::kNumResources; ++r) {
+      const auto kind = static_cast<cluster::ResourceKind>(r);
+      const double cap = host.machine->capacity()[kind];
+      const double want = cap > 0 ? ref.allocated_total[kind] / cap : 0;
+      EXPECT_EQ(bits(host.machine->utilization(kind)), bits(want))
+          << "round " << round << " " << host.machine->name() << " "
+          << cluster::to_string(kind);
+    }
+    for (cluster::ExecutionSite* site : host.sites) {
+      std::set<std::array<std::uint64_t, 9>> keys;
+      const auto& ws = site->workloads();
+      for (std::size_t i = 0; i < ws.size(); ++i) {
+        const Workload& w = *ws[i];
+        const MemberExpect& e = ref.members.at(&w);
+        ++checked;
+        for (int r = 0; r < cluster::kNumResources; ++r) {
+          const auto kind = static_cast<cluster::ResourceKind>(r);
+          EXPECT_EQ(bits(w.allocated()[kind]), bits(e.alloc[kind]))
+              << "round " << round << " " << site->name() << " member "
+              << w.name() << " " << cluster::to_string(kind);
+        }
+        EXPECT_EQ(bits(w.speed()), bits(e.speed))
+            << "round " << round << " " << site->name() << " member "
+            << w.name();
+        EXPECT_EQ(bits(w.completion_time), bits(e.completion))
+            << "round " << round << " " << site->name() << " member "
+            << w.name();
+        keys.insert(class_key(w));
+        for (std::size_t j = 0; j < i; ++j) {
+          const Workload& o = *ws[j];
+          if (!w.paused() && !o.paused() &&
+              same_bytes(w.effective_demand(), o.effective_demand()) &&
+              !same_bytes(w.demand(), o.demand())) {
+            ++shared_effective;
+          }
+        }
+      }
+      if (keys.size() > kManyClasses) ++many_classes;
+    }
+  };
+
   sim::SimTime t = 0;
+  double steady_disk = -1;
   for (int round = 0; round < 8; ++round) {
     t += rng.uniform(1, 8);
     sim.run_until(t);
@@ -778,56 +868,36 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
           if (rng.bernoulli(0.5)) cap.cpu = host.cap.cpu * 0.5;
           w->set_caps(cap);
         }
-      }
-    }
-    for (Host& host : hosts) {
-      host.machine->invalidate();
-      host.machine->ensure_clean();
-      const ReferenceAllocation ref = reference_distribute(*host.machine);
-      for (int r = 0; r < cluster::kNumResources; ++r) {
-        const auto kind = static_cast<cluster::ResourceKind>(r);
-        const double cap = host.machine->capacity()[kind];
-        const double want = cap > 0 ? ref.allocated_total[kind] / cap : 0;
-        EXPECT_EQ(bits(host.machine->utilization(kind)), bits(want))
-            << "round " << round << " " << host.machine->name() << " "
-            << cluster::to_string(kind);
-      }
-      for (cluster::ExecutionSite* site : host.sites) {
-        std::set<std::array<std::uint64_t, 9>> keys;
-        const auto& ws = site->workloads();
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-          const Workload& w = *ws[i];
-          const MemberExpect& e = ref.members.at(&w);
-          ++checked;
-          for (int r = 0; r < cluster::kNumResources; ++r) {
-            const auto kind = static_cast<cluster::ResourceKind>(r);
-            EXPECT_EQ(bits(w.allocated()[kind]), bits(e.alloc[kind]))
-                << "round " << round << " " << site->name() << " member "
-                << w.name() << " " << cluster::to_string(kind);
-          }
-          EXPECT_EQ(bits(w.speed()), bits(e.speed))
-              << "round " << round << " " << site->name() << " member "
-              << w.name();
-          EXPECT_EQ(bits(w.completion_time), bits(e.completion))
-              << "round " << round << " " << site->name() << " member "
-              << w.name();
-          keys.insert(class_key(w));
-          for (std::size_t j = 0; j < i; ++j) {
-            const Workload& o = *ws[j];
-            if (!w.paused() && !o.paused() &&
-                same_bytes(w.effective_demand(), o.effective_demand()) &&
-                !same_bytes(w.demand(), o.demand())) {
-              ++shared_effective;
-            }
-          }
+        if (side.bernoulli(0.1)) {
+          const auto before = class_key(*w);
+          w->set_demand(host.vectors[side.index(host.vectors.size())]);
+          if (class_key(*w) != before) ++rekeyed;
         }
-        if (keys.size() > cluster::DemandClasses::kMaxClasses) ++past_bound;
       }
     }
+    // The steady VM's classes stay; its sibling's demands move.
+    for (const auto& w : sibling->workloads()) w->set_demand(sibling_demand());
+    // The capped VM loses a member every round. At round 2 its first
+    // class empties (its row is freed, not the last one), and at round 3
+    // a member of a new class takes that row.
+    if (round == 2) {
+      capped->remove(capped->workloads().front().get());
+    } else {
+      capped->remove(capped->workloads().back().get());
+    }
+    if (round == 3) add_service(*capped, Resources{0.08, 48, 6, 2});
+
+    for (Host& host : hosts) check(host, round);
+    check(table, round);
+    const double disk = steady->workloads().front()->allocated().disk;
+    if (steady_disk >= 0 && bits(disk) != bits(steady_disk)) ++grant_moved;
+    steady_disk = disk;
   }
   EXPECT_GT(checked, 200);
   EXPECT_GT(shared_effective, 0);
-  EXPECT_GT(past_bound, 0);
+  EXPECT_GT(many_classes, 0);
+  EXPECT_GT(rekeyed, 0);
+  EXPECT_GT(grant_moved, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandClassProperty,

@@ -1,7 +1,9 @@
 // Unit tests for the statistics library (regressions, summaries, series).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "stats/regression.h"
@@ -166,6 +168,55 @@ TEST(TimeSeries, MeanInWindow) {
   ts.add(2, 30);
   EXPECT_NEAR(ts.mean_in(0.5, 2.5), 25, 1e-12);
   EXPECT_DOUBLE_EQ(ts.mean_in(5, 6), 0);
+}
+
+// mean_in() reads only the window's samples; it must sum the same samples
+// in the same order as a scan of the whole series, so the two agree bit
+// for bit, on a compacted series with runs of equal times too.
+TEST(TimeSeries, MeanInMatchesFullScan) {
+  TimeSeries ts;
+  ts.set_max_samples(16);
+  double t = 0.25;
+  for (int i = 0; i < 200; ++i) {
+    ts.add(t, 0.1 * i + 1.0 / (i + 3));
+    if (i % 3 != 0) t += 0.37 * (i % 5);  // i % 5 == 0 repeats a time
+  }
+  ASSERT_LE(ts.size(), 16u);
+  int repeats = 0;
+  for (std::size_t i = 1; i < ts.size(); ++i) {
+    if (ts.samples()[i].time == ts.samples()[i - 1].time) ++repeats;
+  }
+  EXPECT_GT(repeats, 0);
+  const double first = ts.samples().front().time;
+  const double last = ts.back().time;
+  auto full_scan = [&](double t0, double t1) {
+    double sum = 0;
+    std::size_t n = 0;
+    for (const auto& s : ts.samples()) {
+      if (s.time >= t0 && s.time <= t1) {
+        sum += s.value;
+        ++n;
+      }
+    }
+    return n ? sum / static_cast<double>(n) : 0;
+  };
+  std::vector<double> edges{first - 10, first - 1, first, last, last + 1,
+                            last + 10};
+  for (const auto& s : ts.samples()) {
+    edges.push_back(s.time);
+    edges.push_back(std::nextafter(s.time, -INFINITY));
+    edges.push_back(std::nextafter(s.time, INFINITY));
+  }
+  int windows = 0;
+  for (const double t0 : edges) {
+    for (const double t1 : edges) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.mean_in(t0, t1)),
+                std::bit_cast<std::uint64_t>(full_scan(t0, t1)))
+          << "[" << t0 << ", " << t1 << "]";
+      ++windows;
+    }
+  }
+  EXPECT_GT(windows, 1000);
 }
 
 }  // namespace
