@@ -84,9 +84,9 @@ Outcome run_scenario(std::uint64_t seed, bool chaos) {
   Outcome out;
   for (const auto& job : bed.mr().jobs()) {
     if (job->succeeded()) ++out.jobs_ok;
-    if (job->failed()) ++out.jobs_failed;
     out.makespan_s = std::max(out.makespan_s, job->finish_time());
   }
+  out.jobs_failed = bed.mr().jobs_failed();
   out.requeues = bed.mr().requeued();
   out.attempt_failures = bed.mr().attempt_failures();
   out.maps_reexecuted = bed.mr().maps_reexecuted();

@@ -56,13 +56,6 @@ Machine* HybridCluster::machine(const std::string& name) const {
   return nullptr;
 }
 
-VirtualMachine* HybridCluster::vm(const std::string& name) const {
-  for (const auto& v : vms_) {
-    if (v->name() == name) return v.get();
-  }
-  return nullptr;
-}
-
 sim::Joules HybridCluster::energy_joules(sim::SimTime t0,
                                          sim::SimTime t1) const {
   sim::Joules total;

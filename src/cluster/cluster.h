@@ -56,7 +56,6 @@ class HybridCluster {
     return vms_;
   }
   [[nodiscard]] Machine* machine(const std::string& name) const;
-  [[nodiscard]] VirtualMachine* vm(const std::string& name) const;
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
   [[nodiscard]] const Calibration& calibration() const { return cal_; }
   [[nodiscard]] Migrator& migrator() { return migrator_; }

@@ -417,11 +417,10 @@ Resources ExecutionSite::total_demand() const {
 VirtualMachine::VirtualMachine(sim::Simulation& sim, std::string name,
                                sim::CoreShare vcpus, sim::MegaBytes memory_mb,
                                const Calibration& cal)
-    : ExecutionSite(std::move(name)),
+    : ExecutionSite(std::move(name), cal),
       sim_(sim),
       vcpus_(vcpus.value()),
-      memory_mb_(memory_mb),
-      cal_(cal) {}
+      memory_mb_(memory_mb) {}
 
 Resources VirtualMachine::nominal() const {
   // Disk/net are shared with the host; the VM's nominal slice is the host
@@ -551,10 +550,9 @@ void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
 
 Machine::Machine(sim::Simulation& sim, ReallocCoordinator& coordinator,
                  std::string name, Resources capacity, const Calibration& cal)
-    : ExecutionSite(std::move(name)),
+    : ExecutionSite(std::move(name), cal),
       sim_(sim),
       capacity_(capacity),
-      cal_(cal),
       power_model_{cal.pm_idle_watts, cal.pm_peak_watts},
       coordinator_(coordinator) {
   for (auto& series : util_series_) {

@@ -159,6 +159,8 @@ class ExecutionSite {
   }
   /// Nominal capacity of this site (used by placement heuristics).
   [[nodiscard]] virtual Resources nominal() const = 0;
+  /// The run's calibration (the cluster's).
+  [[nodiscard]] const Calibration& calibration() const { return cal_; }
 
   [[nodiscard]] const std::vector<WorkloadPtr>& workloads() const {
     return workloads_;
@@ -167,7 +169,8 @@ class ExecutionSite {
   [[nodiscard]] Resources total_demand() const;
 
  protected:
-  explicit ExecutionSite(std::string name) : name_(std::move(name)) {}
+  ExecutionSite(std::string name, const Calibration& cal)
+      : cal_(cal), name_(std::move(name)) {}
 
   /// The class row of a resident member.
   [[nodiscard]] const DemandClasses::Row& class_of(const Workload& w) const {
@@ -177,6 +180,7 @@ class ExecutionSite {
   /// members that point at it, and a free row asks for nothing.
   [[nodiscard]] bool classes_match_members() const;
 
+  const Calibration& cal_;
   std::vector<WorkloadPtr> workloads_;
   DemandClasses classes_;
 
@@ -202,7 +206,6 @@ class VirtualMachine : public ExecutionSite {
 
   /// Dom-0 placement: near-native taxes (paper Fig. 2(c)).
   void set_dom0(bool dom0) { dom0_ = dom0; }
-  [[nodiscard]] bool dom0() const { return dom0_; }
 
   /// VM-level throttles (cpu cores / disk / net) set by the DRM.
   void set_caps(const Resources& caps);
@@ -246,14 +249,11 @@ class VirtualMachine : public ExecutionSite {
   /// Settles all resident workloads and decays the recent-I/O counter.
   void settle_all(sim::SimTime now);
 
-  [[nodiscard]] const Calibration& calibration() const { return cal_; }
-
  private:
   sim::Simulation& sim_;
   Machine* host_ = nullptr;
   double vcpus_;
   sim::MegaBytes memory_mb_;
-  const Calibration& cal_;
   Resources caps_ = Resources::unbounded();
   bool dom0_ = false;
   bool paused_ = false;
@@ -285,7 +285,6 @@ class Machine : public ExecutionSite {
   [[nodiscard]] Resources nominal() const override { return capacity_; }
 
   [[nodiscard]] const Resources& capacity() const { return capacity_; }
-  [[nodiscard]] const Calibration& calibration() const { return cal_; }
 
   // --- VM hosting (VMs owned by the cluster) ---
   /// Both bump the coordinator's membership epoch.
@@ -371,7 +370,6 @@ class Machine : public ExecutionSite {
  private:
   sim::Simulation& sim_;
   Resources capacity_;
-  const Calibration& cal_;
   PowerModel power_model_;
   EnergyMeter energy_;
   std::vector<VirtualMachine*> vms_;

@@ -20,8 +20,6 @@ NodeReport LocalResourceManager::profile(
     if (!a->running()) continue;
     estimator_->observe(*a, now);
     report.attempts.push_back(a);
-    report.total_demand += a->current_demand();
-    report.total_alloc += a->current_allocation();
   }
   return report;
 }
@@ -35,10 +33,9 @@ ContentionDetector::Result ContentionDetector::classify(
     const cluster::Machine* host = report.site->host_machine();
     for (TaskAttempt* a : report.attempts) {
       const TaskModel* model = estimator.model(a);
-      if (model == nullptr || model->empty()) continue;
+      if (model == nullptr) continue;
       if (model->bottleneck().has_value() &&
-          model->last().alloc.dominant_share(model->last().demand) <
-              kDeficitThreshold) {
+          model->alloc.dominant_share(model->demand) < kDeficitThreshold) {
         result.deficit.push_back(a);
         host_has_deficit[host] = true;
       }
@@ -51,7 +48,7 @@ ContentionDetector::Result ContentionDetector::classify(
     if (!host_has_deficit[host]) continue;
     for (TaskAttempt* a : report.attempts) {
       const TaskModel* model = estimator.model(a);
-      if (model == nullptr || model->empty()) continue;
+      if (model == nullptr) continue;
       if (!model->bottleneck().has_value() &&
           std::find(result.deficit.begin(), result.deficit.end(), a) ==
               result.deficit.end()) {
@@ -222,7 +219,7 @@ DynamicResourceManager::DynamicResourceManager(sim::Simulation& sim,
       cluster_(cluster),
       estimator_(estimator),
       options_(options),
-      balancer_(options_, estimator) {}
+      balancer_(options_) {}
 
 void DynamicResourceManager::epoch() {
   const double now = sim_.now();

@@ -3,8 +3,8 @@
 // The DRM replaces stock Hadoop's rigid slot shares with demand-driven
 // allocations, epoch by epoch:
 //   - LocalResourceManager (one per node): ResourceProfiler samples the
-//     run-time resource usage of resident tasks; the shared Estimator fits
-//     their performance models.
+//     demand and allocation of resident tasks into the shared Estimator,
+//     which keeps each task's latest sample.
 //   - GlobalResourceManager: the ContentionDetector classifies tasks into
 //     resource-deficit and resource-hogging from the coordinated view of
 //     all LRM reports; the PerformanceBalancer computes and applies the
@@ -40,8 +40,6 @@ struct DrmOptions {
 struct NodeReport {
   cluster::ExecutionSite* site = nullptr;
   std::vector<mapred::TaskAttempt*> attempts;
-  cluster::Resources total_demand;
-  cluster::Resources total_alloc;
 };
 
 /// ResourceProfiler + Estimator front-end for one node.
@@ -88,8 +86,8 @@ class PerformanceBalancer {
     int vm_share_updates = 0;
   };
 
-  PerformanceBalancer(const DrmOptions& options, Estimator& estimator)
-      : options_(&options), estimator_(&estimator) {}
+  explicit PerformanceBalancer(const DrmOptions& options)
+      : options_(&options) {}
 
   /// One balancing round over the LRM reports. `exempt` marks attempts
   /// under IPS control that the DRM must not touch.
@@ -111,7 +109,6 @@ class PerformanceBalancer {
                       Stats& stats);
 
   const DrmOptions* options_;
-  Estimator* estimator_;
   std::set<mapred::TaskAttempt*> paused_;
   std::set<cluster::VirtualMachine*> vm_capped_;
 

@@ -17,7 +17,8 @@ HybridMRScheduler::HybridMRScheduler(sim::Simulation& sim,
       cluster_(cluster),
       mr_(mr),
       options_(std::move(options)),
-      profiler_(profile_db_, make_simulated_runner()),
+      profiler_(profile_db_,
+                make_simulated_runner(kTrainingSeed, cluster.calibration())),
       phase1_(profiler_, options_.phase1),
       drm_(sim, mr, cluster, estimator_, options_.drm),
       ips_(sim, mr, cluster, monitor_, estimator_, options_.ips) {

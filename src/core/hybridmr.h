@@ -82,7 +82,6 @@ class HybridMRScheduler {
   [[nodiscard]] whatif::WhatIfEngine* whatif() { return whatif_.get(); }
   // sim-lint: allow(unused-api) core_test: deployed apps are monitored
   [[nodiscard]] interactive::SlaMonitor& sla_monitor() { return monitor_; }
-  [[nodiscard]] Estimator& estimator() { return estimator_; }
   [[nodiscard]] const HybridMROptions& options() const { return options_; }
   [[nodiscard]] const std::vector<std::unique_ptr<interactive::InteractiveApp>>&
   apps() const {

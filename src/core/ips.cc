@@ -41,7 +41,7 @@ std::vector<TaskAttempt*> Arbiter::rank_interferers(
     if (a->site().host_machine() != &host) continue;
     const TaskModel* model = estimator_->model(a);
     double score;
-    if (model != nullptr && !model->empty()) {
+    if (model != nullptr) {
       score = model->interference_score(host.capacity());
     } else {
       score = a->current_allocation().dominant_share(host.capacity());

@@ -26,10 +26,6 @@ class ProfileDatabase {
   void add(ProfileEntry entry) { entries_.push_back(std::move(entry)); }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] const std::vector<ProfileEntry>& entries() const {
-    return entries_;
-  }
-
   /// Exact match (cluster size equal, data size within 2%).
   [[nodiscard]] std::optional<ProfileEntry> lookup(
       const std::string& job_name, bool virtual_cluster, int cluster_size,

@@ -14,10 +14,10 @@
 
 namespace hybridmr::core {
 
-TrainingRunner make_simulated_runner(std::uint64_t seed) {
-  return [seed](const mapred::JobSpec& spec, bool virtual_cluster,
-                int cluster_size, double data_gb) {
-    const auto& cal = cluster::Calibration::standard();
+TrainingRunner make_simulated_runner(std::uint64_t seed,
+                                     const cluster::Calibration& cal) {
+  return [seed, cal](const mapred::JobSpec& spec, bool virtual_cluster,
+                     int cluster_size, double data_gb) {
     sim::Simulation sim(seed + static_cast<std::uint64_t>(cluster_size) * 131 +
                         static_cast<std::uint64_t>(data_gb * 7));
     cluster::HybridCluster hc(sim, cal);

@@ -16,6 +16,7 @@
 #include <functional>
 #include <span>
 
+#include "cluster/calibration.h"
 #include "core/profile_db.h"
 #include "mapred/job_spec.h"
 
@@ -26,9 +27,15 @@ using TrainingRunner = std::function<ProfileEntry(
     const mapred::JobSpec& spec, bool virtual_cluster, int cluster_size,
     double data_gb)>;
 
+/// The default runner's seed.
+inline constexpr std::uint64_t kTrainingSeed = 1234;
+
 /// The default runner: a fresh sub-simulation with `cluster_size` native
-/// nodes (or VMs packed two per host), stock Hadoop configuration.
-TrainingRunner make_simulated_runner(std::uint64_t seed = 1234);
+/// nodes (or VMs packed two per host), stock Hadoop configuration, on a
+/// copy of `cal`.
+TrainingRunner make_simulated_runner(
+    std::uint64_t seed = kTrainingSeed,
+    const cluster::Calibration& cal = cluster::Calibration::standard());
 
 class JobProfiler {
  public:

@@ -80,7 +80,6 @@ class FaultInjector {
                        sim::Duration restore_after = sim::Duration{-1.0});
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
   /// Machines currently crashed (not yet rebooted).
   // sim-lint: allow(unused-api) faults_test: crashed machines reboot
   [[nodiscard]] int machines_down() const {

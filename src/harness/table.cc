@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 namespace hybridmr::harness {
 
@@ -29,42 +28,6 @@ void Table::print(std::ostream& os) const {
   for (auto w : widths) total += w + 2;
   os << "  " << std::string(total - 2, '-') << "\n";
   for (const auto& row : rows_) print_row(row);
-}
-
-namespace {
-
-void write_csv_cell(std::ostream& os, const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) {
-    os << cell;
-    return;
-  }
-  os << '"';
-  for (char ch : cell) {
-    if (ch == '"') os << '"';
-    os << ch;
-  }
-  os << '"';
-}
-
-void write_csv_row(std::ostream& os, const std::vector<std::string>& row) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) os << ',';
-    write_csv_cell(os, row[i]);
-  }
-  os << '\n';
-}
-
-}  // namespace
-
-void Table::write_csv(std::ostream& os) const {
-  write_csv_row(os, headers_);
-  for (const auto& row : rows_) write_csv_row(os, row);
-}
-
-std::string Table::csv() const {
-  std::ostringstream out;
-  write_csv(out);
-  return out.str();
 }
 
 std::string Table::num(double v, int precision) {

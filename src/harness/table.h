@@ -20,11 +20,6 @@ class Table {
 
   void print(std::ostream& os = std::cout) const;
 
-  /// The same data as RFC-4180-style CSV (quotes cells containing commas
-  /// or quotes), for plotting the regenerated figures.
-  void write_csv(std::ostream& os) const;
-  [[nodiscard]] std::string csv() const;
-
   /// Formats a double with `precision` decimals.
   static std::string num(double v, int precision = 1);
   /// Formats a ratio as a percentage string ("12.3%").

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cluster/calibration.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::interactive {
@@ -113,8 +112,7 @@ void InteractiveApp::refresh() {
   // Memory pressure inflates service time (paging).
   if (params_.memory_mb > sim::MegaBytes{0}) {
     const double ratio = alloc.memory / params_.memory_mb.value();
-    s /= cluster::memory_pressure_factor(
-        ratio, cluster::Calibration::standard());
+    s /= cluster::memory_pressure_factor(ratio, site_->calibration());
   }
 
   // Closed PS station with N clients, think Z:  R^2 + R(Z - s(N+1)) - sZ = 0.

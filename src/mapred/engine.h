@@ -179,7 +179,6 @@ class MapReduceEngine {
   [[nodiscard]] int jobs_failed() const { return jobs_failed_; }
   [[nodiscard]] int attempt_failures() const { return attempt_failures_; }
   [[nodiscard]] int maps_reexecuted() const { return maps_reexecuted_; }
-  [[nodiscard]] const TaskScheduler& scheduler() const { return *scheduler_; }
 
  private:
   void maybe_start_speculation_monitor();

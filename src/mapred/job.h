@@ -30,7 +30,6 @@ class Job {
     return state_ == JobState::kDone || state_ == JobState::kFailed;
   }
   [[nodiscard]] bool succeeded() const { return state_ == JobState::kDone; }
-  [[nodiscard]] bool failed() const { return state_ == JobState::kFailed; }
 
   [[nodiscard]] const std::vector<std::unique_ptr<Task>>& maps() const {
     return maps_;

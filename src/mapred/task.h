@@ -41,6 +41,7 @@ class Task {
     return output_site_;
   }
 
+  // sim-lint: allow(unused-api) mapred_test, property_test: attempts run
   [[nodiscard]] const std::vector<std::unique_ptr<TaskAttempt>>& attempts()
       const {
     return attempts_;
@@ -103,7 +104,6 @@ class TaskAttempt {
     return started_ && !finished_ && !killed_;
   }
   [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] bool killed() const { return killed_; }
 
   [[nodiscard]] Task& task() const { return *task_; }
   [[nodiscard]] TaskTracker& tracker() const { return *tracker_; }

@@ -59,8 +59,6 @@ class Rng {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   // Carries call-to-call state: copy it with the engine, never reconstruct.

@@ -1,7 +1,6 @@
 #include "stats/regression.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace hybridmr::stats {
@@ -11,7 +10,6 @@ struct LsqFit {
   double slope = 0;
   double intercept = 0;
   double sse = 0;
-  double sst = 0;
   bool ok = false;
 };
 
@@ -32,15 +30,9 @@ LsqFit least_squares(std::span<const double> x, std::span<const double> y) {
   for (std::size_t i = 0; i < n; ++i) {
     const double e = y[i] - (out.intercept + out.slope * x[i]);
     out.sse += e * e;
-    out.sst += (y[i] - my) * (y[i] - my);
   }
   out.ok = true;
   return out;
-}
-
-double r2_from(double sse, double sst) {
-  if (sst <= 0) return 1.0;
-  return 1.0 - sse / sst;
 }
 
 }  // namespace
@@ -49,7 +41,7 @@ std::optional<LinearRegression> LinearRegression::fit(
     std::span<const double> x, std::span<const double> y) {
   const LsqFit f = least_squares(x, y);
   if (!f.ok) return std::nullopt;
-  return LinearRegression(f.slope, f.intercept, r2_from(f.sse, f.sst));
+  return LinearRegression(f.slope, f.intercept);
 }
 
 std::optional<PiecewiseLinearRegression> PiecewiseLinearRegression::fit(
@@ -75,7 +67,6 @@ std::optional<PiecewiseLinearRegression> PiecewiseLinearRegression::fit(
   best.has_break_ = false;
   best.a0_ = best.a1_ = whole.intercept;
   best.b0_ = best.b1_ = whole.slope;
-  best.r2_ = r2_from(whole.sse, whole.sst);
   double best_sse = whole.sse;
 
   if (n < 4) return best;
@@ -96,7 +87,6 @@ std::optional<PiecewiseLinearRegression> PiecewiseLinearRegression::fit(
       best.b0_ = left.slope;
       best.a1_ = right.intercept;
       best.b1_ = right.slope;
-      best.r2_ = r2_from(sse, whole.sst);
     }
   }
   return best;
@@ -105,24 +95,6 @@ std::optional<PiecewiseLinearRegression> PiecewiseLinearRegression::fit(
 double PiecewiseLinearRegression::predict(double x) const {
   if (!has_break_ || x <= breakpoint_) return a0_ + b0_ * x;
   return a1_ + b1_ * x;
-}
-
-std::optional<ExponentialRegression> ExponentialRegression::fit(
-    std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size() || x.size() < 2) return std::nullopt;
-  std::vector<double> logy(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] <= 0) return std::nullopt;
-    logy[i] = std::log(y[i]);
-  }
-  const LsqFit f = least_squares(x, logy);
-  if (!f.ok) return std::nullopt;
-  return ExponentialRegression(std::exp(f.intercept), f.slope,
-                               r2_from(f.sse, f.sst));
-}
-
-double ExponentialRegression::predict(double x) const {
-  return a_ * std::exp(b_ * x);
 }
 
 std::optional<InverseRegression> InverseRegression::fit(
@@ -135,7 +107,7 @@ std::optional<InverseRegression> InverseRegression::fit(
   }
   const LsqFit f = least_squares(inv, y);
   if (!f.ok) return std::nullopt;
-  return InverseRegression(f.intercept, f.slope, r2_from(f.sse, f.sst));
+  return InverseRegression(f.intercept, f.slope);
 }
 
 double interpolate(std::span<const double> xs, std::span<const double> ys,

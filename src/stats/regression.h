@@ -1,8 +1,9 @@
-// Regression models used by HybridMR's Estimator (paper §III-B1/B2):
-//   - linear regression          -> CPU interference / JCT-vs-data-size
-//   - piecewise-linear (1 knee)  -> memory interference
-//   - exponential                -> I/O interference
-// plus an inverse model (y = a + b/x) for JCT-vs-cluster-size extrapolation.
+// Regression models behind Phase I's JCT estimation (paper §III-A,
+// Algorithm 1, Fig. 5):
+//   - linear regression          -> JCT vs data size
+//   - inverse (y = a + b/x)      -> map time vs cluster size
+//   - piecewise-linear (1 knee)  -> reduce time vs cluster size
+// plus linear interpolation for when a fit is degenerate.
 #pragma once
 
 #include <cstddef>
@@ -24,16 +25,12 @@ class LinearRegression {
     return intercept_ + slope_ * x;
   }
   [[nodiscard]] double slope() const { return slope_; }
-  [[nodiscard]] double intercept() const { return intercept_; }
-  /// Coefficient of determination on the training data.
-  [[nodiscard]] double r_squared() const { return r2_; }
 
  private:
-  LinearRegression(double slope, double intercept, double r2)
-      : slope_(slope), intercept_(intercept), r2_(r2) {}
+  LinearRegression(double slope, double intercept)
+      : slope_(slope), intercept_(intercept) {}
   double slope_;
   double intercept_;
-  double r2_;
 };
 
 /// Two-segment continuous piecewise-linear model with a fitted breakpoint.
@@ -49,7 +46,6 @@ class PiecewiseLinearRegression {
   [[nodiscard]] double breakpoint() const { return breakpoint_; }
   // sim-lint: allow(unused-api) stats_test: breakpoint detection
   [[nodiscard]] bool has_break() const { return has_break_; }
-  [[nodiscard]] double r_squared() const { return r2_; }
 
  private:
   PiecewiseLinearRegression() = default;
@@ -57,27 +53,6 @@ class PiecewiseLinearRegression {
   double breakpoint_ = 0;
   // left: y = a0 + b0 x (x <= breakpoint); right: y = a1 + b1 x
   double a0_ = 0, b0_ = 0, a1_ = 0, b1_ = 0;
-  double r2_ = 0;
-};
-
-/// Exponential model y = a * exp(b * x), fit by log-linear least squares.
-/// All y must be > 0.
-class ExponentialRegression {
- public:
-  static std::optional<ExponentialRegression> fit(std::span<const double> x,
-                                                  std::span<const double> y);
-
-  [[nodiscard]] double predict(double x) const;
-  [[nodiscard]] double a() const { return a_; }
-  [[nodiscard]] double b() const { return b_; }
-  [[nodiscard]] double r_squared() const { return r2_; }
-
- private:
-  ExponentialRegression(double a, double b, double r2)
-      : a_(a), b_(b), r2_(r2) {}
-  double a_;
-  double b_;
-  double r2_;  // in log space
 };
 
 /// Inverse model y = a + b / x (JCT vs cluster size; paper Fig. 5(a,b)).
@@ -88,15 +63,11 @@ class InverseRegression {
                                               std::span<const double> y);
 
   [[nodiscard]] double predict(double x) const { return a_ + b_ / x; }
-  [[nodiscard]] double a() const { return a_; }
-  [[nodiscard]] double b() const { return b_; }
-  [[nodiscard]] double r_squared() const { return r2_; }
 
  private:
-  InverseRegression(double a, double b, double r2) : a_(a), b_(b), r2_(r2) {}
+  InverseRegression(double a, double b) : a_(a), b_(b) {}
   double a_;
   double b_;
-  double r2_;
 };
 
 /// Linear interpolation/extrapolation through a sorted table of (x, y).

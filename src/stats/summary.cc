@@ -7,7 +7,6 @@ namespace hybridmr::stats {
 
 void Accumulator::add(double v) {
   ++n_;
-  sum_ += v;
   const double delta = v - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (v - mean_);

@@ -18,7 +18,6 @@ class Accumulator {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0; }
-  [[nodiscard]] double sum() const { return sum_; }
 
  private:
   std::size_t n_ = 0;
@@ -26,7 +25,6 @@ class Accumulator {
   double m2_ = 0;
   double min_ = 0;
   double max_ = 0;
-  double sum_ = 0;
 };
 
 /// Full-sample summary with percentiles.

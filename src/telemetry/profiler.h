@@ -59,7 +59,6 @@ class LogHistogram {
   void record(std::uint64_t v);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] std::uint64_t sum() const { return sum_; }
   [[nodiscard]] std::uint64_t min() const { return count_ ? min_ : 0; }
   [[nodiscard]] std::uint64_t max() const { return count_ ? max_ : 0; }
   [[nodiscard]] double mean() const {

@@ -2,7 +2,10 @@
 // (Algorithm 2), Estimator models, DRM and IPS behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <set>
 
 #include "core/estimator.h"
 #include "core/hybridmr.h"
@@ -95,7 +98,9 @@ TEST(JobProfiler, TrainingPopulatesDatabase) {
   const std::vector<double> data{0.25, 0.5};
   profiler.train(workload::sort_job(), false, sizes, data);
   EXPECT_EQ(db.size(), 4u);
-  for (const auto& e : db.entries()) {
+  const auto entries = db.for_job("Sort", false);
+  EXPECT_EQ(entries.size(), 4u);
+  for (const auto& e : entries) {
     EXPECT_GT(e.jct_s, 0);
     EXPECT_GT(e.map_s, 0);
     EXPECT_GT(e.reduce_s, 0);
@@ -187,57 +192,58 @@ TEST(PhaseOne, NoProfilesDefaultsToVirtual) {
 
 // ------------------------------------------------------------ Estimator ----
 
-TEST(TaskModelTest, AnalyticRateForFewSamples) {
-  TaskModel model;
-  TaskSample s;
-  s.time = 0;
-  s.progress = 0.1;
-  s.rate = 0.01;
-  s.demand = {1.0, 400, 0, 0};
-  s.alloc = {1.0, 400, 0, 0};
-  model.add(s);
-  // Halved CPU -> roughly halved predicted rate.
-  cluster::Resources half = s.alloc;
-  half.cpu = 0.5;
-  EXPECT_NEAR(model.predict_rate(half, s.demand), 0.005, 1e-9);
-  EXPECT_FALSE(model.bottleneck().has_value());
-}
-
 TEST(TaskModelTest, DetectsBottleneckAndDeficit) {
   TaskModel model;
-  TaskSample s;
-  s.demand = {1.0, 400, 40, 0};
-  s.alloc = {1.0, 400, 10, 0};  // disk-starved
-  s.rate = 0.004;
-  model.add(s);
+  model.demand = {1.0, 400, 40, 0};
+  model.alloc = model.demand;
+  EXPECT_FALSE(model.bottleneck().has_value());  // fully satisfied
+  model.alloc.disk = 10;                         // disk-starved
   auto b = model.bottleneck();
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(*b, cluster::ResourceKind::kDisk);
-  EXPECT_NEAR(model.deficit().disk, 30, 1e-9);
-  EXPECT_DOUBLE_EQ(model.deficit().cpu, 0);
+}
+
+bool same_bits(const cluster::Resources& x, const cluster::Resources& y) {
+  for (int r = 0; r < cluster::kNumResources; ++r) {
+    const auto kind = static_cast<cluster::ResourceKind>(r);
+    if (std::bit_cast<std::uint64_t>(x[kind]) !=
+        std::bit_cast<std::uint64_t>(y[kind])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(EstimatorTest, ObservationsBuildRates) {
+  // An attempt has no model after its first observation, nor after a
+  // second one at the same instant; every later observation replaces the
+  // model with the attempt's demand and allocation at that instant.
   TestBed bed;
   bed.add_native_nodes(2);
   Estimator estimator;
-  mapred::Job* job = bed.mr().submit(workload::sort_job().with_input_gb(0.5));
-  bool positive_rate = false;
-  std::size_t tracked_peak = 0;
+  bed.mr().submit(workload::sort_job().with_input_gb(0.5));
+  std::set<const mapred::TaskAttempt*> seen;
+  int checked = 0;
   bed.sim().every(2.0, [&] {
+    const double now = bed.sim().now();
     for (auto* a : bed.mr().running_attempts()) {
-      estimator.observe(*a, bed.sim().now());
-      const TaskModel* m = estimator.model(a);
-      if (m != nullptr && !m->empty() && m->last().rate > 0) {
-        positive_rate = true;
+      estimator.observe(*a, now);
+      if (seen.insert(a).second) {
+        EXPECT_EQ(estimator.model(a), nullptr);
+        estimator.observe(*a, now);
+        EXPECT_EQ(estimator.model(a), nullptr);
+        continue;
       }
+      const TaskModel* m = estimator.model(a);
+      ASSERT_NE(m, nullptr);
+      EXPECT_TRUE(same_bits(m->demand, a->current_demand()));
+      EXPECT_TRUE(same_bits(m->alloc, a->current_allocation()));
+      ++checked;
     }
-    tracked_peak = std::max(tracked_peak, estimator.tracked());
   });
   bed.sim().run_until(30);
-  EXPECT_GT(tracked_peak, 0u);
-  EXPECT_TRUE(positive_rate);
-  (void)job;
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(estimator.tracked(), seen.size());  // one record per attempt
 }
 
 // ------------------------------------------------------------------ DRM ----
@@ -425,6 +431,41 @@ TEST(HybridMr, DeploysInteractiveOnLeastLoadedVm) {
   EXPECT_EQ(hybrid.sla_monitor().apps().size(), 1u);
   bed.sim().run_until(30);
   EXPECT_LT(app.response_time_s(), 2.0);
+}
+
+TEST(HybridMr, RunCalibrationReachesAppsAndTraining) {
+  // The TestBed's calibration, not the standard one, prices an app's
+  // memory pressure and Phase I's training runs.
+  struct Outcome {
+    double response_s;
+    double training_jct_s;
+  };
+  auto run = [](const cluster::Calibration& cal) {
+    TestBed::Options o;
+    o.calibration = cal;
+    TestBed bed(o);
+    bed.add_virtual_nodes(2, 2);
+    HybridMRScheduler hybrid(bed.sim(), bed.cluster(), bed.hdfs(), bed.mr());
+    interactive::AppParams params = interactive::rubis_params();
+    params.memory_mb = sim::MegaBytes{4000};  // pages on its 1 GB VM
+    auto& app = hybrid.deploy_interactive(params, 2000);
+    bed.sim().run_until(30);
+    const std::vector<int> sizes{2};
+    const std::vector<double> data{0.5};
+    const auto spec = workload::sort_job().with_input_gb(0.5);
+    hybrid.profiler().train(spec, false, sizes, data);
+    const auto est = hybrid.profiler().estimate(spec, false, 2);
+    EXPECT_EQ(est.method, JobProfiler::Estimate::Method::kExact);
+    return Outcome{app.response_time_s(), est.jct_s};
+  };
+  cluster::Calibration tuned;
+  tuned.mem_hard_slope = 1.0;  // a steeper paging penalty
+  tuned.mem_floor = 0.1;
+  tuned.map_slots_per_node = 1;  // half the training cluster's map slots
+  const Outcome standard = run(cluster::Calibration::standard());
+  const Outcome moved = run(tuned);
+  EXPECT_GT(moved.response_s, standard.response_s * 1.05);
+  EXPECT_GT(moved.training_jct_s, standard.training_jct_s * 1.05);
 }
 
 TEST(HybridMr, NodeCountsReflectTrackers) {

@@ -98,9 +98,9 @@ TEST(MapReduceEdge, VmMigrationMidJobPreservesCorrectness) {
   bed.add_plain_machines(1);
   mapred::Job* job = bed.mr().submit(workload::sort_job().with_input_gb(1));
   bed.sim().at(5.0, [&] {
-    auto* vm = bed.cluster().vm("vm0");
+    auto* vm = bed.cluster().vms().front().get();
     auto* spare = bed.cluster().machine("plain0");
-    ASSERT_NE(vm, nullptr);
+    ASSERT_EQ(vm->name(), "vm0");
     ASSERT_NE(spare, nullptr);
     EXPECT_TRUE(bed.cluster().migrator().migrate(*vm, *spare));
   });

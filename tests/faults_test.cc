@@ -73,7 +73,7 @@ TEST(Faults, RetryBoundTakesJobDown) {
   EXPECT_EQ(bed.mr().jobs_failed(), 1);
   ASSERT_EQ(bed.mr().jobs().size(), 1u);
   const mapred::Job& job = *bed.mr().jobs().front();
-  EXPECT_TRUE(job.failed());
+  EXPECT_EQ(job.state(), mapred::JobState::kFailed);
   EXPECT_TRUE(job.finished());
   EXPECT_FALSE(job.succeeded());
   EXPECT_EQ(bed.mr().active_jobs(), 0);
@@ -190,7 +190,7 @@ TEST(Faults, LastReplicaLossFailsDependentJobInsteadOfHanging) {
   EXPECT_GT(bed.hdfs().blocks_lost(), 0);
   const mapred::Job& job = *bed.mr().jobs().front();
   EXPECT_TRUE(bed.hdfs().has_lost_block(job.input_file()));
-  EXPECT_TRUE(job.failed());
+  EXPECT_EQ(job.state(), mapred::JobState::kFailed);
   EXPECT_EQ(bed.mr().jobs_failed(), 1);
 }
 

@@ -121,16 +121,6 @@ TEST(TablePrinter, AlignsColumnsAndFormats) {
   EXPECT_NE(s.find("----"), std::string::npos);
 }
 
-TEST(TablePrinter, CsvEscapesSpecialCells) {
-  harness::Table table({"name", "note"});
-  table.row({"a,b", "say \"hi\""});
-  table.row({"plain", "ok"});
-  const std::string csv = table.csv();
-  EXPECT_NE(csv.find("name,note\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"a,b\",\"say \"\"hi\"\"\"\n"), std::string::npos);
-  EXPECT_NE(csv.find("plain,ok\n"), std::string::npos);
-}
-
 TEST(TestBedShapes, PartitionedVmShapesMatchPaperAtDensityTwo) {
   harness::TestBed bed;
   const auto [vcpus, memory] = bed.partitioned_vm_shape(2);
