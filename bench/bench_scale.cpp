@@ -68,14 +68,12 @@ SweepPoint run_point(int pms, std::uint64_t seed, const ProfileOptions& prof) {
   bed.add_virtual_nodes(pms, /*vms_per_host=*/2);
 
   // Fig. 8-class heterogeneous batch, scaled with the cluster so per-node
-  // work stays constant: one I/O-bound sort, one I/O-bound grep and one
-  // memory+I/O wordcount wave per 8 hosts.
+  // work stays constant: one workload::fig8_wave() per 8 hosts.
   std::vector<mapred::JobSpec> specs;
+  const std::vector<mapred::JobSpec> wave = workload::fig8_wave();
   const int waves = pms / 8;
   for (int i = 0; i < waves; ++i) {
-    specs.push_back(workload::sort_job().with_input_gb(2.0));
-    specs.push_back(workload::dist_grep().with_input_gb(4.0));
-    specs.push_back(workload::wcount().with_input_gb(2.0));
+    specs.insert(specs.end(), wave.begin(), wave.end());
   }
 
   const auto t0 = WallClock::now();

@@ -86,9 +86,7 @@ struct Engine {
     // One fig8-class wave per 8 hosts, as in bench_scale: the warmed
     // prefix carries real batch state worth amortizing.
     for (int w = 0; w < 3; ++w) {
-      bed->mr().submit(workload::sort_job().with_input_gb(2.0));
-      bed->mr().submit(workload::dist_grep().with_input_gb(4.0));
-      bed->mr().submit(workload::wcount().with_input_gb(2.0));
+      for (const auto& spec : workload::fig8_wave()) bed->mr().submit(spec);
     }
   }
 

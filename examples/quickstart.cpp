@@ -3,8 +3,7 @@
 // and virtual partitions.
 //
 // The run also dumps quickstart_trace.json (load it in chrome://tracing or
-// Perfetto), quickstart_report.json and quickstart_report.csv into the
-// working directory.
+// Perfetto) and quickstart_report.json into the working directory.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -92,11 +91,9 @@ int main() {
     bed.telemetry()->trace.to_chrome(trace);
     std::ofstream json("quickstart_report.json");
     report.to_json(json);
-    std::ofstream csv("quickstart_report.csv");
-    report.to_csv(csv);
     std::printf(
         "Telemetry: %zu trace events -> quickstart_trace.json "
-        "(chrome://tracing), report -> quickstart_report.{json,csv}\n",
+        "(chrome://tracing), report -> quickstart_report.json\n",
         bed.telemetry()->trace.size());
   }
   return 0;

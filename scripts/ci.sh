@@ -35,8 +35,10 @@
 #                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
 #                (the profiler's wall-clock data must never leak into the
 #                reports, so profiled runs must stay byte-identical too);
-#                then two runs each of adaptive_datacenter and
-#                cluster_sim_cli, whose stdout must be byte-identical
+#                profiling adds only the report's "profile" member (the
+#                profiled trace and stdout equal the plain run's); then two
+#                runs each of adaptive_datacenter and cluster_sim_cli, whose
+#                stdout must be byte-identical
 #   profile      simulation-profiler smoke in the sanitize tree: bench_scale
 #                scale/24 with --profile + armed watchdog, hotspot table via
 #                scripts/profile_report.py, and a work-counter fingerprint
@@ -291,8 +293,7 @@ if [ -x "$qs" ]; then
   if (cd "$root/det-a" && "$qs" > stdout.txt 2>&1) &&
       (cd "$root/det-b" && "$qs" > stdout.txt 2>&1); then
     det_result=PASS
-    for f in quickstart_trace.json quickstart_report.json \
-             quickstart_report.csv stdout.txt; do
+    for f in quickstart_trace.json quickstart_report.json stdout.txt; do
       if ! cmp -s "$root/det-a/$f" "$root/det-b/$f"; then
         echo "determinism: $f differs between same-seed runs"
         det_result=FAIL
@@ -300,20 +301,33 @@ if [ -x "$qs" ]; then
     done
     # Same property with the profiler live: its wall-clock readings are
     # wall-only by construction, so profiled artifacts must also be
-    # byte-identical run to run (and the report gains a "profile" section).
+    # byte-identical run to run. Profiling adds only the report's
+    # "profile" member: the trace and stdout equal the plain run's, and
+    # the report does once that member is removed.
     rm -rf "$root/det-pa" "$root/det-pb"
     mkdir -p "$root/det-pa" "$root/det-pb"
     if (cd "$root/det-pa" && HYBRIDMR_PROFILE=1 "$qs" > stdout.txt 2>&1) &&
         (cd "$root/det-pb" && HYBRIDMR_PROFILE=1 "$qs" > stdout.txt 2>&1); then
-      for f in quickstart_trace.json quickstart_report.json \
-               quickstart_report.csv stdout.txt; do
+      for f in quickstart_trace.json quickstart_report.json stdout.txt; do
         if ! cmp -s "$root/det-pa/$f" "$root/det-pb/$f"; then
           echo "determinism: $f differs between same-seed PROFILED runs"
           det_result=FAIL
         fi
       done
+      for f in quickstart_trace.json stdout.txt; do
+        if ! cmp -s "$root/det-a/$f" "$root/det-pa/$f"; then
+          echo "determinism: profiling changed $f"
+          det_result=FAIL
+        fi
+      done
       if ! grep -q '"profile"' "$root/det-pa/quickstart_report.json"; then
         echo "determinism: profiled report lacks a profile section"
+        det_result=FAIL
+      elif ! python3 -c 'import json, sys
+a, b = (json.load(open(f)) for f in sys.argv[1:]); b.pop("profile")
+sys.exit(a != b)' "$root/det-a/quickstart_report.json" \
+          "$root/det-pa/quickstart_report.json"; then
+        echo "determinism: profiling changed the report beyond its profile member"
         det_result=FAIL
       fi
     else

@@ -37,9 +37,6 @@ inline constexpr bool kEnabled = true;
 inline constexpr bool kEnabled = false;
 #endif
 
-/// True when invariant auditing is compiled into this build.
-constexpr bool enabled() { return kEnabled; }
-
 /// One key/value line of a violation dump.
 using Detail = std::pair<std::string, std::string>;
 

@@ -76,7 +76,6 @@ class HybridCluster {
   /// Attaches the whole cluster (machines, migrator, and machines added
   /// later) to a telemetry hub. Null detaches.
   void set_telemetry(telemetry::Hub* hub);
-  [[nodiscard]] telemetry::Hub* telemetry() const { return tel_; }
 
  private:
   sim::Simulation& sim_;

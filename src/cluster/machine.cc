@@ -327,7 +327,6 @@ void ExecutionSite::add(WorkloadPtr workload) {
   workload->site_ = this;
   const sim::SimTime now = simulation().now();
   workload->last_settle_ = now;
-  workload->started_at_ = now;
   workload->site_row_ = classes_.join(*workload);
   workloads_.push_back(std::move(workload));
   const WorkloadPtr& added = workloads_.back();

@@ -209,10 +209,10 @@ class VirtualMachine : public ExecutionSite {
 
   /// VM-level throttles (cpu cores / disk / net) set by the DRM.
   void set_caps(const Resources& caps);
-  [[nodiscard]] const Resources& caps() const { return caps_; }
 
   /// Pauses/resumes the whole VM (IPS action, or migration downtime).
   void set_paused(bool paused);
+  // sim-lint: allow(unused-api) cluster_test, faults_test, property_test
   [[nodiscard]] bool paused() const { return paused_; }
 
   /// Pre-copy in progress: guest runs slightly slowed.
@@ -302,10 +302,6 @@ class Machine : public ExecutionSite {
   void set_powered(bool on);
   [[nodiscard]] bool powered() const { return powered_; }
   [[nodiscard]] EnergyMeter& energy() {
-    ensure_clean();
-    return energy_;
-  }
-  [[nodiscard]] const EnergyMeter& energy() const {
     ensure_clean();
     return energy_;
   }

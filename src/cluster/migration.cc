@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::cluster {
@@ -144,8 +143,6 @@ void Migrator::complete(const std::shared_ptr<InFlight>& flight) {
   vmp->set_paused(false);
   vmp->set_migrating(false);
   history_.push_back(*record);
-  sim::log_info(sim_.now(), "migrator",
-                record->vm + ": " + record->from + " -> " + record->to);
   if (tel_ != nullptr) {
     tel_->trace.complete(
         record->started_at, sim_.now() - record->started_at,
@@ -192,9 +189,6 @@ int Migrator::abort_involving(Machine& machine) {
     flight->vm->set_migrating(false);
     flight->record->aborted = true;
     history_.push_back(*flight->record);
-    sim::log_info(sim_.now(), "migrator",
-                  flight->record->vm + ": aborted " + flight->record->from +
-                      " -> " + flight->record->to);
     if (tel_ != nullptr) {
       tel_->trace.instant(sim_.now(), telemetry::EventKind::kMigrationAbort,
                           flight->record->vm, flight->record->from,

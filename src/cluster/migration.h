@@ -91,7 +91,6 @@ class Migrator {
   [[nodiscard]] const std::vector<MigrationRecord>& history() const {
     return history_;
   }
-  [[nodiscard]] const MigrationModel& model() const { return model_; }
 
   /// Attaches the migrator to a telemetry hub (null detaches).
   void set_telemetry(telemetry::Hub* hub);

@@ -6,6 +6,7 @@
 // be mixed into a data-size or rate expression (sim/units.h).
 #pragma once
 
+#include "sim/event_queue.h"
 #include "sim/units.h"
 #include "stats/timeseries.h"
 

@@ -38,8 +38,7 @@ void ReallocCoordinator::drain() {
       prof_->add(telemetry::WorkCounter::kDrainPasses);
       // The queue length at completion counts cascaded re-marks too: this
       // is the real per-flush recompute bill.
-      prof_->record_dist_at(telemetry::WorkDist::kDirtySetSize,
-                            dirty_.size(), sim_.now());
+      prof_->record_dist(telemetry::WorkDist::kDirtySetSize, dirty_.size());
     }
     dirty_.clear();
   }

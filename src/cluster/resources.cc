@@ -1,7 +1,5 @@
 #include "cluster/resources.h"
 
-#include <cstdio>
-
 namespace hybridmr::cluster {
 
 const char* to_string(ResourceKind kind) {
@@ -16,14 +14,6 @@ const char* to_string(ResourceKind kind) {
       return "net";
   }
   return "?";
-}
-
-std::string Resources::to_string() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "{cpu: %.2f, mem: %.0fMB, disk: %.1fMB/s, net: %.1fMB/s}", cpu,
-                memory, disk, net);
-  return buf;
 }
 
 }  // namespace hybridmr::cluster

@@ -98,8 +98,6 @@ struct Resources {
     }
     return out;
   }
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace hybridmr::cluster

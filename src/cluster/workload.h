@@ -32,6 +32,7 @@ class Workload {
   Workload(const Workload&) = delete;
   Workload& operator=(const Workload&) = delete;
 
+  // sim-lint: allow(unused-api) property_test: names a failing member
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // --- demand & throttles ---
@@ -40,7 +41,6 @@ class Workload {
   void set_demand(const Resources& demand);
   /// cgroup-style caps imposed by the DRM; effective demand is min(demand,
   /// caps). Triggers a reallocation if attached.
-  [[nodiscard]] const Resources& caps() const { return caps_; }
   void set_caps(const Resources& caps);
   /// Demand after caps and pause are applied. Cached: recomputed only when
   /// demand/caps/pause/done change, because the reallocation engine reads
@@ -62,13 +62,13 @@ class Workload {
   [[nodiscard]] bool done() const { return done_; }
   /// Fraction complete in [0,1]; service workloads report 0. Drains any
   /// pending reallocation first (see remaining()).
+  // sim-lint: allow(unused-api) edge_test: a service reports no progress
   [[nodiscard]] double progress() const;
   /// Current speed / allocation. Reallocation is deferred and coalesced,
   /// so these first drain any pending recompute of the host machine —
   /// callers never observe stale shares (defined out of line for that).
   [[nodiscard]] double speed() const;
   [[nodiscard]] const Resources& allocated() const;
-  [[nodiscard]] sim::SimTime started_at() const { return started_at_; }
 
   /// Invoked (by the hosting machine) when the work completes; the workload
   /// has already been detached from its site.
@@ -133,7 +133,6 @@ class Workload {
   double speed_ = 0;
   Resources allocated_{};
   sim::SimTime last_settle_ = 0;
-  sim::SimTime started_at_ = 0;
   ExecutionSite* site_ = nullptr;  // owned by HybridCluster
   std::uint32_t site_row_ = 0;     // this member's row at its site
 };

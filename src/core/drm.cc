@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::core {
@@ -11,18 +10,6 @@ namespace hybridmr::core {
 using cluster::ResourceKind;
 using cluster::Resources;
 using mapred::TaskAttempt;
-
-NodeReport LocalResourceManager::profile(
-    const std::vector<TaskAttempt*>& resident, double now) {
-  NodeReport report;
-  report.site = site_;
-  for (TaskAttempt* a : resident) {
-    if (!a->running()) continue;
-    estimator_->observe(*a, now);
-    report.attempts.push_back(a);
-  }
-  return report;
-}
 
 ContentionDetector::Result ContentionDetector::classify(
     const std::vector<NodeReport>& reports, const Estimator& estimator) const {
@@ -228,28 +215,26 @@ void DynamicResourceManager::epoch() {
   estimator_.retain_only(attempts);
   balancer_.prune(attempts);
 
-  // Group attempts by execution site (one LRM per node), in tracker order
-  // so the control decisions are deterministic.
-  std::vector<std::pair<cluster::ExecutionSite*, std::vector<TaskAttempt*>>>
-      by_site;
+  // The LRM half: group attempts into one report per execution site, in
+  // first-seen order so the control decisions are deterministic, then
+  // sample each resident attempt into the shared estimator.
+  std::vector<NodeReport> reports;
   for (TaskAttempt* a : attempts) {
     if (!a->running()) continue;
-    auto it = std::find_if(by_site.begin(), by_site.end(),
-                           [&](const auto& e) { return e.first == &a->site(); });
-    if (it == by_site.end()) {
-      by_site.emplace_back(&a->site(), std::vector<TaskAttempt*>{a});
+    auto it = std::find_if(reports.begin(), reports.end(),
+                           [&](const NodeReport& r) {
+                             return r.site == &a->site();
+                           });
+    if (it == reports.end()) {
+      reports.push_back({&a->site(), {a}});
     } else {
-      it->second.push_back(a);
+      it->attempts.push_back(a);
     }
   }
-  std::vector<NodeReport> reports;
-  reports.reserve(by_site.size());
-  for (auto& [site, resident] : by_site) {
-    LocalResourceManager lrm(*site, estimator_);
-    reports.push_back(lrm.profile(resident, now));
+  for (const NodeReport& report : reports) {
+    for (TaskAttempt* a : report.attempts) estimator_.observe(*a, now);
   }
 
-  const auto contention = detector_.classify(reports, estimator_);
   const auto stats = balancer_.balance(reports, exempt_);
   for (const auto& m : cluster_.machines()) {
     balancer_.balance_host_io(*m, reports, lifetime_);
@@ -259,6 +244,9 @@ void DynamicResourceManager::epoch() {
   lifetime_.memory_resumes += stats.memory_resumes;
 
   if (tel_ != nullptr) {
+    // The detector's labels feed only this record; it reads the
+    // estimator's models, which balancing does not touch.
+    const auto contention = detector_.classify(reports, estimator_);
     const int caps = lifetime_.cap_updates - before.cap_updates;
     const int pauses = lifetime_.memory_pauses - before.memory_pauses;
     const int resumes = lifetime_.memory_resumes - before.memory_resumes;

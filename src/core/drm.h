@@ -1,15 +1,16 @@
 // Dynamic Resource Manager (paper §III-B1, Fig. 7).
 //
 // The DRM replaces stock Hadoop's rigid slot shares with demand-driven
-// allocations, epoch by epoch:
-//   - LocalResourceManager (one per node): ResourceProfiler samples the
-//     demand and allocation of resident tasks into the shared Estimator,
+// allocations, epoch by epoch. Each epoch plays both of the paper's roles:
+//   - Local resource manager (one per node): the epoch groups the running
+//     attempts into one NodeReport per execution site and samples each
+//     resident attempt's demand and allocation into the shared Estimator,
 //     which keeps each task's latest sample.
-//   - GlobalResourceManager: the ContentionDetector classifies tasks into
-//     resource-deficit and resource-hogging from the coordinated view of
-//     all LRM reports; the PerformanceBalancer computes and applies the
-//     resource adjustments (cap changes, cgroup-style I/O shares, memory
-//     admission).
+//   - Global resource manager: the PerformanceBalancer computes and applies
+//     the resource adjustments (cap changes, cgroup-style I/O shares,
+//     memory admission) from the coordinated view of all node reports. The
+//     ContentionDetector classifies tasks into resource-deficit and
+//     resource-hogging for the epoch's decision record.
 // Each of CPU / memory / I/O management can be toggled independently —
 // exactly the legends of the paper's Fig. 8(b,c).
 #pragma once
@@ -36,27 +37,10 @@ struct DrmOptions {
   double epoch_s = 10.0;
 };
 
-/// Per-node usage report assembled by a LocalResourceManager.
+/// One node's running attempts, as a DRM epoch groups them.
 struct NodeReport {
   cluster::ExecutionSite* site = nullptr;
   std::vector<mapred::TaskAttempt*> attempts;
-};
-
-/// ResourceProfiler + Estimator front-end for one node.
-class LocalResourceManager {
- public:
-  LocalResourceManager(cluster::ExecutionSite& site, Estimator& estimator)
-      : site_(&site), estimator_(&estimator) {}
-
-  /// Samples every resident attempt and produces the node report.
-  NodeReport profile(const std::vector<mapred::TaskAttempt*>& resident,
-                     double now);
-
-  [[nodiscard]] cluster::ExecutionSite& site() const { return *site_; }
-
- private:
-  cluster::ExecutionSite* site_;
-  Estimator* estimator_;
 };
 
 /// GRM component: labels resource-deficit and resource-hogging tasks.
@@ -94,11 +78,6 @@ class PerformanceBalancer {
   Stats balance(const std::vector<NodeReport>& reports,
                 const std::function<bool(const mapred::TaskAttempt&)>& exempt);
 
-  /// Attempts currently paused by the memory-admission policy.
-  [[nodiscard]] const std::set<mapred::TaskAttempt*>& paused() const {
-    return paused_;
-  }
-
   /// Forgets state for attempts that no longer run.
   void prune(const std::vector<mapred::TaskAttempt*>& live);
 
@@ -132,14 +111,12 @@ class DynamicResourceManager {
   /// Starts/stops the periodic controller.
   void start();
   void stop();
-  [[nodiscard]] bool running() const { return ticker_.active(); }
 
   /// Marks attempts the DRM must leave alone (IPS-owned).
   void set_exempt(std::function<bool(const mapred::TaskAttempt&)> exempt) {
     exempt_ = std::move(exempt);
   }
 
-  [[nodiscard]] const DrmOptions& options() const { return options_; }
   [[nodiscard]] const PerformanceBalancer::Stats& lifetime_stats() const {
     return lifetime_;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::core {
@@ -76,14 +75,6 @@ mapred::Job* HybridMRScheduler::submit(const mapred::JobSpec& spec) {
     last_decision_.reason = "phase 1 disabled or single-partition cluster";
   }
 
-  sim::log_info(sim_.now(), "hybridmr",
-                spec.name + " -> " +
-                    (pool == mapred::PlacementPool::kNativeOnly
-                         ? "native"
-                         : pool == mapred::PlacementPool::kVirtualOnly
-                               ? "virtual"
-                               : "any") +
-                    " (" + last_decision_.reason + ")");
   if (tel_ != nullptr) {
     tel_->trace.instant(
         sim_.now(), telemetry::EventKind::kPhase1Placement, spec.name, "jobs",
@@ -147,15 +138,20 @@ interactive::InteractiveApp& HybridMRScheduler::deploy_interactive(
   if (site == nullptr && !cluster_.machines().empty()) {
     site = cluster_.machines().front().get();  // last resort: native host
   }
+  if (tel_ != nullptr) {
+    tel_->trace.instant(
+        sim_.now(), telemetry::EventKind::kPhase1Placement, params.name,
+        "jobs",
+        {{"pool", site->is_virtual() ? "virtual" : "native"},
+         {"site", site->name()},
+         {"clients", telemetry::json_num(clients)}});
+  }
   apps_.push_back(std::make_unique<interactive::InteractiveApp>(
       sim_, *site, params, clients));
   interactive::InteractiveApp& app = *apps_.back();
   if (tel_ != nullptr) app.set_telemetry(tel_);
   app.start();
   monitor_.track(app);
-  sim::log_info(sim_.now(), "hybridmr",
-                params.name + " (" + std::to_string(clients) +
-                    " clients) -> " + site->name());
   return app;
 }
 

@@ -73,6 +73,7 @@ class HybridMRScheduler {
       cluster::ExecutionSite* site = nullptr);
 
   // --- component access ---
+  // sim-lint: allow(unused-api) core_test, core_deep_test: trained profiles
   [[nodiscard]] JobProfiler& profiler() { return profiler_; }
   [[nodiscard]] PhaseOneScheduler& phase1() { return phase1_; }
   [[nodiscard]] DynamicResourceManager& drm() { return drm_; }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 #include "whatif/fork.h"
 
@@ -167,7 +166,6 @@ void InterferencePreventionSystem::escalate(TaskAttempt& attempt) {
     attempt.set_caps(caps);
     actions_[&attempt] = ActionLevel::kThrottled;
     ++stats_.throttles;
-    sim::log_info(sim_.now(), "ips", "throttle " + attempt.task().job().spec().name);
     note_action("throttle", attempt.label(), attempt.site().name());
     return;
   }
@@ -175,7 +173,6 @@ void InterferencePreventionSystem::escalate(TaskAttempt& attempt) {
     attempt.set_paused(true);
     it->second = ActionLevel::kPaused;
     ++stats_.pauses;
-    sim::log_info(sim_.now(), "ips", "pause " + attempt.task().job().spec().name);
     note_action("pause", attempt.label(), attempt.site().name());
     return;
   }
@@ -188,7 +185,6 @@ void InterferencePreventionSystem::escalate(TaskAttempt& attempt) {
     actions_.erase(it);
     mr_.requeue(attempt, /*ban_tracker=*/true);
     ++stats_.requeues;
-    sim::log_info(sim_.now(), "ips", "requeue task");
     note_action("requeue", label, track);
   }
 }
@@ -223,8 +219,6 @@ void InterferencePreventionSystem::migrate_batch_vm(
     if (dest != nullptr &&
         cluster_.migrator().migrate(*vm, *dest)) {
       ++stats_.vm_migrations;
-      sim::log_info(sim_.now(), "ips",
-                    "migrate " + vm->name() + " -> " + dest->name());
       note_action("migrate_vm", vm->name() + "->" + dest->name(),
                   violated_host.name());
       return;  // one migration per epoch
@@ -336,9 +330,6 @@ InterferencePreventionSystem::mitigate_predictive(
   }
   if (!preds[best].ok) return PredictiveOutcome::kFallback;
 
-  sim::log_info(sim_.now(), "ips",
-                std::string("lookahead picks ") + names[best] + " for " +
-                    app.name());
   // Decision record: every candidate's child status and score beside the
   // pick, so a trace shows why the winner won.
   std::vector<std::pair<std::string, std::string>> scores;

@@ -127,7 +127,6 @@ class InterferencePreventionSystem {
 
   void start();
   void stop();
-  [[nodiscard]] bool running() const { return ticker_.active(); }
 
   /// True when the IPS currently manages this attempt (the DRM must not
   /// override its throttles/pauses).
@@ -152,7 +151,6 @@ class InterferencePreventionSystem {
   [[nodiscard]] bool tracks_host(const cluster::Machine& host) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const IpsOptions& options() const { return options_; }
 
   /// Attaches the IPS to a telemetry hub (null detaches).
   void set_telemetry(telemetry::Hub* hub) { tel_ = hub; }

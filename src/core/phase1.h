@@ -65,7 +65,6 @@ class PhaseOneScheduler {
   void ensure_trained(const mapred::JobSpec& spec);
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] JobProfiler& profiler() { return *profiler_; }
 
  private:
   JobProfiler* profiler_;

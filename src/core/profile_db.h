@@ -25,6 +25,7 @@ class ProfileDatabase {
  public:
   void add(ProfileEntry entry) { entries_.push_back(std::move(entry)); }
 
+  // sim-lint: allow(unused-api) core_test, core_deep_test: entries recorded
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Exact match (cluster size equal, data size within 2%).
   [[nodiscard]] std::optional<ProfileEntry> lookup(

@@ -71,7 +71,6 @@ class JobProfiler {
                                   bool virtual_cluster,
                                   int cluster_size) const;
 
-  [[nodiscard]] const ProfileDatabase& database() const { return *db_; }
   [[nodiscard]] ProfileDatabase& database() { return *db_; }
 
  private:

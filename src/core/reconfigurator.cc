@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::core {
@@ -52,14 +51,11 @@ std::vector<VirtualMachine*> Reconfigurator::virtualize_node(
     vms.push_back(vm);
   }
   ++stats_.virtualized;
-  sim::log_info(cluster_->simulation().now(), "reconfig",
-                machine.name() + ": native -> " +
-                    std::to_string(vms_per_host) + " VMs");
-  if (tel_ != nullptr) {
-    tel_->trace.instant(cluster_->simulation().now(),
-                        telemetry::EventKind::kReconfiguration, "virtualize",
-                        machine.name(),
-                        {{"vms", telemetry::json_num(vms_per_host)}});
+  if (telemetry::Hub* tel = mr_->telemetry()) {
+    tel->trace.instant(cluster_->simulation().now(),
+                       telemetry::EventKind::kReconfiguration, "virtualize",
+                       machine.name(),
+                       {{"vms", telemetry::json_num(vms_per_host)}});
   }
   mr_->dispatch();
   return vms;
@@ -82,11 +78,8 @@ bool Reconfigurator::nativize_host(Machine& machine) {
   hdfs_->add_datanode(machine);
   mr_->add_tracker(machine);
   ++stats_.nativized;
-  sim::log_info(cluster_->simulation().now(), "reconfig",
-                machine.name() + ": " + std::to_string(vms.size()) +
-                    " VMs -> native");
-  if (tel_ != nullptr) {
-    tel_->trace.instant(
+  if (telemetry::Hub* tel = mr_->telemetry()) {
+    tel->trace.instant(
         cluster_->simulation().now(), telemetry::EventKind::kReconfiguration,
         "nativize", machine.name(),
         {{"vms", telemetry::json_num(static_cast<double>(vms.size()))}});

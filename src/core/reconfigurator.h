@@ -11,7 +11,9 @@
 //   - nativize: an idle virtualized host sheds its VMs the same way and
 //     rejoins as a native node.
 // Both directions refuse while tasks are still running on the affected
-// sites — drain first (the IPS's requeue action, or simply wait).
+// sites — drain first (the IPS's requeue action, or simply wait). Each
+// conversion is a trace record on the engine's telemetry hub, when it has
+// one.
 #pragma once
 
 #include <string>
@@ -20,10 +22,6 @@
 #include "cluster/cluster.h"
 #include "mapred/engine.h"
 #include "storage/hdfs.h"
-
-namespace hybridmr::telemetry {
-struct Hub;
-}  // namespace hybridmr::telemetry
 
 namespace hybridmr::core {
 
@@ -55,9 +53,6 @@ class Reconfigurator {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Attaches the reconfigurator to a telemetry hub (null detaches).
-  void set_telemetry(telemetry::Hub* hub) { tel_ = hub; }
-
  private:
   bool decommission_site(cluster::ExecutionSite& site);
 
@@ -65,7 +60,6 @@ class Reconfigurator {
   storage::Hdfs* hdfs_;
   mapred::MapReduceEngine* mr_;
   Stats stats_;
-  telemetry::Hub* tel_ = nullptr;
 };
 
 }  // namespace hybridmr::core

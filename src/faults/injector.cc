@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::faults {
@@ -99,7 +98,6 @@ bool FaultInjector::fail_attempt(const std::string& label_prefix) {
   }
   if (victim == nullptr) return false;
   ++stats_.task_failures;
-  sim::log_info(sim_.now(), "faults", "task failure: " + victim->label());
   mr_.fail_attempt(*victim, /*ban_tracker=*/false);
   return true;
 }
@@ -122,7 +120,6 @@ bool FaultInjector::crash_machine(Machine& machine,
                                   sim::Duration reboot_after) {
   if (!machine.powered() || is_down(machine)) return false;
   ++stats_.machine_crashes;
-  sim::log_info(sim_.now(), "faults", "machine crash: " + machine.name());
 
   // 1) Migrations with a dead endpoint roll the VM back to its source (a
   //    VM migrating *off* this machine is still here and dies with it).
@@ -209,7 +206,6 @@ void FaultInjector::reboot_machine(Machine& machine) {
   down_.erase(it);
 
   ++stats_.machine_reboots;
-  sim::log_info(sim_.now(), "faults", "machine reboot: " + machine.name());
   machine.set_powered(true);
   for (VirtualMachine* vm : rec.vms) machine.attach_vm(vm);
   // DataNodes come back empty: their blocks were re-replicated elsewhere

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "interactive/sla.h"
 #include "mapred/scheduler.h"
@@ -11,18 +12,19 @@
 namespace hybridmr::harness {
 
 TestBed::TestBed(Options options) : options_(std::move(options)) {
-  // Opt-in verbosity without recompiling: HYBRIDMR_LOG=debug|info|warn|...
-  if (const char* env = std::getenv("HYBRIDMR_LOG")) {
-    if (auto level = sim::Log::parse_level(env)) {
-      sim::Log::threshold() = *level;
-    }
-  }
   // Opt-in profiling without recompiling callers: HYBRIDMR_PROFILE=1|on
-  // enables, =0|off disables, unset defers to Options::profile.
+  // enables, =0|off disables, unset defers to Options::profile. Any other
+  // value throws, so a run meant to be profiled cannot quietly not be.
   if (const char* env = std::getenv("HYBRIDMR_PROFILE")) {
     const std::string v = env;
-    if (v == "1" || v == "on") options_.profile = true;
-    if (v == "0" || v == "off") options_.profile = false;
+    if (v == "1" || v == "on") {
+      options_.profile = true;
+    } else if (v == "0" || v == "off") {
+      options_.profile = false;
+    } else {
+      throw std::invalid_argument("HYBRIDMR_PROFILE: unknown value '" + v +
+                                  "' (expected 1, on, 0 or off)");
+    }
   }
   sim_ = std::make_unique<sim::Simulation>(options_.seed);
   if (options_.telemetry || options_.profile) {
@@ -33,7 +35,6 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
     // profiler pointer (and intern scopes) while wiring.
     tel_->profiler.enable();
     tel_->profiler.set_simulation(sim_.get());
-    tel_->profiler.set_trace(options_.telemetry ? &tel_->trace : nullptr);
     tel_->profiler.set_watchdog(options_.watchdog, nullptr);
     sim_->set_probe(&tel_->profiler);
   }
@@ -59,16 +60,10 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
   }
 }
 
-whatif::WhatIfEngine& TestBed::whatif() {
-  if (!whatif_) whatif_ = std::make_unique<whatif::WhatIfEngine>(*sim_);
-  return *whatif_;
-}
-
 cluster::ExecutionSite* TestBed::register_node(cluster::ExecutionSite& site,
                                                bool datanode, bool tracker) {
   if (datanode) hdfs_->add_datanode(site);
   if (tracker) mr_->add_tracker(site);
-  nodes_.push_back(&site);
   return &site;
 }
 

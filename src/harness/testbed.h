@@ -17,7 +17,6 @@
 #include "sim/simulation.h"
 #include "storage/hdfs.h"
 #include "telemetry/telemetry.h"
-#include "whatif/fork.h"
 #include "workload/benchmarks.h"
 
 namespace hybridmr::harness {
@@ -34,8 +33,9 @@ class TestBed {
     /// Enables the simulation profiler (scoped wall timers + deterministic
     /// work-attribution counters; see telemetry/profiler.h). Forces a hub
     /// even when `telemetry` is false. The HYBRIDMR_PROFILE environment
-    /// variable (1/on/0/off) overrides this at construction, so any
-    /// harness binary can be profiled without a rebuild.
+    /// variable (1/on/0/off; any other value throws std::invalid_argument)
+    /// overrides this at construction, so any harness binary can be
+    /// profiled without a rebuild.
     bool profile = false;
     /// Watchdog for long runs, active only when `profile` is on: zero
     /// thresholds disable each check (see Profiler::WatchdogOptions).
@@ -57,17 +57,8 @@ class TestBed {
   [[nodiscard]] mapred::MapReduceEngine& mr() { return *mr_; }
   /// The armed fault injector; null when Options::faults was empty.
   [[nodiscard]] faults::FaultInjector* faults() { return faults_.get(); }
-  [[nodiscard]] const cluster::Calibration& calibration() const {
-    return options_.calibration;
-  }
-
   /// The run's telemetry hub; null when disabled.
   [[nodiscard]] telemetry::Hub* telemetry() const { return tel_.get(); }
-
-  /// The what-if engine over this testbed's simulation, built on first
-  /// use. Forked scenarios and lookaheads clone the entire wired engine
-  /// (docs/WHATIF.md); sweep hundreds of them from one warmed state.
-  [[nodiscard]] whatif::WhatIfEngine& whatif();
 
   /// The run's profiler; null unless profiling is live (Options::profile /
   /// HYBRIDMR_PROFILE).
@@ -129,11 +120,6 @@ class TestBed {
   /// event queue non-empty).
   void run_until(double t) { sim_->run_until(t); }
 
-  /// All Hadoop execution sites registered so far.
-  [[nodiscard]] const std::vector<cluster::ExecutionSite*>& nodes() const {
-    return nodes_;
-  }
-
  private:
   cluster::ExecutionSite* register_node(cluster::ExecutionSite& site,
                                         bool datanode, bool tracker);
@@ -147,9 +133,6 @@ class TestBed {
   std::unique_ptr<storage::Hdfs> hdfs_;
   std::unique_ptr<mapred::MapReduceEngine> mr_;
   std::unique_ptr<faults::FaultInjector> faults_;
-  std::unique_ptr<whatif::WhatIfEngine> whatif_;
-  // Registration order over sites owned by cluster_.
-  std::vector<cluster::ExecutionSite*> nodes_;
 };
 
 }  // namespace hybridmr::harness

@@ -10,7 +10,6 @@
 
 #include "audit/invariants.h"
 #include "cluster/realloc.h"
-#include "sim/log.h"
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::mapred {
@@ -216,9 +215,6 @@ Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
   for (const auto& t : job->maps_) t->sync_pending(*this);
   for (const auto& t : job->reduces_) t->sync_pending(*this);
 
-  sim::log_info(sim_.now(), "jobtracker",
-                "submit " + spec.name + " (" + std::to_string(n_maps) +
-                    " maps, " + std::to_string(n_reduces) + " reduces)");
   if (tel_ != nullptr) {
     tel_->trace.instant(
         sim_.now(), telemetry::EventKind::kJobSubmit,
@@ -453,8 +449,6 @@ void MapReduceEngine::fail_job(Job& job, const std::string& reason) {
       }
     }
   }
-  sim::log_info(sim_.now(), "jobtracker",
-                job.spec().name + ": FAILED (" + reason + ")");
   if (tel_ != nullptr) {
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kJobFailed,
                         job.spec().name + "-j" + std::to_string(job.id()),
@@ -473,7 +467,6 @@ bool MapReduceEngine::mark_tracker_lost(cluster::ExecutionSite& site) {
   // even while its slots free up).
   tr->blacklisted_ = true;
   update_offer(*tr);
-  sim::log_info(sim_.now(), "jobtracker", "tracker lost: " + site.name());
   if (tel_ != nullptr) {
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kTrackerLost,
                         site.name(), site.name());
@@ -514,7 +507,6 @@ bool MapReduceEngine::restore_tracker(cluster::ExecutionSite& site) {
   if (tr == nullptr || !tr->blacklisted_) return false;
   tr->blacklisted_ = false;
   update_offer(*tr);
-  sim::log_info(sim_.now(), "jobtracker", "tracker restored: " + site.name());
   if (tel_ != nullptr) {
     tel_->trace.instant(sim_.now(), telemetry::EventKind::kTrackerRestored,
                         site.name(), site.name());
@@ -563,10 +555,6 @@ int MapReduceEngine::reexecute_lost_map_outputs(
       set_state(*job, JobState::kMapping);
       job->map_phase_end_ = -1;
     }
-    sim::log_info(sim_.now(), "jobtracker",
-                  job->spec().name + ": " + std::to_string(lost) +
-                      " map output(s) lost on " + site.name() +
-                      ", re-executing");
     if (tel_ != nullptr) {
       tel_->trace.instant(
           sim_.now(), telemetry::EventKind::kMapOutputLost,
@@ -603,8 +591,6 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
         job.maps_done_ == static_cast<int>(job.maps_.size())) {
       job.map_phase_end_ = sim_.now();
       set_state(job, JobState::kReducing);
-      sim::log_debug(sim_.now(), "jobtracker",
-                     job.spec().name + ": map phase done");
     }
   } else {
     ++job.reduces_done_;
@@ -619,9 +605,6 @@ void MapReduceEngine::attempt_finished(TaskAttempt& attempt) {
       }
       job.finish_time_ = sim_.now();
       set_state(job, JobState::kDone);
-      sim::log_info(
-          sim_.now(), "jobtracker",
-          job.spec().name + ": finished, jct=" + std::to_string(job.jct()));
       if (tel_ != nullptr) {
         tel_->trace.complete(
             job.submit_time(), job.jct(), telemetry::EventKind::kJobFinish,
@@ -978,9 +961,6 @@ void MapReduceEngine::speculation_scan() {
         t->speculative_launched = true;
         ++speculative_count_;
         --copies_left;
-        sim::log_debug(sim_.now(), "speculation",
-                       "copy of " + job->spec().name + " task " +
-                           std::to_string(t->index()));
         if (tel_ != nullptr) {
           tel_->trace.instant(
               sim_.now(), telemetry::EventKind::kSpeculativeLaunch,

@@ -64,8 +64,6 @@ class TaskScheduler {
   virtual Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
                      const storage::Hdfs& hdfs, bool locality_only) = 0;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// True if `job` has work of `type` ready to schedule. Public so the
   /// dispatcher's schedulable-pending counters apply the exact same
   /// eligibility rule as pick().
@@ -91,7 +89,6 @@ class FifoScheduler : public TaskScheduler {
  public:
   Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
              const storage::Hdfs& hdfs, bool locality_only) override;
-  [[nodiscard]] const char* name() const override { return "fifo"; }
 };
 
 /// Hadoop FairScheduler: the eligible job with the fewest running tasks
@@ -100,7 +97,6 @@ class FairScheduler : public TaskScheduler {
  public:
   Task* pick(TaskTracker& tracker, TaskType type, const LiveJobs& live,
              const storage::Hdfs& hdfs, bool locality_only) override;
-  [[nodiscard]] const char* name() const override { return "fair"; }
 };
 
 std::unique_ptr<TaskScheduler> make_scheduler(const std::string& name);

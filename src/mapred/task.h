@@ -103,6 +103,7 @@ class TaskAttempt {
   [[nodiscard]] bool running() const {
     return started_ && !finished_ && !killed_;
   }
+  // sim-lint: allow(unused-api) mapred_test, property_test: attempt ended
   [[nodiscard]] bool finished() const { return finished_; }
 
   [[nodiscard]] Task& task() const { return *task_; }

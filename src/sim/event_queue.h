@@ -79,10 +79,7 @@ class EventQueue {
   /// never touches those totals.
   bool defer(EventId id, SimTime time);
 
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  /// Number of live events.
+  /// Number of live (non-cancelled) events.
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest live event. Empty queue -> nullopt.

@@ -15,7 +15,6 @@
 
 #include "audit/invariants.h"
 #include "sim/event_queue.h"
-#include "sim/log.h"
 #include "sim/probe.h"
 #include "sim/rng.h"
 #include "sim/units.h"
@@ -54,12 +53,12 @@ class Simulation {
 
   /// Schedules `fn` at absolute simulated time `t` (must be >= now()).
   /// A past `t` is clamped to now(): the event still fires, but the misuse
-  /// is counted (clamped_past_events()) and logged so it cannot pass
-  /// silently in release builds. Under HYBRIDMR_AUDIT a past `t` is a hard
+  /// is counted (clamped_past_events()) so it cannot pass silently in
+  /// release builds. Under HYBRIDMR_AUDIT a past `t` is a hard
   /// violation: a component computing target times incorrectly corrupts
   /// event ordering, so the audit build aborts instead of papering over it.
   EventId at(SimTime t, std::function<void()> fn) {
-    return queue_.push(clamp_to_now(t, "at"), std::move(fn));
+    return queue_.push(clamp_to_now(t), std::move(fn));
   }
 
   /// Schedules `fn` after `delay` seconds (must be >= 0).
@@ -81,10 +80,10 @@ class Simulation {
   /// (see EventQueue::defer — the event's one heap item is rewritten in
   /// place and sifted, O(log n) either way). Returns false when the event
   /// already fired or was cancelled; callers then schedule a fresh one
-  /// with at(). Past times clamp to now() under the same audit/log policy
-  /// as at().
+  /// with at(). Past times clamp to now() under the same audit policy as
+  /// at().
   bool defer(EventId id, SimTime t) {
-    return queue_.defer(id, clamp_to_now(t, "defer"));
+    return queue_.defer(id, clamp_to_now(t));
   }
 
   /// Registers `fn` to run every `period` seconds, first firing after
@@ -211,19 +210,14 @@ class Simulation {
  private:
   bool dispatch_one();
 
-  // Clamps a past target time `t` to now() on behalf of `op` (at or
-  // defer): counted in clamped_past_events() and logged, or a hard audit
-  // violation under HYBRIDMR_AUDIT.
-  SimTime clamp_to_now(SimTime t, const char* op) {
+  // Clamps a past target time `t` (of at or defer) to now(): counted in
+  // clamped_past_events(), or a hard audit violation under HYBRIDMR_AUDIT.
+  SimTime clamp_to_now(SimTime t) {
     if (t < now_) {
       HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",
                            now_, {{"requested_t", audit::num(t)},
                                   {"now", audit::num(now_)}});
       ++clamped_past_events_;
-      log_warn(now_, "sim",
-               std::string(op) + "(" + std::to_string(t) +
-                   ") is in the past; clamped to now (event " +
-                   std::to_string(clamped_past_events_) + " clamped)");
       t = now_;
     }
     return t;

@@ -28,8 +28,6 @@
 
 #include <concepts>
 
-#include "sim/event_queue.h"
-
 namespace hybridmr::sim {
 
 namespace unit_detail {
@@ -183,14 +181,6 @@ template <class Tag>
   requires(!std::same_as<Tag, unit_detail::fraction_tag>)
 constexpr Quantity<Tag> operator*(Fraction f, Quantity<Tag> q) {
   return q * f;
-}
-
-// --- tolerance-style comparisons ------------------------------------------
-
-/// Durations are the strong-typed view of SimTime spans; comparing them for
-/// exact equality inherits the same rules as SimTime (rule simtime-eq).
-constexpr bool same_time(Duration a, Duration b) {
-  return same_time(a.value(), b.value());
 }
 
 // --- literals --------------------------------------------------------------

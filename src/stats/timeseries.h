@@ -31,8 +31,6 @@ class TimeSeries {
   /// thus keep O(max) memory at geometrically coarsening resolution.
   void set_max_samples(std::size_t max);
 
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
   [[nodiscard]] const Sample& back() const { return samples_.back(); }
 

@@ -10,7 +10,6 @@
 
 #include "sim/simulation.h"
 #include "telemetry/json.h"
-#include "telemetry/trace.h"
 
 namespace hybridmr::telemetry {
 
@@ -187,15 +186,6 @@ void Profiler::exit(ScopeId s) {
   stats.total_ns += elapsed;
   if (elapsed > stats.max_ns) stats.max_ns = elapsed;
   stats.hist.record(elapsed);
-}
-
-void Profiler::record_dist_at(WorkDist d, std::uint64_t value, double now) {
-  if (!enabled()) return;
-  record_dist(d, value);
-  if (trace_ != nullptr) {
-    trace_->instant(now, EventKind::kProfileMark, to_string(d), "profiler",
-                    {{"value", json_num(static_cast<double>(value))}});
-  }
 }
 
 void Profiler::on_event_begin(sim::SimTime now, std::size_t queue_depth) {

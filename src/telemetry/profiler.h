@@ -44,8 +44,6 @@ class Simulation;
 
 namespace hybridmr::telemetry {
 
-class TraceRecorder;
-
 /// Histogram over unsigned values with power-of-two bucket edges: bucket 0
 /// holds zeros, bucket b (b >= 1) holds [2^(b-1), 2^b). Covers the full
 /// uint64 range in 64 fixed buckets with O(1) record, so it suits both
@@ -178,11 +176,6 @@ class Profiler : public sim::DispatchProbe {
   /// Attaches the simulation so the watchdog can stop a stalled run.
   void set_simulation(sim::Simulation* sim) { sim_ = sim; }
 
-  /// When set, deterministic work marks (drain dirty-set sizes) interleave
-  /// with the simulation events in the Chrome trace on a "profiler" track.
-  /// Marks carry only sim-derived values, so traces stay reproducible.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Arms the heartbeat/stall watchdog; `out` receives heartbeat and stall
   /// lines (defaults to stderr when null).
   void set_watchdog(const WatchdogOptions& options, std::ostream* out);
@@ -197,10 +190,6 @@ class Profiler : public sim::DispatchProbe {
   void record_dist(WorkDist d, std::uint64_t value) {
     if (enabled_) dists_[static_cast<std::size_t>(d)].record(value);
   }
-
-  /// record_dist() plus a deterministic trace mark at sim time `now` when a
-  /// trace recorder is attached.
-  void record_dist_at(WorkDist d, std::uint64_t value, double now);
 
   /// Scope timing; prefer the Scope RAII guard. Unbalanced enter/exit
   /// corrupts the context stack (the exit pops whatever is on top).
@@ -257,7 +246,6 @@ class Profiler : public sim::DispatchProbe {
 
   bool enabled_ = false;
   sim::Simulation* sim_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
 
   std::array<std::uint64_t, static_cast<std::size_t>(WorkCounter::kCount)>
       work_{};

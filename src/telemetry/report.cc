@@ -1,7 +1,5 @@
 #include "telemetry/report.h"
 
-#include <sstream>
-
 #include "telemetry/json.h"
 #include "telemetry/profiler.h"
 
@@ -20,21 +18,6 @@ void write_series(std::ostream& os,
   }
   os << "]";
 }
-
-/// CSV cell: quotes only when needed (names here never contain commas, but
-/// be safe).
-std::string csv(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-std::string csv(double v) { return json_num(v); }
 
 }  // namespace
 
@@ -107,39 +90,6 @@ void RunReport::to_json(std::ostream& os) const {
     profiler->work_to_json(os);
   }
   os << "\n}\n";
-}
-
-void RunReport::to_csv(std::ostream& os) const {
-  os << "# jobs\n"
-     << "id,name,state,maps,reduces,submit_s,finish_s,jct_s,map_phase_s,"
-        "reduce_phase_s,shuffle_mb\n";
-  for (const auto& j : jobs) {
-    os << j.id << "," << csv(j.name) << "," << csv(j.state) << "," << j.maps
-       << "," << j.reduces << "," << csv(j.submit_s) << ","
-       << csv(j.finish_s) << "," << csv(j.jct_s) << "," << csv(j.map_phase_s)
-       << "," << csv(j.reduce_phase_s) << "," << csv(j.shuffle_mb.value())
-       << "\n";
-  }
-  os << "\n# machines\n"
-     << "name,vms,powered,mean_cpu_util,mean_memory_util,mean_disk_util,"
-        "mean_net_util,energy_joules,mean_watts\n";
-  for (const auto& m : machines) {
-    os << csv(m.name) << "," << m.vms << "," << (m.powered ? 1 : 0) << ","
-       << csv(m.mean_cpu) << "," << csv(m.mean_memory) << ","
-       << csv(m.mean_disk) << "," << csv(m.mean_net) << ","
-       << csv(m.energy_joules.value()) << "," << csv(m.mean_watts.value())
-       << "\n";
-  }
-  os << "\n# apps\n"
-     << "name,sla_s,samples,mean_s,p50_s,p95_s,p99_s,max_s,"
-        "violation_fraction\n";
-  for (const auto& a : apps) {
-    os << csv(a.name) << "," << csv(a.sla_s.value()) << "," << a.samples
-       << ","
-       << csv(a.mean_s) << "," << csv(a.p50_s) << "," << csv(a.p95_s) << ","
-       << csv(a.p99_s) << "," << csv(a.max_s) << ","
-       << csv(a.violation_fraction) << "\n";
-  }
 }
 
 }  // namespace hybridmr::telemetry

@@ -1,5 +1,5 @@
 // RunReport: one run's summary — per-job JCT breakdowns, per-machine
-// utilization and power, SLA percentiles — serializable to JSON and CSV.
+// utilization and power, SLA percentiles — serialized as JSON.
 //
 // The struct is plain data so the telemetry library stays dependency-free;
 // harness::TestBed::report() fills it from the live engine/cluster/apps
@@ -90,10 +90,6 @@ struct RunReport {
   const Profiler* profiler = nullptr;
 
   void to_json(std::ostream& os) const;
-
-  /// Three CSV sections (jobs, machines, apps), separated by blank lines;
-  /// each section starts with a `# <section>` marker and a header row.
-  void to_csv(std::ostream& os) const;
 };
 
 }  // namespace hybridmr::telemetry

@@ -54,8 +54,6 @@ const char* to_string(EventKind kind) {
       return "migration_abort";
     case EventKind::kReplicaLoss:
       return "replica_loss";
-    case EventKind::kProfileMark:
-      return "profile_mark";
   }
   return "?";
 }
@@ -100,8 +98,6 @@ const char* category(EventKind kind) {
       return "migration";
     case EventKind::kReplicaLoss:
       return "storage";
-    case EventKind::kProfileMark:
-      return "profiler";
   }
   return "?";
 }

@@ -41,9 +41,6 @@ enum class EventKind {
   kMachineReboot,
   kMigrationAbort,
   kReplicaLoss,
-  // Profiler work marks (src/telemetry/profiler.h): deterministic
-  // sim-derived values only, so traces stay reproducible.
-  kProfileMark,
 };
 
 /// Stable event-kind identifier used in the JSONL export.
@@ -84,7 +81,6 @@ class TraceRecorder {
     return events_;
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
 
   /// One JSON object per line; deterministic for a fixed seed.
   // sim-lint: allow(unused-api) mapred_test, realloc_test: trace digests

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/log.h"
 
 namespace hybridmr::whatif {
 
@@ -73,9 +72,6 @@ void WhatIfEngine::enter_child(int read_fd) {
   ::close(read_fd);
   in_lookahead_ = true;
   std::atexit(&escape_backstop);
-  // Silence the child's logs: the parent's sink would interleave both
-  // processes' lines.
-  sim::Log::threshold() = sim::LogLevel::kOff;
 }
 
 std::optional<WhatIfEngine::Child> WhatIfEngine::fork_batch(

@@ -134,8 +134,8 @@ class WhatIfEngine {
   /// nullopt. In a child: returns its Child right after enter_child().
   std::optional<Child> fork_batch(std::size_t n,
                                   std::vector<ForkResult>& results);
-  /// Child half: closes the read end, marks in_lookahead(), arms the
-  /// escape backstop and silences logging per Options.
+  /// Child half: closes the read end, marks in_lookahead() and arms the
+  /// escape backstop.
   void enter_child(int read_fd);
   /// Waits for a child whose pipe reached EOF (`read_ok`) or failed;
   /// true only for a collected clean exit with a whole payload.

@@ -99,6 +99,11 @@ std::vector<JobSpec> all_benchmarks() {
   return {twitter(), wcount(), pi_est(), dist_grep(), sort_job(), kmeans()};
 }
 
+std::vector<JobSpec> fig8_wave() {
+  return {sort_job().with_input_gb(2.0), dist_grep().with_input_gb(4.0),
+          wcount().with_input_gb(2.0)};
+}
+
 JobSpec benchmark(const std::string& name) {
   std::string key = name;
   std::transform(key.begin(), key.end(), key.begin(),

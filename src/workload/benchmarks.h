@@ -27,6 +27,11 @@ mapred::JobSpec kmeans();
 /// The six benchmarks in the paper's presentation order.
 std::vector<mapred::JobSpec> all_benchmarks();
 
+/// One Fig. 8-class heterogeneous wave, in submission order: an I/O-bound
+/// Sort (2 GB), an I/O-bound DistGrep (4 GB) and a memory+I/O Wcount
+/// (2 GB). The scale sweep submits one wave per 8 hosts.
+std::vector<mapred::JobSpec> fig8_wave();
+
 /// Lookup by (case-insensitive) name; throws std::out_of_range if unknown.
 mapred::JobSpec benchmark(const std::string& name);
 

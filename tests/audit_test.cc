@@ -14,11 +14,10 @@ namespace {
 
 TEST(Audit, EnabledMatchesBuildFlavour) {
 #if defined(HYBRIDMR_AUDIT_ENABLED)
-  EXPECT_TRUE(audit::enabled());
+  EXPECT_TRUE(audit::kEnabled);
 #else
-  EXPECT_FALSE(audit::enabled());
+  EXPECT_FALSE(audit::kEnabled);
 #endif
-  EXPECT_EQ(audit::kEnabled, audit::enabled());
 }
 
 TEST(Audit, NumFormatsRoundTrippably)

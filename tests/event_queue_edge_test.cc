@@ -26,7 +26,7 @@ TEST(EventQueueEdge, CancelAfterFireReturnsFalse) {
   ASSERT_TRUE(e.has_value());
   e->fn();
   EXPECT_FALSE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueueEdge, DoubleCancelSecondIsNoOp) {
@@ -51,7 +51,7 @@ TEST(EventQueueEdge, CancelOtherEventFromPoppedCallback) {
   second = q.push(2.0, [&] { second_fired = true; });
   while (auto e = q.pop()) e->fn();
   EXPECT_FALSE(second_fired);
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueueEdge, CancelOwnIdDuringCallbackReturnsFalse) {
@@ -104,7 +104,7 @@ TEST(EventQueueEdge, ClearDropsEverythingWithoutFiring) {
   EXPECT_EQ(q.clear(), 2u);  // live events only, cancelled one not counted
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(watch.expired());
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(q.pop().has_value());
   // The queue stays usable after clear().
   q.push(4.0, [&fired] { ++fired; });
@@ -119,7 +119,7 @@ TEST(EventQueueEdge, NextTimeAllCancelledIsEmpty) {
   q.cancel(a);
   q.cancel(b);
   EXPECT_FALSE(q.next_time().has_value());
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueueEdge, DeferPostponesAndAdvancesInPlace) {
@@ -143,7 +143,7 @@ TEST(EventQueueEdge, DeferPostponesAndAdvancesInPlace) {
   }
   EXPECT_EQ(fired, (std::vector<std::string>{"c", "b", "a"}));
   EXPECT_EQ(times, (std::vector<double>{5.0, 20.0, 25.0}));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.total_cancelled(), 0u);
 }
 

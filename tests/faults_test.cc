@@ -49,7 +49,8 @@ TEST(Faults, CrashRestoresReplicationFactorAndJobCompletes) {
   // of them re-replicated from survivors with no block lost for good.
   EXPECT_GT(bed.hdfs().re_replicated_mb().value(), 0);
   EXPECT_EQ(bed.hdfs().blocks_lost(), 0);
-  EXPECT_EQ(bed.hdfs().min_replication(), bed.calibration().hdfs_replicas);
+  EXPECT_EQ(bed.hdfs().min_replication(),
+            bed.cluster().calibration().hdfs_replicas);
   ASSERT_EQ(bed.mr().jobs().size(), 1u);
   EXPECT_TRUE(bed.mr().jobs().front()->succeeded());
 }
@@ -169,7 +170,8 @@ TEST(Faults, CrashDuringShuffleRebootsAndCompletes) {
   EXPECT_EQ(inj.machines_down(), 0);
   EXPECT_GT(bed.mr().maps_reexecuted(), 0);
   EXPECT_EQ(bed.hdfs().blocks_lost(), 0);
-  EXPECT_EQ(bed.hdfs().min_replication(), bed.calibration().hdfs_replicas);
+  EXPECT_EQ(bed.hdfs().min_replication(),
+            bed.cluster().calibration().hdfs_replicas);
   for (const auto& m : bed.cluster().machines()) {
     EXPECT_TRUE(m->powered());
   }

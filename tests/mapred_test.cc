@@ -449,7 +449,7 @@ TEST(MapReduce, JobRecordsLocalityBenefit) {
 //
 // The offer-set dispatch must be invisible in simulated outcomes. The
 // naive dispatch it replaced re-scanned every tracker on every pass; each
-// scenario below pins a digest of the report JSON, CSV and trace that the
+// scenario below pins a digest of the report JSON and the trace that the
 // naive and the indexed dispatch both produced, recorded while the naive
 // mode still existed. Its two scans live on as audit checkpoints in
 // MapReduceEngine (offer_sets_match_scan, host_gate_matches_scan), and the
@@ -458,19 +458,17 @@ TEST(MapReduce, JobRecordsLocalityBenefit) {
 
 struct ReportArtifacts {
   std::string json;
-  std::string csv;
   std::string trace;
 };
 
-// FNV-1a over the three artifacts, each closed by a separator byte.
+// FNV-1a over the two artifacts, each closed by a separator byte.
 std::uint64_t digest_of(const ReportArtifacts& artifacts) {
   std::uint64_t h = 14695981039346656037ull;
   auto mix = [&h](unsigned char c) {
     h ^= c;
     h *= 1099511628211ull;
   };
-  for (const std::string* part :
-       {&artifacts.json, &artifacts.csv, &artifacts.trace}) {
+  for (const std::string* part : {&artifacts.json, &artifacts.trace}) {
     for (const char c : *part) mix(static_cast<unsigned char>(c));
     mix(0xff);
   }
@@ -489,12 +487,10 @@ ReportArtifacts run_report_scenario() {
 
   ReportArtifacts out;
   const telemetry::RunReport report = bed.report();
-  std::ostringstream json, csv, trace;
+  std::ostringstream json, trace;
   report.to_json(json);
-  report.to_csv(csv);
   if (bed.telemetry() != nullptr) bed.telemetry()->trace.to_jsonl(trace);
   out.json = json.str();
-  out.csv = csv.str();
   out.trace = trace.str();
   return out;
 }
@@ -503,8 +499,9 @@ TEST(DispatchEquivalence, IndexedMatchesNaiveByteForByte) {
   // The naive dispatch's artifacts, queue-mechanics counters included.
   // Re-pinned (from 0x201985dfab5eb326) when the report lost its
   // "metrics" member: the older tree's artifacts with that member cut out
-  // hash to this value.
-  EXPECT_EQ(digest_of(run_report_scenario()), 0x95c87ba04b0cbc47u);
+  // hashed to 0x95c87ba04b0cbc47. Re-pinned again when the CSV report was
+  // deleted: that tree's JSON report and trace alone hash to this value.
+  EXPECT_EQ(digest_of(run_report_scenario()), 0x1f33d887fcbad2dfu);
 }
 
 // Phase I pool restrictions: native-only and virtual-only jobs beside
@@ -539,12 +536,10 @@ ReportArtifacts run_pooled_scenario(std::uint64_t* scans) {
   }
   ReportArtifacts out;
   const telemetry::RunReport report = bed.report();
-  std::ostringstream json, csv, trace;
+  std::ostringstream json, trace;
   report.to_json(json);
-  report.to_csv(csv);
   if (bed.telemetry() != nullptr) bed.telemetry()->trace.to_jsonl(trace);
   out.json = json.str();
-  out.csv = csv.str();
   out.trace = trace.str();
   return out;
 }
@@ -557,18 +552,19 @@ TEST(DispatchEquivalence, PooledIndexedMatchesNaive) {
   // (commit 449c9d6) with the grouped fill dropped in still passes its own
   // naive == indexed checks, and this is its naive run's digest, with the
   // report's since-deleted "metrics" member cut out (0x2a6e13d954c8d149
+  // with it) and without the since-deleted CSV report (0xa738de5c740c1cc8
   // with it).
-  EXPECT_EQ(digest_of(indexed), 0xa738de5c740c1cc8u);
-  // Profiled (the JSON report and trace then carry profiler data), the
-  // placements are the same again. The pool-aware offer walk skips the
-  // trackers whose partition has nothing to take (one offer set per type
-  // visited 11,854 trackers here), and the host-load-aware sets skip the
-  // trackers whose host is at its cap (visiting them and summing their
-  // hosts' sites counted 4,512). Audit builds count the same: their scans
-  // are not visits.
+  EXPECT_EQ(digest_of(indexed), 0x572cbafc95a2385bu);
+  // Profiled, the JSON report gains its "profile" member and nothing else
+  // changes: the whole trace, every placement in it, is the same again.
+  // The pool-aware offer walk skips the trackers whose partition has
+  // nothing to take (one offer set per type visited 11,854 trackers
+  // here), and the host-load-aware sets skip the trackers whose host is
+  // at its cap (visiting them and summing their hosts' sites counted
+  // 4,512). Audit builds count the same: their scans are not visits.
   std::uint64_t scans = 0;
   const ReportArtifacts profiled = run_pooled_scenario(&scans);
-  EXPECT_EQ(profiled.csv, indexed.csv);
+  EXPECT_EQ(profiled.trace, indexed.trace);
   EXPECT_EQ(scans, 265u);
 }
 
@@ -598,7 +594,6 @@ class SortingFairScheduler : public TaskScheduler {
     }
     return nullptr;
   }
-  [[nodiscard]] const char* name() const override { return "fair-sorting"; }
 
  private:
   std::vector<std::pair<int, Job*>> by_starvation_;
@@ -744,8 +739,7 @@ int attempts_on(const Job& job, const TaskTracker& tr, double after = -1) {
 
 TEST(DispatchOfferSet, BlacklistedTrackerReceivesNoWork) {
   TestBed bed;
-  bed.add_native_nodes(3);
-  cluster::ExecutionSite* lost = bed.nodes().front();
+  cluster::ExecutionSite* lost = bed.add_native_nodes(3).front();
   ASSERT_TRUE(bed.mr().mark_tracker_lost(*lost));
 
   Job* job = bed.mr().submit(small_sort(1.0));
@@ -765,8 +759,7 @@ TEST(DispatchOfferSet, SurvivesCrashTeardownAndRestore) {
   // launching there again. Restoring the tracker must re-offer its slots:
   // a follow-up job runs work there.
   TestBed bed;
-  bed.add_native_nodes(2);
-  cluster::ExecutionSite* crashed = bed.nodes().front();
+  cluster::ExecutionSite* crashed = bed.add_native_nodes(2).front();
 
   Job* first = bed.mr().submit(small_sort(1.0));
   bed.sim().at(10.0, [&] { bed.mr().mark_tracker_lost(*crashed); });

@@ -1237,7 +1237,7 @@ TEST_P(EnergySweep, EnergyBoundedByIdleAndPeak) {
   bed.run_job(workload::sort_job().with_input_gb(1));
   const double end = bed.sim().now();
   const double joules = bed.cluster().energy_joules(0, end).value();
-  const auto& cal = bed.calibration();
+  const auto& cal = bed.cluster().calibration();
   const double idle_floor = GetParam() * cal.pm_idle_watts.value() * end;
   const double peak_ceiling = GetParam() * cal.pm_peak_watts.value() * end;
   EXPECT_GE(joules, idle_floor - 1e-6);

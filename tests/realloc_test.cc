@@ -108,7 +108,6 @@ TEST_F(ReallocTest, RescheduleSkipsUnchangedFinishTime) {
 
 struct ReportArtifacts {
   std::string json;
-  std::string csv;
   std::string trace;
 };
 
@@ -125,12 +124,10 @@ ReportArtifacts run_scenario(bool eager) {
 
   ReportArtifacts out;
   const telemetry::RunReport report = bed.report();
-  std::ostringstream json, csv, trace;
+  std::ostringstream json, trace;
   report.to_json(json);
-  report.to_csv(csv);
   if (bed.telemetry() != nullptr) bed.telemetry()->trace.to_jsonl(trace);
   out.json = json.str();
-  out.csv = csv.str();
   out.trace = trace.str();
   return out;
 }
@@ -162,7 +159,6 @@ TEST(ReallocDeterminism, DeferredMatchesEagerByteForByte) {
   const ReportArtifacts eager = run_scenario(/*eager=*/true);
   EXPECT_EQ(strip_queue_mechanics(deferred.json),
             strip_queue_mechanics(eager.json));
-  EXPECT_EQ(deferred.csv, eager.csv);
   EXPECT_EQ(deferred.trace, eager.trace);
 }
 
@@ -200,7 +196,7 @@ TEST(TimeSeriesBound, CompactionBoundsMemoryAndPreservesIntegral) {
     full.add(t, v);
     bounded.add(t, v);
   }
-  EXPECT_LE(bounded.size(), 32u);
+  EXPECT_LE(bounded.samples().size(), 32u);
   // The step-function integral is preserved exactly by pairwise
   // time-weighted merging.
   EXPECT_NEAR(bounded.integrate(0, 4095), full.integrate(0, 4095), 1e-6);
@@ -214,11 +210,11 @@ TEST(TimeSeriesBound, AddCoalescedOverwritesSameInstant) {
   stats::TimeSeries s;
   s.add(1.0, 5.0);
   s.add_coalesced(1.0, 7.0);
-  ASSERT_EQ(s.size(), 1u);
+  ASSERT_EQ(s.samples().size(), 1u);
   EXPECT_DOUBLE_EQ(s.back().value, 7.0);
 
   s.add_coalesced(2.0, 3.0);
-  ASSERT_EQ(s.size(), 2u);
+  ASSERT_EQ(s.samples().size(), 2u);
   EXPECT_DOUBLE_EQ(s.back().value, 3.0);
 }
 
@@ -228,7 +224,7 @@ TEST(TimeSeriesBound, EnergyMeterHistoryIsBounded) {
   for (int i = 0; i < 1000; ++i) {
     meter.record(static_cast<double>(i), sim::Watts{180.0 + (i % 3)});
   }
-  EXPECT_LE(meter.series().size(), 16u);
+  EXPECT_LE(meter.series().samples().size(), 16u);
   // Energy accounting stays consistent despite compaction: mean power of
   // a ~181 W trace must still be ~181 W.
   EXPECT_NEAR(meter.mean_watts(0, 999).value(), 181.0, 1.0);

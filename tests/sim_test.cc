@@ -36,7 +36,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   bool fired = false;
   const EventId id = q.push(1.0, [&] { fired = true; });
   EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(q.pop().has_value());
   EXPECT_FALSE(fired);
 }

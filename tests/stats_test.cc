@@ -156,9 +156,9 @@ TEST(TimeSeries, MeanInMatchesFullScan) {
     ts.add(t, 0.1 * i + 1.0 / (i + 3));
     if (i % 3 != 0) t += 0.37 * (i % 5);  // i % 5 == 0 repeats a time
   }
-  ASSERT_LE(ts.size(), 16u);
+  ASSERT_LE(ts.samples().size(), 16u);
   int repeats = 0;
-  for (std::size_t i = 1; i < ts.size(); ++i) {
+  for (std::size_t i = 1; i < ts.samples().size(); ++i) {
     if (ts.samples()[i].time == ts.samples()[i - 1].time) ++repeats;
   }
   EXPECT_GT(repeats, 0);

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/hybridmr.h"
 #include "harness/testbed.h"
 #include "interactive/presets.h"
-#include "sim/log.h"
 #include "sim/simulation.h"
 #include "telemetry/telemetry.h"
 #include "workload/benchmarks.h"
@@ -56,27 +58,6 @@ TEST(SimulationClamp, PastEventIsCountedAndStillFires) {
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
-TEST(LogSink, CapturesClampWarning) {
-  std::vector<std::string> lines;
-  sim::Log::set_sink([&](sim::LogLevel, sim::SimTime now,
-                         const std::string& tag, const std::string& msg) {
-    lines.push_back(sim::Log::format(sim::LogLevel::kWarn, now, tag, msg));
-  });
-  const sim::LogLevel saved = sim::Log::threshold();
-  sim::Log::threshold() = sim::LogLevel::kWarn;
-
-  sim::Simulation sim;
-  sim.after(3, [] {});
-  sim.run();
-  sim.at(1.0, [] {});
-
-  sim::Log::threshold() = saved;
-  sim::Log::set_sink({});
-
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("clamped"), std::string::npos);
-  EXPECT_NE(lines[0].find("sim"), std::string::npos);
-}
 #endif  // !HYBRIDMR_AUDIT_ENABLED
 
 // --- end-to-end: TestBed wiring, run reports, determinism ---
@@ -84,7 +65,6 @@ TEST(LogSink, CapturesClampWarning) {
 struct RunArtifacts {
   std::string trace_jsonl;
   std::string report_json;
-  std::string report_csv;
   int jobs_submitted = 0;
 };
 
@@ -120,13 +100,11 @@ RunArtifacts run_scenario(std::uint64_t seed) {
     std::vector<const interactive::InteractiveApp*> apps;
     for (const auto& app : hybrid.apps()) apps.push_back(app.get());
     const telemetry::RunReport report = bed.report(apps);
-    std::ostringstream trace, json, csv;
+    std::ostringstream trace, json;
     bed.telemetry()->trace.to_jsonl(trace);
     report.to_json(json);
-    report.to_csv(csv);
     out.trace_jsonl = trace.str();
     out.report_json = json.str();
-    out.report_csv = csv.str();
   }
   return out;
 }
@@ -182,6 +160,7 @@ TEST(TestBedTelemetry, HubRecordsEngineAndMachineMetrics) {
   EXPECT_FALSE(bed.cluster()
                    .machines()[0]
                    ->utilization_series(cluster::ResourceKind::kCpu)
+                   .samples()
                    .empty());
 }
 
@@ -203,7 +182,69 @@ TEST(TestBedTelemetry, SameSeedRunsProduceIdenticalArtifacts) {
   EXPECT_FALSE(first.trace_jsonl.empty());
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
   EXPECT_EQ(first.report_json, second.report_json);
-  EXPECT_EQ(first.report_csv, second.report_csv);
+}
+
+// Where the scheduler put an interactive app is a Phase I decision, so the
+// trace holds it beside the batch placements: one record per app, on the
+// jobs track, naming the pool, the site and the client count.
+TEST(TestBedTelemetry, InteractivePlacementIsTraced) {
+  harness::TestBed bed;
+  bed.add_native_nodes(1);
+  bed.add_virtual_nodes(1, 2);
+  core::HybridMROptions hopts;
+  hopts.phase1.training_cluster_sizes = {2};
+  core::HybridMRScheduler hybrid(bed.sim(), bed.cluster(), bed.hdfs(),
+                                 bed.mr(), hopts);
+  hybrid.set_telemetry(bed.telemetry());
+  ASSERT_NE(bed.telemetry(), nullptr);
+
+  auto& picked = hybrid.deploy_interactive(interactive::rubis_params(), 300);
+  cluster::Machine& native = *bed.cluster().machines().front();
+  ASSERT_FALSE(native.is_virtual());
+  hybrid.deploy_interactive(interactive::tpcw_params(), 50, &native);
+
+  std::vector<const telemetry::TraceEvent*> placements;
+  for (const auto& e : bed.telemetry()->trace.events()) {
+    if (e.kind == telemetry::EventKind::kPhase1Placement) {
+      placements.push_back(&e);
+    }
+  }
+  using Args = telemetry::TraceRecorder::Args;
+  ASSERT_EQ(placements.size(), 2u);
+  EXPECT_EQ(placements[0]->name, interactive::rubis_params().name);
+  EXPECT_EQ(placements[0]->track, "jobs");
+  EXPECT_EQ(placements[0]->args,
+            (Args{{"pool", "virtual"},
+                  {"site", picked.site().name()},
+                  {"clients", "300"}}));
+  EXPECT_EQ(placements[1]->name, interactive::tpcw_params().name);
+  EXPECT_EQ(placements[1]->args, (Args{{"pool", "native"},
+                                       {"site", native.name()},
+                                       {"clients", "50"}}));
+  hybrid.stop();
+}
+
+// HYBRIDMR_PROFILE takes 1/on or 0/off; anything else must not quietly
+// leave a run unprofiled.
+TEST(TestBedTelemetry, UnknownProfileValueThrows) {
+  std::optional<std::string> saved;
+  if (const char* prior = std::getenv("HYBRIDMR_PROFILE")) saved = prior;
+  ::setenv("HYBRIDMR_PROFILE", "yes", 1);
+  bool threw = false;
+  try {
+    harness::TestBed bed;
+  } catch (const std::invalid_argument& e) {
+    threw = true;
+    EXPECT_NE(std::string(e.what()).find("HYBRIDMR_PROFILE"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("yes"), std::string::npos);
+  }
+  if (saved) {
+    ::setenv("HYBRIDMR_PROFILE", saved->c_str(), 1);
+  } else {
+    ::unsetenv("HYBRIDMR_PROFILE");
+  }
+  EXPECT_TRUE(threw);
 }
 
 }  // namespace

@@ -125,6 +125,8 @@ struct Engine {
 
   harness::TestBed bed;
   std::unique_ptr<core::HybridMRScheduler> hybrid;
+  // Forks the whole wired engine above (docs/WHATIF.md).
+  whatif::WhatIfEngine pool{bed.sim()};
 };
 
 // --- tentpole oracle: whole-engine fork equivalence, mid-chaos ----------
@@ -137,7 +139,7 @@ TEST(WhatIfFork, ChaosForkEquivalence) {
   e.run_until(kCut);
 
   // Child continues the run to kEnd and reports its fingerprint.
-  whatif::ForkResult child = e.bed.whatif().run_isolated([&] {
+  whatif::ForkResult child = e.pool.run_isolated([&] {
     e.run_until(kEnd);
     return e.fingerprint();
   });
@@ -148,8 +150,8 @@ TEST(WhatIfFork, ChaosForkEquivalence) {
   const std::string primary = e.fingerprint();
 
   EXPECT_EQ(child.payload, primary);
-  EXPECT_EQ(e.bed.whatif().stats().forks, 1);
-  EXPECT_EQ(e.bed.whatif().stats().child_failures, 0);
+  EXPECT_EQ(e.pool.stats().forks, 1);
+  EXPECT_EQ(e.pool.stats().child_failures, 0);
 }
 
 // A second cut inside the *other* crash window, different seed: the
@@ -160,7 +162,7 @@ TEST(WhatIfFork, ChaosForkEquivalenceSecondCut) {
 
   Engine e(/*seed=*/1234);
   e.run_until(kCut);
-  whatif::ForkResult child = e.bed.whatif().run_isolated([&] {
+  whatif::ForkResult child = e.pool.run_isolated([&] {
     e.run_until(kEnd);
     return e.fingerprint();
   });
@@ -179,7 +181,7 @@ TEST(WhatIfFork, ForkIsolation) {
 
   // The child mutates aggressively: runs 300 more simulated seconds of
   // chaos, drains jobs, draws from every Rng stream.
-  whatif::ForkResult child = e.bed.whatif().run_isolated([&] {
+  whatif::ForkResult child = e.pool.run_isolated([&] {
     e.run_until(360.0);
     return e.fingerprint();
   });
@@ -198,14 +200,14 @@ TEST(WhatIfFork, ForkIsolation) {
 TEST(WhatIfFork, ChildFailureReported) {
   Engine e(/*seed=*/5);
   e.run_until(20.0);
-  whatif::ForkResult r = e.bed.whatif().run_isolated(
+  whatif::ForkResult r = e.pool.run_isolated(
       []() -> std::string { std::_Exit(3); });
   EXPECT_FALSE(r.ok);
-  EXPECT_EQ(e.bed.whatif().stats().forks, 1);
-  EXPECT_EQ(e.bed.whatif().stats().child_failures, 1);
+  EXPECT_EQ(e.pool.stats().forks, 1);
+  EXPECT_EQ(e.pool.stats().child_failures, 1);
   // The engine survives a dead child: the next fork works.
   whatif::ForkResult r2 =
-      e.bed.whatif().run_isolated([] { return std::string("alive"); });
+      e.pool.run_isolated([] { return std::string("alive"); });
   EXPECT_TRUE(r2.ok);
   EXPECT_EQ(r2.payload, "alive");
 }
@@ -409,8 +411,9 @@ TEST(WhatIfPredictiveIps, LookaheadRecordsNameTheBestScoredCandidate) {
     bool ok = false;
     double viol = 0, resp = 0, done = 0;
   };
+  // Engine leaves the IPS's restore margin at its default.
   const sim::Duration limit = e.hybrid->apps().front()->params().sla_s *
-                              e.hybrid->ips().options().restore_margin;
+                              core::IpsOptions{}.restore_margin;
   const auto recovered = [&](const Score& s) {
     return s.ok && sim::Duration{s.resp} <= limit;
   };

@@ -135,10 +135,10 @@ TEST(TestBedShapes, PartitionedVmShapesMatchPaperAtDensityTwo) {
 
 TEST(TestBedShapes, NodeRegistrationCounts) {
   harness::TestBed bed;
-  bed.add_native_nodes(3);
-  bed.add_virtual_nodes(2, 2);
-  bed.add_dom0_nodes(1);
-  EXPECT_EQ(bed.nodes().size(), 3u + 4u + 1u);
+  std::size_t registered = bed.add_native_nodes(3).size();
+  registered += bed.add_virtual_nodes(2, 2).size();
+  registered += bed.add_dom0_nodes(1).size();
+  EXPECT_EQ(registered, 3u + 4u + 1u);
   EXPECT_EQ(bed.mr().trackers().size(), 8u);
   EXPECT_EQ(bed.hdfs().datanodes().size(), 8u);
   // Split nodes add one storage VM (datanode only) plus compute-only
