@@ -2,7 +2,6 @@
 // (Base-line) vs HybridMR. HybridMR's consolidation and dynamic allocation
 // sustain higher CPU / memory / I/O utilization for the same work.
 #include <functional>
-#include <memory>
 
 #include "common.h"
 
@@ -44,23 +43,23 @@ UtilTimeline run(bool with_hybridmr) {
 
   // Closed-loop batch streams: each stream resubmits its benchmark as soon
   // as the previous run finishes, sustaining load for the whole window.
+  // The callbacks hold the stream function by reference, like `bed`: they
+  // run only inside run_until below.
   const auto benchmarks = workload::all_benchmarks();
-  auto submit_stream = std::make_shared<std::function<void(int)>>();
-  *submit_stream = [&, submit_stream](int stream) {
+  std::function<void(int)> submit_stream;
+  submit_stream = [&](int stream) {
     if (bed.sim().now() > 75 * 60) return;
     auto spec = benchmarks[stream % benchmarks.size()];
     if (spec.input_gb > 2) spec = spec.with_input_gb(spec.input_gb * 0.2);
     mapred::Job* job = with_hybridmr ? hybrid.submit(spec)
                                      : bed.mr().submit(spec);
-    job->on_complete = [&, submit_stream, stream](mapred::Job&) {
-      bed.sim().after(30, [submit_stream, stream]() {
-        (*submit_stream)(stream);
-      });
+    job->on_complete = [&, stream](mapred::Job&) {
+      bed.sim().after(30, [&, stream]() { submit_stream(stream); });
     };
   };
   for (int stream = 0; stream < 3; ++stream) {
     bed.sim().at(10.0 + 40.0 * stream,
-                 [submit_stream, stream]() { (*submit_stream)(stream); });
+                 [&, stream]() { submit_stream(stream); });
   }
 
   bed.run_until(80 * 60);

@@ -31,8 +31,8 @@ double contended_jct(const mapred::JobSpec& spec, double bg_cpu_cores,
   for (int t = 0; t < static_cast<int>(bg_cpu_cores + 0.5); ++t) {
     cluster::Resources d;
     d.cpu = 1.0;  // one contending thread
-    job_vm->add(std::make_shared<cluster::Workload>(
-        "bg-thread" + std::to_string(t), d, cluster::Workload::kService));
+    job_vm->add(
+        std::make_shared<cluster::Workload>(d, cluster::Workload::kService));
   }
   for (int i = 0; i < 3 && bg_disk_mbps > 0; ++i) {
     auto* vm =
@@ -40,8 +40,8 @@ double contended_jct(const mapred::JobSpec& spec, double bg_cpu_cores,
                              sim::MegaBytes{512});
     cluster::Resources d;
     d.disk = bg_disk_mbps / 3.0;
-    vm->add(std::make_shared<cluster::Workload>(
-        "bg-io", d, cluster::Workload::kService));
+    vm->add(
+        std::make_shared<cluster::Workload>(d, cluster::Workload::kService));
   }
   return bed.run_job(spec);
 }

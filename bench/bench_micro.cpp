@@ -159,8 +159,8 @@ void BM_MachineRecompute(benchmark::State& state) {
     d.disk = 10;
     d.memory = 100;
     (i % 2 == 0 ? vm1 : vm2)
-        ->add(std::make_shared<cluster::Workload>(
-            "w" + std::to_string(i), d, cluster::Workload::kService));
+        ->add(std::make_shared<cluster::Workload>(d,
+                                                  cluster::Workload::kService));
   }
   for (auto _ : state) {
     // Benchmarking the recompute pass itself; the sanctioned entry points
@@ -188,8 +188,7 @@ void BM_MachineRecomputeShuffle(benchmark::State& state) {
       d.disk = values[i % 3];
       d.net = values[i % 3];
       d.memory = 16;
-      vm->add(std::make_shared<cluster::Workload>(
-          "f" + std::to_string(i), d, sim::Duration{100}));
+      vm->add(std::make_shared<cluster::Workload>(d, sim::Duration{100}));
     }
   }
   for (auto _ : state) {
@@ -218,7 +217,7 @@ void BM_MachineRecomputeChurn(benchmark::State& state) {
     d.disk = v;
     d.net = v;
     d.memory = 16;
-    return std::make_shared<cluster::Workload>("f", d, sim::Duration{100});
+    return std::make_shared<cluster::Workload>(d, sim::Duration{100});
   };
   for (auto* vm : vms) {
     for (int i = 0; i < per_vm; ++i) vm->add(flow());
@@ -254,8 +253,8 @@ void BM_RecomputeBurst(benchmark::State& state) {
     d.cpu = 0.3;
     d.disk = 10;
     d.memory = 100;
-    auto w = std::make_shared<cluster::Workload>(
-        "w" + std::to_string(i), d, cluster::Workload::kService);
+    auto w =
+        std::make_shared<cluster::Workload>(d, cluster::Workload::kService);
     (i % 2 == 0 ? vm1 : vm2)->add(w);
     workloads.push_back(std::move(w));
   }

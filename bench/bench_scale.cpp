@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,8 +90,6 @@ SweepPoint run_point(int pms, std::uint64_t seed, const ProfileOptions& prof) {
     profiler->to_json(os, /*include_wall=*/true);
     p.profile_json = os.str();
     p.stalled = profiler->stalled();
-    std::printf("--- scale/%d hotspots ---\n", pms);
-    profiler->print_hotspots(std::cout);
   }
   return p;
 }

@@ -75,7 +75,6 @@ struct Calibration {
   double hdfs_serve_cpu_per_stream = 0.08;
   double hdfs_read_cpu_per_stream = 0.06;
   double speculative_slowdown_threshold = 0.5;  // progress-rate gap
-  double heartbeat_s = 1.0;                      // tasktracker heartbeat
 
   // --- Memory pressure model (piecewise-linear; see DESIGN.md §3) ---
   // Hadoop tasks degrade gracefully under small heaps (extra spill passes

@@ -641,7 +641,6 @@ void Machine::reschedule(const WorkloadPtr& workload) {
     // The recompute left this workload's finish time where it was; keep
     // the scheduled event instead of cancel/re-push churn (this also
     // preserves FIFO tie-break order across no-op reallocations).
-    ++reschedule_skips_;
     if (prof_ != nullptr) {
       prof_->add(telemetry::WorkCounter::kRescheduleSkipped);
     }

@@ -348,12 +348,6 @@ class Machine : public ExecutionSite {
   [[nodiscard]] std::uint64_t recompute_count() const {
     return recompute_count_;
   }
-  /// Completion events left in place because the finish time was
-  /// unchanged (the reschedule-churn fix; tests/benchmarks).
-  // sim-lint: allow(unused-api) realloc_test: the reschedule-churn fix
-  [[nodiscard]] std::uint64_t reschedule_skips() const {
-    return reschedule_skips_;
-  }
   /// (Re)schedules the completion event of a finite workload hosted
   /// anywhere on this machine by defer()ing it in place. No-op when the
   /// recomputed finish time equals the already-scheduled one.
@@ -377,7 +371,6 @@ class Machine : public ExecutionSite {
   ReallocCoordinator& coordinator_;
   bool dirty_ = false;
   std::uint64_t recompute_count_ = 0;
-  std::uint64_t reschedule_skips_ = 0;
 
   // recompute()'s fill rows for the VMs, one each beside the native
   // members' classes. Reused across passes (allocation-free steady state).

@@ -96,10 +96,10 @@ bool Migrator::migrate(VirtualMachine& vm, Machine& dest, DoneFn done) {
   // network contention it stretches, like real pre-copy does.
   Resources stream_demand;
   stream_demand.net = cal_.migration_bw_mbps.value();
-  auto out_stream = std::make_shared<Workload>(
-      "migrate-out:" + vm.name(), stream_demand, plan.precopy_seconds);
-  auto in_stream = std::make_shared<Workload>(
-      "migrate-in:" + vm.name(), stream_demand, plan.precopy_seconds);
+  auto out_stream =
+      std::make_shared<Workload>(stream_demand, plan.precopy_seconds);
+  auto in_stream =
+      std::make_shared<Workload>(stream_demand, plan.precopy_seconds);
 
   auto flight = std::make_shared<InFlight>();
   flight->record = record;

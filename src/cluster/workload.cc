@@ -1,15 +1,13 @@
 #include "cluster/workload.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "cluster/machine.h"
 
 namespace hybridmr::cluster {
 
-Workload::Workload(std::string name, Resources demand, sim::Duration work)
-    : name_(std::move(name)),
-      demand_(demand),
+Workload::Workload(Resources demand, sim::Duration work)
+    : demand_(demand),
       total_work_(work.value()),
       remaining_(work < sim::Duration{0} ? kService.value() : work.value()) {
   refresh_eff_demand();

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "cluster/resources.h"
 #include "sim/event_queue.h"
@@ -27,13 +26,10 @@ class Workload {
   static constexpr sim::Duration kService{-1.0};
 
   /// `work`: execution time at full speed, or kService.
-  Workload(std::string name, Resources demand, sim::Duration work);
+  Workload(Resources demand, sim::Duration work);
 
   Workload(const Workload&) = delete;
   Workload& operator=(const Workload&) = delete;
-
-  // sim-lint: allow(unused-api) property_test: names a failing member
-  [[nodiscard]] const std::string& name() const { return name_; }
 
   // --- demand & throttles ---
   [[nodiscard]] const Resources& demand() const { return demand_; }
@@ -62,7 +58,6 @@ class Workload {
   [[nodiscard]] bool done() const { return done_; }
   /// Fraction complete in [0,1]; service workloads report 0. Drains any
   /// pending reallocation first (see remaining()).
-  // sim-lint: allow(unused-api) edge_test: a service reports no progress
   [[nodiscard]] double progress() const;
   /// Current speed / allocation. Reallocation is deferred and coalesced,
   /// so these first drain any pending recompute of the host machine —
@@ -122,7 +117,6 @@ class Workload {
 
   void refresh_eff_demand();
 
-  std::string name_;
   Resources demand_;
   Resources caps_ = Resources::unbounded();
   Resources eff_demand_{};

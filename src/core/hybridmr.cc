@@ -63,9 +63,8 @@ mapred::Job* HybridMRScheduler::submit(const mapred::JobSpec& spec) {
 
   mapred::PlacementPool pool = mapred::PlacementPool::kAny;
   if (options_.enable_phase1 && natives > 0 && virtuals > 0) {
-    // Estimate against the actual partition sizes of this deployment.
+    // Estimate against the actual virtual partition of this deployment.
     auto& config = const_cast<PhaseOneScheduler::Config&>(phase1_.config());
-    config.native_cluster_size = natives;
     config.virtual_cluster_size = virtuals;
     last_decision_ = phase1_.place(spec);
     pool = last_decision_.pool;

@@ -28,9 +28,8 @@ class PhaseOneScheduler {
   static constexpr int kVmsPerHost = 2;
 
   struct Config {
-    /// Sizes of the two partitions of the production hybrid cluster, used
-    /// as the estimation targets.
-    int native_cluster_size = 24;
+    /// Size of the production cluster's virtual partition: the target of
+    /// the desired-JCT estimate (Algorithm 2, lines 6-9).
     int virtual_cluster_size = 48;
     /// Training-cluster shapes (paper: "a small training cluster"), in
     /// physical machines. The virtual training partition packs

@@ -43,7 +43,6 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
   hdfs_ = std::make_unique<storage::Hdfs>(*sim_, options_.calibration);
   mapred::MapReduceEngine::Options mr_options;
   mr_options.speculative_execution = options_.speculative_execution;
-  mr_options.max_attempts = options_.max_task_attempts;
   mr_ = std::make_unique<mapred::MapReduceEngine>(
       *sim_, *hdfs_, options_.calibration,
       mapred::make_scheduler(options_.scheduler), mr_options);

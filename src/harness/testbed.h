@@ -40,8 +40,6 @@ class TestBed {
     /// Watchdog for long runs, active only when `profile` is on: zero
     /// thresholds disable each check (see Profiler::WatchdogOptions).
     telemetry::Profiler::WatchdogOptions watchdog{};
-    /// Retry bound forwarded to MapReduceEngine::Options::max_attempts.
-    int max_task_attempts = 4;
     /// Fault plan executed against the run; an empty schedule (default)
     /// constructs no injector at all.
     faults::FaultSchedule faults{};

@@ -43,9 +43,8 @@ Resources InteractiveApp::offered_demand() const {
 
 void InteractiveApp::start() {
   if (service_) return;
-  service_ = std::make_shared<cluster::Workload>(
-      params_.name + ":service", offered_demand(),
-      cluster::Workload::kService);
+  service_ = std::make_shared<cluster::Workload>(offered_demand(),
+                                                 cluster::Workload::kService);
   site_->add(service_);
   refresh();
   ticker_ = sim_.every(kUpdatePeriod, [this]() { refresh(); });

@@ -28,6 +28,9 @@ constexpr sim::Duration kSpeculationMinElapsed{30.0};
 /// When a saturated ban set is forgiven on requeue, the most recent
 /// tracker stays banned for this long before being forgiven too.
 constexpr sim::Duration kRequeueBanGrace{3.0};
+/// Hadoop's mapred.map.max.attempts: a task whose attempts genuinely fail
+/// this many times takes its whole job down.
+constexpr int kMaxAttempts = 4;
 
 int type_index(TaskType type) { return type == TaskType::kMap ? 0 : 1; }
 
@@ -423,9 +426,9 @@ bool MapReduceEngine::fail_attempt(TaskAttempt& attempt, bool ban_tracker) {
         sim_.now(), telemetry::EventKind::kTaskFailed, attempt.label(),
         attempt.site().name(),
         {{"failures", telemetry::json_num(task.failed_attempts_)},
-         {"max_attempts", telemetry::json_num(options_.max_attempts)}});
+         {"max_attempts", telemetry::json_num(kMaxAttempts)}});
   }
-  if (task.failed_attempts_ >= options_.max_attempts) {
+  if (task.failed_attempts_ >= kMaxAttempts) {
     attempt.kill();
     fail_job(task.job(), attempt.label() + " failed " +
                              std::to_string(task.failed_attempts_) +
@@ -474,7 +477,7 @@ bool MapReduceEngine::mark_tracker_lost(cluster::ExecutionSite& site) {
   // Running attempts die with the heartbeat, and reducers elsewhere that
   // were fetching (or queued to fetch) map output from this site must
   // restart. Both are KILLED, not FAILED: lost-tracker attempts do not
-  // count against max_attempts, as in Hadoop.
+  // count against kMaxAttempts, as in Hadoop.
   requeue_attempts_depending_on(site);
   // Completed map outputs stored here are gone; Hadoop 1 re-executes them.
   reexecute_lost_map_outputs(site);

@@ -39,9 +39,6 @@ class MapReduceEngine {
  public:
   struct Options {
     bool speculative_execution = true;
-    /// Hadoop's mapred.map.max.attempts: a task whose attempts genuinely
-    /// fail this many times takes its whole job down.
-    int max_attempts = 4;
   };
 
   MapReduceEngine(sim::Simulation& sim, storage::Hdfs& hdfs,
@@ -104,9 +101,10 @@ class MapReduceEngine {
   void requeue(TaskAttempt& attempt, bool ban_tracker);
 
   /// Records a genuine attempt failure (bad record, JVM crash — injected
-  /// by the fault layer). Counts against Options::max_attempts; within the
-  /// bound the task is requeued (banning the tracker when asked), past it
-  /// the whole job fails, like Hadoop. Returns true if the job survived.
+  /// by the fault layer). Counts against Hadoop's retry bound of 4
+  /// attempts: below it the task is requeued (banning the tracker when
+  /// asked); the failure that reaches it fails the whole job. Returns true
+  /// if the job survived.
   bool fail_attempt(TaskAttempt& attempt, bool ban_tracker = false);
 
   /// Fails an active job outright: kills its running attempts, marks it

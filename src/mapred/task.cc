@@ -180,8 +180,7 @@ void TaskAttempt::next_phase() {
         d.cpu = 1.0;
         d.memory = spec.task_memory_mb.value();
       }
-      workload_ = std::make_shared<Workload>(label() + ":compute", d,
-                                             sim::Duration{phase.amount});
+      workload_ = std::make_shared<Workload>(d, sim::Duration{phase.amount});
       workload_->set_caps(caps_);
       workload_->set_paused(paused_);
       workload_->on_complete = [this]() {
@@ -195,8 +194,7 @@ void TaskAttempt::next_phase() {
       Resources d;
       d.disk = cal.hdfs_stream_disk_mbps.value();
       workload_ = std::make_shared<Workload>(
-          label() + ":spill", d,
-          sim::MegaBytes{phase.amount} / cal.hdfs_stream_disk_mbps);
+          d, sim::MegaBytes{phase.amount} / cal.hdfs_stream_disk_mbps);
       workload_->set_caps(caps_);
       workload_->set_paused(paused_);
       workload_->on_complete = [this]() {

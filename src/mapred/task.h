@@ -74,7 +74,7 @@ class Task {
   TaskType type_;
   int index_;
   // Attempts that ended in genuine failure (not kills): compared against
-  // the engine's max_attempts bound, like Hadoop's mapred.map.max.attempts.
+  // the engine's kMaxAttempts, like Hadoop's mapred.map.max.attempts.
   int failed_attempts_ = 0;
   bool completed_ = false;
   bool pending_ = false;

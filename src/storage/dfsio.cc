@@ -16,15 +16,12 @@ DfsIoResult summarize(const std::vector<TaskClock>& clocks,
   DfsIoResult r;
   double sum_rate = 0;
   double sum_time = 0;
-  double wall = 0;
   for (const auto& c : clocks) {
     const double t = c.end - c.start;
     if (t <= 0) continue;
     sum_rate += file_mb.value() / t;
     sum_time += t;
-    wall = std::max(wall, c.end);
   }
-  r.wall_seconds = sim::Duration{wall};
   if (!clocks.empty()) {
     r.avg_io_rate_mbps =
         sim::MBps{sum_rate / static_cast<double>(clocks.size())};

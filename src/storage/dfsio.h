@@ -15,7 +15,6 @@ namespace hybridmr::storage {
 struct DfsIoResult {
   sim::MBps avg_io_rate_mbps;
   sim::MBps throughput_mbps;
-  sim::Duration wall_seconds;
 };
 
 class DfsIoBenchmark {

@@ -478,9 +478,8 @@ FlowHandle Hdfs::read_block(FileId file, int block, ExecutionSite& reader,
       Resources d;
       d.disk = disk_rate.value();
       d.cpu = cal_.hdfs_serve_cpu_per_stream;
-      return run_flow(
-          reader, std::make_shared<Workload>("hdfs-read", d, mb / disk_rate),
-          {}, std::move(done));
+      return run_flow(reader, std::make_shared<Workload>(d, mb / disk_rate),
+                      {}, std::move(done));
     }
     case Locality::kHostLocal: {
       // Served by a sibling VM over the Xen loopback: disk on the serving
@@ -489,10 +488,9 @@ FlowHandle Hdfs::read_block(FileId file, int block, ExecutionSite& reader,
       Resources d;
       d.disk = disk_rate.value();
       d.cpu = cal_.hdfs_serve_cpu_per_stream;
-      return run_flow(
-          *chosen->site(),
-          std::make_shared<Workload>("hdfs-serve", d, mb / disk_rate), {},
-          std::move(done));
+      return run_flow(*chosen->site(),
+                      std::make_shared<Workload>(d, mb / disk_rate), {},
+                      std::move(done));
     }
     case Locality::kRemote: {
       read_remote_mb_ += mb;
@@ -503,13 +501,10 @@ FlowHandle Hdfs::read_block(FileId file, int block, ExecutionSite& reader,
       server_d.disk = net_rate.value();  // disk paced by the network stream
       server_d.net = net_rate.value();
       server_d.cpu = cal_.hdfs_serve_cpu_per_stream;
-      auto primary =
-          std::make_shared<Workload>("hdfs-read-remote", reader_d,
-                                     mb / net_rate);
+      auto primary = std::make_shared<Workload>(reader_d, mb / net_rate);
       std::vector<std::pair<ExecutionSite*, WorkloadPtr>> secs;
-      secs.emplace_back(chosen->site(),
-                        std::make_shared<Workload>("hdfs-serve-remote",
-                                                   server_d, Workload::kService));
+      secs.emplace_back(chosen->site(), std::make_shared<Workload>(
+                                            server_d, Workload::kService));
       return run_flow(reader, std::move(primary), std::move(secs),
                       std::move(done));
     }
@@ -576,15 +571,13 @@ FlowHandle Hdfs::write(ExecutionSite& writer, sim::MegaBytes mb, DoneFn done,
       writer_has_remote_hop = true;
     }
     secs.emplace_back(dn->site(),
-                      std::make_shared<Workload>("hdfs-replica", rep_d,
-                                                 Workload::kService));
+                      std::make_shared<Workload>(rep_d, Workload::kService));
   }
   if (writer_has_remote_hop) writer_d.net = net_rate.value();
   const sim::MBps rate = writer_has_remote_hop ? std::min(disk_rate, net_rate)
                                                : disk_rate;
-  return run_flow(
-      writer, std::make_shared<Workload>("hdfs-write", writer_d, mb / rate),
-      std::move(secs), std::move(done));
+  return run_flow(writer, std::make_shared<Workload>(writer_d, mb / rate),
+                  std::move(secs), std::move(done));
 }
 
 FlowHandle Hdfs::transfer(ExecutionSite& src, ExecutionSite& dst,
@@ -599,9 +592,8 @@ FlowHandle Hdfs::transfer(ExecutionSite& src, ExecutionSite& dst,
     Resources d;
     d.disk = disk_rate.value();
     d.cpu = cal_.hdfs_read_cpu_per_stream;
-    return run_flow(
-        dst, std::make_shared<Workload>("fetch-local", d, mb / disk_rate), {},
-        std::move(done));
+    return run_flow(dst, std::make_shared<Workload>(d, mb / disk_rate), {},
+                    std::move(done));
   }
   if (same_host(src, dst)) {
     // Loopback: disk at the source paces it, capped by the loopback rate.
@@ -609,9 +601,8 @@ FlowHandle Hdfs::transfer(ExecutionSite& src, ExecutionSite& dst,
     Resources d;
     d.disk = disk_rate.value();
     d.cpu = cal_.hdfs_serve_cpu_per_stream;
-    return run_flow(
-        src, std::make_shared<Workload>("fetch-loopback", d, mb / rate), {},
-        std::move(done));
+    return run_flow(src, std::make_shared<Workload>(d, mb / rate), {},
+                    std::move(done));
   }
   Resources dst_d;
   dst_d.net = net_rate.value();
@@ -621,11 +612,10 @@ FlowHandle Hdfs::transfer(ExecutionSite& src, ExecutionSite& dst,
   src_d.net = net_rate.value();
   src_d.cpu = cal_.hdfs_serve_cpu_per_stream;
   std::vector<std::pair<ExecutionSite*, WorkloadPtr>> secs;
-  secs.emplace_back(&src, std::make_shared<Workload>("fetch-serve", src_d,
-                                                     Workload::kService));
-  return run_flow(
-      dst, std::make_shared<Workload>("fetch-remote", dst_d, mb / net_rate),
-      std::move(secs), std::move(done));
+  secs.emplace_back(&src,
+                    std::make_shared<Workload>(src_d, Workload::kService));
+  return run_flow(dst, std::make_shared<Workload>(dst_d, mb / net_rate),
+                  std::move(secs), std::move(done));
 }
 
 FlowHandle Hdfs::transfer_batch(
@@ -667,14 +657,11 @@ FlowHandle Hdfs::transfer_batch(
     src_d.disk = rate.value() * frac;
     src_d.net = rate.value() * frac;
     src_d.cpu = cal_.hdfs_serve_cpu_per_stream * streams * frac;
-    secs.emplace_back(src, std::make_shared<Workload>("fetch-serve-batch",
-                                                      src_d,
-                                                      Workload::kService));
+    secs.emplace_back(src,
+                      std::make_shared<Workload>(src_d, Workload::kService));
   }
-  return run_flow(
-      dst,
-      std::make_shared<Workload>("fetch-remote-batch", dst_d, total / rate),
-      std::move(secs), std::move(done));
+  return run_flow(dst, std::make_shared<Workload>(dst_d, total / rate),
+                  std::move(secs), std::move(done));
 }
 
 }  // namespace hybridmr::storage

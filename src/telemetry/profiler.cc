@@ -1,6 +1,5 @@
 #include "telemetry/profiler.h"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>  // sim-lint: allow(wall-clock) — profiler module only
 #include <iomanip>
@@ -347,39 +346,6 @@ void Profiler::to_json(std::ostream& os, bool include_wall) const {
     os << "]}";
   }
   os << "}";
-}
-
-void Profiler::print_hotspots(std::ostream& os, std::size_t top_n) const {
-  std::vector<std::size_t> order(scope_names_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     if (wall_[a].total_ns != wall_[b].total_ns) {
-                       return wall_[a].total_ns > wall_[b].total_ns;
-                     }
-                     return wall_[a].count > wall_[b].count;
-                   });
-  os << "  " << std::left << std::setw(28) << "scope" << std::right
-     << std::setw(12) << "calls" << std::setw(12) << "total_ms"
-     << std::setw(10) << "mean_us" << std::setw(10) << "p95_us"
-     << std::setw(10) << "max_us" << "\n";
-  std::size_t shown = 0;
-  for (std::size_t i : order) {
-    if (shown >= top_n) break;
-    const WallStats& s = wall_[i];
-    if (s.count == 0) continue;
-    ++shown;
-    os << "  " << std::left << std::setw(28) << scope_names_[i] << std::right
-       << std::setw(12) << s.count << std::setw(12) << std::fixed
-       << std::setprecision(2) << static_cast<double>(s.total_ns) / 1e6
-       << std::setw(10) << std::setprecision(1)
-       << (s.count ? static_cast<double>(s.total_ns) / 1e3 /
-                         static_cast<double>(s.count)
-                   : 0)
-       << std::setw(10) << s.hist.percentile(95) / 1e3 << std::setw(10)
-       << static_cast<double>(s.max_ns) / 1e3 << "\n";
-  }
-  if (shown == 0) os << "  (no scope data collected)\n";
 }
 
 }  // namespace hybridmr::telemetry

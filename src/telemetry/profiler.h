@@ -230,10 +230,6 @@ class Profiler : public sim::DispatchProbe {
   /// `<run>.profile.json`.
   void to_json(std::ostream& os, bool include_wall) const;
 
-  /// Human-readable hotspot table, ranked by total wall time (top_n rows);
-  /// falls back to invocation counts when no wall data was collected.
-  void print_hotspots(std::ostream& os, std::size_t top_n = 10) const;
-
  private:
   struct Frame {
     std::size_t node = 0;

@@ -14,11 +14,10 @@ namespace {
 
 const Calibration& cal() { return Calibration::standard(); }
 
-WorkloadPtr make_cpu_work(double cores, double seconds,
-                          const std::string& name = "w") {
+WorkloadPtr make_cpu_work(double cores, double seconds) {
   Resources d;
   d.cpu = cores;
-  return std::make_shared<Workload>(name, d, sim::Duration{seconds});
+  return std::make_shared<Workload>(d, sim::Duration{seconds});
 }
 
 class ClusterTest : public ::testing::Test {
@@ -90,7 +89,7 @@ TEST_F(ClusterTest, SingleWorkloadRunsAtFullSpeed) {
 
 TEST_F(ClusterTest, ZeroDemandWorkloadIsPureDelay) {
   Machine* m = cluster.add_machine();
-  auto w = std::make_shared<Workload>("delay", Resources{}, sim::Duration{7.0});
+  auto w = std::make_shared<Workload>(Resources{}, sim::Duration{7.0});
   bool done = false;
   w->on_complete = [&] { done = true; };
   m->add(w);
@@ -103,19 +102,19 @@ TEST_F(ClusterTest, CpuContentionSlowsProportionally) {
   // Two 1.5-core demands on a 2-core machine: each granted 1.0 core,
   // speed = 1/1.5, so 10s of work takes 15s.
   Machine* m = cluster.add_machine();
-  m->add(make_cpu_work(1.5, 10.0, "a"));
-  m->add(make_cpu_work(1.5, 10.0, "b"));
+  m->add(make_cpu_work(1.5, 10.0));
+  m->add(make_cpu_work(1.5, 10.0));
   sim.run();
   EXPECT_NEAR(sim.now(), 15.0, 1e-9);
 }
 
 TEST_F(ClusterTest, LateArrivalSlowsTheFirst) {
   Machine* m = cluster.add_machine();
-  auto a = make_cpu_work(2.0, 10.0, "a");
+  auto a = make_cpu_work(2.0, 10.0);
   double a_done = -1;
   a->on_complete = [&] { a_done = sim.now(); };
   m->add(a);
-  sim.at(5.0, [&] { m->add(make_cpu_work(2.0, 10.0, "b")); });
+  sim.at(5.0, [&] { m->add(make_cpu_work(2.0, 10.0)); });
   sim.run();
   // First half at full speed (5s of work done by t=5), then half speed:
   // remaining 5s of work takes 10s -> a completes at 15.
@@ -160,8 +159,8 @@ TEST_F(ClusterTest, DiskContentionSharesBandwidth) {
   Machine* m = cluster.add_machine();
   Resources d;
   d.disk = 80;  // full disk each
-  auto a = std::make_shared<Workload>("a", d, sim::Duration{10.0});
-  auto b = std::make_shared<Workload>("b", d, sim::Duration{10.0});
+  auto a = std::make_shared<Workload>(d, sim::Duration{10.0});
+  auto b = std::make_shared<Workload>(d, sim::Duration{10.0});
   m->add(a);
   m->add(b);
   sim.run();
@@ -196,7 +195,7 @@ TEST_F(ClusterTest, VmIoTaxExceedsCpuTax) {
   VirtualMachine* vm1 = cluster.add_vm(*m1);
   Resources io;
   io.disk = 40;
-  auto w = std::make_shared<Workload>("io", io, sim::Duration{10.0});
+  auto w = std::make_shared<Workload>(io, sim::Duration{10.0});
   vm1->add(w);
   sim.run();
   const double io_time = sim.now();
@@ -213,8 +212,8 @@ TEST_F(ClusterTest, CollocatedIoVmsContendBeyondSharing) {
   VirtualMachine* vm2 = cluster.add_vm(*m);
   Resources io;
   io.disk = 30;
-  auto a = std::make_shared<Workload>("a", io, sim::Duration{10.0});
-  auto b = std::make_shared<Workload>("b", io, sim::Duration{10.0});
+  auto a = std::make_shared<Workload>(io, sim::Duration{10.0});
+  auto b = std::make_shared<Workload>(io, sim::Duration{10.0});
   vm1->add(a);
   vm2->add(b);
   double single_eff = vm1->io_efficiency(1);
@@ -229,8 +228,8 @@ TEST_F(ClusterTest, VmVcpuCapLimitsInternalWork) {
   // cap, not the host, is the bottleneck.
   Machine* m = cluster.add_machine();
   VirtualMachine* vm = cluster.add_vm(*m);
-  vm->add(make_cpu_work(1.0, 10.0, "a"));
-  vm->add(make_cpu_work(1.0, 10.0, "b"));
+  vm->add(make_cpu_work(1.0, 10.0));
+  vm->add(make_cpu_work(1.0, 10.0));
   sim.run();
   EXPECT_NEAR(sim.now(), 20.0 / (1.0 - cal().cpu_tax), 1e-6);
 }
@@ -353,7 +352,7 @@ TEST_F(ClusterTest, LoadedVmMigratesSlowerThanIdle) {
   Resources mem_heavy;
   mem_heavy.cpu = 0.5;
   mem_heavy.memory = 800;
-  busy_vm->add(std::make_shared<Workload>("hot", mem_heavy, sim::Duration{1e6}));
+  busy_vm->add(std::make_shared<Workload>(mem_heavy, sim::Duration{1e6}));
 
   double idle_time = -1;
   double busy_time = -1;

@@ -28,13 +28,13 @@ TEST(ArbiterTest, BestFitPicksTightestHost) {
   // Load them differently.
   Resources light;
   light.cpu = 0.5;
-  tight->add(std::make_shared<cluster::Workload>(
-      "t", light, cluster::Workload::kService));
+  tight->add(
+      std::make_shared<cluster::Workload>(light, cluster::Workload::kService));
   Resources heavy;
   heavy.cpu = 2.0;
   heavy.memory = 4000;
-  full->add(std::make_shared<cluster::Workload>(
-      "f", heavy, cluster::Workload::kService));
+  full->add(
+      std::make_shared<cluster::Workload>(heavy, cluster::Workload::kService));
 
   Estimator estimator;
   Arbiter arbiter(estimator);

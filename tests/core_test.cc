@@ -135,7 +135,6 @@ TEST(PhaseOne, IoHeavyJobGoesNative) {
   db.add({"Sort", true, 8, 20.0, 140, 90, 50});
   JobProfiler profiler(db, nullptr);
   PhaseOneScheduler::Config config;
-  config.native_cluster_size = 4;
   config.virtual_cluster_size = 8;
   config.auto_train = false;
   PhaseOneScheduler phase1(profiler, config);
@@ -150,7 +149,6 @@ TEST(PhaseOne, CpuJobStaysVirtual) {
   db.add({"Kmeans", true, 8, 10.0, 106, 84, 22});
   JobProfiler profiler(db, nullptr);
   PhaseOneScheduler::Config config;
-  config.native_cluster_size = 4;
   config.virtual_cluster_size = 8;
   config.auto_train = false;
   PhaseOneScheduler phase1(profiler, config);
@@ -165,7 +163,6 @@ TEST(PhaseOne, DesiredJctRuleOverridesThreshold) {
   db.add({"Sort", true, 8, 20.0, 108, 66, 42});  // only 8% overhead
   JobProfiler profiler(db, nullptr);
   PhaseOneScheduler::Config config;
-  config.native_cluster_size = 4;
   config.virtual_cluster_size = 8;
   config.auto_train = false;
   PhaseOneScheduler phase1(profiler, config);

@@ -20,7 +20,7 @@ TEST(WorkloadEdge, ServiceWorkloadNeverCompletes) {
   auto* m = hc.add_machine();
   Resources d;
   d.cpu = 0.5;
-  auto w = std::make_shared<Workload>("svc", d, Workload::kService);
+  auto w = std::make_shared<Workload>(d, Workload::kService);
   bool fired = false;
   w->on_complete = [&] { fired = true; };
   m->add(w);
@@ -38,7 +38,7 @@ TEST(WorkloadEdge, CapsOnServiceWorkloadLimitAllocation) {
   auto* m = hc.add_machine();
   Resources d;
   d.cpu = 2.0;
-  auto w = std::make_shared<Workload>("svc", d, Workload::kService);
+  auto w = std::make_shared<Workload>(d, Workload::kService);
   m->add(w);
   EXPECT_NEAR(w->allocated().cpu, 2.0, 1e-9);
   Resources caps = Resources::unbounded();
@@ -53,8 +53,8 @@ TEST(WorkloadEdge, PowerOffStallsWork) {
   sim::Simulation sim(1);
   cluster::HybridCluster hc(sim);
   auto* m = hc.add_machine();
-  auto w = std::make_shared<Workload>("w", Resources{1, 0, 0, 0},
-                                     sim::Duration{10.0});
+  auto w =
+      std::make_shared<Workload>(Resources{1, 0, 0, 0}, sim::Duration{10.0});
   m->add(w);
   sim.at(3.0, [&] { m->set_powered(false); });
   sim.at(8.0, [&] { m->set_powered(true); });

@@ -57,20 +57,20 @@ TEST(Faults, CrashRestoresReplicationFactorAndJobCompletes) {
 
 TEST(Faults, RetryBoundTakesJobDown) {
   harness::TestBed::Options o;
-  o.max_task_attempts = 2;
-  // Fail attempt 1 of map 0 at t=1; the requeue redispatches it on the
-  // spot, so the t=2 failure hits attempt 2 and exhausts the bound.
-  o.faults.one_shot.push_back(
-      {FaultSpec::Kind::kTaskFailure, /*at=*/1.0, "gr-j0-m0"});
-  o.faults.one_shot.push_back(
-      {FaultSpec::Kind::kTaskFailure, /*at=*/2.0, "gr-j0-m0"});
+  // Fail attempt 1 of map 0 at t=1; each requeue redispatches it on the
+  // spot, so the failure at t=k hits attempt k and the one at t=4
+  // exhausts Hadoop's bound of 4 attempts.
+  for (int at = 1; at <= 4; ++at) {
+    o.faults.one_shot.push_back(
+        {FaultSpec::Kind::kTaskFailure, static_cast<double>(at), "gr-j0-m0"});
+  }
   harness::TestBed bed(o);
   bed.add_native_nodes(2);
 
   bed.run_job(slow_job("gr", /*input_gb=*/0.25, /*reducers=*/1));
 
-  EXPECT_EQ(bed.faults()->stats().task_failures, 2);
-  EXPECT_EQ(bed.mr().attempt_failures(), 2);
+  EXPECT_EQ(bed.faults()->stats().task_failures, 4);
+  EXPECT_EQ(bed.mr().attempt_failures(), 4);
   EXPECT_EQ(bed.mr().jobs_failed(), 1);
   ASSERT_EQ(bed.mr().jobs().size(), 1u);
   const mapred::Job& job = *bed.mr().jobs().front();
@@ -82,7 +82,6 @@ TEST(Faults, RetryBoundTakesJobDown) {
 
 TEST(Faults, SurvivableFailuresStayUnderTheBound) {
   harness::TestBed::Options o;
-  o.max_task_attempts = 4;  // stock Hadoop: the same two hits are survivable
   o.faults.one_shot.push_back(
       {FaultSpec::Kind::kTaskFailure, /*at=*/1.0, "gr-j0-m0"});
   o.faults.one_shot.push_back(

@@ -85,8 +85,8 @@ TEST_F(InteractiveTest, BatchInterferenceRaisesLatency) {
   Resources d;
   d.disk = 80;
   d.cpu = 1.0;
-  batch_vm->add(std::make_shared<cluster::Workload>(
-      "batch", d, cluster::Workload::kService));
+  batch_vm->add(
+      std::make_shared<cluster::Workload>(d, cluster::Workload::kService));
   sim.run_until(90);
   const double contended = app->response_time_s();
   EXPECT_GT(contended, alone * 1.2);

@@ -610,16 +610,14 @@ struct FairRun {
 // A many-jobs-shaped run on a stack built directly (no TestBed): 64 short
 // jobs arriving faster than 8 virtual hosts x 2 VMs drain them, two tracker
 // losses (lost map outputs re-executed, reducing jobs sent back to
-// mapping), a task failed past max_attempts (its job fails), and a
+// mapping), a task failed at the retry bound (its job fails), and a
 // throttled straggler for the speculation scan.
 FairRun run_fair_order_scenario(std::unique_ptr<TaskScheduler> scheduler) {
   const auto& cal = cluster::Calibration::standard();
   sim::Simulation sim(7);
   cluster::HybridCluster hc(sim, cal);
   storage::Hdfs hdfs(sim, cal);
-  MapReduceEngine::Options options;
-  options.max_attempts = 2;
-  MapReduceEngine mr(sim, hdfs, cal, std::move(scheduler), options);
+  MapReduceEngine mr(sim, hdfs, cal, std::move(scheduler));
   for (auto* host : hc.add_machines(8)) {
     for (auto* vm : hc.virtualize(*host, 2)) {
       hdfs.add_datanode(*vm);
@@ -669,13 +667,14 @@ FairRun run_fair_order_scenario(std::unique_ptr<TaskScheduler> scheduler) {
     FAIL() << "no Kmeans attempt to throttle";
   });
   sim.at(95.0, [&mr] {
-    // Fail one task twice in a row: the requeue relaunches it at once on
-    // the slot it freed, and the second failure reaches max_attempts.
-    TaskAttempt* a = mr.running_attempts().back();
-    Task& task = a->task();
-    mr.fail_attempt(*a);
-    ASSERT_NE(task.running_attempt(), nullptr);
-    mr.fail_attempt(*task.running_attempt());
+    // Fail one task four times in a row: each requeue relaunches it at
+    // once on the slot it freed, and the fourth failure reaches the
+    // engine's retry bound of 4 attempts.
+    Task& task = mr.running_attempts().back()->task();
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_NE(task.running_attempt(), nullptr);
+      mr.fail_attempt(*task.running_attempt());
+    }
   });
   sim.run();
   EXPECT_EQ(lost.size(), 2u);

@@ -495,8 +495,7 @@ TEST_P(MachineProperty, AllocationsNeverExceedCapacity) {
     d.memory = rng.uniform(0, 900);
     d.disk = rng.uniform(0, 70);
     d.net = rng.uniform(0, 70);
-    auto w = std::make_shared<Workload>("w" + std::to_string(i), d,
-                                        sim::Duration{rng.uniform(5, 50)});
+    auto w = std::make_shared<Workload>(d, sim::Duration{rng.uniform(5, 50)});
     workloads.push_back(w);
     if (i % 3 == 0) {
       machine->add(w);
@@ -528,7 +527,7 @@ TEST_P(MachineProperty, SpeedNeverExceedsOne) {
     Resources d;
     d.cpu = rng.uniform(0.1, 2.0);
     d.disk = rng.uniform(0, 60);
-    auto w = std::make_shared<Workload>("w", d, sim::Duration{10});
+    auto w = std::make_shared<Workload>(d, sim::Duration{10});
     machine->add(w);
     for (const auto& each : machine->workloads()) {
       EXPECT_LE(each->speed(), 1.0 + 1e-9);
@@ -709,14 +708,12 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
     std::vector<cluster::WorkloadPtr> members;
   };
   std::vector<Host> hosts(4);
-  int serial = 0;
   auto add_member = [&](Host& h, cluster::ExecutionSite& site) {
     const Resources& d = h.vectors[rng.index(h.vectors.size())];
     const sim::Duration work = rng.bernoulli(0.1)
                                    ? Workload::kService
                                    : sim::Duration{rng.uniform(5, 60)};
-    auto w = std::make_shared<Workload>("m" + std::to_string(serial++), d,
-                                        work);
+    auto w = std::make_shared<Workload>(d, work);
     if (rng.bernoulli(0.4)) w->set_caps(h.cap);
     if (rng.bernoulli(0.15)) w->set_paused(true);
     site.add(w);
@@ -754,7 +751,6 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
   const std::size_t extra = kManyClasses + 1 + rng.index(3);
   for (std::size_t k = 0; k < extra; ++k) {
     wide->add(std::make_shared<Workload>(
-        "wide" + std::to_string(k),
         Resources{0.1, 64, 2.0 + static_cast<double>(k), 1.0},
         Workload::kService));
   }
@@ -772,8 +768,7 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
   cluster::VirtualMachine* sibling = table.vms[1];
   cluster::VirtualMachine* capped = table.vms[2];
   auto add_service = [&](cluster::ExecutionSite& site, const Resources& d) {
-    auto w = std::make_shared<Workload>("t" + std::to_string(serial++), d,
-                                        Workload::kService);
+    auto w = std::make_shared<Workload>(d, Workload::kService);
     site.add(w);
     table.members.push_back(w);
   };
@@ -819,15 +814,13 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
         for (int r = 0; r < cluster::kNumResources; ++r) {
           const auto kind = static_cast<cluster::ResourceKind>(r);
           EXPECT_EQ(bits(w.allocated()[kind]), bits(e.alloc[kind]))
-              << "round " << round << " " << site->name() << " member "
-              << w.name() << " " << cluster::to_string(kind);
+              << "round " << round << " " << site->name() << " member " << i
+              << " " << cluster::to_string(kind);
         }
         EXPECT_EQ(bits(w.speed()), bits(e.speed))
-            << "round " << round << " " << site->name() << " member "
-            << w.name();
+            << "round " << round << " " << site->name() << " member " << i;
         EXPECT_EQ(bits(w.completion_time), bits(e.completion))
-            << "round " << round << " " << site->name() << " member "
-            << w.name();
+            << "round " << round << " " << site->name() << " member " << i;
         keys.insert(class_key(w));
         for (std::size_t j = 0; j < i; ++j) {
           const Workload& o = *ws[j];

@@ -21,11 +21,10 @@
 namespace hybridmr::cluster {
 namespace {
 
-WorkloadPtr make_cpu_work(double cores, sim::Duration work,
-                          const std::string& name = "w") {
+WorkloadPtr make_cpu_work(double cores, sim::Duration work) {
   Resources d;
   d.cpu = cores;
-  return std::make_shared<Workload>(name, d, work);
+  return std::make_shared<Workload>(d, work);
 }
 
 class ReallocTest : public ::testing::Test {
@@ -83,25 +82,32 @@ TEST_F(ReallocTest, EagerModeRecomputesPerMutation) {
 }
 
 // A reallocation that leaves a workload's finish time unchanged must not
-// cancel + re-push its completion event.
+// cancel + re-push its completion event (the profiler counts each skip).
 TEST_F(ReallocTest, RescheduleSkipsUnchangedFinishTime) {
+  telemetry::Hub hub;
+  hub.profiler.enable();
+  cluster.set_telemetry(&hub);
+  auto skips = [&] {
+    return hub.profiler.work(telemetry::WorkCounter::kRescheduleSkipped);
+  };
   Machine* m = cluster.add_machine();
 
   // w1 finishes in 10s; the machine has capacity to spare.
-  auto w1 = make_cpu_work(1.0, sim::Duration{10.0}, "w1");
+  auto w1 = make_cpu_work(1.0, sim::Duration{10.0});
   m->add(w1);
   sim.flush();  // schedules w1's completion
-  const std::uint64_t skips0 = m->reschedule_skips();
+  const std::uint64_t skips0 = skips();
 
   // Adding w2 recomputes the machine, but w1's share (and finish time) is
   // unchanged — the completion event must be left in place.
-  auto w2 = make_cpu_work(1.0, sim::Duration{20.0}, "w2");
+  auto w2 = make_cpu_work(1.0, sim::Duration{20.0});
   m->add(w2);
   sim.flush();
-  EXPECT_GT(m->reschedule_skips(), skips0);
+  EXPECT_GT(skips(), skips0);
 
   sim.run();
   EXPECT_NEAR(sim.now(), 20.0, 1e-6);
+  cluster.set_telemetry(nullptr);  // the hub dies before the fixture
 }
 
 // --- determinism equivalence: deferred vs eager, same seed ---
