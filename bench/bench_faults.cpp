@@ -7,8 +7,8 @@
 // configured factor, and all the recovery counters accounted for.
 //
 // Usage: bench_faults [--seed N] [--out FILE]
-// --out writes the chaos run's full report JSON; two runs with the same
-// seed must produce byte-identical files (CI diffs them).
+// --out writes the chaos run's full report JSON; the golden_bench_faults
+// test pins the seed-7 stdout and report (tests/goldens/bench_faults.*).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

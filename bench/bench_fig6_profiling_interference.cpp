@@ -61,7 +61,7 @@ int main() {
 
   Table fig6a({"sample", "cluster", "data (GB)", "actual (s)",
                "estimated (s)", "error"});
-  std::vector<double> errors;
+  stats::Accumulator errors;
   int sample = 0;
   auto runner = core::make_simulated_runner(99);
   for (int vms : {4, 6, 8, 10, 12, 16}) {
@@ -69,17 +69,16 @@ int main() {
       const auto truth = runner(sort, true, vms, gb);
       const auto est = profiler.estimate(sort.with_input_gb(gb), true, vms);
       const double err = std::abs(est.jct_s - truth.jct_s) / truth.jct_s;
-      errors.push_back(err);
+      errors.add(err);
       fig6a.row({std::to_string(++sample), std::to_string(vms),
                  Table::num(gb, 0), Table::num(truth.jct_s),
                  Table::num(est.jct_s), Table::pct(err)});
     }
   }
   fig6a.print();
-  const auto summary = stats::Summary::of(errors);
   std::printf(
       "  mean error %.1f%% (sd %.1f%%) — paper: 10.8%% mean, 9.7%% sd\n",
-      summary.mean * 100, summary.stddev * 100);
+      errors.mean() * 100, errors.stddev() * 100);
 
   harness::banner(
       "Figure 6(b): normalized JCT vs collocated CPU load (quad-core host; "

@@ -12,8 +12,8 @@
 // The same scenario function drives the cold baseline, so the wall-clock
 // comparison is like for like. Everything a child reports is simulated
 // state — no PIDs, no wall clock — so the sweep fingerprint printed by
-// --fingerprint is identical for identical seeds; ci.sh diffs two
-// same-seed sweeps in its whatif stage.
+// --fingerprint is identical for identical seeds; the golden_bench_whatif
+// test pins the seed-7 fingerprint (tests/goldens/bench_whatif.txt).
 //
 // The sweep runs as one batch through the what-if child pool (one child per
 // CPU this process may run on) and once more one child at a time; the two

@@ -61,8 +61,6 @@ def _line_of(offsets: list[int], pos: int) -> int:
 
 
 def scan(source: SourceFile) -> list[Finding]:
-    if not source.rel.startswith("src/"):
-        return []
     shared = shared_names(source)
     text = "\n".join(source.code)
     offsets = [0]

@@ -4,11 +4,12 @@
 #
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                (skipped with a notice when clang-format is not installed)
-#   lint         hybridmr-analyze determinism rule group over src/ tests/
-#                bench/ examples/ — blocking
-#   release      Release build + full ctest suite, the examples included
-#                (also produces the compile database the next two stages
-#                resolve against)
+#   lint         hybridmr-analyze determinism and capture-lifetime rules
+#                over src/ tests/ bench/ examples/ — blocking
+#   release      Release build + full ctest suite, the goldens included
+#                (every pinned output, byte for byte; docs/CORRECTNESS.md);
+#                also produces the compile database the next two stages
+#                resolve against
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
 #                (dimensions, layering, capture-lifetime, determinism,
 #                unused-api) — blocking, never skipped; exit 1 (findings)
@@ -22,23 +23,10 @@
 #                checkpoint compiled in and exercised by the suite; then
 #                bench_scale --sizes 24 in the audit tree, so the dispatch
 #                checkpoints also see 48 trackers running 9 jobs
-#   chaos        bench_faults seeded chaos scenario in the sanitize and
-#                audit trees, determinism-diffed across two same-seed runs
-#   whatif       whole-engine fork suite: chaos fork-equivalence,
-#                fork-isolation, the child pool and the IPS regressions in
-#                the sanitize and audit trees, a same-seed bench_whatif
-#                sweep-fingerprint diff, and the capacity sweep gated by
-#                perf_gate.py against BENCH_whatif.json (cold/forked >= 5x;
-#                forked_serial/forked >= 1.5x when >= 2 CPUs were free; the
-#                stage result names a rule the gate skipped)
-#   determinism  two same-seed quickstart runs; telemetry artifacts must be
-#                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
-#                (the profiler's wall-clock data must never leak into the
-#                reports, so profiled runs must stay byte-identical too);
-#                profiling adds only the report's "profile" member (the
-#                profiled trace and stdout equal the plain run's); then two
-#                runs each of adaptive_datacenter and cluster_sim_cli, whose
-#                stdout must be byte-identical
+#   whatif       the Release capacity sweep gated by perf_gate.py against
+#                BENCH_whatif.json (cold/forked >= 5x; forked_serial/forked
+#                >= 1.5x when >= 2 CPUs were free; the stage result names a
+#                rule the gate skipped)
 #   profile      simulation-profiler smoke in the sanitize tree: bench_scale
 #                scale/24 with --profile + armed watchdog, hotspot table via
 #                scripts/profile_report.py, and a work-counter fingerprint
@@ -47,7 +35,9 @@
 #                scripts/perf_gate.py: first the sweep's work counters,
 #                exactly, against BENCH_scale.profile.json, then the times
 #                against the committed BENCH_micro.json / BENCH_scale.json
-#                baselines (see docs/PERFORMANCE.md)
+#                baselines (see docs/PERFORMANCE.md); a failed scale check
+#                prints profile_report.py's diff against
+#                BENCH_scale.profile.json
 #   bench-smoke  hmrbench/run.py --smoke: every hmrbench workload at smoke
 #                size, untraced, traced and through start(); the same-seed
 #                sim digests must agree and no operation may fail — blocking
@@ -109,10 +99,10 @@ else
 fi
 
 # --- lint (always-on, blocking) ---------------------------------------------
-echo "=== [lint] hybridmr-analyze --rules determinism ==="
+echo "=== [lint] hybridmr-analyze --rules determinism,capture-lifetime ==="
 if python3 "$repo/scripts/analyze/hybridmr-analyze" \
-    --rules determinism "$repo/src" "$repo/tests" "$repo/bench" \
-    "$repo/examples"; then
+    --rules determinism,capture-lifetime "$repo/src" "$repo/tests" \
+    "$repo/bench" "$repo/examples"; then
   note_stage lint PASS
 else
   note_stage lint FAIL
@@ -176,86 +166,20 @@ build_and_test audit -DHYBRIDMR_AUDIT=ON &&
     --out "$root/audit/scale-24.json"
 note_status audit $?
 
-# --- chaos smoke: seeded fault schedule under sanitizers + audit --------------
-# bench_faults runs the batch under machine crashes, bounded retries and an
-# aborted live migration. It exits non-zero if any job hangs short of a
-# terminal state or the faults stop biting; running it in the sanitize tree
-# proves crash teardown is leak-clean, in the audit tree that every
-# invariant checkpoint holds mid-recovery. Same-seed runs must produce
-# byte-identical chaos reports.
-echo "=== [chaos] bench_faults under sanitize + audit trees ==="
-chaos_result=PASS
-chaos_dir="$root/chaos"
-mkdir -p "$chaos_dir"
-for tree in sanitize audit; do
-  cb="$root/$tree/bench/bench_faults"
-  if [ ! -x "$cb" ]; then
-    echo "chaos: $cb missing ($tree build failed?)"
-    chaos_result=FAIL
-    continue
-  fi
-  if ! ("$cb" --seed 7 --out "$chaos_dir/$tree-a.json" > /dev/null &&
-        "$cb" --seed 7 --out "$chaos_dir/$tree-b.json" > /dev/null); then
-    echo "chaos: bench_faults failed in the $tree tree"
-    chaos_result=FAIL
-    continue
-  fi
-  if ! cmp -s "$chaos_dir/$tree-a.json" "$chaos_dir/$tree-b.json"; then
-    echo "chaos: same-seed chaos reports differ in the $tree tree"
-    chaos_result=FAIL
-  fi
-done
-note_stage chaos "$chaos_result"
-
-# --- whatif: whole-engine fork suite ------------------------------------------
-# The fork-equivalence oracle (tests/whatif_test) and the IPS restore-path
-# regressions (tests/ips_regression_test) run in the sanitize tree — the
-# fork/pipe/waitpid plumbing and the forked children themselves must be
-# ASan/UBSan-clean — and in the audit tree, where every runtime invariant
-# checkpoint is armed in parent and children. bench_whatif then sweeps
-# forked capacity scenarios from one warmed engine through the child pool
-# and once more one child at a time (it exits non-zero if the two sweeps
-# differ): two same-seed runs must report the same deterministic
-# fingerprint, and perf_gate.py holds the headline claims (a forked
-# scenario >= 5x cheaper than a cold start; the child pool >= 1.5x faster
-# than one child at a time whenever the bench measured >= 2 free CPUs) via
-# BENCH_whatif.json.
-echo "=== [whatif] whole-engine fork suite ==="
+# --- whatif: warmed forks vs cold starts --------------------------------------
+# bench_whatif sweeps forked capacity scenarios from one warmed engine
+# through the child pool and once more one child at a time (it exits
+# non-zero if the two sweeps differ), and perf_gate.py holds the headline
+# claims via BENCH_whatif.json: a forked scenario >= 5x cheaper than a cold
+# start; the child pool >= 1.5x faster than one child at a time whenever
+# the bench measured >= 2 free CPUs. The fork suite and the sweep
+# fingerprint are ctests, so every build tree runs them.
+echo "=== [whatif] capacity sweep vs BENCH_whatif.json ==="
 whatif_result=PASS
 whatif_dir="$root/whatif"
 mkdir -p "$whatif_dir"
-for tree in sanitize audit; do
-  for t in whatif_test ips_regression_test; do
-    tb="$root/$tree/tests/$t"
-    if [ ! -x "$tb" ]; then
-      echo "whatif: $tb missing ($tree build failed?)"
-      whatif_result=FAIL
-      continue
-    fi
-    if ! "$tb" > /dev/null; then
-      echo "whatif: $t failed in the $tree tree"
-      whatif_result=FAIL
-    fi
-  done
-done
 wb="$root/release/bench/bench_whatif"
 if [ -x "$wb" ]; then
-  if "$wb" --seed 7 --scenarios 40 --cold 2 --fingerprint \
-        > "$whatif_dir/sweep-a.txt" &&
-      "$wb" --seed 7 --scenarios 40 --cold 2 --fingerprint \
-        > "$whatif_dir/sweep-b.txt"; then
-    fp_a="$(grep sweep_fingerprint "$whatif_dir/sweep-a.txt")"
-    fp_b="$(grep sweep_fingerprint "$whatif_dir/sweep-b.txt")"
-    if [ -z "$fp_a" ] || [ "$fp_a" != "$fp_b" ]; then
-      echo "whatif: same-seed sweep fingerprints differ"
-      echo "  a: $fp_a"
-      echo "  b: $fp_b"
-      whatif_result=FAIL
-    fi
-  else
-    echo "whatif: bench_whatif sweep run failed"
-    whatif_result=FAIL
-  fi
   if ! ("$wb" --seed 42 --scenarios 120 --cold 8 \
           --out "$whatif_dir/whatif.json" > /dev/null &&
         python3 "$repo/scripts/perf_gate.py" check \
@@ -282,78 +206,6 @@ if [ "$whatif_result" = PASS ] && [ -f "$whatif_dir/gate.txt" ]; then
   fi
 fi
 note_stage whatif "$whatif_result"
-
-# --- determinism: same seed => byte-identical telemetry artifacts ------------
-echo "=== [determinism] two same-seed runs of each example ==="
-qs="$root/release/examples/quickstart"
-det_result=FAIL
-if [ -x "$qs" ]; then
-  rm -rf "$root/det-a" "$root/det-b"
-  mkdir -p "$root/det-a" "$root/det-b"
-  if (cd "$root/det-a" && "$qs" > stdout.txt 2>&1) &&
-      (cd "$root/det-b" && "$qs" > stdout.txt 2>&1); then
-    det_result=PASS
-    for f in quickstart_trace.json quickstart_report.json stdout.txt; do
-      if ! cmp -s "$root/det-a/$f" "$root/det-b/$f"; then
-        echo "determinism: $f differs between same-seed runs"
-        det_result=FAIL
-      fi
-    done
-    # Same property with the profiler live: its wall-clock readings are
-    # wall-only by construction, so profiled artifacts must also be
-    # byte-identical run to run. Profiling adds only the report's
-    # "profile" member: the trace and stdout equal the plain run's, and
-    # the report does once that member is removed.
-    rm -rf "$root/det-pa" "$root/det-pb"
-    mkdir -p "$root/det-pa" "$root/det-pb"
-    if (cd "$root/det-pa" && HYBRIDMR_PROFILE=1 "$qs" > stdout.txt 2>&1) &&
-        (cd "$root/det-pb" && HYBRIDMR_PROFILE=1 "$qs" > stdout.txt 2>&1); then
-      for f in quickstart_trace.json quickstart_report.json stdout.txt; do
-        if ! cmp -s "$root/det-pa/$f" "$root/det-pb/$f"; then
-          echo "determinism: $f differs between same-seed PROFILED runs"
-          det_result=FAIL
-        fi
-      done
-      for f in quickstart_trace.json stdout.txt; do
-        if ! cmp -s "$root/det-a/$f" "$root/det-pa/$f"; then
-          echo "determinism: profiling changed $f"
-          det_result=FAIL
-        fi
-      done
-      if ! grep -q '"profile"' "$root/det-pa/quickstart_report.json"; then
-        echo "determinism: profiled report lacks a profile section"
-        det_result=FAIL
-      elif ! python3 -c 'import json, sys
-a, b = (json.load(open(f)) for f in sys.argv[1:]); b.pop("profile")
-sys.exit(a != b)' "$root/det-a/quickstart_report.json" \
-          "$root/det-pa/quickstart_report.json"; then
-        echo "determinism: profiling changed the report beyond its profile member"
-        det_result=FAIL
-      fi
-    else
-      echo "determinism: profiled quickstart run failed"
-      det_result=FAIL
-    fi
-  else
-    echo "determinism: quickstart run failed"
-  fi
-else
-  echo "determinism: quickstart binary missing ($qs)"
-fi
-# adaptive_datacenter and cluster_sim_cli print their whole result: two
-# same-seed runs of each must print the same bytes.
-mkdir -p "$root/det-examples"
-for run in adaptive_datacenter "cluster_sim_cli sort 8 virtual 4"; do
-  out="$root/det-examples/${run%% *}"
-  # $run is unquoted on purpose: it splits into the binary and its arguments.
-  if ! ("$root/release/examples/"$run > "$out-a.txt" 2>&1 &&
-        "$root/release/examples/"$run > "$out-b.txt" 2>&1 &&
-        cmp -s "$out-a.txt" "$out-b.txt"); then
-    echo "determinism: ${run%% *} failed or differs between same-seed runs"
-    det_result=FAIL
-  fi
-done
-note_stage determinism "$det_result"
 
 # --- profile: profiler smoke under sanitizers ---------------------------------
 # bench_scale scale/24 with the profiler and watchdog armed, in the ASan/
@@ -398,8 +250,9 @@ note_stage profile "$profile_result"
 # profiler + watchdog armed: a hang at any point exits 3 (watchdog stall)
 # instead of spinning forever. Its profile must repeat the committed work
 # counters exactly; that check runs before the wall-clock ones, so noise in
-# a micro time cannot hide a counter that moved. The profile also feeds
-# perf_gate.py's hotspot + work-counter context when the gate is red. The
+# a micro time cannot hide a counter that moved. When the scale check
+# fails, profile_report.py diffs the profile against BENCH_scale.profile.json
+# (wall hotspots and work counters, largest growth first). The
 # committed baselines are min-of-N UNPROFILED measurements (see
 # docs/PERFORMANCE.md); the profiler's overhead is well inside the scale
 # entries' per-entry 2.5x tolerance (sized for shared-vCPU host-speed
@@ -424,10 +277,14 @@ if [ -x "$micro" ] && [ -x "$scale" ]; then
         --baseline "$repo/BENCH_scale.profile.json" \
         --run "$perf_dir/scale.profile.json" &&
       python3 "$repo/scripts/perf_gate.py" check \
-        --baseline "$repo/BENCH_micro.json" --run "$perf_dir/micro.json" &&
-      python3 "$repo/scripts/perf_gate.py" check \
+        --baseline "$repo/BENCH_micro.json" --run "$perf_dir/micro.json"; then
+    if python3 "$repo/scripts/perf_gate.py" check \
         --baseline "$repo/BENCH_scale.json" --run "$perf_dir/scale.json"; then
-    perf_result=PASS
+      perf_result=PASS
+    else
+      python3 "$repo/scripts/profile_report.py" diff \
+        "$repo/BENCH_scale.profile.json" "$perf_dir/scale.profile.json"
+    fi
   fi
   if [ "$perf_result" = PASS ] && [ -n "${HYBRIDMR_CI_SCALE_1536:-}" ]; then
     echo "=== [perf] opt-in scale/1536 smoke (HYBRIDMR_CI_SCALE_1536) ==="

@@ -66,12 +66,6 @@ Usage:
 preserving pre_pr_real_time, min_speedup and ratio_rules, then re-runs
 `check` so a refresh that breaks the speedup record fails immediately.
 See docs/PERFORMANCE.md for the refresh workflow.
-
-When the gate FAILS and a sibling profile file exists next to the fresh
-run JSON (scale.json -> scale.profile.json, written by
-`bench_scale --profile`), the failure report ends with the top-5 wall
-hotspots — diffed against the baseline's sibling profile when that exists
-too — so "the gate is red" arrives together with "here is what got slow".
 """
 
 from __future__ import annotations
@@ -84,77 +78,6 @@ from pathlib import Path
 import profile_report
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-
-def sibling_profile(path: Path) -> Path:
-    return path.with_suffix(".profile.json")
-
-
-# Deterministic work counters that explain an absolute-budget failure: the
-# dispatch sweep, the shuffle event count and the reschedule churn are the
-# three superlinear cost centres this gate exists to pin down.
-KEY_COUNTERS = ("dispatch_tracker_scans", "shuffle_transfers",
-                "reschedule_pushed", "reschedule_deferred")
-
-
-def print_key_counter_deltas(base_profile: dict, run_profile: dict,
-                             point: str) -> None:
-    """Deltas of the headline work counters (deterministic, so any growth
-    here is an algorithmic regression, not machine noise)."""
-    old = profile_report.counters(base_profile) if base_profile else {}
-    new = profile_report.counters(run_profile)
-    rows = [(k, old.get(k), new.get(k)) for k in KEY_COUNTERS
-            if k in old or k in new]
-    if not rows:
-        return
-    print(f"perf_gate: work-counter deltas for {point} "
-          "(deterministic; growth = algorithmic regression):")
-    for name, o, n in rows:
-        if o is None:
-            print(f"  {name:<28}{'-':>14}{n:>14.0f}")
-        elif n is None:
-            print(f"  {name:<28}{o:>14.0f}{'-':>14}")
-        else:
-            growth = f"{n / o:.2f}x" if o else ("new" if n else "0")
-            print(f"  {name:<28}{o:>14.0f}{n:>14.0f}{growth:>9}")
-
-
-def print_hotspot_context(baseline_path: Path, run_path: Path) -> None:
-    """Top-5 hotspot table for a failed gate; silent when no profile."""
-    run_profile_path = sibling_profile(run_path)
-    if not run_profile_path.exists():
-        print(f"perf_gate: no profile at {run_profile_path} — rerun with "
-              "bench_scale --profile for hotspot attribution")
-        return
-    try:
-        run_points = profile_report.load_profiles(run_profile_path)
-    except SystemExit:
-        return
-    base_points: dict[str, dict] = {}
-    base_profile_path = sibling_profile(baseline_path)
-    if base_profile_path.exists():
-        try:
-            base_points = profile_report.load_profiles(base_profile_path)
-        except SystemExit:
-            base_points = {}
-    for name in sorted(run_points):
-        new = run_points[name]
-        old = base_points.get(name)
-        if old is not None:
-            print(f"perf_gate: hotspot deltas for {name} "
-                  f"(vs {base_profile_path.name}):")
-            for line in profile_report.diff_profiles(old, new, top=5):
-                print(f"  {line}")
-        else:
-            print(f"perf_gate: top hotspots for {name} "
-                  f"(no baseline profile to diff against):")
-            scopes = sorted((s for s in profile_report.wall_scopes(new)
-                             if s.get("count")),
-                            key=lambda s: -s.get("total_ms", 0))
-            for s in scopes[:5]:
-                print(f"  {s['name']:<30}{s['count']:>12.0f} calls"
-                      f"{s.get('total_ms', 0):>12.2f} ms")
-        print_key_counter_deltas(old, new, name)
 
 
 def load(path: Path) -> dict:
@@ -343,12 +266,8 @@ def main() -> int:
     print(f"perf_gate: {args.mode} {args.run} against {args.baseline} "
           f"(tolerance {args.tolerance}x)")
     if args.mode == "check":
-        rc = check(baseline_doc, run_doc, args.tolerance)
-    else:
-        rc = update(args.baseline, baseline_doc, run_doc, args.tolerance)
-    if rc != 0:
-        print_hotspot_context(args.baseline, args.run)
-    return rc
+        return check(baseline_doc, run_doc, args.tolerance)
+    return update(args.baseline, baseline_doc, run_doc, args.tolerance)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "telemetry/telemetry.h"
 #include "whatif/fork.h"
@@ -228,20 +230,21 @@ void InterferencePreventionSystem::migrate_batch_vm(
 
 namespace {
 
-/// What one candidate's lookahead child reported from the horizon.
+/// What one candidate's lookahead child measured at the horizon. Parent
+/// and child are one forked image, so the child sends the record's bytes.
+struct Score {
+  double viol_frac;
+  double resp_s;
+  double done;
+};
+static_assert(std::is_trivially_copyable_v<Score>);
+
+/// A candidate's score as the parent judges it: `ok` only for a child that
+/// exited cleanly with exactly one Score.
 struct Prediction {
   bool ok = false;
-  double viol_frac = 1.0;
-  double resp_s = std::numeric_limits<double>::infinity();
-  double done = 0;
+  Score score{1.0, std::numeric_limits<double>::infinity(), 0};
 };
-
-Prediction parse_prediction(const std::string& payload) {
-  Prediction p;
-  p.ok = std::sscanf(payload.c_str(), "viol=%lf resp=%lf done=%lf",
-                     &p.viol_frac, &p.resp_s, &p.done) == 3;
-  return p;
-}
 
 }  // namespace
 
@@ -283,18 +286,16 @@ InterferencePreventionSystem::mitigate_predictive(
   }
 
   // The child reports the app's SLA trajectory over the horizon window
-  // plus total batch progress — recovery and makespan cost in one line.
+  // plus total batch progress — recovery and makespan cost in one Score.
   // Captures: `app` and `this` are stable addresses the forked child
   // shares; `t0` rides by value inside the copied closure.
   const double t0 = sim_.now();
   const interactive::InteractiveApp* app_ptr = &app;
   const auto score = [this, app_ptr, t0]() {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "viol=%.17g resp=%.17g done=%.17g",
-                  interactive::SlaMonitor::violation_fraction(*app_ptr, t0,
+    const Score p{interactive::SlaMonitor::violation_fraction(*app_ptr, t0,
                                                               sim_.now()),
-                  app_ptr->response_time_s(), batch_progress());
-    return std::string(buf);
+                  app_ptr->response_time_s(), batch_progress()};
+    return std::string(reinterpret_cast<const char*>(&p), sizeof p);
   };
 
   const auto la = whatif_->lookahead_in_event(
@@ -304,11 +305,16 @@ InterferencePreventionSystem::mitigate_predictive(
   std::vector<Prediction> preds;
   preds.reserve(candidates.size());
   for (const whatif::ForkResult& r : la.results) {
-    preds.push_back(r.ok ? parse_prediction(r.payload) : Prediction{});
+    Prediction p;
+    if (r.ok && r.payload.size() == sizeof(Score)) {
+      p.ok = true;
+      std::memcpy(&p.score, r.payload.data(), sizeof(Score));
+    }
+    preds.push_back(p);
   }
 
   const auto recovered = [&](const Prediction& p) {
-    return p.ok && sim::Duration{p.resp_s} <=
+    return p.ok && sim::Duration{p.score.resp_s} <=
                        app.params().sla_s * options_.restore_margin;
   };
   // Lexicographic ranking: recover the SLA first; among recovering
@@ -319,10 +325,12 @@ InterferencePreventionSystem::mitigate_predictive(
     const bool rx = recovered(x);
     const bool ry = recovered(y);
     if (rx != ry) return rx;
-    if (rx) return x.done > y.done;
-    if (x.viol_frac != y.viol_frac) return x.viol_frac < y.viol_frac;
-    if (x.resp_s != y.resp_s) return x.resp_s < y.resp_s;
-    return x.done > y.done;
+    const Score& a = x.score;
+    const Score& b = y.score;
+    if (rx) return a.done > b.done;
+    if (a.viol_frac != b.viol_frac) return a.viol_frac < b.viol_frac;
+    if (a.resp_s != b.resp_s) return a.resp_s < b.resp_s;
+    return a.done > b.done;
   };
   std::size_t best = 0;
   for (std::size_t i = 1; i < preds.size(); ++i) {
@@ -338,8 +346,8 @@ InterferencePreventionSystem::mitigate_predictive(
       char buf[128];
       std::snprintf(buf, sizeof(buf),
                     "ok=%d viol=%.17g resp=%.17g done=%.17g",
-                    preds[i].ok ? 1 : 0, preds[i].viol_frac, preds[i].resp_s,
-                    preds[i].done);
+                    preds[i].ok ? 1 : 0, preds[i].score.viol_frac,
+                    preds[i].score.resp_s, preds[i].score.done);
       scores.emplace_back(names[i], buf);
     }
   }

@@ -10,12 +10,6 @@ void Accumulator::add(double v) {
   const double delta = v - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (v - mean_);
-  if (n_ == 1) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
 }
 
 double Accumulator::variance() const {
@@ -41,21 +35,6 @@ double mean(std::span<const double> values) {
   double s = 0;
   for (double v : values) s += v;
   return s / static_cast<double>(values.size());
-}
-
-Summary Summary::of(std::span<const double> values) {
-  Summary s;
-  Accumulator acc;
-  for (double v : values) acc.add(v);
-  s.count = acc.count();
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.p50 = percentile(values, 50);
-  s.p95 = percentile(values, 95);
-  s.p99 = percentile(values, 99);
-  return s;
 }
 
 }  // namespace hybridmr::stats

@@ -45,7 +45,7 @@ class TimeSeries {
   /// [t0, t1] (each sample holds its value until the next sample).
   [[nodiscard]] double integrate(double t0, double t1) const;
 
-  /// Values only (e.g. for Summary::of).
+  /// Values only.
   [[nodiscard]] std::vector<double> values() const;
 
  private:

@@ -10,9 +10,9 @@ Five checks:
                 absent (unused-api: the fixture tests/ file is no consumer).
   2. clean src  The real src/ tree reports zero findings and exits 0 —
                 the state CI gates on.
-  3. lint       The determinism group alone, invoked exactly as ci.sh's
-                lint stage does, exits 1 on the determinism fixtures and
-                reports exactly their pinned findings, and exits 0 on
+  3. lint       The determinism and capture-lifetime rules, invoked
+                exactly as ci.sh's lint stage does, exit 1 on the fixtures
+                and report exactly their pinned findings, and exit 0 on
                 src/ tests/ bench/ examples/.
   4. catalog    --list-rules prints every registered rule.
   5. exit codes 0 clean / 1 findings / 2 configuration-or-internal
@@ -48,6 +48,9 @@ EXPECTED = sorted([
     ("capture-lifetime", "src/cluster/capture_bad.cc", 14),
     ("capture-lifetime", "src/cluster/capture_bad.cc", 28),
     ("capture-lifetime", "src/cluster/capture_bad.cc", 35),
+    # capture-lifetime checks every tree, bench/ included:
+    ("capture-lifetime", "bench/stream_bench.cc", 16),
+    ("capture-lifetime", "bench/stream_bench.cc", 21),
     ("wall-clock", "src/sim/determ_bad.cc", 9),
     ("unordered-iteration", "src/sim/determ_bad.cc", 17),
     ("unordered-accumulation", "src/sim/determ_bad.cc", 18),
@@ -68,15 +71,14 @@ EXPECTED = sorted([
     ("unused-api", "bench/helpers.h", 10),
 ])
 
-# The determinism rules' share of EXPECTED: what ci.sh's lint stage must
-# report for the fixture tree.
-DETERMINISM_RULES = {"wall-clock", "unordered-iteration",
-                     "unordered-accumulation", "simtime-eq",
-                     "eager-recompute"}
-DETERMINISM_EXPECTED = [e for e in EXPECTED if e[0] in DETERMINISM_RULES]
+# The lint rules' share of EXPECTED: what ci.sh's lint stage must report
+# for the fixture tree.
+LINT_RULES = {"wall-clock", "unordered-iteration", "unordered-accumulation",
+              "simtime-eq", "eager-recompute", "capture-lifetime"}
+LINT_EXPECTED = [e for e in EXPECTED if e[0] in LINT_RULES]
 
 # ci.sh's lint stage, verbatim.
-LINT = ("--rules", "determinism")
+LINT = ("--rules", "determinism,capture-lifetime")
 
 failures: list[str] = []
 
@@ -96,7 +98,7 @@ def run(*argv: str) -> subprocess.CompletedProcess:
 with tempfile.TemporaryDirectory() as td:
     out = Path(td) / "findings.json"
     p = run(str(ANALYZE), "--root", str(FIXTURES), "--json", str(out),
-            str(FIXTURES / "src"))
+            str(FIXTURES / "src"), str(FIXTURES / "bench"))
     check("fixtures exit status is 1", p.returncode == 1,
           f"got {p.returncode}\n{p.stdout}\n{p.stderr}")
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -113,14 +115,14 @@ check("src/ clean (exit 0)", p.returncode == 0,
       f"exit {p.returncode}\n{p.stdout}")
 check("src/ summary says 0 findings", "0 findings" in p.stdout, p.stdout)
 
-# --- 3. lint: the determinism group exactly as ci.sh runs it ----------
+# --- 3. lint: the lint rules exactly as ci.sh runs them --------------
 p = run(str(ANALYZE), *LINT, str(FIXTURES / "src" / "sim" / "determ_bad.cc"))
 check("lint finds determinism violations (exit 1)",
       p.returncode == 1, f"exit {p.returncode}\n{p.stdout}\n{p.stderr}")
 check("lint reports wall-clock", "[wall-clock]" in p.stdout, p.stdout)
 check("lint omits the other groups' rules",
       "[dim-raw-double]" not in p.stdout
-      and "[capture-lifetime]" not in p.stdout, p.stdout)
+      and "[unused-api]" not in p.stdout, p.stdout)
 
 p = run(str(ANALYZE), *LINT, str(REPO / "src"), str(REPO / "tests"),
         str(REPO / "bench"), str(REPO / "examples"))
@@ -130,14 +132,14 @@ check("lint clean over src/tests/bench/examples (exit 0)",
 with tempfile.TemporaryDirectory() as td:
     out = Path(td) / "findings.json"
     p = run(str(ANALYZE), "--root", str(FIXTURES), *LINT, "--json", str(out),
-            str(FIXTURES / "src"))
+            str(FIXTURES / "src"), str(FIXTURES / "bench"))
     check("lint over the fixture tree exits 1", p.returncode == 1,
           f"exit {p.returncode}\n{p.stderr}")
     got = sorted((f["rule"], f["file"], f["line"])
                  for f in json.loads(out.read_text(encoding="utf-8"))
                  ["findings"])
-    check("lint findings agree with the pinned determinism findings",
-          got == DETERMINISM_EXPECTED, f"got={got}")
+    check("lint findings agree with the pinned lint-rule findings",
+          got == LINT_EXPECTED, f"got={got}")
 
 # --- 4. rule catalog ---------------------------------------------------
 p = run(str(ANALYZE), "--list-rules")

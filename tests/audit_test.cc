@@ -78,7 +78,11 @@ TEST(Audit, ShutdownReleasesPendingCaptures) {
   auto sentinel = std::make_shared<int>(7);
   std::weak_ptr<int> watch = sentinel;
   bool fired = false;
+  // Both pending events own `sentinel` on purpose: the queue keeping it
+  // alive until shutdown() is what this test observes.
+  // sim-lint: allow(capture-lifetime)
   sim.after(1.0, [sentinel, &fired] { fired = true; });
+  // sim-lint: allow(capture-lifetime)
   sim.after(2.0, [sentinel] {});
   sentinel.reset();
   EXPECT_FALSE(watch.expired());  // the queue keeps the captures alive
@@ -95,6 +99,9 @@ TEST(Audit, PeriodicTickerFreedAfterCancel) {
   sim::Simulation sim;
   auto sentinel = std::make_shared<int>(1);
   std::weak_ptr<int> watch = sentinel;
+  // The ticker owns `sentinel` on purpose: it keeping it alive until
+  // cancel() is what this test observes.
+  // sim-lint: allow(capture-lifetime)
   auto handle = sim.every(1.0, [sentinel] {});
   sentinel.reset();
   sim.run_until(3.5);

@@ -89,11 +89,8 @@ TEST(Interpolate, MidpointAndExtrapolation) {
 TEST(Accumulator, WelfordMatchesDefinition) {
   Accumulator acc;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 8u);
   EXPECT_NEAR(acc.mean(), 5.0, 1e-12);
   EXPECT_NEAR(acc.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
 }
 
 TEST(Percentile, InterpolatesBetweenRanks) {
@@ -102,16 +99,6 @@ TEST(Percentile, InterpolatesBetweenRanks) {
   EXPECT_NEAR(percentile(v, 50), 25, 1e-9);
   EXPECT_NEAR(percentile(v, 100), 40, 1e-9);
   EXPECT_NEAR(percentile(v, 25), 17.5, 1e-9);
-}
-
-TEST(Summary, OfValues) {
-  std::vector<double> v{1, 2, 3, 4, 5};
-  const Summary s = Summary::of(v);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_NEAR(s.mean, 3.0, 1e-12);
-  EXPECT_NEAR(s.p50, 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 5);
 }
 
 TEST(TimeSeries, ValueAtStepFunction) {
