@@ -105,41 +105,48 @@ void BM_EventQueueDeferChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueDeferChurn)->Arg(64)->Arg(512);
 
+// The fill kernel (DemandClasses::fill) over `n` consumers that each stand
+// for themselves and ask for CPU alone, through a reused table like a
+// site's. Up to 17 distinct demands: /8 levels from the stack table, /64
+// and /512 sort.
 void BM_Waterfill(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<double> demands(n);
-  for (int i = 0; i < n; ++i) demands[i] = 1.0 + (i % 17);
+  std::vector<cluster::DemandClasses::Row> singles(n);
+  for (int i = 0; i < n; ++i) singles[i].effective.cpu = 1.0 + (i % 17);
+  cluster::DemandClasses classes;
   for (auto _ : state) {
-    auto alloc = cluster::waterfill(static_cast<double>(n), demands);
-    benchmark::DoNotOptimize(alloc.data());
+    classes.fill(cluster::Resources{static_cast<double>(n), 0, 0, 0}, singles,
+                 nullptr);
+    benchmark::DoNotOptimize(singles.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Waterfill)->Arg(8)->Arg(64)->Arg(512);
 
 // The shape of a contended VM-level fill during a shuffle: a source VM
-// serving one flow per reducer, with only three distinct demand values,
-// through a reused scratch like the hot callers'. The capacity alternates
-// between 30% and 31% of the total demand, so no two consecutive fills see
-// the same inputs.
+// serving one flow per reducer, with only three distinct demand values, is
+// three class rows of n/3 flows each, filled through a reused table like a
+// site's. Each flow asks for all four resources; the disk and network
+// capacity alternates between 30% and 31% of the total demand, so no two
+// consecutive fills see the same inputs.
 void BM_WaterfillTied(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const double values[] = {2.5, 25.0, 50.0};
-  std::vector<double> demands(n);
+  cluster::DemandClasses classes;
   double total = 0;
-  for (int i = 0; i < n; ++i) {
-    demands[i] = values[i % 3];
-    total += demands[i];
+  for (const double v : values) {
+    classes.rows.emplace_back().effective =
+        cluster::Resources{v / 100, 16, v, v};
+    classes.counts.push_back(static_cast<std::uint32_t>(n / 3));
+    total += v * (n / 3);
   }
-  const std::vector<std::uint32_t> ones(n, 1);
-  std::vector<double> out(n);
-  cluster::WaterfillScratch scratch;
   bool low = false;
   for (auto _ : state) {
     low = !low;
-    cluster::waterfill_into((low ? 0.30 : 0.31) * total, demands, ones, out,
-                            scratch);
-    benchmark::DoNotOptimize(out.data());
+    const double share = (low ? 0.30 : 0.31) * total;
+    classes.fill(cluster::Resources{8, 4096, share, share}, {}, nullptr);
+    benchmark::DoNotOptimize(classes.rows.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);

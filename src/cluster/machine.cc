@@ -22,18 +22,18 @@ namespace {
 // O(1) per machine instead of O(events).
 constexpr std::size_t kMaxMachineSeriesSamples = 16384;
 
-// Audit checkpoint after a site installs its grants: members whose
+// Audit checkpoint after a site fills its classes: live rows whose
 // effective demands of `kind` are equal hold bitwise-equal grants of it,
 // and so do the `singles` (a machine's VMs), so the split cannot depend on
-// the order the consumers were listed in or on how they were grouped. It
-// reads the grants the members hold, not the class rows, where it would
-// hold by construction.
+// the order the consumers were listed in or on how they were grouped.
 [[maybe_unused]] bool equal_demands_equal_grants(
-    std::span<const WorkloadPtr> members,
-    std::span<const DemandClasses::Row> singles, ResourceKind kind) {
+    const DemandClasses& classes, std::span<const DemandClasses::Row> singles,
+    ResourceKind kind) {
   std::vector<std::pair<double, double>> held;  // (demand, grant)
-  for (const auto& w : members) {
-    held.emplace_back(w->effective_demand()[kind], w->allocated()[kind]);
+  for (std::size_t r = 0; r < classes.rows.size(); ++r) {
+    if (classes.counts[r] == 0) continue;
+    const DemandClasses::Row& row = classes.rows[r];
+    held.emplace_back(row.effective[kind], row.grant[kind]);
   }
   for (const auto& row : singles) {
     held.emplace_back(row.effective[kind], row.grant[kind]);
@@ -64,67 +64,51 @@ DemandClasses::Row class_row(const Workload& w) {
   return {w.demand(), w.effective_demand(), w.paused()};
 }
 
-}  // namespace
+using Group = DemandClasses::Group;
 
-void waterfill_into(double capacity, std::span<const double> demands,
-                    std::span<const std::uint32_t> counts,
-                    std::span<double> out, WaterfillScratch& scratch) {
-  const std::size_t n = demands.size();
-  assert(out.size() == n && "output extent must match demands");
-  assert(counts.size() == n && "counts extent must match demands");
-  if (n == 0 || capacity <= 0) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
+// One resource's ascending (value, count) table of its positive demands.
+// Contended fills are mostly many flows with a few distinct demands, so a
+// linear scan over a small sorted stack table does it; a resource with
+// more than kFewValues distinct values overflows, and the fill sorts and
+// run-length encodes its demands instead.
+struct FewGroups {
+  static constexpr std::size_t kFewValues = 8;
+  std::array<Group, kFewValues> groups{};
+  std::size_t size = 0;
+  bool overflow = false;
 
-  // 1. Bucket the positive demands by value, in ascending order, each
-  // group counting the consumers of every row that asks for its value.
-  // Contended fills are mostly many flows with a few distinct demands, so
-  // a linear scan over a small sorted stack table does it; past kFewValues
-  // distinct values, sort a copy of the rows into the scratch table and
-  // run-length encode it.
-  using Group = WaterfillScratch::Group;
-  constexpr std::size_t kFewValues = 8;
-  std::array<Group, kFewValues> few{};
-  std::size_t k = 0;
-  bool few_values = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = demands[i];
-    if (!(d > 0)) continue;
+  void add(double d, std::uint32_t count) {
+    if (!(d > 0) || overflow) return;
     std::size_t g = 0;
-    while (g < k && few[g].value < d) ++g;
-    if (g == k || few[g].value != d) {
-      if (k == kFewValues) {
-        few_values = false;
-        break;
+    while (g < size && groups[g].value < d) ++g;
+    if (g == size || groups[g].value != d) {
+      if (size == kFewValues) {
+        overflow = true;
+        return;
       }
-      std::copy_backward(few.begin() + g, few.begin() + k,
-                         few.begin() + k + 1);
-      few[g] = {d, 0};
-      ++k;
+      std::copy_backward(groups.begin() + g, groups.begin() + size,
+                         groups.begin() + size + 1);
+      groups[g] = {d, 0};
+      ++size;
     }
-    few[g].count += counts[i];
+    groups[g].count += count;
   }
-  std::span<Group> groups(few.data(), k);
-  if (!few_values) {
-    auto& table = scratch.groups;
-    table.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (demands[i] > 0) table.push_back({demands[i], counts[i]});
-    }
-    std::sort(table.begin(), table.end(),
-              [](const Group& a, const Group& b) { return a.value < b.value; });
-    std::size_t runs = 0;
-    for (const Group& g : table) {
-      if (runs > 0 && table[runs - 1].value == g.value) {
-        table[runs - 1].count += g.count;
-      } else {
-        table[runs++] = g;
-      }
-    }
-    groups = std::span<Group>(table.data(), runs);
-  }
+};
 
+// Where one resource's fill levels off: demands up to `cut` are granted in
+// full, every larger positive demand gets `level`.
+struct Levelled {
+  double cut = 0;
+  double level = 0;
+
+  [[nodiscard]] double grant(double d) const {
+    return d > 0 ? (d <= cut ? d : level) : 0.0;
+  }
+};
+
+// Max-min levelling of `capacity` over one resource's ascending groups.
+Levelled level_groups(double capacity, std::span<const Group> groups) {
+  if (capacity <= 0) return {};  // nothing to grant
   // Uncontended: when the demands fit, each is granted in full. Summed by
   // group in ascending order, so the test does not depend on the order the
   // consumers are listed in.
@@ -135,41 +119,40 @@ void waterfill_into(double capacity, std::span<const double> demands,
     unsatisfied += g.count;
   }
   if (total <= capacity) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = demands[i] > 0 ? demands[i] : 0.0;
-    }
-    return;
+    return {std::numeric_limits<double>::infinity(), 0};
   }
-
-  // 2. Level the groups in ascending order: a group that fits under the
-  // fair share of what is left is granted in full.
+  // Level the groups in ascending order: a group that fits under the fair
+  // share of what is left is granted in full; every demand above the last
+  // such group gets the fair share at the first group that does not fit.
+  Levelled out;
   double remaining = capacity;
-  double cut = 0;  // largest demand granted in full
-  double level = 0;
   for (const Group& g : groups) {
     const double fair = remaining / unsatisfied;
     if (g.value > fair) {
-      level = fair;
+      out.level = fair;
       break;
     }
     remaining -= g.value * g.count;
     unsatisfied -= g.count;
-    cut = g.value;
+    out.cut = g.value;
   }
-
-  // 3. Every demand above the last satisfied group gets the same level.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = demands[i];
-    out[i] = d > 0 ? (d <= cut ? d : level) : 0.0;
-  }
+  return out;
 }
+
+}  // namespace
 
 std::vector<double> waterfill(double capacity,
                               std::span<const double> demands) {
-  std::vector<double> alloc(demands.size(), 0.0);
-  const std::vector<std::uint32_t> ones(demands.size(), 1);
-  WaterfillScratch scratch;
-  waterfill_into(capacity, demands, ones, alloc, scratch);
+  // One resource of the fill: each demand a single asking for CPU alone.
+  std::vector<DemandClasses::Row> singles(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    singles[i].effective.cpu = demands[i];
+  }
+  DemandClasses{}.fill(Resources{capacity, 0, 0, 0}, singles, nullptr);
+  std::vector<double> alloc(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    alloc[i] = singles[i].grant.cpu;
+  }
   return alloc;
 }
 
@@ -209,25 +192,59 @@ void DemandClasses::leave(std::uint32_t row) {
 
 void DemandClasses::fill(const Resources& capacity, std::span<Row> singles,
                          telemetry::Profiler* prof) {
-  const std::size_t n = rows.size();
-  const std::size_t m = n + singles.size();
-  column_.resize(m);
-  column_out_.resize(m);
-  column_counts_.assign(counts.begin(), counts.end());
-  column_counts_.resize(m, 1);
+  // 1. One pass buckets every resource's positive demands into its own
+  // table, each row counting for its members.
+  std::array<FewGroups, kNumResources> few;
+  auto bucket = [&few](const Resources& d, std::uint32_t count) {
+    few[0].add(d.cpu, count);
+    few[1].add(d.memory, count);
+    few[2].add(d.disk, count);
+    few[3].add(d.net, count);
+  };
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    bucket(rows[i].effective, counts[i]);
+  }
+  for (const Row& single : singles) bucket(single.effective, 1);
+
+  // 2. Level each resource from its table; one that overflowed the stack
+  // table sorts its demands into the scratch table and run-length encodes
+  // them.
+  std::array<Levelled, kNumResources> levelled;
   for (int r = 0; r < kNumResources; ++r) {
     const auto kind = static_cast<ResourceKind>(r);
-    for (std::size_t i = 0; i < n; ++i) column_[i] = rows[i].effective[kind];
-    for (std::size_t j = 0; j < singles.size(); ++j) {
-      column_[n + j] = singles[j].effective[kind];
+    std::span<const Group> groups(few[r].groups.data(), few[r].size);
+    if (few[r].overflow) {
+      sorted_.clear();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const double d = rows[i].effective[kind];
+        if (d > 0) sorted_.push_back({d, counts[i]});
+      }
+      for (const Row& single : singles) {
+        const double d = single.effective[kind];
+        if (d > 0) sorted_.push_back({d, 1});
+      }
+      std::sort(sorted_.begin(), sorted_.end(),
+                [](const Group& a, const Group& b) { return a.value < b.value; });
+      std::size_t runs = 0;
+      for (const Group& g : sorted_) {
+        if (runs > 0 && sorted_[runs - 1].value == g.value) {
+          sorted_[runs - 1].count += g.count;
+        } else {
+          sorted_[runs++] = g;
+        }
+      }
+      groups = std::span<const Group>(sorted_.data(), runs);
     }
-    waterfill_into(capacity[kind], column_, column_counts_, column_out_,
-                   fill_scratch_);
-    for (std::size_t i = 0; i < n; ++i) rows[i].grant[kind] = column_out_[i];
-    for (std::size_t j = 0; j < singles.size(); ++j) {
-      singles[j].grant[kind] = column_out_[n + j];
-    }
+    levelled[r] = level_groups(capacity[kind], groups);
   }
+
+  // 3. One pass writes all four grants of each row.
+  auto grant = [&levelled](const Resources& d) {
+    return Resources{levelled[0].grant(d.cpu), levelled[1].grant(d.memory),
+                     levelled[2].grant(d.disk), levelled[3].grant(d.net)};
+  };
+  for (Row& row : rows) row.grant = grant(row.effective);
+  for (Row& single : singles) single.grant = grant(single.effective);
   changed = false;
   if (prof != nullptr) {
     std::uint64_t consumers = singles.size();
@@ -327,6 +344,7 @@ void ExecutionSite::add(WorkloadPtr workload) {
   workload->site_ = this;
   const sim::SimTime now = simulation().now();
   workload->last_settle_ = now;
+  workload->copied_at_ = installs_;  // holds zeros until the next install
   workload->site_row_ = classes_.join(*workload);
   workloads_.push_back(std::move(workload));
   const WorkloadPtr& added = workloads_.back();
@@ -360,7 +378,7 @@ void ExecutionSite::remove(Workload* workload) {
     machine->ensure_clean();
   }
   const sim::SimTime now = simulation().now();
-  keep->settle(now);
+  settle(*keep, now);
   simulation().cancel(keep->completion_event);
   keep->completion_event = {};
   keep->speed_ = 0;
@@ -380,6 +398,12 @@ void ExecutionSite::rekey(Workload& member, bool reallocate) {
   // A change that left the key as it was (a cap above the demand, say)
   // keeps the member's row.
   if (!in_class(classes_.rows[member.site_row_], member)) {
+    // Until the next install the member holds what its old row granted.
+    if (const DemandClasses::Row* held = held_row(member); held != nullptr) {
+      member.allocated_ = held->grant;
+      member.speed_ = held->speed;
+      member.copied_at_ = installs_;
+    }
     classes_.leave(member.site_row_);
     member.site_row_ = classes_.join(member);
   }
@@ -403,6 +427,14 @@ bool ExecutionSite::classes_match_members() const {
     }
   }
   return true;
+}
+
+double ExecutionSite::settle_members(sim::SimTime now) {
+  if (sim::same_time(settled_at_, now)) return 0;
+  settled_at_ = now;
+  double io_sum = 0;
+  for (const auto& w : workloads_) io_sum += settle(*w, now);
+  return io_sum;
 }
 
 Resources ExecutionSite::total_demand() const {
@@ -504,13 +536,21 @@ void VirtualMachine::settle_all(sim::SimTime now) {
     recent_io_mb_ *= std::exp2(-dt / cal_.io_cache_halflife_s);
     last_decay_ = now;
   }
-  double io_sum = 0;
-  for (const auto& w : workloads_) io_sum += w->settle(now);
-  recent_io_mb_ += sim::MegaBytes{io_sum};
+  recent_io_mb_ += sim::MegaBytes{settle_members(now)};
 }
 
-void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
-                                int active_io_vms, telemetry::Profiler* prof) {
+void VirtualMachine::zero_grants() {
+  for (DemandClasses::Row& row : classes_.rows) {
+    row.grant = {};
+    row.speed = 0;
+  }
+  ++installs_;
+  classes_.changed = true;
+}
+
+void VirtualMachine::distribute([[maybe_unused]] sim::SimTime now,
+                                const Resources& grant, int active_io_vms,
+                                telemetry::Profiler* prof) {
   const double eff_cpu = cpu_efficiency();
   const double eff_io = io_efficiency(active_io_vms);
   const double migration_factor =
@@ -518,30 +558,40 @@ void VirtualMachine::distribute(sim::SimTime now, const Resources& grant,
   HYBRIDMR_AUDIT_CHECK(classes_match_members(), "cluster.machine",
                        "classes_match_members", now, {{"vm", name()}});
   // Water-fill each resource of the grant across the demand classes, unless
-  // the last fill had the same classes and grant, and rate each class once;
-  // only the install is per member.
-  if (classes_.changed || !same_bytes(grant, filled_grant_)) {
+  // the last fill had the same classes and grant, and rate each class once,
+  // unless the fill and the other rating inputs stood too. The members
+  // read their grant and speed from their class rows.
+  const bool refill = classes_.changed || !same_bytes(grant, filled_grant_);
+  if (refill) {
     classes_.fill(grant, {}, prof);
     filled_grant_ = grant;
   }
-  for (std::size_t c = 0; c < classes_.rows.size(); ++c) {
-    if (classes_.counts[c] == 0) continue;
-    DemandClasses::Row& row = classes_.rows[c];
-    double speed = paused_ ? 0.0 : speed_of(row, eff_cpu, eff_io, cal_);
-    speed *= migration_factor;
-    row.speed = speed;
+  const std::array<double, 3> rate_with{eff_cpu, eff_io, migration_factor};
+  if (refill || paused_ != rated_paused_ ||
+      std::memcmp(rate_with.data(), rated_with_.data(),
+                  sizeof(rate_with)) != 0) {
+    for (std::size_t c = 0; c < classes_.rows.size(); ++c) {
+      if (classes_.counts[c] == 0) continue;
+      DemandClasses::Row& row = classes_.rows[c];
+      double speed = paused_ ? 0.0 : speed_of(row, eff_cpu, eff_io, cal_);
+      speed *= migration_factor;
+      row.speed = speed;
+    }
+    rated_with_ = rate_with;
+    rated_paused_ = paused_;
   }
-  for (const auto& w : workloads_) {
-    const DemandClasses::Row& c = class_of(*w);
-    w->apply_allocation(now, c.grant, c.speed);
-    if (host_ != nullptr) host_->reschedule(w);
-  }
+  ++installs_;
   for (int r = 0; r < kNumResources; ++r) {
     [[maybe_unused]] const auto kind = static_cast<ResourceKind>(r);
     HYBRIDMR_AUDIT_CHECK(
-        equal_demands_equal_grants(workloads_, {}, kind), "cluster.machine",
+        equal_demands_equal_grants(classes_, {}, kind), "cluster.machine",
         "equal_demands_equal_grants", now,
         {{"vm", name()}, {"resource", cluster::to_string(kind)}});
+  }
+  // Only a finite member has a completion event to move.
+  if (host_ == nullptr) return;
+  for (const auto& w : workloads_) {
+    if (w->finite()) host_->reschedule(w, class_of(*w).speed);
   }
 }
 
@@ -582,8 +632,8 @@ void Machine::detach_vm(VirtualMachine* vm) {
                                                   kNever)) {
       w->completion_time = kNever;
     }
-    w->apply_allocation(sim_.now(), {}, 0);
   }
+  vm->zero_grants();
   vm->attach_to(nullptr);
   vms_.erase(it);
   coordinator_.bump_membership_epoch();
@@ -610,7 +660,7 @@ void Machine::invalidate() {
 void Machine::settle_now() {
   ensure_clean();
   const sim::SimTime now = sim_.now();
-  for (const auto& w : workloads_) w->settle(now);
+  settle_members(now);
   for (auto* vm : vms_) vm->settle_all(now);
 }
 
@@ -620,7 +670,7 @@ double Machine::utilization(ResourceKind kind) const {
   return cap > 0 ? allocated_total_[kind] / cap : 0;
 }
 
-void Machine::reschedule(const WorkloadPtr& workload) {
+void Machine::reschedule(const WorkloadPtr& workload, double speed) {
   if (!workload->finite() || workload->done()) {
     if (workload->completion_event.valid()) {
       sim_.cancel(workload->completion_event);
@@ -633,9 +683,8 @@ void Machine::reschedule(const WorkloadPtr& workload) {
   // it, so the event keeps its original tie-break seat for when an
   // allocation revives it.
   const sim::SimTime target =
-      workload->speed() <= 0
-          ? kNever
-          : sim_.now() + (workload->remaining() / workload->speed()).value();
+      speed <= 0 ? kNever
+                 : sim_.now() + (workload->remaining() / speed).value();
   if (workload->completion_event.valid() &&
       sim::same_time(target, workload->completion_time)) {
     // The recompute left this workload's finish time where it was; keep
@@ -687,8 +736,9 @@ void Machine::recompute(RecomputeCause cause) {
   telemetry::Scope prof_scope(prof_, prof_recompute_scope_);
   const sim::SimTime now = sim_.now();
 
-  // 1. Settle elapsed progress at the old rates.
-  for (const auto& w : workloads_) w->settle(now);
+  // 1. Settle elapsed progress at the old rates (the rates the class rows
+  // still hold), once per instant.
+  settle_members(now);
   for (auto* vm : vms_) vm->settle_all(now);
 
   // 2. The native members' demand classes are standing state; each VM is
@@ -710,20 +760,22 @@ void Machine::recompute(RecomputeCause cause) {
     classes_.rows[c].speed = speed_of(classes_.rows[c], 1.0, 1.0, cal_);
   }
 
-  // 4. Install per native member. The utilization total sums the grants
-  // in consumer order (members, then VMs), one term per consumer.
+  // 4. Install: the native members read their class rows. The
+  // utilization total sums the grants in consumer order (members, then
+  // VMs), one term per consumer, and only a finite member has a completion
+  // event to move.
+  ++installs_;
   allocated_total_ = {};
   for (const auto& w : workloads_) {
     const DemandClasses::Row& c = class_of(*w);
-    w->apply_allocation(now, c.grant, c.speed);
-    reschedule(w);
     allocated_total_ += c.grant;
+    if (w->finite()) reschedule(w, c.speed);
   }
   for (const auto& row : vm_rows_) allocated_total_ += row.grant;
   for (int r = 0; r < kNumResources; ++r) {
     [[maybe_unused]] const auto kind = static_cast<ResourceKind>(r);
     HYBRIDMR_AUDIT_CHECK(
-        equal_demands_equal_grants(workloads_, vm_rows_, kind),
+        equal_demands_equal_grants(classes_, vm_rows_, kind),
         "cluster.machine", "equal_demands_equal_grants", now,
         {{"machine", name()}, {"resource", cluster::to_string(kind)}});
   }

@@ -12,11 +12,14 @@
 // itself is allocation-free in steady state: each site keeps its members'
 // demand classes as standing state (a member joins, leaves or is re-keyed
 // when it attaches, detaches or changes its key), fills and rates each
-// class once, and only moves a completion event when the workload's finish
-// time actually changed.
+// class once (its members read their grant and speed from the class row),
+// and only moves a completion event when the workload's finish time
+// actually changed.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,41 +53,22 @@ enum class RecomputeCause {
   kEager,        // eager mode recompute-on-every-mutation
 };
 
-/// Reusable group table for waterfill_into(): hot callers keep one per
-/// call site so steady-state allocation is zero. Only fills with more than
-/// a handful of distinct demand values use it (fewer fit on the stack).
-struct WaterfillScratch {
-  /// One distinct positive demand value and how many consumers ask for it.
-  struct Group {
-    double value = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<Group> groups;
-};
-
-/// Max-min fair ("water-filling") split of `capacity` across consumers,
-/// written into `out`. Row i stands for `counts[i]` consumers that each
-/// demand `demands[i]`, and out[i] is what each of them gets (all three
-/// spans have the same extent). Total allocated never exceeds capacity; no
-/// consumer gets more than its demand; unsatisfied consumers get one equal
-/// level. Non-positive and NaN demands get 0 and do not count. The grants
-/// depend only on the multiset of demands: equal demands get bitwise-equal
-/// grants, whether they sit in one row or several, and permuting the rows
-/// permutes the grants.
-void waterfill_into(double capacity, std::span<const double> demands,
-                    std::span<const std::uint32_t> counts,
-                    std::span<double> out, WaterfillScratch& scratch);
-
-/// Allocating convenience wrapper around waterfill_into(), one consumer
-/// per demand (tests, cold paths).
+/// Max-min fair ("water-filling") split of `capacity` across one consumer
+/// per demand: one resource of DemandClasses::fill, for tests and cold
+/// paths. Total allocated never exceeds capacity; no consumer gets more
+/// than its demand; unsatisfied consumers get one equal level. Non-positive
+/// and NaN demands get 0 and do not count. The grants depend only on the
+/// multiset of demands: equal demands get bitwise-equal grants, and
+/// permuting the demands permutes the grants.
+// sim-lint: allow(unused-api) cluster_test, property_test: the fill's laws
 std::vector<double> waterfill(double capacity, std::span<const double> demands);
 
 /// A site's demand classes, kept as standing state. A class is the members
 /// whose raw demand, effective demand and pause flag agree byte for byte,
 /// which is everything the grant and the speed read of a member; a class's
-/// members therefore get one grant and one speed, and the site fills and
-/// rates each class once. Members join a class when they attach, leave it
-/// when they detach, and move when their key changes
+/// members therefore get one grant and one speed, held in the class row,
+/// and the site fills and rates each class once. Members join a class when
+/// they attach, leave it when they detach, and move when their key changes
 /// (ExecutionSite::rekey). A class that empties frees its row (asks for
 /// nothing, is not rated); the next new class takes it.
 class DemandClasses {
@@ -98,14 +82,26 @@ class DemandClasses {
     Resources grant{};
     double speed = 0;
   };
+  /// One distinct positive demand of a resource and how many consumers
+  /// ask for it.
+  struct Group {
+    double value = 0;
+    std::uint32_t count = 0;
+  };
 
   /// Adds one member with `w`'s key to its class (a free or new row when
   /// no live row has the key) and returns the row.
   std::uint32_t join(const Workload& w);
   /// Removes one member from `row`; a row left empty is freed.
   void leave(std::uint32_t row);
-  /// Water-fills each resource of `capacity` across the rows, each row
-  /// counting for its members, and the `singles`, into their grants.
+  /// Water-fills each resource of `capacity` max-min fairly across the
+  /// rows, each row counting for its members, and the `singles`, into
+  /// their grants: every demand up to a resource's cut is granted in full,
+  /// every larger one gets one equal level. All four resources are
+  /// levelled in one pass, each from its own ascending (value, count)
+  /// table, so a resource's grants depend only on its multiset of demands:
+  /// equal demands get bitwise-equal grants, whether they sit in one row
+  /// or several. Non-positive and NaN demands get 0 and do not count.
   /// Counts the consumers and live rows filled when `prof` is non-null.
   void fill(const Resources& capacity, std::span<Row> singles,
             telemetry::Profiler* prof);
@@ -116,10 +112,9 @@ class DemandClasses {
   bool changed = true;
 
  private:
-  std::vector<double> column_;
-  std::vector<double> column_out_;
-  std::vector<std::uint32_t> column_counts_;
-  WaterfillScratch fill_scratch_;
+  // A resource past the stack table's distinct values sorts its demands
+  // here (reused: steady-state fills allocate nothing).
+  std::vector<Group> sorted_;
 };
 
 /// Piecewise-linear memory-pressure speed factor for an alloc/demand ratio.
@@ -169,6 +164,8 @@ class ExecutionSite {
   [[nodiscard]] Resources total_demand() const;
 
  protected:
+  friend class Workload;
+
   ExecutionSite(std::string name, const Calibration& cal)
       : cal_(cal), name_(std::move(name)) {}
 
@@ -176,6 +173,19 @@ class ExecutionSite {
   [[nodiscard]] const DemandClasses::Row& class_of(const Workload& w) const {
     return classes_.rows[w.site_row_];
   }
+  /// The class row whose grant and speed a resident member holds, or null
+  /// while it holds its own copy (Workload::allocated_): before its first
+  /// install, from a re-key until this site's next install, and once it
+  /// is done.
+  [[nodiscard]] const DemandClasses::Row* held_row(const Workload& w) const {
+    return w.done_ || w.copied_at_ == installs_ ? nullptr
+                                                : &classes_.rows[w.site_row_];
+  }
+  /// Settles every member at the rate it held since its last settle and
+  /// returns the MB of I/O they performed. Once per instant: members that
+  /// joined since the last pass carry `now` as their last settle, so a
+  /// second pass at the same instant would find every interval empty.
+  double settle_members(sim::SimTime now);
   /// Audit: every member's row holds its current key, every row counts the
   /// members that point at it, and a free row asks for nothing.
   [[nodiscard]] bool classes_match_members() const;
@@ -183,9 +193,22 @@ class ExecutionSite {
   const Calibration& cal_;
   std::vector<WorkloadPtr> workloads_;
   DemandClasses classes_;
+  /// Installs of the class rows' grants and speeds since construction; a
+  /// member's own copy stamped with the current count stands until the
+  /// next install moves it on.
+  std::uint64_t installs_ = 0;
 
  private:
+  // Settles one member at the rate it held.
+  double settle(Workload& w, sim::SimTime now) const {
+    const DemandClasses::Row* row = held_row(w);
+    return row != nullptr ? w.settle(now, row->speed, row->grant)
+                          : w.settle(now, w.speed_, w.allocated_);
+  }
+
   std::string name_;
+  // The instant of the last settle_members() pass (none yet: -inf).
+  sim::SimTime settled_at_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Xen-style virtual machine. Owned by HybridCluster; hosted by a Machine.
@@ -242,12 +265,17 @@ class VirtualMachine : public ExecutionSite {
   void attach_to(Machine* host) { host_ = host; }
   /// Distributes the grant across resident workloads by demand class and
   /// applies the taxes. The last fill stands when no member joined, left
-  /// or was re-keyed and `grant` is byte-equal to the one it filled.
+  /// or was re-keyed and `grant` is byte-equal to the one it filled; the
+  /// last rating stands when the fill did and so did its other inputs.
   /// `prof` (null unless profiled) counts the fill.
   void distribute(sim::SimTime now, const Resources& grant, int active_io_vms,
                   telemetry::Profiler* prof);
   /// Settles all resident workloads and decays the recent-I/O counter.
   void settle_all(sim::SimTime now);
+  /// Stalls every member on a detach: zeroes the class rows' grants and
+  /// speeds, counts as an install (so no member keeps its own copy) and
+  /// marks the classes changed, so the next host refills and re-rates.
+  void zero_grants();
 
  private:
   sim::Simulation& sim_;
@@ -270,6 +298,10 @@ class VirtualMachine : public ExecutionSite {
   mutable bool agg_dirty_ = true;
   // The grant distribute() last filled the classes with.
   Resources filled_grant_{};
+  // The inputs of the last rating besides the fill: the CPU and I/O
+  // efficiencies and the migration factor (by bytes), and the pause flag.
+  std::array<double, 3> rated_with_{};
+  bool rated_paused_ = false;
 };
 
 /// A physical server. Root of the allocation hierarchy.
@@ -348,10 +380,13 @@ class Machine : public ExecutionSite {
   [[nodiscard]] std::uint64_t recompute_count() const {
     return recompute_count_;
   }
+  /// A reallocation is pending (the coordinator skips a clean machine).
+  [[nodiscard]] bool dirty() const { return dirty_; }
   /// (Re)schedules the completion event of a finite workload hosted
-  /// anywhere on this machine by defer()ing it in place. No-op when the
-  /// recomputed finish time equals the already-scheduled one.
-  void reschedule(const WorkloadPtr& workload);
+  /// anywhere on this machine, which now runs at `speed`, by defer()ing it
+  /// in place. No-op when the recomputed finish time equals the
+  /// already-scheduled one.
+  void reschedule(const WorkloadPtr& workload, double speed);
 
   /// Attaches this machine to a telemetry hub: caches the hub's profiler
   /// when profiling is live (null detaches).

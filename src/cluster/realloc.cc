@@ -30,9 +30,12 @@ void ReallocCoordinator::drain() {
   if (!dirty_.empty()) {
     telemetry::Scope prof_scope(prof_, prof_drain_scope_);
     // recompute() can mark *other* machines dirty (it never re-marks its
-    // own: the dirty flag clears on entry), so process as a queue.
+    // own: the dirty flag clears on entry), so process as a queue. A read
+    // barrier may have cleaned a machine since it was marked (and a machine
+    // marked again after that sits here twice): only a dirty one has
+    // anything to recompute.
     for (std::size_t i = 0; i < dirty_.size(); ++i) {
-      dirty_[i]->recompute(RecomputeCause::kDrain);
+      if (dirty_[i]->dirty()) dirty_[i]->recompute(RecomputeCause::kDrain);
     }
     if (prof_ != nullptr) {
       prof_->add(telemetry::WorkCounter::kDrainPasses);

@@ -43,11 +43,13 @@ class ReallocCoordinator {
   [[nodiscard]] bool eager() const { return eager_; }
 
   /// Marks `machine` dirty. Called by Machine::invalidate() only; the
-  /// machine guarantees it enqueues itself at most once.
+  /// machine enqueues itself once per clean-to-dirty transition, so one a
+  /// read barrier cleaned and a mutation marked again sits here twice.
   void mark_dirty(Machine* machine) { dirty_.push_back(machine); }
 
-  /// Recomputes every dirty machine (in first-marked order). Runs
-  /// automatically at event boundaries via the flush hook.
+  /// Recomputes every machine in the list that is still dirty (in
+  /// first-marked order). Runs automatically at event boundaries via the
+  /// flush hook.
   void drain();
 
   /// Drops a machine from the dirty list (machine teardown).

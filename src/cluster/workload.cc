@@ -53,7 +53,9 @@ void drain_host(const ExecutionSite* site) {
 
 double Workload::speed() const {
   drain_host(site_);
-  return speed_;
+  const DemandClasses::Row* row =
+      site_ != nullptr ? site_->held_row(*this) : nullptr;
+  return row != nullptr ? row->speed : speed_;
 }
 
 sim::Duration Workload::remaining() const {
@@ -67,16 +69,22 @@ double Workload::progress() const {
   return std::clamp(1.0 - remaining_ / total_work_, 0.0, 1.0);
 }
 
-const Resources& Workload::allocated() const {
+Resources Workload::allocated() const {
   drain_host(site_);
-  return allocated_;
+  const DemandClasses::Row* row =
+      site_ != nullptr ? site_->held_row(*this) : nullptr;
+  return row != nullptr ? row->grant : allocated_;
 }
 
 void Workload::finish(sim::SimTime now) {
   // Settle at the *current* rates: drain any deferred recompute first so
   // the interval accrues exactly as it would have under eager reallocation.
   drain_host(site_);
-  settle(now);
+  if (site_ != nullptr) {
+    site_->settle(*this, now);
+  } else {
+    settle(now, speed_, allocated_);
+  }
   remaining_ = 0;
   done_ = true;
   speed_ = 0;

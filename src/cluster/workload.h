@@ -59,11 +59,14 @@ class Workload {
   /// Fraction complete in [0,1]; service workloads report 0. Drains any
   /// pending reallocation first (see remaining()).
   [[nodiscard]] double progress() const;
-  /// Current speed / allocation. Reallocation is deferred and coalesced,
-  /// so these first drain any pending recompute of the host machine —
-  /// callers never observe stale shares (defined out of line for that).
+  /// Current speed / allocation: the member's class row's while it is
+  /// attached and installed (ExecutionSite::held_row). Reallocation is
+  /// deferred and coalesced, so these first drain any pending recompute of
+  /// the host machine — callers never observe stale shares (defined out of
+  /// line for that). The grant is a copy: the row table can grow.
+  // sim-lint: allow(unused-api) property_test, realloc_test: member speeds
   [[nodiscard]] double speed() const;
-  [[nodiscard]] const Resources& allocated() const;
+  [[nodiscard]] Resources allocated() const;
 
   /// Invoked (by the hosting machine) when the work completes; the workload
   /// has already been detached from its site.
@@ -73,28 +76,6 @@ class Workload {
   [[nodiscard]] ExecutionSite* site() const { return site_; }
 
   // === Internal interface used by the allocation engine ===
-
-  /// Accrues progress for the interval since the last settle, at the
-  /// current speed. Returns MB of I/O performed in the interval (for the
-  /// VM buffer-cache model). Inline: the reallocation engine calls this
-  /// once per resident workload per recompute.
-  double settle(sim::SimTime now) {
-    const double dt = now - last_settle_;
-    last_settle_ = now;
-    if (dt <= 0 || done_) return 0;
-    if (finite()) {
-      remaining_ = remaining_ - dt * speed_ > 0 ? remaining_ - dt * speed_ : 0;
-    }
-    return (allocated_.disk + allocated_.net) * dt;
-  }
-
-  /// Installs the new allocation and speed (after settle).
-  void apply_allocation(sim::SimTime now, const Resources& alloc,
-                        double speed) {
-    last_settle_ = now;
-    allocated_ = alloc;
-    speed_ = done_ ? 0 : speed;
-  }
 
   /// Marks the workload complete (settles first).
   void finish(sim::SimTime now);
@@ -117,6 +98,21 @@ class Workload {
 
   void refresh_eff_demand();
 
+  /// Accrues progress for the interval since the last settle at the
+  /// `speed` and `grant` the member held over it. Returns MB of I/O
+  /// performed in the interval (for the VM buffer-cache model). Inline:
+  /// the reallocation engine calls this once per resident workload per
+  /// recompute (through ExecutionSite, which knows the held rate).
+  double settle(sim::SimTime now, double speed, const Resources& grant) {
+    const double dt = now - last_settle_;
+    last_settle_ = now;
+    if (dt <= 0 || done_) return 0;
+    if (finite()) {
+      remaining_ = remaining_ - dt * speed > 0 ? remaining_ - dt * speed : 0;
+    }
+    return (grant.disk + grant.net) * dt;
+  }
+
   Resources demand_;
   Resources caps_ = Resources::unbounded();
   Resources eff_demand_{};
@@ -124,8 +120,13 @@ class Workload {
   double remaining_;
   bool done_ = false;
   bool paused_ = false;
+  // The member's own copy of its grant and speed, held instead of its
+  // class row's (ExecutionSite::held_row): zeros before its first install
+  // and once it is done or detached; its old row's from a re-key that
+  // moved it until its site's next install, which `copied_at_` names.
   double speed_ = 0;
   Resources allocated_{};
+  std::uint64_t copied_at_ = 0;    // the site's install count at the copy
   sim::SimTime last_settle_ = 0;
   ExecutionSite* site_ = nullptr;  // owned by HybridCluster
   std::uint32_t site_row_ = 0;     // this member's row at its site

@@ -171,19 +171,16 @@ std::size_t count_weighted_mismatches(sim::Rng& rng, double capacity,
     }
   }
   rng.shuffle(std::span<std::vector<std::size_t>>(rows));
-  std::vector<double> values;
-  std::vector<std::uint32_t> counts;
+  cluster::DemandClasses classes;
   for (const auto& row : rows) {
-    values.push_back(demands[row.front()]);
-    counts.push_back(static_cast<std::uint32_t>(row.size()));
+    classes.rows.emplace_back().effective.cpu = demands[row.front()];
+    classes.counts.push_back(static_cast<std::uint32_t>(row.size()));
   }
-  std::vector<double> grants(rows.size());
-  cluster::WaterfillScratch scratch;
-  cluster::waterfill_into(capacity, values, counts, grants, scratch);
+  classes.fill(Resources{capacity, 0, 0, 0}, {}, nullptr);
   std::size_t mismatched = 0;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     for (const std::size_t i : rows[r]) {
-      if (bits(expanded[i]) != bits(grants[r])) ++mismatched;
+      if (bits(expanded[i]) != bits(classes.rows[r].grant.cpu)) ++mismatched;
     }
   }
   return mismatched;
@@ -290,6 +287,103 @@ TEST_P(WaterfillGroupedProperty, NonPositiveAndNanDemandsAreAbsent) {
     }
     ASSERT_EQ(count_weighted_mismatches(rng, c.capacity, mixed), 0u)
         << "trial " << trial;
+  }
+}
+
+// DemandClasses::fill levels all four resources in one pass. Random rows
+// (1-4 members each) and singles whose demands tie within each resource:
+// one resource draws from 9-12 distinct values (past the stack table), the
+// others from at most 6; some demands are zero, negative or NaN, and one
+// resource has no capacity. Each resource's grants must equal, bit for
+// bit, the one-resource fill of its column expanded to one consumer per
+// member, and the reference sweep to rounding; a non-positive or NaN
+// demand, and every demand on the resource without capacity, gets +0.
+TEST_P(WaterfillGroupedProperty, ClassFillLevelsEachResourceAlone) {
+  const double junk[] = {std::numeric_limits<double>::quiet_NaN(), -3.5, 0.0,
+                         -0.0, -std::numeric_limits<double>::infinity()};
+  sim::Rng rng(GetParam());
+  cluster::DemandClasses classes;  // reused, like a site's table
+  for (int trial = 0; trial < 100; ++trial) {
+    const int wide = rng.uniform_int(0, cluster::kNumResources - 1);
+    const int starved = rng.uniform_int(0, cluster::kNumResources - 1);
+    std::array<std::vector<double>, cluster::kNumResources> pool;
+    for (int r = 0; r < cluster::kNumResources; ++r) {
+      pool[r].resize(static_cast<std::size_t>(
+          r == wide ? rng.uniform_int(9, 12) : rng.uniform_int(1, 6)));
+      for (double& v : pool[r]) v = rng.uniform(0.5, 60);
+    }
+    // The wide resource's first demands cover its whole pool.
+    auto draw = [&](int r, std::size_t i) {
+      if (r == wide && i < pool[r].size()) return pool[r][i];
+      if (rng.bernoulli(0.15)) return junk[rng.index(std::size(junk))];
+      return pool[r][rng.index(pool[r].size())];
+    };
+    const auto n = static_cast<std::size_t>(rng.uniform_int(17, 40));
+    classes.rows.assign(n, {});
+    classes.counts.clear();
+    std::vector<cluster::DemandClasses::Row> singles(rng.index(5));
+    for (std::size_t i = 0; i < n + singles.size(); ++i) {
+      Resources& d = i < n ? classes.rows[i].effective
+                           : singles[i - n].effective;
+      for (int r = 0; r < cluster::kNumResources; ++r) {
+        d[static_cast<cluster::ResourceKind>(r)] = draw(r, i);
+      }
+      if (i < n) {
+        classes.counts.push_back(
+            static_cast<std::uint32_t>(rng.uniform_int(1, 4)));
+      }
+    }
+    Resources capacity;
+    for (int r = 0; r < cluster::kNumResources; ++r) {
+      const auto kind = static_cast<cluster::ResourceKind>(r);
+      double total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d = classes.rows[i].effective[kind];
+        if (d > 0) total += d * classes.counts[i];
+      }
+      for (const auto& single : singles) {
+        if (single.effective[kind] > 0) total += single.effective[kind];
+      }
+      capacity[kind] = r == starved ? 0.0 : rng.uniform(0.2, 1.2) * total;
+    }
+    classes.fill(capacity, singles, nullptr);
+
+    for (int r = 0; r < cluster::kNumResources; ++r) {
+      const auto kind = static_cast<cluster::ResourceKind>(r);
+      std::vector<double> column;  // one entry per member, then singles
+      std::vector<double> held;    // the grant of the entry's row
+      std::vector<double> positive;
+      for (std::size_t i = 0; i < n + singles.size(); ++i) {
+        const auto& row = i < n ? classes.rows[i] : singles[i - n];
+        const std::uint32_t members = i < n ? classes.counts[i] : 1;
+        for (std::uint32_t k = 0; k < members; ++k) {
+          column.push_back(row.effective[kind]);
+          held.push_back(row.grant[kind]);
+          if (row.effective[kind] > 0) positive.push_back(row.effective[kind]);
+        }
+      }
+      const std::vector<double> alone =
+          cluster::waterfill(capacity[kind], column);
+      const std::vector<double> ref =
+          reference_waterfill(capacity[kind], positive);
+      std::size_t next_positive = 0;
+      for (std::size_t i = 0; i < column.size(); ++i) {
+        ASSERT_EQ(bits(held[i]), bits(alone[i]))
+            << "trial " << trial << " " << cluster::to_string(kind)
+            << " consumer " << i << " demand " << column[i];
+        if (!(column[i] > 0) || r == starved) {
+          ASSERT_EQ(bits(held[i]), bits(0.0))
+              << "trial " << trial << " " << cluster::to_string(kind)
+              << " consumer " << i << " demand " << column[i];
+        }
+        if (column[i] > 0) {
+          const double want = ref[next_positive++];
+          ASSERT_LE(std::abs(held[i] - want), 1e-12 * std::abs(want))
+              << "trial " << trial << " " << cluster::to_string(kind)
+              << " consumer " << i;
+        }
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for deferred/coalesced reallocation (realloc.h): burst coalescing,
 // read-barrier freshness, eager/deferred determinism equivalence (eager
 // mode, ReallocCoordinator::set_eager, is the simulator's one remaining
-// reference switch), the reschedule-churn fix, the span-based waterfill,
+// reference switch), the reschedule-churn fix, the in-place fill,
 // and the bounded TimeSeries machinery that keeps long runs O(max) memory.
 #include <gtest/gtest.h>
 
@@ -110,6 +110,107 @@ TEST_F(ReallocTest, RescheduleSkipsUnchangedFinishTime) {
   cluster.set_telemetry(nullptr);  // the hub dies before the fixture
 }
 
+// A VM that reads a member's speed and grant in the window between the
+// member's re-key and the reallocation the re-key marks: it re-keys without
+// reallocating, so the host is still clean and the reads drain nothing.
+class RekeyWindowVm : public VirtualMachine {
+ public:
+  using VirtualMachine::VirtualMachine;
+
+  void rekey(Workload& member, bool reallocate) override {
+    VirtualMachine::rekey(member, false);
+    seen_speed = member.speed();
+    seen_grant = member.allocated();
+    if (reallocate) this->reallocate();
+  }
+
+  double seen_speed = -1;
+  Resources seen_grant{-1, -1, -1, -1};
+};
+
+// A member settles at the rate it held. Installed at t1, it is re-keyed to
+// another class at t2: until the drain at t2 it still holds its t1 grant
+// and speed, and that drain credits [t1, t2) at the t1 speed.
+TEST_F(ReallocTest, MemberSettlesAtTheRateItHeld) {
+  Machine* m = cluster.add_machine();
+  RekeyWindowVm vm(sim, "window", sim::CoreShare{2}, sim::MegaBytes{2048},
+                   cluster.calibration());
+  m->attach_vm(&vm);
+  Resources d;
+  d.cpu = 1.0;
+  d.disk = 20;
+  auto w = std::make_shared<Workload>(d, sim::Duration{100});
+  sim.at(1.5, [&] { vm.add(w); });
+  sim.run_until(1.5);
+  sim.flush();
+  const sim::SimTime t1 = sim.now();
+  const double s1 = w->speed();
+  const Resources g1 = w->allocated();
+  ASSERT_GT(s1, 0.0);
+
+  const sim::SimTime t2 = 4.0;
+  sim.run_until(t2);
+  ASSERT_TRUE(sim::same_time(sim.now(), t2));
+  Resources cap = Resources::unbounded();
+  cap.cpu = 0.5;  // below the demand: the member moves to a new class
+  w->set_caps(cap);
+  EXPECT_EQ(vm.seen_speed, s1);
+  for (int r = 0; r < kNumResources; ++r) {
+    const auto kind = static_cast<ResourceKind>(r);
+    EXPECT_EQ(vm.seen_grant[kind], g1[kind]) << to_string(kind);
+  }
+
+  sim.flush();  // the drain at t2
+  EXPECT_EQ(w->remaining().value(), 100.0 - (t2 - t1) * s1);
+  EXPECT_LT(w->speed(), s1);
+  m->detach_vm(&vm);  // the VM goes before the cluster
+}
+
+// A VM detached at t1 and re-attached at t2: in between its members read
+// speed 0 and a zero grant, one re-keyed just before the detach too (the
+// copy of its old grant it held expires), and make no progress.
+TEST_F(ReallocTest, DetachedVmHoldsNothingAndMakesNoProgress) {
+  Machine* m = cluster.add_machine();
+  VirtualMachine* vm = cluster.add_vm(*m);
+  Resources d;
+  d.cpu = 0.5;
+  d.disk = 10;
+  auto steady = std::make_shared<Workload>(d, sim::Duration{100});
+  auto rekeyed = std::make_shared<Workload>(d, sim::Duration{100});
+  vm->add(steady);
+  vm->add(rekeyed);
+  sim.run_until(2.0);
+  ASSERT_GT(rekeyed->speed(), 0.0);
+  Resources cap = Resources::unbounded();
+  cap.cpu = 0.25;
+  rekeyed->set_caps(cap);
+  m->detach_vm(vm);
+
+  auto expect_stalled = [&](const char* when) {
+    for (const WorkloadPtr& w : {steady, rekeyed}) {
+      EXPECT_EQ(w->speed(), 0.0) << when;
+      const Resources grant = w->allocated();
+      for (int r = 0; r < kNumResources; ++r) {
+        const auto kind = static_cast<ResourceKind>(r);
+        EXPECT_EQ(grant[kind], 0.0) << when << " " << to_string(kind);
+      }
+    }
+  };
+  expect_stalled("at the detach");
+  const double steady_left = steady->remaining().value();
+  const double rekeyed_left = rekeyed->remaining().value();
+
+  sim.at(5.0, [] {});
+  sim.run_until(5.0);
+  expect_stalled("while detached");
+  m->attach_vm(vm);
+  sim.flush();
+  EXPECT_EQ(steady->remaining().value(), steady_left);
+  EXPECT_EQ(rekeyed->remaining().value(), rekeyed_left);
+  EXPECT_GT(steady->speed(), 0.0);
+  EXPECT_GT(rekeyed->speed(), 0.0);
+}
+
 // --- determinism equivalence: deferred vs eager, same seed ---
 
 struct ReportArtifacts {
@@ -168,22 +269,34 @@ TEST(ReallocDeterminism, DeferredMatchesEagerByteForByte) {
   EXPECT_EQ(deferred.trace, eager.trace);
 }
 
-// --- span-based waterfill ---
+// --- in-place fill ---
 
+// A site's class table fills in place and is reused fill after fill; each
+// resource's grants match the allocating one-resource call, whichever of
+// the four resources the demands sit in.
 TEST(WaterfillSpan, MatchesAllocatingVersion) {
   const std::vector<std::vector<double>> demand_sets = {
       {}, {1, 2, 3}, {1, 10, 10}, {5, 3, 8, 0.5}, {0, 0, 4}, {2.5}};
-  WaterfillScratch scratch;
+  DemandClasses classes;
   for (const auto& demands : demand_sets) {
     for (double capacity : {0.0, 1.0, 7.0, 100.0}) {
       const std::vector<double> expect = waterfill(capacity, demands);
-      std::vector<double> got(demands.size(), -1);
-      const std::vector<std::uint32_t> ones(demands.size(), 1);
-      waterfill_into(capacity, demands, ones, got, scratch);
-      ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_DOUBLE_EQ(got[i], expect[i])
-            << "capacity " << capacity << " index " << i;
+      for (int r = 0; r < kNumResources; ++r) {
+        const auto kind = static_cast<ResourceKind>(r);
+        classes.rows.assign(demands.size(), {});
+        classes.counts.assign(demands.size(), 1);
+        for (std::size_t i = 0; i < demands.size(); ++i) {
+          classes.rows[i].effective[kind] = demands[i];
+          classes.rows[i].grant[kind] = -1;
+        }
+        Resources cap;
+        cap[kind] = capacity;
+        classes.fill(cap, {}, nullptr);
+        for (std::size_t i = 0; i < demands.size(); ++i) {
+          EXPECT_DOUBLE_EQ(classes.rows[i].grant[kind], expect[i])
+              << "capacity " << capacity << " index " << i << " "
+              << to_string(kind);
+        }
       }
     }
   }
