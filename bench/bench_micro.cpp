@@ -4,7 +4,8 @@
 // class per VM, a shuffle's many members in few classes, and the same
 // shuffle with a flow leaving and arriving at every recompute), the
 // regression fits, one dispatch pass, one dispatch wave over host-capped
-// trackers, and an end-to-end small job.
+// trackers, one slot refill among hundreds of live jobs, and an end-to-end
+// small job.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -418,6 +419,48 @@ void BM_DispatchWave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DispatchWave)->Arg(24)->Arg(96);
+
+// One slot refill among `range(0)` live jobs on 24 virtual hosts x 2 VMs,
+// every VM a datanode and a tracker: hmrbench many-jobs' shape, where a
+// pick walks the fair order over hundreds of live jobs and reads their
+// block lists and pending maps. Every job is Pi's 128 one-MB splits, so
+// every map slot is busy and most maps stay pending. An iteration requeues
+// one running attempt (its slot frees, its job moves down the fair order)
+// and the dispatch that follows refills the slot. The bed is rebuilt
+// (untimed) every kPassesPerBed passes, like BM_DispatchPass's, but 4x
+// less often: staging 512 jobs' inputs takes ~20 ms.
+void BM_DispatchManyJobs(benchmark::State& state) {
+  constexpr int kPassesPerBed = 256;
+  const int live_jobs = static_cast<int>(state.range(0));
+  auto make_bed = [live_jobs] {
+    harness::TestBed::Options options;
+    options.telemetry = false;
+    options.speculative_execution = false;
+    auto bed = std::make_unique<harness::TestBed>(options);
+    bed->add_virtual_nodes(24, 2);
+    for (int i = 0; i < live_jobs; ++i) bed->mr().submit(workload::pi_est());
+    return bed;
+  };
+  auto bed = make_bed();
+  int passes = 0;
+  for (auto _ : state) {
+    if (passes == kPassesPerBed) {
+      state.PauseTiming();
+      bed.reset();
+      bed = make_bed();
+      passes = 0;
+      state.ResumeTiming();
+    }
+    auto& mr = bed->mr();
+    const auto& trackers = mr.trackers();
+    const auto& tracker =
+        *trackers[static_cast<std::size_t>(passes) % trackers.size()];
+    mr.requeue(*tracker.running().front(), /*ban_tracker=*/false);
+    ++passes;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DispatchManyJobs)->Arg(128)->Arg(512);
 
 void BM_EndToEndSmallJob(benchmark::State& state) {
   for (auto _ : state) {

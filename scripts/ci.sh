@@ -266,7 +266,7 @@ scale="$root/release/bench/bench_scale"
 if [ -x "$micro" ] && [ -x "$scale" ]; then
   mkdir -p "$perf_dir"
   if "$micro" \
-        --benchmark_filter='BM_RecomputeBurst|BM_Waterfill|BM_EventQueue|BM_EventCancellation|BM_MachineRecompute|BM_DispatchPass|BM_DispatchWave|BM_EndToEndSmallJob' \
+        --benchmark_filter='BM_RecomputeBurst|BM_Waterfill|BM_EventQueue|BM_EventCancellation|BM_MachineRecompute|BM_DispatchPass|BM_DispatchWave|BM_DispatchManyJobs|BM_EndToEndSmallJob' \
         --benchmark_min_time=0.05 \
         --benchmark_out="$perf_dir/micro.json" \
         --benchmark_out_format=json > /dev/null &&

@@ -1,16 +1,23 @@
 #include "cluster/cluster.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "telemetry/telemetry.h"
 
 namespace hybridmr::cluster {
 
+void HybridCluster::number(ExecutionSite& site) const {
+  site.ordinal_ =
+      static_cast<std::uint32_t>(machines_.size() + vms_.size() - 1);
+}
+
 Machine* HybridCluster::add_machine(const std::string& name) {
   const std::string n =
       name.empty() ? "pm" + std::to_string(machines_.size()) : name;
   machines_.push_back(
       std::make_unique<Machine>(sim_, realloc_, n, cal_.pm_capacity(), cal_));
+  number(*machines_.back());
   if (tel_ != nullptr) machines_.back()->set_telemetry(tel_);
   return machines_.back().get();
 }
@@ -37,6 +44,7 @@ VirtualMachine* HybridCluster::add_vm(Machine& host, const std::string& name,
                                     : cal_.vm_memory_mb,
       cal_));
   VirtualMachine* vm = vms_.back().get();
+  number(*vm);
   host.attach_vm(vm);
   return vm;
 }

@@ -78,6 +78,9 @@ class HybridCluster {
   void set_telemetry(telemetry::Hub* hub);
 
  private:
+  /// Gives the site just appended to machines_ or vms_ the next ordinal.
+  void number(ExecutionSite& site) const;
+
   sim::Simulation& sim_;
   const Calibration& cal_;
   // Declared before the machines: they deregister from it on destruction.

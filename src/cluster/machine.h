@@ -156,6 +156,10 @@ class ExecutionSite {
   [[nodiscard]] virtual Resources nominal() const = 0;
   /// The run's calibration (the cluster's).
   [[nodiscard]] const Calibration& calibration() const { return cal_; }
+  /// This site's number in its cluster, dense and in creation order
+  /// (machines and VMs share one count, and no site leaves the cluster):
+  /// the index of flat per-site tables such as Hdfs's locality index.
+  [[nodiscard]] std::uint32_t ordinal() const { return ordinal_; }
 
   [[nodiscard]] const std::vector<WorkloadPtr>& workloads() const {
     return workloads_;
@@ -165,6 +169,7 @@ class ExecutionSite {
 
  protected:
   friend class Workload;
+  friend class HybridCluster;  // assigns ordinal_
 
   ExecutionSite(std::string name, const Calibration& cal)
       : cal_(cal), name_(std::move(name)) {}
@@ -207,6 +212,7 @@ class ExecutionSite {
   }
 
   std::string name_;
+  std::uint32_t ordinal_ = 0;
   // The instant of the last settle_members() pass (none yet: -inf).
   sim::SimTime settled_at_ = -std::numeric_limits<double>::infinity();
 };

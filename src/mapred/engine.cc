@@ -1,8 +1,6 @@
 #include "mapred/engine.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -53,7 +51,9 @@ MapReduceEngine::MapReduceEngine(sim::Simulation& sim, storage::Hdfs& hdfs,
       cal_(cal),
       scheduler_(scheduler ? std::move(scheduler)
                            : std::make_unique<FifoScheduler>()),
-      options_(options) {}
+      options_(options) {
+  live_.jobs_ = &jobs_;
+}
 
 TaskTracker* MapReduceEngine::add_tracker(cluster::ExecutionSite& site,
                                           int map_slots, int reduce_slots) {
@@ -67,6 +67,7 @@ TaskTracker* MapReduceEngine::add_tracker(cluster::ExecutionSite& site,
     membership_ = &site.host_machine()->coordinator();
   }
   tr->host_load_ = host_load_of(site);
+  if (tr->host_load_ != nullptr) tr->host_load_->trackers.push_back(tr);
   update_offer(*tr);
   return tr;
 }
@@ -87,6 +88,7 @@ bool MapReduceEngine::remove_tracker(cluster::ExecutionSite& site) {
     for (const auto& t : job->maps()) t->banned_trackers.erase(it->get());
     for (const auto& t : job->reduces()) t->banned_trackers.erase(it->get());
   }
+  if (HostLoad* load = (*it)->host_load_) std::erase(load->trackers, it->get());
   trackers_.erase(it);
   rebuild_dispatch_index();  // erase shifted every index after `it`
   return true;
@@ -98,7 +100,7 @@ void MapReduceEngine::update_offer(TaskTracker& tracker) {
                     (tracker.host_load_ == nullptr ||
                      !tracker.host_load_->capped());
   for (TaskType type : kTaskTypes) {
-    auto& offers = offers_[type_index(type)][partition];
+    Bitmap& offers = offers_[type_index(type)][partition];
     if (open && tracker.free_slots(type) > 0) {
       offers.insert(tracker.index_);
     } else {
@@ -126,19 +128,8 @@ void MapReduceEngine::add_host_running(const TaskTracker& tracker,
   if (load == nullptr) return;
   const bool was_capped = load->capped();
   load->running += delta;
-  if (load->capped() != was_capped) update_host_offers(*load->host);
-}
-
-void MapReduceEngine::update_host_offers(const cluster::Machine& host) {
-  // Every site whose host_machine() is `host`: the machine itself and the
-  // VMs it hosts now (VirtualMachine::host_machine() is non-null exactly
-  // while listed in Machine::vms()).
-  const auto update_site = [this](const cluster::ExecutionSite& site) {
-    const auto it = tracker_by_site_.find(&site);
-    if (it != tracker_by_site_.end()) update_offer(*it->second);
-  };
-  update_site(host);
-  for (const cluster::VirtualMachine* vm : host.vms()) update_site(*vm);
+  if (load->capped() == was_capped) return;
+  for (TaskTracker* tr : load->trackers) update_offer(*tr);
 }
 
 void MapReduceEngine::sync_host_load() {
@@ -148,17 +139,23 @@ void MapReduceEngine::sync_host_load() {
   }
   // A VM moved, left or (re)joined a host since the totals were counted:
   // its running attempts now count toward a different host. Both the
-  // record a tracker counted toward and its current one restart from
-  // zero, so a host left without trackers reads 0, not a stale total.
+  // record a tracker counted toward and its current one restart empty, so
+  // a host left without trackers reads 0 and lists none, not stale ones.
   host_epoch_ = membership_->membership_epoch();
+  const auto reset = [](HostLoad* load) {
+    if (load == nullptr) return;
+    load->running = 0;
+    load->trackers.clear();
+  };
   for (const auto& tr : trackers_) {
-    if (tr->host_load_ != nullptr) tr->host_load_->running = 0;
+    reset(tr->host_load_);
     tr->host_load_ = host_load_of(tr->site());
-    if (tr->host_load_ != nullptr) tr->host_load_->running = 0;
+    reset(tr->host_load_);
   }
   for (const auto& tr : trackers_) {
-    if (tr->host_load_ != nullptr) {
-      tr->host_load_->running += static_cast<int>(tr->running().size());
+    if (HostLoad* load = tr->host_load_) {
+      load->running += static_cast<int>(tr->running().size());
+      load->trackers.push_back(tr.get());
     }
   }
   for (const auto& tr : trackers_) update_offer(*tr);
@@ -166,9 +163,7 @@ void MapReduceEngine::sync_host_load() {
 
 void MapReduceEngine::rebuild_dispatch_index() {
   tracker_by_site_.clear();
-  for (auto& by_partition : offers_) {
-    for (auto& offers : by_partition) offers.clear();
-  }
+  offers_ = {};
   for (std::size_t i = 0; i < trackers_.size(); ++i) {
     TaskTracker* tr = trackers_[i].get();
     tr->index_ = static_cast<std::uint32_t>(i);
@@ -251,23 +246,22 @@ bool MapReduceEngine::dispatch_wave(bool locality_only,
   // trackers whose host is under the cap (the sets leave the others out).
   // Launches during the wave mutate the sets (slot grants and a host
   // reaching its cap drop trackers, synchronous sibling kills re-add them)
-  // and the counters, so the cursor re-enters via lower_bound instead of
-  // holding an iterator, and every test re-reads the counters; a tracker
+  // and the counters, so the cursor re-enters via next(pos) instead of
+  // holding a position, and every test re-reads the counters; a tracker
   // whose slot frees behind the cursor is picked up by the next wave,
   // exactly as the full re-scan would.
   std::uint32_t pos = 0;
   for (;;) {
     sync_host_load();
-    std::uint32_t idx = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t idx = Bitmap::kNone;
     for (TaskType type : kTaskTypes) {
       for (const bool virtual_site : {false, true}) {
         if (schedulable_pending(type, virtual_site) <= 0) continue;
-        const auto& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
-        const auto it = offers.lower_bound(pos);
-        if (it != offers.end()) idx = std::min(idx, *it);
+        const Bitmap& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
+        idx = std::min(idx, offers.next(pos));
       }
     }
-    if (idx == std::numeric_limits<std::uint32_t>::max()) break;
+    if (idx == Bitmap::kNone) break;
     TaskTracker& tr = *trackers_[idx];
     pos = idx + 1;
     ++tracker_scans;
@@ -303,16 +297,12 @@ void MapReduceEngine::add_schedulable(const Job& job, TaskType type,
 }
 
 void MapReduceEngine::add_running(Job& job, int delta) {
-  if (!job.live()) {
-    job.running_attempts_ += delta;
-    return;
-  }
-  auto node = live_.fair_order_.extract(
-      LiveJobs::FairKey{job.running_attempts_, job.id(), &job});
-  assert(!node.empty() && "live job missing from the fair-order index");
+  const int before = job.running_attempts_;
   job.running_attempts_ += delta;
-  node.value().running = job.running_attempts_;
-  live_.fair_order_.insert(std::move(node));
+  if (job.live()) {
+    live_.fair_order_.move(static_cast<std::uint32_t>(job.id()), before,
+                           job.running_attempts_);
+  }
 }
 
 void MapReduceEngine::set_state(Job& job, JobState state) {
@@ -323,14 +313,14 @@ void MapReduceEngine::set_state(Job& job, JobState state) {
   job.state_ = state;
   for (TaskType type : kTaskTypes) add_schedulable(job, type, job.pending(type));
   if (job.live() == was_live) return;
-  const LiveJobs::FairKey key{job.running_tasks(), job.id(), &job};
+  const auto id = static_cast<std::uint32_t>(job.id());
   if (job.live()) {
     live_.submit_order_.push_back(&job);
-    live_.fair_order_.insert(key);
+    live_.fair_order_.insert(id, job.running_tasks());
   } else {
     // The submit-order list drops the job at the next dispatch, not here:
     // a FIFO pick or a wave may be iterating it when a launch finishes it.
-    live_.fair_order_.erase(key);
+    live_.fair_order_.erase(id, job.running_tasks());
     live_.stale_ = true;
   }
 }
@@ -353,7 +343,7 @@ void MapReduceEngine::dispatch() {
   // return a task, so skip the sweep.
   bool any_offer = false;
   for (const auto& by_partition : offers_) {
-    for (const auto& offers : by_partition) any_offer |= !offers.empty();
+    for (const Bitmap& offers : by_partition) any_offer |= !offers.empty();
   }
   if (active_jobs() > 0 && any_offer) {
     // Round-robin one slot per tracker per pass (mirrors heartbeat
@@ -675,14 +665,16 @@ void MapReduceEngine::audit_verify_job(const Job& job) const {
                        {{"job", job.spec().name},
                         {"counter", audit::num(job.running_tasks())},
                         {"scan", audit::num(running_scan)}});
-  // Likewise the per-job pending counters behind the engine-wide ones.
-  HYBRIDMR_AUDIT_CHECK(pending_scan[0] == job.pending_maps() &&
-                           pending_scan[1] == job.pending_reduces(),
+  // Likewise the per-job pending counts behind the engine-wide ones.
+  HYBRIDMR_AUDIT_CHECK(pending_scan[0] == job.pending(TaskType::kMap) &&
+                           pending_scan[1] == job.pending(TaskType::kReduce),
                        "mapred.engine", "pending_counter_conserved", now,
                        {{"job", job.spec().name},
-                        {"maps_counter", audit::num(job.pending_maps())},
+                        {"maps_counter",
+                         audit::num(job.pending(TaskType::kMap))},
                         {"maps_scan", audit::num(pending_scan[0])},
-                        {"reduces_counter", audit::num(job.pending_reduces())},
+                        {"reduces_counter",
+                         audit::num(job.pending(TaskType::kReduce))},
                         {"reduces_scan", audit::num(pending_scan[1])}});
   // Conservation: the phase counters match the per-task completion flags,
   // so no completion is double-counted or lost through the shuffle.
@@ -725,9 +717,29 @@ void MapReduceEngine::audit_verify_live_work() const {
     if (!job->live()) continue;
     live.push_back(job.get());
     for (TaskType type : kTaskTypes) {
+      // The job's pending set holds exactly its pending tasks' indices.
+      const auto& tasks = type == TaskType::kMap ? job->maps() : job->reduces();
+      const Bitmap& pending = job->pending_set(type);
+      int flagged = 0;
+      bool bits_match =
+          pending.next(static_cast<std::uint32_t>(tasks.size())) ==
+          Bitmap::kNone;
+      for (const auto& t : tasks) {
+        bits_match &=
+            pending.contains(static_cast<std::uint32_t>(t->index())) ==
+            t->pending();
+        flagged += t->pending() ? 1 : 0;
+      }
+      HYBRIDMR_AUDIT_CHECK(
+          bits_match && job->pending(type) == flagged, "mapred.engine",
+          "pending_set_conserved", now,
+          {{"job", job->spec().name},
+           {"task_type", type == TaskType::kMap ? "map" : "reduce"},
+           {"bits", audit::num(job->pending(type))},
+           {"pending_tasks", audit::num(flagged)}});
       if (TaskScheduler::eligible(*job, type)) {
         schedulable[type_index(type)][static_cast<int>(job->pool())] +=
-            job->pending(type);
+            flagged;
       }
     }
   }
@@ -753,21 +765,26 @@ void MapReduceEngine::audit_verify_live_work() const {
                             {"scan", audit::num(scan)}});
     }
   }
-  // Every fair-order key carries its job's current running count, and the
-  // index holds each live job once.
+  // The fair order holds each live job once, in the bucket of its current
+  // running count: (running_tasks(), id) order.
+  std::size_t members = 0;
+  live_.fair_order_.find_first([&members](std::uint32_t) -> const Job* {
+    ++members;
+    return nullptr;
+  });
   HYBRIDMR_AUDIT_CHECK(
-      live_.fair_order_.size() == live.size(), "mapred.engine",
-      "fair_index_conserved", now,
+      live_.fair_order_.size() == live.size() && members == live.size(),
+      "mapred.engine", "fair_index_conserved", now,
       {{"live", audit::num(static_cast<double>(live.size()))},
-       {"indexed", audit::num(static_cast<double>(live_.fair_order_.size()))}});
-  for (const LiveJobs::FairKey& key : live_.fair_order_) {
+       {"indexed", audit::num(static_cast<double>(live_.fair_order_.size()))},
+       {"members", audit::num(static_cast<double>(members))}});
+  for (const Job* job : live) {
     HYBRIDMR_AUDIT_CHECK(
-        key.job->live() && key.id == key.job->id() &&
-            key.running == key.job->running_tasks(),
+        live_.fair_order_.contains(static_cast<std::uint32_t>(job->id()),
+                                   job->running_tasks()),
         "mapred.engine", "fair_index_conserved", now,
-        {{"job", key.job->spec().name},
-         {"key_running", audit::num(key.running)},
-         {"running", audit::num(key.job->running_tasks())}});
+        {{"job", job->spec().name},
+         {"running", audit::num(job->running_tasks())}});
   }
 #endif
 }
@@ -792,9 +809,11 @@ namespace {
 void MapReduceEngine::audit_verify_host_load() const {
 #if defined(HYBRIDMR_AUDIT_ENABLED)
   const auto scan = scan_host_load(trackers_);
+  std::map<const HostLoad*, std::vector<TaskTracker*>> listed;
   for (const auto& tr : trackers_) {
     const cluster::Machine* host = tr->site().host_machine();
     const HostLoad* load = tr->host_load_;
+    if (load != nullptr) listed[load].push_back(tr.get());
     // The tracker's record is its current host's, and its count is exact.
     HYBRIDMR_AUDIT_CHECK(
         (host == nullptr) == (load == nullptr) &&
@@ -806,6 +825,21 @@ void MapReduceEngine::audit_verify_host_load() const {
          {"recorded_host", load == nullptr ? "none" : load->host->name()},
          {"total", audit::num(load == nullptr ? 0 : load->running)},
          {"tracker_scan", audit::num(host == nullptr ? 0 : scan.at(host))}});
+  }
+  // Each record lists exactly the trackers that point at it, in index
+  // order (the scan above visits them in that order).
+  for (const auto& tr : trackers_) {
+    const HostLoad* load = tr->host_load_;
+    if (load == nullptr) continue;
+    const auto& trackers = listed.at(load);
+    HYBRIDMR_AUDIT_CHECK(load->trackers == trackers, "mapred.engine",
+                         "host_load_conserved", sim_.now(),
+                         {{"host", load->host->name()},
+                          {"listed",
+                           audit::num(static_cast<double>(
+                               load->trackers.size()))},
+                          {"tracker_scan",
+                           audit::num(static_cast<double>(trackers.size()))}});
   }
 #endif
 }
@@ -831,25 +865,29 @@ void MapReduceEngine::audit_verify_offers() const {
   const auto load = scan_host_load(trackers_);
   for (TaskType type : kTaskTypes) {
     for (const bool virtual_site : {false, true}) {
-      std::set<std::uint32_t> scan;
+      const Bitmap& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
+      std::size_t scan = 0;
+      bool bits_match =
+          offers.next(static_cast<std::uint32_t>(trackers_.size())) ==
+          Bitmap::kNone;
       for (std::uint32_t i = 0; i < trackers_.size(); ++i) {
         const TaskTracker& tr = *trackers_[i];
         const cluster::Machine* host = tr.site().host_machine();
         const bool capped =
             host != nullptr && load.at(host) >= host_cap(*host);
-        if (tr.site().is_virtual() == virtual_site && !tr.blacklisted_ &&
-            tr.free_slots(type) > 0 && !capped) {
-          scan.insert(i);
-        }
+        const bool open = tr.site().is_virtual() == virtual_site &&
+                          !tr.blacklisted_ && tr.free_slots(type) > 0 &&
+                          !capped;
+        bits_match &= offers.contains(i) == open;
+        scan += open ? 1 : 0;
       }
-      const auto& offers = offers_[type_index(type)][virtual_site ? 1 : 0];
       HYBRIDMR_AUDIT_CHECK(
-          offers == scan, "mapred.engine", "offer_sets_match_scan",
-          sim_.now(),
+          bits_match && offers.size() == scan, "mapred.engine",
+          "offer_sets_match_scan", sim_.now(),
           {{"task_type", type == TaskType::kMap ? "map" : "reduce"},
            {"partition", virtual_site ? "virtual" : "native"},
            {"offered", audit::num(static_cast<double>(offers.size()))},
-           {"scan", audit::num(static_cast<double>(scan.size()))}});
+           {"scan", audit::num(static_cast<double>(scan))}});
     }
   }
 #endif

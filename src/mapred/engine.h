@@ -5,12 +5,12 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/calibration.h"
+#include "mapred/bitmap.h"
 #include "mapred/job.h"
 #include "mapred/scheduler.h"
 #include "mapred/task.h"
@@ -32,6 +32,10 @@ struct HostLoad {
   int running = 0;
   /// 2 running attempts per core, like slots sized to the hardware.
   int cap = 0;
+  /// The trackers counted here (each one's TaskTracker::host_load_ points
+  /// at this record), in tracker-index order: whose offers a cap crossing
+  /// re-derives.
+  std::vector<TaskTracker*> trackers;
   [[nodiscard]] bool capped() const { return running >= cap; }
 };
 
@@ -85,7 +89,7 @@ class MapReduceEngine {
   }
   /// Jobs submitted and not yet done or failed.
   [[nodiscard]] int active_jobs() const {
-    return static_cast<int>(live_.in_fair_order().size());
+    return static_cast<int>(live_.size());
   }
 
   /// All currently running attempts across all trackers (DRM's view).
@@ -131,21 +135,23 @@ class MapReduceEngine {
   void attempt_finished(TaskAttempt& attempt);
   /// Re-derives `tracker`'s offer-set membership after a slot grant or
   /// release, a blacklist transition or its host crossing the load cap.
-  /// Idempotent and O(log trackers); called from TaskTracker::launch/
+  /// Idempotent and O(1); called from TaskTracker::launch/
   /// release, add_host_running and the blacklist paths so the offer set is
   /// never stale when dispatch() reads it.
   void update_offer(TaskTracker& tracker);
   /// Moves the running-attempt total of `tracker`'s physical host by
-  /// `delta`, re-offering or withdrawing every tracker on the host when
-  /// the total crosses the host cap. O(1) on the tracker's cached load
-  /// record; called only by TaskTracker::launch()/release().
+  /// `delta`, re-offering or withdrawing every tracker the host's load
+  /// record lists when the total crosses the host cap. O(1) on the
+  /// tracker's cached load record; called only by
+  /// TaskTracker::launch()/release().
   void add_host_running(const TaskTracker& tracker, int delta);
   /// Applies a change of `delta` pending tasks of `type` in `job` to the
   /// engine-wide schedulable counters (a no-op unless the job is eligible
   /// for `type`). Called only by Task::sync_pending().
   void add_schedulable(const Job& job, TaskType type, int delta);
-  /// Moves `job`'s running-attempt count by `delta` and re-keys it in the
-  /// fair-order index. Called only by TaskTracker::launch()/release().
+  /// Moves `job`'s running-attempt count by `delta` and moves its bit to
+  /// the fair-order bucket of the new count. Called only by
+  /// TaskTracker::launch()/release().
   void add_running(Job& job, int delta);
   /// Registers `fn` to run whenever an attempt leaves its tracker — every
   /// death path funnels through TaskTracker::release (normal finish, kill,
@@ -192,7 +198,8 @@ class MapReduceEngine {
   /// and map/reduce completion-count conservation for one job.
   void audit_verify_job(const Job& job) const;
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): the live list, the
-  /// schedulable counters and the fair-order keys match a scan of jobs_.
+  /// schedulable counters, every live job's pending sets and the fair-order
+  /// buckets match a scan of jobs_ and their tasks.
   void audit_verify_live_work() const;
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): each offer set holds
   /// exactly the unblacklisted trackers of its partition with a free slot
@@ -200,7 +207,8 @@ class MapReduceEngine {
   /// offer walk replaced.
   void audit_verify_offers() const;
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): each host's running
-  /// total equals the running attempts of the trackers on it.
+  /// total equals the running attempts of the trackers on it, and its
+  /// tracker list holds exactly the trackers that point at it.
   void audit_verify_host_load() const;
   /// Audit checkpoint (no-op unless HYBRIDMR_AUDIT): the tracker a wave is
   /// about to visit sits on a host under the cap, by a full tracker scan.
@@ -211,20 +219,18 @@ class MapReduceEngine {
   TaskTracker* tracker_with_free_slot(TaskType type,
                                       const TaskTracker* exclude,
                                       const Task& task) const;
-  /// Renumbers tracker indices and rebuilds the offer set + site map after
-  /// a structural change (remove_tracker). Cold path.
+  /// Renumbers tracker indices and rebuilds the offer sets and the site
+  /// map after a structural change (remove_tracker). Cold path.
   void rebuild_dispatch_index();
   /// Per-host concurrency cap: 2 running attempts per core.
   [[nodiscard]] static int host_cap(const cluster::Machine& host);
   /// The load record of the machine `site` runs on (null when detached),
   /// with its cap set and its count left as it was.
   HostLoad* host_load_of(const cluster::ExecutionSite& site);
-  /// Re-derives the offer-set membership of every tracker on `host`.
-  void update_host_offers(const cluster::Machine& host);
   /// Re-points every tracker at its site's current host, recounts the
-  /// host totals and re-derives every offer when the coordinator's
-  /// membership epoch has moved since the last count (a VM attached,
-  /// detached or migrated). Cold path.
+  /// host totals and tracker lists and re-derives every offer when the
+  /// coordinator's membership epoch has moved since the last count (a VM
+  /// attached, detached or migrated). Cold path.
   void sync_host_load();
   /// Forgives `task`'s bans when they cover every unblacklisted tracker its
   /// job's pool admits, keeping `recent` (when non-null) banned for the
@@ -248,7 +254,7 @@ class MapReduceEngine {
   std::unique_ptr<TaskScheduler> scheduler_;
   Options options_;
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
-  // Dispatch index: ordered sets of tracker indices with at least one free
+  // Dispatch index: bitmaps of tracker indices with at least one free
   // slot of the given type (and not blacklisted), one per (type, partition:
   // native or virtual site), maintained incrementally by update_offer();
   // dispatch waves merge-walk these in index order instead of re-scanning
@@ -262,13 +268,14 @@ class MapReduceEngine {
   // The site and host maps serve O(1) tracker_on() and the host gate; they
   // are only ever *looked up*, never iterated, so unordered is
   // determinism-safe.
-  std::array<std::array<std::set<std::uint32_t>, 2>, 2> offers_;
+  std::array<std::array<Bitmap, 2>, 2> offers_;
   std::unordered_map<const cluster::ExecutionSite*, TaskTracker*>
       tracker_by_site_;
   // One load record per physical host a tracker has run on; each tracker
   // caches a pointer to its host's (records are never erased, so the
-  // pointers stay valid). Kept by add_host_running() and recounted by
-  // sync_host_load() when `membership_` reports a topology change.
+  // pointers stay valid). Kept by add_host_running(), add_tracker() and
+  // remove_tracker(), and recounted by sync_host_load() when `membership_`
+  // reports a topology change.
   std::unordered_map<const cluster::Machine*, HostLoad> host_load_;
   // The cluster's coordinator (owned by HybridCluster), taken from the
   // first tracker on an attached site; null while no tracker has a host.

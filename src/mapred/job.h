@@ -1,10 +1,12 @@
 // A submitted MapReduce job: task lists, phase timing, completion metrics.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "mapred/bitmap.h"
 #include "mapred/job_spec.h"
 #include "mapred/task.h"
 #include "storage/hdfs.h"
@@ -46,14 +48,17 @@ class Job {
     return state_ == JobState::kMapping || state_ == JobState::kReducing;
   }
 
-  /// Tasks currently pending (not completed, no running attempt), by type.
-  /// O(1) counters maintained by Task::sync_pending(), which also feeds the
+  /// The indices of the tasks of `type` currently pending (not completed,
+  /// no running attempt): what a pick reads instead of loading each Task.
+  /// Written only by Task::sync_pending(), which also feeds the
   /// engine-wide schedulable-pending counters. Audit builds cross-check
-  /// them against a full task-list scan.
-  [[nodiscard]] int pending_maps() const { return pending_maps_; }
-  [[nodiscard]] int pending_reduces() const { return pending_reduces_; }
+  /// the bits against every task's flag.
+  [[nodiscard]] const Bitmap& pending_set(TaskType type) const {
+    return pending_[type == TaskType::kMap ? 0 : 1];
+  }
+  /// How many tasks of `type` are pending. O(1).
   [[nodiscard]] int pending(TaskType type) const {
-    return type == TaskType::kMap ? pending_maps_ : pending_reduces_;
+    return static_cast<int>(pending_set(type).size());
   }
 
   /// Number of attempts currently running across all tasks. O(1): a
@@ -115,7 +120,7 @@ class Job {
  private:
   friend class MapReduceEngine;
   friend class TaskTracker;
-  friend class Task;  // sync_pending() maintains the pending counters
+  friend class Task;  // sync_pending() maintains the pending sets
   int id_;
   JobSpec spec_;
   JobState state_ = JobState::kPending;
@@ -124,8 +129,7 @@ class Job {
   std::vector<std::unique_ptr<Task>> reduces_;
   int maps_done_ = 0;
   int reduces_done_ = 0;
-  int pending_maps_ = 0;
-  int pending_reduces_ = 0;
+  std::array<Bitmap, 2> pending_;  // maps, reduces
   int running_attempts_ = 0;
   double submit_time_ = -1;
   double map_phase_end_ = -1;

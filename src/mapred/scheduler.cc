@@ -21,14 +21,17 @@ Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
                                    const storage::Hdfs& hdfs,
                                    bool locality_only) {
   const auto& tasks = type == TaskType::kMap ? job.maps() : job.reduces();
-  const auto usable = [&tracker](const Task& t) {
-    return t.pending() && !t.banned_trackers.contains(&tracker);
+  const Bitmap& pending = job.pending_set(type);
+  const auto unbanned = [&tracker, &tasks](std::uint32_t i) {
+    return !tasks[i]->banned_trackers.contains(&tracker);
   };
   if (type == TaskType::kMap) {
     // Map i reads block i, so the locality index lists candidate maps.
     const cluster::ExecutionSite& own = tracker.site();
     for (const std::uint32_t b : hdfs.blocks_on(job.input_file(), own)) {
-      if (usable(*tasks[b])) return tasks[b].get();  // node-local
+      if (pending.contains(b) && unbanned(b)) {
+        return tasks[b].get();  // node-local
+      }
     }
     // Host-local: a replica on another site of the same physical machine,
     // i.e. the machine itself or one of the VMs it hosts now. The lowest
@@ -39,7 +42,7 @@ Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
         if (&site == &own) return;
         for (const std::uint32_t b : hdfs.blocks_on(job.input_file(), site)) {
           if (b >= best) return;
-          if (usable(*tasks[b])) {
+          if (pending.contains(b) && unbanned(b)) {
             best = b;
             return;
           }
@@ -51,8 +54,9 @@ Task* TaskScheduler::pick_from_job(Job& job, TaskType type,
     }
     if (locality_only) return nullptr;
   }
-  for (const auto& t : tasks) {
-    if (usable(*t)) return t.get();
+  for (std::uint32_t i = pending.next(0); i != Bitmap::kNone;
+       i = pending.next(i + 1)) {
+    if (unbanned(i)) return tasks[i].get();
   }
   return nullptr;
 }
@@ -74,13 +78,10 @@ Task* FairScheduler::pick(TaskTracker& tracker, TaskType type,
                           bool locality_only) {
   // Most-starved first: the engine keeps live jobs ordered by (running
   // attempts, id), so the walk stops at the first job that yields a task.
-  for (const LiveJobs::FairKey& key : live.in_fair_order()) {
-    if (!offers(*key.job, type, tracker)) continue;
-    if (Task* t = pick_from_job(*key.job, type, tracker, hdfs, locality_only)) {
-      return t;
-    }
-  }
-  return nullptr;
+  return live.find_in_fair_order([&](Job& job) -> Task* {
+    if (!offers(job, type, tracker)) return nullptr;
+    return pick_from_job(job, type, tracker, hdfs, locality_only);
+  });
 }
 
 std::unique_ptr<TaskScheduler> make_scheduler(const std::string& name) {

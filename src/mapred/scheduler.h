@@ -5,11 +5,13 @@
 // delay-free locality preference of Hadoop 1.x.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "mapred/bitmap.h"
 #include "mapred/job.h"
 #include "mapred/tracker.h"
 #include "storage/hdfs.h"
@@ -21,34 +23,31 @@ namespace hybridmr::mapred {
 /// a pick costs O(live jobs it inspects), never O(jobs ever submitted).
 class LiveJobs {
  public:
-  /// Fair-order key: fewest running attempts first, ties in submit order
-  /// (job ids are assigned in submit order).
-  struct FairKey {
-    int running;
-    int id;
-    Job* job;  // owned by MapReduceEngine::jobs_
-    bool operator<(const FairKey& other) const {
-      return running != other.running ? running < other.running
-                                      : id < other.id;
-    }
-  };
-
   /// Live jobs in submit order. A job that finished during the current
   /// dispatch stays listed until the next one begins; eligible() rejects it.
   [[nodiscard]] const std::vector<Job*>& in_submit_order() const {
     return submit_order_;
   }
-  /// Live jobs keyed by (Job::running_tasks(), id): exactly the order of a
-  /// stable sort by running attempts over the submit order.
-  [[nodiscard]] const std::set<FairKey>& in_fair_order() const {
-    return fair_order_;
+  /// Calls `fn(job)` on the live jobs in fair order — fewest running
+  /// attempts first, ties in submit order: exactly a stable sort by
+  /// Job::running_tasks() over the submit order — until it returns a
+  /// non-null pointer, and returns that (null when none did).
+  template <typename Fn>
+  auto find_in_fair_order(Fn&& fn) const {
+    return fair_order_.find_first(
+        [&](std::uint32_t id) { return fn(*(*jobs_)[id]); });
   }
+  /// How many jobs are live.
+  [[nodiscard]] std::size_t size() const { return fair_order_.size(); }
 
  private:
   friend class MapReduceEngine;
+  // MapReduceEngine::jobs_, indexed by job id.
+  const std::vector<std::unique_ptr<Job>>* jobs_ = nullptr;
   // Jobs owned by MapReduceEngine::jobs_.
   std::vector<Job*> submit_order_;
-  std::set<FairKey> fair_order_;
+  // Live job ids keyed by Job::running_tasks().
+  FairOrder fair_order_;
   /// submit_order_ still lists a job that has finished.
   bool stale_ = false;
 };
@@ -79,7 +78,9 @@ class TaskScheduler {
   /// by scanning the job's maps: the first in the tracker's own site's
   /// list (node-local), else the lowest-index one listed on another site
   /// of its physical machine (host-local), else, unless `locality_only`,
-  /// the first in index order. A reduce is the first in index order.
+  /// the first in index order. A reduce is the first in index order. The
+  /// job's pending set answers "pending" for every candidate; a Task is
+  /// loaded only to test a pending one's bans.
   static Task* pick_from_job(Job& job, TaskType type, TaskTracker& tracker,
                              const storage::Hdfs& hdfs, bool locality_only);
 };

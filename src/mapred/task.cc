@@ -39,10 +39,14 @@ void Task::sync_pending(MapReduceEngine& engine) {
   const bool now_pending = !completed_ && running_count() == 0;
   if (now_pending == pending_) return;
   pending_ = now_pending;
-  const int delta = now_pending ? 1 : -1;
-  (type_ == TaskType::kMap ? job_->pending_maps_ : job_->pending_reduces_) +=
-      delta;
-  engine.add_schedulable(*job_, type_, delta);
+  Bitmap& pending = job_->pending_[type_ == TaskType::kMap ? 0 : 1];
+  const auto bit = static_cast<std::uint32_t>(index_);
+  if (now_pending) {
+    pending.insert(bit);
+  } else {
+    pending.erase(bit);
+  }
+  engine.add_schedulable(*job_, type_, now_pending ? 1 : -1);
 }
 
 // ------------------------------------------------------------- attempt ----

@@ -51,8 +51,9 @@ class Task {
   /// Pending: not completed and nothing running (never launched, or the
   /// previous attempt was killed). O(1): a cached flag reconciled by
   /// sync_pending() at every attempt/completion transition, which also
-  /// maintains the per-job and engine-wide pending counters dispatch reads
-  /// (audit builds cross-check flag and counters against a full scan).
+  /// maintains the job's pending set and the engine-wide pending counters
+  /// dispatch reads (audit builds cross-check all three against a full
+  /// scan).
   [[nodiscard]] bool pending() const { return pending_; }
 
   /// One speculative copy per task, like Hadoop.
@@ -65,8 +66,8 @@ class Task {
   friend class MapReduceEngine;
   friend class TaskTracker;
   friend class TaskAttempt;
-  /// Reconciles the cached pending flag (and the owning job's and the
-  /// engine's pending counters) with the completed/running state.
+  /// Reconciles the cached pending flag (and the owning job's pending set
+  /// and the engine's pending counters) with the completed/running state.
   /// Idempotent — safe to call from nested transitions (a kill inside a
   /// finish inside a launch).
   void sync_pending(MapReduceEngine& engine);

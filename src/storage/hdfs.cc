@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -82,15 +82,21 @@ void Hdfs::audit_verify_placement() const {
         indexed += 1;
       }
     }
-    // Every replica is listed and the index holds nothing else.
+    // Every replica is listed, the index holds nothing else, and the
+    // offsets table partitions it: non-decreasing from 0 to its size.
+    const auto& start = file.index_start;
+    const bool partitions =
+        start.empty()
+            ? file.index_blocks.empty()
+            : start.front() == 0 && start.back() == file.index_blocks.size() &&
+                  std::is_sorted(start.begin(), start.end());
     HYBRIDMR_AUDIT_CHECK(
-        indexed == file.index_blocks.size() &&
-            file.index_sites.size() == file.index_blocks.size(),
-        "storage.hdfs", "locality_index_matches_replicas", -1,
+        indexed == file.index_blocks.size() && partitions, "storage.hdfs",
+        "locality_index_matches_replicas", -1,
         {{"file", file.name},
          {"replicas", audit::num(static_cast<double>(indexed))},
-         {"indexed",
-          audit::num(static_cast<double>(file.index_blocks.size()))}});
+         {"indexed", audit::num(static_cast<double>(file.index_blocks.size()))},
+         {"offsets", audit::num(static_cast<double>(start.size()))}});
   }
 #endif
 }
@@ -343,38 +349,39 @@ void Hdfs::set_replicas(File& file,
 }
 
 void Hdfs::index_replicas(File& file) {
-  std::vector<std::pair<const ExecutionSite*, std::uint32_t>> entries;
-  entries.reserve(file.replica_nodes.size());
+  // A counting sort of the (site ordinal, block) pairs: count each site's
+  // replicas, turn the counts into first slots, then place the blocks in
+  // ascending order, so each site's list comes out ascending. Placing
+  // advances each site's slot to its successor's first one, so the table
+  // shifts back by one at the end.
+  std::uint32_t sites = 0;
+  for (const DataNode* dn : file.replica_nodes) {
+    sites = std::max(sites, dn->site()->ordinal() + 1);
+  }
+  std::vector<std::uint32_t> start(sites + 1, 0);
+  for (const DataNode* dn : file.replica_nodes) {
+    ++start[dn->site()->ordinal() + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::uint32_t> blocks(file.replica_nodes.size());
   for (std::size_t b = 0; b < file.blocks(); ++b) {
     for (const DataNode* dn : file.replicas(b)) {
-      entries.emplace_back(dn->site(), static_cast<std::uint32_t>(b));
+      blocks[start[dn->site()->ordinal()]++] = static_cast<std::uint32_t>(b);
     }
   }
-  // Sites sort by address, which varies between runs; only equal_range
-  // lookups read that order, and within one site blocks stay ascending.
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first
-               ? std::less<const ExecutionSite*>{}(a.first, b.first)
-               : a.second < b.second;
-  });
-  std::vector<const ExecutionSite*> sites(entries.size());
-  std::vector<std::uint32_t> blocks(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    sites[i] = entries[i].first;
-    blocks[i] = entries[i].second;
-  }
-  file.index_sites = std::move(sites);
+  std::copy_backward(start.begin(), start.end() - 1, start.end());
+  start.front() = 0;
+  file.index_start = std::move(start);
   file.index_blocks = std::move(blocks);
 }
 
 std::span<const std::uint32_t> Hdfs::blocks_on(
     FileId file, const ExecutionSite& site) const {
   const File& f = files_[file];
-  const auto [lo, hi] =
-      std::equal_range(f.index_sites.begin(), f.index_sites.end(), &site,
-                       std::less<const ExecutionSite*>{});
-  return {f.index_blocks.data() + (lo - f.index_sites.begin()),
-          static_cast<std::size_t>(hi - lo)};
+  const std::size_t o = site.ordinal();
+  if (o + 1 >= f.index_start.size()) return {};
+  return {f.index_blocks.data() + f.index_start[o],
+          f.index_start[o + 1] - f.index_start[o]};
 }
 
 void FlowHandle::cancel() {

@@ -163,8 +163,8 @@ class Hdfs {
                                                     int block) const;
   /// The blocks of `file` with a replica on `site`, in ascending index
   /// order (empty when it holds none): the locality index the JobTracker
-  /// picks data-local maps from. O(log replicas of the file); exact at
-  /// every instant, because stage_file, remove_datanode and
+  /// picks data-local maps from. Two array reads at the site's ordinal;
+  /// exact at every instant, because stage_file, remove_datanode and
   /// crash_datanodes — the only writers of the replica map — rebuild it
   /// for each file they touch.
   [[nodiscard]] std::span<const std::uint32_t> blocks_on(
@@ -236,10 +236,12 @@ class Hdfs {
     // 1 for blocks whose last replica died in a crash (one per block; the
     // audit pairs "no replicas" with "marked lost").
     std::vector<char> block_lost;
-    // Locality index (blocks_on()): one entry per replica, sorted by
-    // (site, block); index_blocks[i] is the block whose replica lives on
-    // index_sites[i], so one lookup is a binary search.
-    std::vector<const cluster::ExecutionSite*> index_sites;
+    // Locality index (blocks_on()): one entry per replica, grouped by the
+    // site's ordinal (cluster::ExecutionSite::ordinal()) and ascending
+    // within a site, whose blocks are
+    // index_blocks[index_start[o], index_start[o+1]). index_start ends one
+    // past the highest ordinal holding a replica of the file.
+    std::vector<std::uint32_t> index_start;
     std::vector<std::uint32_t> index_blocks;
 
     [[nodiscard]] std::size_t blocks() const { return block_lost.size(); }

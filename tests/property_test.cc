@@ -22,6 +22,7 @@
 #include "cluster/migration.h"
 #include "harness/testbed.h"
 #include "interactive/presets.h"
+#include "mapred/bitmap.h"
 #include "mapred/engine.h"
 #include "mapred/scheduler.h"
 #include "sim/event_queue.h"
@@ -988,6 +989,136 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandClassProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------- bitmaps vs an ordered set ----
+
+// The dispatch indexes' Bitmap and FairOrder against a std::set reference
+// of (count, id) pairs, whose order is the fair order FairScheduler walks:
+// seeded random inserts, erases, +-1 re-keys and next-at-or-after queries.
+// The id range widens as the run goes, so the words grow mid-run, and the
+// queries start at, beside and between 64-bit word boundaries.
+class BitmapProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(BitmapProperty, MatchesOrderedSetReference) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  mapred::FairOrder order;
+  mapred::Bitmap ids;                       // the ids in `order`
+  std::set<std::pair<int, int>> reference;  // (count, id)
+  std::map<int, int> count_of;              // id -> count
+  const auto some_member = [&] {
+    return std::next(count_of.begin(),
+                     static_cast<std::ptrdiff_t>(rng.index(count_of.size())));
+  };
+  const auto next_in_reference = [&](std::uint32_t pos) {
+    const auto it = count_of.lower_bound(static_cast<int>(pos));
+    return it == count_of.end() ? mapred::Bitmap::kNone
+                                : static_cast<std::uint32_t>(it->first);
+  };
+  int queries = 0;
+  int rekeys = 0;
+  int walks = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const int span = 48 + step / 12;  // 48 .. 547: ids reach word 8
+    const int op = rng.uniform_int(0, 9);
+    if (op <= 2 || count_of.empty()) {  // insert (a present id: no-op)
+      const int id = rng.uniform_int(0, span - 1);
+      ids.insert(static_cast<std::uint32_t>(id));
+      if (count_of.contains(id)) continue;
+      const int count = rng.uniform_int(0, 6);
+      order.insert(static_cast<std::uint32_t>(id), count);
+      reference.emplace(count, id);
+      count_of[id] = count;
+    } else if (op <= 4) {  // erase (an absent id: no-op for the bitmap)
+      if (rng.bernoulli(0.2)) {
+        const int id = rng.uniform_int(0, span + 64);
+        if (!count_of.contains(id)) {
+          ids.erase(static_cast<std::uint32_t>(id));
+          continue;
+        }
+      }
+      const auto it = some_member();
+      const auto [id, count] = *it;
+      order.erase(static_cast<std::uint32_t>(id), count);
+      ids.erase(static_cast<std::uint32_t>(id));
+      reference.erase({count, id});
+      count_of.erase(it);
+    } else if (op <= 6) {  // re-key by +-1, as a launch or a release does
+      const auto it = some_member();
+      const int from = it->second;
+      const int to = from == 0 || rng.bernoulli(0.5) ? from + 1 : from - 1;
+      order.move(static_cast<std::uint32_t>(it->first), from, to);
+      reference.erase({from, it->first});
+      reference.emplace(to, it->first);
+      it->second = to;
+      ++rekeys;
+    } else {  // next at or after a position near or past a word boundary
+      const int word = rng.uniform_int(0, span / 64 + 1);
+      const int pos =
+          rng.bernoulli(0.5)
+              ? std::max(0, 64 * word + rng.uniform_int(-2, 2))
+              : rng.uniform_int(0, span + 64);
+      const auto p = static_cast<std::uint32_t>(pos);
+      ASSERT_EQ(ids.next(p), next_in_reference(p))
+          << "step " << step << ", pos " << pos;
+      ++queries;
+    }
+    ASSERT_EQ(ids.size(), count_of.size()) << "step " << step;
+    ASSERT_EQ(ids.empty(), count_of.empty()) << "step " << step;
+    ASSERT_EQ(order.size(), reference.size()) << "step " << step;
+    if (step % 25 != 0) continue;
+    // The whole walk, in (count, id) order, and membership under each key.
+    std::vector<std::uint32_t> want;
+    for (const auto& [count, id] : reference) {
+      want.push_back(static_cast<std::uint32_t>(id));
+      ASSERT_TRUE(order.contains(static_cast<std::uint32_t>(id), count));
+      ASSERT_FALSE(order.contains(static_cast<std::uint32_t>(id), count + 1));
+      ASSERT_TRUE(ids.contains(static_cast<std::uint32_t>(id)));
+    }
+    // A walk that visits more members than there are stops (a next() that
+    // returns its own position would walk forever).
+    std::vector<std::uint32_t> walked;
+    const int overrun = 0;
+    const int* stopped = order.find_first([&](std::uint32_t id) -> const int* {
+      walked.push_back(id);
+      return walked.size() > want.size() ? &overrun : nullptr;
+    });
+    EXPECT_EQ(stopped, nullptr) << "step " << step << ": walk overran";
+    ASSERT_EQ(walked, want) << "step " << step;
+    // A walk stops at the first hit.
+    if (!want.empty()) {
+      const std::uint32_t target = want[rng.index(want.size())];
+      std::size_t visited = 0;
+      const std::uint32_t* hit =
+          order.find_first([&](std::uint32_t id) -> const std::uint32_t* {
+            ++visited;
+            return id == target ? &target : nullptr;
+          });
+      EXPECT_EQ(hit, &target);
+      EXPECT_EQ(visited, static_cast<std::size_t>(
+                             std::find(want.begin(), want.end(), target) -
+                             want.begin()) + 1);
+    }
+    ++walks;
+  }
+  // Every id is visited in order once more by next(), end to end.
+  std::vector<int> by_next;
+  for (std::uint32_t i = ids.next(0);
+       i != mapred::Bitmap::kNone && by_next.size() <= count_of.size();
+       i = ids.next(i + 1)) {
+    by_next.push_back(static_cast<int>(i));
+  }
+  std::vector<int> members;
+  for (const auto& [id, count] : count_of) members.push_back(id);
+  EXPECT_EQ(by_next, members);
+  EXPECT_GT(queries, 500);
+  EXPECT_GT(rekeys, 500);
+  EXPECT_GT(walks, 200);
+  ASSERT_FALSE(count_of.empty());
+  EXPECT_GT(count_of.rbegin()->first, 256) << "ids never reached word 4";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BitmapProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ------------------------------------- locality pick vs scanning oracle ----
