@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths: the
 // event queue (push/pop, cancellation, and the reschedule churn the
 // allocator drives), the max-min fair allocator, machine recomputation (one
-// class per VM, a shuffle's many members in few classes, and the same
-// shuffle with a flow leaving and arriving at every recompute), the
+// class per VM, a shuffle's many members in few classes, the same shuffle
+// with a flow leaving and arriving at every recompute, and batch-wide's
+// service-heavy mix on an advancing clock, where every member settles), the
 // regression fits, one dispatch pass, one dispatch wave over host-capped
 // trackers, one slot refill among hundreds of live jobs, and an end-to-end
 // small job.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -233,13 +235,62 @@ void BM_MachineRecomputeChurn(benchmark::State& state) {
   sim.flush();
   for (auto _ : state) {
     cluster::VirtualMachine* vm = vms[next % 2];
-    vm->remove(vm->workloads().front().get());
+    vm->remove(vm->members().front().workload);
     vm->add(flow());
     sim.flush();
   }
   state.SetItemsProcessed(state.iterations() * 2 * per_vm);
 }
 BENCHMARK(BM_MachineRecomputeChurn)->Arg(48);
+
+// The recompute with its settle: the benches above recompute at one
+// instant, where the once-per-instant rule skips every settle. Two VMs of
+// `per_vm` members each, one in ten finite (an attempt that cannot finish
+// within the run) and the rest shuffle services, batch-wide's mix. Each
+// iteration moves the clock 1 ms, retires one VM's oldest member, attaches
+// one of the same kind in its place, and drains the recompute, so every
+// member settles over the elapsed interval (the VMs take turns).
+void BM_MachineRecomputeAdvancing(benchmark::State& state) {
+  const int per_vm = static_cast<int>(state.range(0));
+  const double values[] = {2.5, 25.0, 50.0};
+  sim::Simulation sim;
+  cluster::HybridCluster hc(sim);
+  auto* machine = hc.add_machine();
+  cluster::VirtualMachine* vms[] = {hc.add_vm(*machine), hc.add_vm(*machine)};
+  std::deque<std::shared_ptr<cluster::Workload>> resident[2];
+  int next = 0;
+  auto member = [&](bool finite) {
+    const double v = values[next++ % 3];
+    cluster::Resources d;
+    d.cpu = finite ? 0.5 : v / 100;
+    d.disk = v;
+    d.net = v;
+    d.memory = finite ? 200 : 16;
+    return std::make_shared<cluster::Workload>(
+        d, finite ? sim::Duration{1e9} : cluster::Workload::kService);
+  };
+  for (int v = 0; v < 2; ++v) {
+    for (int i = 0; i < per_vm; ++i) {
+      resident[v].push_back(member(i % 10 == 0));
+      vms[v]->add(resident[v].back());
+    }
+  }
+  sim.flush();
+  int turn = 0;
+  for (auto _ : state) {
+    sim.run_until(sim.now() + 0.001);
+    auto& queue = resident[turn % 2];
+    cluster::VirtualMachine* vm = vms[turn++ % 2];
+    const std::shared_ptr<cluster::Workload> oldest = queue.front();
+    queue.pop_front();
+    vm->remove(oldest.get());
+    queue.push_back(member(oldest->finite()));
+    vm->add(queue.back());
+    sim.flush();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * per_vm);
+}
+BENCHMARK(BM_MachineRecomputeAdvancing)->Arg(48);
 
 // A k-mutation burst at one simulated instant — the placement-burst /
 // DRM-epoch pattern. Deferred reallocation coalesces the burst into one
@@ -325,10 +376,11 @@ BENCHMARK(BM_PiecewiseFit)->Arg(32)->Arg(128);
 // Four native trackers hold 8 map slots, so all but a handful of the jobs
 // wait with pending maps — the FairScheduler's many-jobs regime. The
 // simulation never runs, so the live set stays fixed; the bed is rebuilt
-// (untimed) every kPassesPerBed passes, before the requeued tasks' attempt
-// lists grow long enough to show up in the timing.
+// (untimed) every kPassesPerBed passes: before the requeued tasks' attempt
+// lists grow long enough to show up in the timing, and seldom enough that
+// the first passes' cold caches on a new bed stay a small share of it.
 void BM_DispatchPass(benchmark::State& state) {
-  constexpr int kPassesPerBed = 64;
+  constexpr int kPassesPerBed = 256;
   const int live_jobs = static_cast<int>(state.range(0));
   auto make_bed = [live_jobs] {
     harness::TestBed::Options options;
@@ -369,7 +421,7 @@ BENCHMARK(BM_DispatchPass)->Arg(16)->Arg(128)->Arg(512);
 // launch and picks a map local to them. The bed is rebuilt (untimed) every
 // kPassesPerBed passes, like BM_DispatchPass's.
 void BM_DispatchWave(benchmark::State& state) {
-  constexpr int kPassesPerBed = 64;
+  constexpr int kPassesPerBed = 256;
   constexpr int kJobs = 16;
   const int hosts = static_cast<int>(state.range(0));
   std::vector<const mapred::TaskTracker*> capped;
@@ -427,8 +479,7 @@ BENCHMARK(BM_DispatchWave)->Arg(24)->Arg(96);
 // every map slot is busy and most maps stay pending. An iteration requeues
 // one running attempt (its slot frees, its job moves down the fair order)
 // and the dispatch that follows refills the slot. The bed is rebuilt
-// (untimed) every kPassesPerBed passes, like BM_DispatchPass's, but 4x
-// less often: staging 512 jobs' inputs takes ~20 ms.
+// (untimed) every kPassesPerBed passes, like BM_DispatchPass's.
 void BM_DispatchManyJobs(benchmark::State& state) {
   constexpr int kPassesPerBed = 256;
   const int live_jobs = static_cast<int>(state.range(0));

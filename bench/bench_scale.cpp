@@ -4,7 +4,9 @@
 // event throughput; with --out FILE it also writes a google-benchmark-shaped
 // JSON file that scripts/perf_gate.py compares against the committed
 // BENCH_scale.json (without --out nothing is written, so a sweep run from
-// the repo root cannot overwrite that baseline).
+// the repo root cannot overwrite that baseline). Each point also reports
+// the process's peak resident set after it (peak_rss_mb, ungated): points
+// run in ascending size, so that high-water mark is the point's own peak.
 //
 // With --profile FILE the sweep additionally runs with the simulation
 // profiler enabled and writes one profile JSON (work counters, wall-time
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -50,9 +53,23 @@ struct SweepPoint {
   double wall_ms = 0;
   double sim_end_s = 0;
   std::size_t events = 0;
+  double peak_rss_mb = 0;
   std::string profile_json;  // empty unless profiled
   bool stalled = false;
 };
+
+// The process's peak resident set so far (VmHWM), in MB; 0 where
+// /proc/self/status cannot be read.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  return 0;
+}
 
 SweepPoint run_point(int pms, std::uint64_t seed, const ProfileOptions& prof) {
   harness::TestBed::Options opt;
@@ -124,12 +141,13 @@ void write_json(const char* path, const std::vector<SweepPoint>& points) {
     std::fprintf(f,
                  "    {\"name\": \"scale/%d\", \"real_time\": %.3f, "
                  "\"time_unit\": \"ms\", \"jobs\": %d, \"events\": %zu, "
-                 "\"events_per_sec\": %.1f, \"sim_end_s\": %.3f}%s\n",
+                 "\"events_per_sec\": %.1f, \"sim_end_s\": %.3f, "
+                 "\"peak_rss_mb\": %.1f}%s\n",
                  p.pms, p.wall_ms, p.jobs, p.events,
                  p.wall_ms > 0 ? 1000.0 * static_cast<double>(p.events) /
                                      p.wall_ms
                                : 0.0,
-                 p.sim_end_s, i + 1 < points.size() ? "," : "");
+                 p.sim_end_s, p.peak_rss_mb, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -188,15 +206,17 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   bool stalled = false;
-  std::printf("%6s %6s %12s %12s %14s %12s\n", "pms", "jobs", "wall_ms",
-              "sim_end_s", "events", "events/sec");
+  std::printf("%6s %6s %12s %12s %14s %12s %12s\n", "pms", "jobs", "wall_ms",
+              "sim_end_s", "events", "events/sec", "peak_rss_mb");
   for (int pms : sizes) {
-    const SweepPoint p = run_point(pms, seed, prof);
-    std::printf("%6d %6d %12.1f %12.1f %14zu %12.0f\n", p.pms, p.jobs,
+    SweepPoint p = run_point(pms, seed, prof);
+    p.peak_rss_mb = peak_rss_mb();
+    std::printf("%6d %6d %12.1f %12.1f %14zu %12.0f %12.1f\n", p.pms, p.jobs,
                 p.wall_ms, p.sim_end_s, p.events,
                 p.wall_ms > 0
                     ? 1000.0 * static_cast<double>(p.events) / p.wall_ms
-                    : 0.0);
+                    : 0.0,
+                p.peak_rss_mb);
     points.push_back(p);
     if (p.stalled) {
       stalled = true;

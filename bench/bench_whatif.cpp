@@ -27,7 +27,9 @@
 // one child at a time by as many CPUs as the host really lends it, so
 // "whatif/forked" also carries "parallelism": the CPUs a forked busy-loop
 // probe found free around the pooled sweep; the pool rule applies only
-// when that is >= 2.
+// when that is >= 2. Outside --fingerprint mode it also prints what each
+// pooled child cost on average: wall time from fork to reap, payload bytes
+// and minor page faults (WhatIfEngine::Costs).
 //
 // Usage: bench_whatif [--seed N] [--scenarios N] [--cold K] [--out FILE]
 //                     [--fingerprint]
@@ -150,6 +152,7 @@ struct Sweep {
   std::uint64_t fingerprint = 1469598103934665603ull;
   double per_scenario_ms = 0;
   int failed = 0;
+  whatif::WhatIfEngine::Costs costs;
 };
 
 // Forks every scenario from the warmed engine through one child pool.
@@ -162,6 +165,7 @@ Sweep run_sweep(Engine& engine,
   const std::vector<whatif::ForkResult> results = pool.run_isolated(scenarios);
   s.per_scenario_ms =
       ms_since(t0) / std::max<std::size_t>(1, scenarios.size());
+  s.costs = pool.costs();
   for (const whatif::ForkResult& r : results) {
     if (!r.ok) ++s.failed;
     s.fingerprint ^= fnv1a(r.payload);
@@ -279,6 +283,15 @@ int main(int argc, char** argv) {
   if (fingerprint) {
     std::printf("sweep_fingerprint: %016llx\n",
                 static_cast<unsigned long long>(pooled.fingerprint));
+  } else {
+    const whatif::WhatIfEngine::Costs& c = pooled.costs;
+    const double n = std::max(1, c.children);
+    std::printf(
+        "per child (pooled, %d reaped): %.2f ms fork to reap, %.0f payload "
+        "bytes, %.0f minor faults\n",
+        c.children, 1000.0 * c.wall_s / n,
+        static_cast<double>(c.payload_bytes) / n,
+        static_cast<double>(c.minor_faults) / n);
   }
   if (!pool_invariant) {
     std::fprintf(stderr,

@@ -77,8 +77,7 @@ double HybridCluster::mean_utilization(ResourceKind kind, double t0,
   int n = 0;
   for (const auto& m : machines_) {
     if (!m->powered()) continue;
-    const auto& series = m->utilization_series(kind);
-    total += series.integrate(t0, t1) / (t1 > t0 ? t1 - t0 : 1);
+    total += m->samples().integrate(kind, t0, t1) / (t1 > t0 ? t1 - t0 : 1);
     ++n;
   }
   return n > 0 ? total / n : 0;

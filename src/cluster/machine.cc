@@ -16,12 +16,6 @@ namespace hybridmr::cluster {
 
 namespace {
 
-// Long sweeps bound each per-machine series (four utilization series plus
-// the energy meter) at this many samples; beyond it, older samples merge
-// pairwise into time-weighted means (integral-preserving), so memory is
-// O(1) per machine instead of O(events).
-constexpr std::size_t kMaxMachineSeriesSamples = 16384;
-
 // Audit checkpoint after a site fills its classes: live rows whose
 // effective demands of `kind` are equal hold bitwise-equal grants of it,
 // and so do the `singles` (a machine's VMs), so the split cannot depend on
@@ -336,18 +330,71 @@ std::function<void()> completion_handler(sim::Simulation& sim,
 
 }  // namespace
 
+// ----------------------------------------------------------- SampleLog ----
+
+void SampleLog::add_coalesced(double time, const Resources& util) {
+  assert(size_ == 0 || time >= (*this)[size_ - 1].time);
+  const Record record{time, {util.cpu, util.memory, util.disk, util.net}};
+  if (size_ > 0 && !(time > (*this)[size_ - 1].time)) {
+    at(size_ - 1) = record;
+    return;
+  }
+  if (size_ >= kMaxMachineSeriesSamples) {
+    size_ = stats::series_compact(
+        size_, [this](std::size_t i) { return (*this)[i].time; },
+        [this](std::size_t out, std::size_t i, double wa, double wb) {
+          const Record& a = (*this)[i];
+          const Record& b = (*this)[i + 1];
+          Record merged{a.time, {}};
+          for (std::size_t r = 0; r < merged.util.size(); ++r) {
+            merged.util[r] = stats::merged_value(a.util[r], wa, b.util[r], wb);
+          }
+          at(out) = merged;
+        },
+        [this](std::size_t out, std::size_t i) { at(out) = (*this)[i]; });
+  }
+  if (size_ == chunks_.size() * kChunk) {
+    chunks_.push_back(std::make_unique_for_overwrite<Record[]>(kChunk));
+  }
+  at(size_++) = record;
+}
+
+double SampleLog::mean_in(ResourceKind kind, double t0, double t1) const {
+  return stats::series_mean_in(
+      size_, [this](std::size_t i) { return (*this)[i].time; },
+      [this, kind](std::size_t i) {
+        return (*this)[i].util[static_cast<std::size_t>(kind)];
+      },
+      t0, t1);
+}
+
+double SampleLog::integrate(ResourceKind kind, double t0, double t1) const {
+  return stats::series_integrate(
+      size_, [this](std::size_t i) { return (*this)[i].time; },
+      [this, kind](std::size_t i) {
+        return (*this)[i].util[static_cast<std::size_t>(kind)];
+      },
+      t0, t1);
+}
+
 // ---------------------------------------------------------------- Site ----
+
+ExecutionSite::~ExecutionSite() {
+  for (const Member& m : members_) m.workload->site_ref_.reset();
+}
 
 void ExecutionSite::add(WorkloadPtr workload) {
   assert(workload != nullptr);
   assert(workload->site_ == nullptr && "workload already attached");
-  workload->site_ = this;
-  const sim::SimTime now = simulation().now();
-  workload->last_settle_ = now;
-  workload->copied_at_ = installs_;  // holds zeros until the next install
-  workload->site_row_ = classes_.join(*workload);
-  workloads_.push_back(std::move(workload));
-  const WorkloadPtr& added = workloads_.back();
+  Workload& w = *workload;
+  w.site_ = this;
+  w.site_ref_ = std::move(workload);
+  w.site_slot_ = static_cast<std::uint32_t>(members_.size());
+  // Holds its own zeros until the next install.
+  const std::uint32_t row = classes_.join(w);
+  members_.push_back(
+      {&w, simulation().now(), installs_, row, w.finite(), w.done()});
+  const WorkloadPtr& added = w.site_ref_;
   if (added->finite() && !added->done()) {
     // Reserve the completion event — and with it the event's FIFO
     // tie-break seat — here, at mutation time, parked at "never"; the
@@ -365,11 +412,7 @@ void ExecutionSite::add(WorkloadPtr workload) {
 }
 
 void ExecutionSite::remove(Workload* workload) {
-  auto it = std::find_if(
-      workloads_.begin(), workloads_.end(),
-      [workload](const WorkloadPtr& p) { return p.get() == workload; });
-  if (it == workloads_.end()) return;
-  WorkloadPtr keep = *it;  // keep alive through the tail of this function
+  if (workload == nullptr || workload->site_ != this) return;
   // Drain any pending reallocation first: the settle below runs at the
   // current rates and discards its I/O return, so a deferred recompute must
   // land before it (crediting every sibling's interval I/O to the VM cache
@@ -377,16 +420,27 @@ void ExecutionSite::remove(Workload* workload) {
   if (Machine* machine = host_machine(); machine != nullptr) {
     machine->ensure_clean();
   }
-  const sim::SimTime now = simulation().now();
-  settle(*keep, now);
+  const std::size_t i = index_of(*workload);
+  settle(i, simulation().now());
+  // Keep it alive through the tail of this function.
+  const WorkloadPtr keep = std::move(workload->site_ref_);
   simulation().cancel(keep->completion_event);
   keep->completion_event = {};
   keep->speed_ = 0;
   keep->allocated_ = {};
   keep->site_ = nullptr;
-  classes_.leave(keep->site_row_);
-  workloads_.erase(it);
+  classes_.leave(members_[i].row);
+  members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(i));
+  if (i < settled_) --settled_;
   reallocate();
+}
+
+std::size_t ExecutionSite::index_of(const Workload& w) const {
+  assert(w.site_ == this && "not a member of this site");
+  std::size_t i = std::min<std::size_t>(w.site_slot_, members_.size() - 1);
+  while (members_[i].workload != &w) --i;
+  w.site_slot_ = static_cast<std::uint32_t>(i);
+  return i;
 }
 
 void ExecutionSite::reallocate() {
@@ -395,30 +449,41 @@ void ExecutionSite::reallocate() {
 }
 
 void ExecutionSite::rekey(Workload& member, bool reallocate) {
+  Member& m = members_[index_of(member)];
+  m.done = member.done();
   // A change that left the key as it was (a cap above the demand, say)
   // keeps the member's row.
-  if (!in_class(classes_.rows[member.site_row_], member)) {
+  if (!in_class(classes_.rows[m.row], member)) {
     // Until the next install the member holds what its old row granted.
-    if (const DemandClasses::Row* held = held_row(member); held != nullptr) {
+    if (const DemandClasses::Row* held = held_row(m); held != nullptr) {
       member.allocated_ = held->grant;
       member.speed_ = held->speed;
-      member.copied_at_ = installs_;
+      m.copied_at = installs_;
     }
-    classes_.leave(member.site_row_);
-    member.site_row_ = classes_.join(member);
+    classes_.leave(m.row);
+    m.row = classes_.join(member);
   }
   if (reallocate) this->reallocate();
 }
 
 bool ExecutionSite::classes_match_members() const {
   if (classes_.counts.size() != classes_.rows.size()) return false;
+  if (settled_ > members_.size()) return false;
   std::vector<std::uint32_t> pointing(classes_.rows.size(), 0);
-  for (const auto& w : workloads_) {
-    if (w->site_row_ >= pointing.size() ||
-        !in_class(classes_.rows[w->site_row_], *w)) {
+  sim::SimTime joined = settled_at_;  // the tail joined in order, after it
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const Member& m = members_[i];
+    const Workload& w = *m.workload;
+    if (w.site_ != this || w.site_slot_ < i || m.finite != w.finite() ||
+        m.done != w.done() || m.copied_at > installs_ ||
+        m.row >= pointing.size() || !in_class(classes_.rows[m.row], w)) {
       return false;
     }
-    ++pointing[w->site_row_];
+    if (i >= settled_) {
+      if (m.joined_at < joined) return false;
+      joined = m.joined_at;
+    }
+    ++pointing[m.row];
   }
   for (std::size_t r = 0; r < pointing.size(); ++r) {
     if (pointing[r] != classes_.counts[r]) return false;
@@ -431,15 +496,24 @@ bool ExecutionSite::classes_match_members() const {
 
 double ExecutionSite::settle_members(sim::SimTime now) {
   if (sim::same_time(settled_at_, now)) return 0;
-  settled_at_ = now;
+  // In member order: the prefix shares one interval, each newer member
+  // has its own since its join.
   double io_sum = 0;
-  for (const auto& w : workloads_) io_sum += settle(*w, now);
+  const double dt = now - settled_at_;
+  for (std::size_t i = 0; i < settled_; ++i) {
+    io_sum += accrue(members_[i], dt);
+  }
+  for (std::size_t i = settled_; i < members_.size(); ++i) {
+    io_sum += accrue(members_[i], now - members_[i].joined_at);
+  }
+  settled_at_ = now;
+  settled_ = members_.size();
   return io_sum;
 }
 
 Resources ExecutionSite::total_demand() const {
   Resources sum;
-  for (const auto& w : workloads_) sum += w->effective_demand();
+  for (const Member& m : members_) sum += classes_.rows[m.row].effective;
   return sum;
 }
 
@@ -487,9 +561,11 @@ void VirtualMachine::refresh_member_sums() const {
   if (!agg_dirty_) return;
   Resources sum;
   sim::MegaBytes used_mb;
-  for (const auto& w : workloads_) {
-    sum += w->effective_demand();
-    used_mb += sim::MegaBytes{w->demand().memory};
+  // A member's class row holds its demands byte for byte.
+  for (const Member& m : members_) {
+    const DemandClasses::Row& c = classes_.rows[m.row];
+    sum += c.effective;
+    used_mb += sim::MegaBytes{c.demand.memory};
   }
   Resources limit = caps_;
   limit.cpu = std::min(limit.cpu, vcpus_);
@@ -590,8 +666,8 @@ void VirtualMachine::distribute([[maybe_unused]] sim::SimTime now,
   }
   // Only a finite member has a completion event to move.
   if (host_ == nullptr) return;
-  for (const auto& w : workloads_) {
-    if (w->finite()) host_->reschedule(w, class_of(*w).speed);
+  for (const Member& m : members_) {
+    if (m.finite) host_->reschedule(*m.workload, classes_.rows[m.row].speed);
   }
 }
 
@@ -604,9 +680,6 @@ Machine::Machine(sim::Simulation& sim, ReallocCoordinator& coordinator,
       capacity_(capacity),
       power_model_{cal.pm_idle_watts, cal.pm_peak_watts},
       coordinator_(coordinator) {
-  for (auto& series : util_series_) {
-    series.set_max_samples(kMaxMachineSeriesSamples);
-  }
   energy_.set_max_samples(kMaxMachineSeriesSamples);
   energy_.record(sim_.now(), power_model_.watts(sim::Fraction{0}));
 }
@@ -627,10 +700,10 @@ void Machine::detach_vm(VirtualMachine* vm) {
   // Freeze the VM's workloads: settle, zero speeds, park completion events
   // at "never" (keeping their tie-break seats for re-attachment).
   vm->settle_all(sim_.now());
-  for (const auto& w : vm->workloads()) {
-    if (w->completion_event.valid() && sim_.defer(w->completion_event,
-                                                  kNever)) {
-      w->completion_time = kNever;
+  for (const Member& m : vm->members()) {
+    Workload& w = *m.workload;
+    if (w.completion_event.valid() && sim_.defer(w.completion_event, kNever)) {
+      w.completion_time = kNever;
     }
   }
   vm->zero_grants();
@@ -670,11 +743,11 @@ double Machine::utilization(ResourceKind kind) const {
   return cap > 0 ? allocated_total_[kind] / cap : 0;
 }
 
-void Machine::reschedule(const WorkloadPtr& workload, double speed) {
-  if (!workload->finite() || workload->done()) {
-    if (workload->completion_event.valid()) {
-      sim_.cancel(workload->completion_event);
-      workload->completion_event = {};
+void Machine::reschedule(Workload& workload, double speed) {
+  if (!workload.finite() || workload.done()) {
+    if (workload.completion_event.valid()) {
+      sim_.cancel(workload.completion_event);
+      workload.completion_event = {};
     }
     return;
   }
@@ -684,9 +757,9 @@ void Machine::reschedule(const WorkloadPtr& workload, double speed) {
   // allocation revives it.
   const sim::SimTime target =
       speed <= 0 ? kNever
-                 : sim_.now() + (workload->remaining() / speed).value();
-  if (workload->completion_event.valid() &&
-      sim::same_time(target, workload->completion_time)) {
+                 : sim_.now() + (workload.remaining() / speed).value();
+  if (workload.completion_event.valid() &&
+      sim::same_time(target, workload.completion_time)) {
     // The recompute left this workload's finish time where it was; keep
     // the scheduled event instead of cancel/re-push churn (this also
     // preserves FIFO tie-break order across no-op reallocations).
@@ -695,11 +768,11 @@ void Machine::reschedule(const WorkloadPtr& workload, double speed) {
     }
     return;
   }
-  if (workload->completion_event.valid() &&
-      sim_.defer(workload->completion_event, target)) {
+  if (workload.completion_event.valid() &&
+      sim_.defer(workload.completion_event, target)) {
     // The pending event moves in place and keeps its creation seq, so
     // same-time ties resolve in creation order.
-    workload->completion_time = target;
+    workload.completion_time = target;
     if (prof_ != nullptr) {
       prof_->add(telemetry::WorkCounter::kRescheduleDeferred);
     }
@@ -707,9 +780,9 @@ void Machine::reschedule(const WorkloadPtr& workload, double speed) {
   }
   // No event, or its id went stale (fired or cancelled): push a fresh one.
   if (prof_ != nullptr) prof_->add(telemetry::WorkCounter::kReschedulePushed);
-  workload->completion_time = target;
-  workload->completion_event =
-      sim_.at(target, completion_handler(sim_, workload));
+  workload.completion_time = target;
+  workload.completion_event =
+      sim_.at(target, completion_handler(sim_, owner(workload)));
 }
 
 void Machine::recompute(RecomputeCause cause) {
@@ -766,10 +839,10 @@ void Machine::recompute(RecomputeCause cause) {
   // event to move.
   ++installs_;
   allocated_total_ = {};
-  for (const auto& w : workloads_) {
-    const DemandClasses::Row& c = class_of(*w);
+  for (const Member& m : members_) {
+    const DemandClasses::Row& c = classes_.rows[m.row];
     allocated_total_ += c.grant;
-    if (w->finite()) reschedule(w, c.speed);
+    if (m.finite) reschedule(*m.workload, c.speed);
   }
   for (const auto& row : vm_rows_) allocated_total_ += row.grant;
   for (int r = 0; r < kNumResources; ++r) {
@@ -796,14 +869,12 @@ void Machine::recompute(RecomputeCause cause) {
   // 6. Metrics and power. Same-instant recordings coalesce: several
   // recomputes at one timestamp leave exactly one sample holding the final
   // value, so deferred and eager reallocation produce identical series.
-  for (int r = 0; r < kNumResources; ++r) {
-    const auto kind = static_cast<ResourceKind>(r);
-    util_series_[r].add_coalesced(now, utilization(kind));
-  }
-  const double blended =
-      0.7 * utilization(ResourceKind::kCpu) +
-      0.3 * std::max(utilization(ResourceKind::kDisk),
-                     utilization(ResourceKind::kNet));
+  const Resources util{utilization(ResourceKind::kCpu),
+                       utilization(ResourceKind::kMemory),
+                       utilization(ResourceKind::kDisk),
+                       utilization(ResourceKind::kNet)};
+  samples_.add_coalesced(now, util);
+  const double blended = 0.7 * util.cpu + 0.3 * std::max(util.disk, util.net);
   const sim::Watts watts =
       powered_ ? power_model_.watts(sim::Fraction{blended}) : sim::Watts{};
   for (int r = 0; r < kNumResources; ++r) {

@@ -15,6 +15,18 @@
 // class once (its members read their grant and speed from the class row),
 // and only moves a completion event when the workload's finish time
 // actually changed.
+//
+// Recompute reads flat tables. Each site keeps one contiguous member table
+// in member order (ExecutionSite::Member: the class row, the finite and
+// done flags, the copy stamp of a re-keyed member, the join instant); a
+// settled-prefix count stands for every member's settle instant, since
+// each member present at the last settle pass settled then and newer
+// members sit at the tail. The settle, the VM member sums and the install
+// passes read the table and the class rows; a member's Workload is loaded
+// only to advance finite work, to read a copied rate or to reschedule.
+// Each machine appends one record per instant (the time and the four
+// utilizations) to its SampleLog, whose fixed-size chunks an append never
+// copies or frees.
 #pragma once
 
 #include <array>
@@ -123,7 +135,32 @@ double memory_pressure_factor(double ratio, const Calibration& cal);
 /// Where a workload can run: a physical machine (native) or a VM.
 class ExecutionSite {
  public:
-  virtual ~ExecutionSite() = default;
+  /// One resident workload as the recompute reads it. The site keeps one
+  /// contiguous table of these in member order, so its settle, member-sum
+  /// and install passes read the table and the class rows and load a
+  /// member's Workload only to advance finite work, to read a member's own
+  /// copy of a rate, or to reschedule. Plain data, so a removal shifts the
+  /// entries behind it as bytes: the site's share of the workload's
+  /// ownership sits in the workload (Workload::site_ref_).
+  struct Member {
+    Workload* workload = nullptr;
+    /// The member's settle instant while it sits past the settled prefix
+    /// (it joined after the site's last settle pass); every member in the
+    /// prefix last settled at that pass.
+    sim::SimTime joined_at = 0;
+    /// The site's install count when the member took its own copy of a
+    /// grant and speed (Workload::allocated_): at its join, or at a re-key
+    /// that moved it. The copy stands while the count has not moved on.
+    std::uint64_t copied_at = 0;
+    std::uint32_t row = 0;  // its demand class
+    bool finite = false;    // Workload::finite()
+    bool done = false;      // Workload::done()
+  };
+
+  /// Releases the site's share of every resident workload.
+  virtual ~ExecutionSite();
+  ExecutionSite(const ExecutionSite&) = delete;
+  ExecutionSite& operator=(const ExecutionSite&) = delete;
 
   /// Attaches a workload; takes shared ownership until completion/removal.
   void add(WorkloadPtr workload);
@@ -161,9 +198,8 @@ class ExecutionSite {
   /// the index of flat per-site tables such as Hdfs's locality index.
   [[nodiscard]] std::uint32_t ordinal() const { return ordinal_; }
 
-  [[nodiscard]] const std::vector<WorkloadPtr>& workloads() const {
-    return workloads_;
-  }
+  /// The resident workloads, in the order they attached.
+  [[nodiscard]] std::span<const Member> members() const { return members_; }
   /// Sum of effective demands of resident workloads.
   [[nodiscard]] Resources total_demand() const;
 
@@ -174,29 +210,33 @@ class ExecutionSite {
   ExecutionSite(std::string name, const Calibration& cal)
       : cal_(cal), name_(std::move(name)) {}
 
-  /// The class row of a resident member.
-  [[nodiscard]] const DemandClasses::Row& class_of(const Workload& w) const {
-    return classes_.rows[w.site_row_];
+  /// The class row whose grant and speed a member holds, or null while it
+  /// holds its own copy (Workload::allocated_): before its first install,
+  /// from a re-key until this site's next install, and once it is done.
+  [[nodiscard]] const DemandClasses::Row* held_row(const Member& m) const {
+    return m.done || m.copied_at == installs_ ? nullptr
+                                               : &classes_.rows[m.row];
   }
-  /// The class row whose grant and speed a resident member holds, or null
-  /// while it holds its own copy (Workload::allocated_): before its first
-  /// install, from a re-key until this site's next install, and once it
-  /// is done.
   [[nodiscard]] const DemandClasses::Row* held_row(const Workload& w) const {
-    return w.done_ || w.copied_at_ == installs_ ? nullptr
-                                                : &classes_.rows[w.site_row_];
+    return held_row(members_[index_of(w)]);
   }
   /// Settles every member at the rate it held since its last settle and
   /// returns the MB of I/O they performed. Once per instant: members that
-  /// joined since the last pass carry `now` as their last settle, so a
+  /// joined since the last pass carry `now` as their settle instant, so a
   /// second pass at the same instant would find every interval empty.
   double settle_members(sim::SimTime now);
+  /// Settles one member alone (it is about to finish or leave).
+  void settle(const Workload& w, sim::SimTime now) { settle(index_of(w), now); }
+  /// The site's share of a resident workload's ownership.
+  static const WorkloadPtr& owner(const Workload& w) { return w.site_ref_; }
   /// Audit: every member's row holds its current key, every row counts the
-  /// members that point at it, and a free row asks for nothing.
+  /// members that point at it, and a free row asks for nothing; the member
+  /// table mirrors each member's flags and slot, no copy stamp is ahead of
+  /// the install count, and the settled prefix is the table's head.
   [[nodiscard]] bool classes_match_members() const;
 
   const Calibration& cal_;
-  std::vector<WorkloadPtr> workloads_;
+  std::vector<Member> members_;
   DemandClasses classes_;
   /// Installs of the class rows' grants and speeds since construction; a
   /// member's own copy stamped with the current count stands until the
@@ -204,17 +244,32 @@ class ExecutionSite {
   std::uint64_t installs_ = 0;
 
  private:
-  // Settles one member at the rate it held.
-  double settle(Workload& w, sim::SimTime now) const {
-    const DemandClasses::Row* row = held_row(w);
-    return row != nullptr ? w.settle(now, row->speed, row->grant)
-                          : w.settle(now, w.speed_, w.allocated_);
+  // The member's index in the table. Entries only move toward the front (a
+  // removal shifts the ones behind it), so the search runs down from the
+  // slot the member last recorded, and records where it found it.
+  std::size_t index_of(const Workload& w) const;
+  // Settles entry i alone: since the last pass, or since its join.
+  void settle(std::size_t i, sim::SimTime now) {
+    accrue(members_[i],
+           now - (i < settled_ ? settled_at_ : members_[i].joined_at));
+  }
+  // Accrues `dt` seconds of a member's progress at the rate it held and
+  // returns the MB of I/O it performed.
+  double accrue(const Member& m, double dt) const {
+    if (dt <= 0 || m.done) return 0;
+    Workload& w = *m.workload;
+    const DemandClasses::Row* row = held_row(m);
+    if (m.finite) w.advance(dt, row != nullptr ? row->speed : w.speed_);
+    const Resources& grant = row != nullptr ? row->grant : w.allocated_;
+    return (grant.disk + grant.net) * dt;
   }
 
   std::string name_;
   std::uint32_t ordinal_ = 0;
-  // The instant of the last settle_members() pass (none yet: -inf).
+  // The instant of the last settle_members() pass (none yet: -inf), and
+  // the members it settled: the table's first `settled_` entries.
   sim::SimTime settled_at_ = -std::numeric_limits<double>::infinity();
+  std::size_t settled_ = 0;
 };
 
 /// Xen-style virtual machine. Owned by HybridCluster; hosted by a Machine.
@@ -243,6 +298,11 @@ class VirtualMachine : public ExecutionSite {
   void set_paused(bool paused);
   // sim-lint: allow(unused-api) cluster_test, faults_test, property_test
   [[nodiscard]] bool paused() const { return paused_; }
+
+  /// The buffer-cache model's decayed volume of recent I/O: each settle
+  /// pass adds what the members performed.
+  // sim-lint: allow(unused-api) property_test: the settle's I/O sum
+  [[nodiscard]] sim::MegaBytes recent_io_mb() const { return recent_io_mb_; }
 
   /// Pre-copy in progress: guest runs slightly slowed.
   void set_migrating(bool migrating);
@@ -310,6 +370,45 @@ class VirtualMachine : public ExecutionSite {
   bool rated_paused_ = false;
 };
 
+/// Long runs bound a machine's sample log and its energy meter's series at
+/// this many samples; beyond it, older samples merge pairwise into
+/// time-weighted means (integral-preserving), so memory is O(1) per
+/// machine instead of O(events).
+inline constexpr std::size_t kMaxMachineSeriesSamples = 16384;
+
+/// A machine's utilization history: one record per instant a recompute
+/// ran, holding the time and the four utilizations. Records live in
+/// fixed-size chunks, so an append never copies or frees what is recorded.
+/// Same-instant records coalesce (the last recompute's values stand), and
+/// at kMaxMachineSeriesSamples the records merge pairwise with
+/// stats::series_compact, every column by the one time column, so each
+/// resource's column answers bit for bit as a stats::TimeSeries of it
+/// bounded the same way would.
+class SampleLog {
+ public:
+  /// Plain data: a new chunk is not initialized, only written.
+  struct Record {
+    double time;
+    std::array<double, kNumResources> util;  // by ResourceKind
+  };
+
+  void add_coalesced(double time, const Resources& util);
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const Record& operator[](std::size_t i) const {
+    return chunks_[i / kChunk][i % kChunk];
+  }
+  /// stats::TimeSeries::mean_in and integrate of one resource's column.
+  [[nodiscard]] double mean_in(ResourceKind kind, double t0, double t1) const;
+  [[nodiscard]] double integrate(ResourceKind kind, double t0,
+                                 double t1) const;
+
+ private:
+  static constexpr std::size_t kChunk = 256;
+  Record& at(std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  std::size_t size_ = 0;
+};
+
 /// A physical server. Root of the allocation hierarchy.
 class Machine : public ExecutionSite {
  public:
@@ -348,10 +447,10 @@ class Machine : public ExecutionSite {
   /// Instantaneous utilization (allocated / capacity) per resource.
   /// Drains a pending reallocation first, so the reading is never stale.
   [[nodiscard]] double utilization(ResourceKind kind) const;
-  [[nodiscard]] const stats::TimeSeries& utilization_series(
-      ResourceKind kind) const {
+  /// The utilizations every recompute recorded, one record per instant.
+  [[nodiscard]] const SampleLog& samples() const {
     ensure_clean();
-    return util_series_[static_cast<int>(kind)];
+    return samples_;
   }
 
   // --- deferred reallocation (see realloc.h) ---
@@ -392,7 +491,7 @@ class Machine : public ExecutionSite {
   /// anywhere on this machine, which now runs at `speed`, by defer()ing it
   /// in place. No-op when the recomputed finish time equals the
   /// already-scheduled one.
-  void reschedule(const WorkloadPtr& workload, double speed);
+  void reschedule(Workload& workload, double speed);
 
   /// Attaches this machine to a telemetry hub: caches the hub's profiler
   /// when profiling is live (null detaches).
@@ -406,7 +505,7 @@ class Machine : public ExecutionSite {
   std::vector<VirtualMachine*> vms_;
   bool powered_ = true;
   Resources allocated_total_{};
-  stats::TimeSeries util_series_[kNumResources];
+  SampleLog samples_;
 
   // Deferred-reallocation state.
   ReallocCoordinator& coordinator_;

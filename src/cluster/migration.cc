@@ -39,10 +39,11 @@ MigrationPlan MigrationModel::plan(sim::MegaBytes memory, sim::MBps dirty_rate,
 
 sim::MBps MigrationModel::dirty_rate_mbps(const VirtualMachine& vm) const {
   sim::MegaBytes active_mb{0};
-  for (const auto& w : vm.workloads()) {
-    if (w->paused()) continue;
-    active_mb += sim::MegaBytes{
-        std::min(w->demand().memory, w->allocated().memory)};
+  for (const auto& m : vm.members()) {
+    const Workload& w = *m.workload;
+    if (w.paused()) continue;
+    active_mb +=
+        sim::MegaBytes{std::min(w.demand().memory, w.allocated().memory)};
   }
   return cal_.idle_dirty_rate_mbps +
          cal_.dirty_rate_per_active_mb * active_mb;

@@ -80,11 +80,8 @@ void Workload::finish(sim::SimTime now) {
   // Settle at the *current* rates: drain any deferred recompute first so
   // the interval accrues exactly as it would have under eager reallocation.
   drain_host(site_);
-  if (site_ != nullptr) {
-    site_->settle(*this, now);
-  } else {
-    settle(now, speed_, allocated_);
-  }
+  // Unattached, it holds no rate (its own copy is zeros): nothing accrues.
+  if (site_ != nullptr) site_->settle(*this, now);
   remaining_ = 0;
   done_ = true;
   speed_ = 0;

@@ -39,9 +39,8 @@ class Workload {
   /// caps). Triggers a reallocation if attached.
   void set_caps(const Resources& caps);
   /// Demand after caps and pause are applied. Cached: recomputed only when
-  /// demand/caps/pause/done change, because the reallocation engine reads
-  /// this several times per member per recompute (gather, VM distribute per
-  /// resource, I/O-activity census).
+  /// demand/caps/pause/done change, which re-keys the member, so its
+  /// site's class row holds a byte-equal copy that the recompute reads.
   [[nodiscard]] const Resources& effective_demand() const {
     return eff_demand_;
   }
@@ -98,19 +97,10 @@ class Workload {
 
   void refresh_eff_demand();
 
-  /// Accrues progress for the interval since the last settle at the
-  /// `speed` and `grant` the member held over it. Returns MB of I/O
-  /// performed in the interval (for the VM buffer-cache model). Inline:
-  /// the reallocation engine calls this once per resident workload per
-  /// recompute (through ExecutionSite, which knows the held rate).
-  double settle(sim::SimTime now, double speed, const Resources& grant) {
-    const double dt = now - last_settle_;
-    last_settle_ = now;
-    if (dt <= 0 || done_) return 0;
-    if (finite()) {
-      remaining_ = remaining_ - dt * speed > 0 ? remaining_ - dt * speed : 0;
-    }
-    return (grant.disk + grant.net) * dt;
+  /// Accrues `dt` seconds at `speed` to a finite member's remaining work
+  /// (ExecutionSite's settle knows the interval and the held rate).
+  void advance(double dt, double speed) {
+    remaining_ = remaining_ - dt * speed > 0 ? remaining_ - dt * speed : 0;
   }
 
   Resources demand_;
@@ -123,13 +113,17 @@ class Workload {
   // The member's own copy of its grant and speed, held instead of its
   // class row's (ExecutionSite::held_row): zeros before its first install
   // and once it is done or detached; its old row's from a re-key that
-  // moved it until its site's next install, which `copied_at_` names.
+  // moved it until its site's next install (ExecutionSite::Member's copy
+  // stamp names which).
   double speed_ = 0;
   Resources allocated_{};
-  std::uint64_t copied_at_ = 0;    // the site's install count at the copy
-  sim::SimTime last_settle_ = 0;
   ExecutionSite* site_ = nullptr;  // owned by HybridCluster
-  std::uint32_t site_row_ = 0;     // this member's row at its site
+  // The site's share of this workload's ownership, held while attached
+  // (the site's member table holds plain pointers).
+  std::shared_ptr<Workload> site_ref_;
+  // Where this member's entry last sat in its site's member table: at or
+  // above it (ExecutionSite::index_of).
+  mutable std::uint32_t site_slot_ = 0;
 };
 
 using WorkloadPtr = std::shared_ptr<Workload>;

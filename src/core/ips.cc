@@ -201,8 +201,8 @@ void InterferencePreventionSystem::migrate_batch_vm(
     if (vm->migrating()) continue;
     bool hosts_batch = false;
     bool hosts_interactive = false;
-    for (const auto& w : vm->workloads()) {
-      if (!w->finite()) hosts_interactive = true;
+    for (const auto& m : vm->members()) {
+      if (!m.workload->finite()) hosts_interactive = true;
     }
     for (TaskAttempt* a : running) {
       if (a->running() && &a->site() == vm) hosts_batch = true;

@@ -162,8 +162,8 @@ bool FaultInjector::crash_machine(Machine& machine,
   //    flows, interactive workloads, leftover streams. Removal never fires
   //    completions, so nothing observes the half-dead state.
   for (ExecutionSite* s : sites) {
-    while (!s->workloads().empty()) {
-      s->remove(s->workloads().back().get());
+    while (!s->members().empty()) {
+      s->remove(s->members().back().workload);
     }
   }
 

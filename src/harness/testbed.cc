@@ -219,22 +219,19 @@ telemetry::RunReport TestBed::report(
     row.name = m->name();
     row.vms = static_cast<int>(m->vms().size());
     row.powered = m->powered();
-    row.mean_cpu =
-        m->utilization_series(cluster::ResourceKind::kCpu).mean_in(0, end);
-    row.mean_memory =
-        m->utilization_series(cluster::ResourceKind::kMemory).mean_in(0, end);
-    row.mean_disk =
-        m->utilization_series(cluster::ResourceKind::kDisk).mean_in(0, end);
-    row.mean_net =
-        m->utilization_series(cluster::ResourceKind::kNet).mean_in(0, end);
+    // The machine's log is read in place, one column at a time.
+    const cluster::SampleLog& log = m->samples();
+    row.mean_cpu = log.mean_in(cluster::ResourceKind::kCpu, 0, end);
+    row.mean_memory = log.mean_in(cluster::ResourceKind::kMemory, 0, end);
+    row.mean_disk = log.mean_in(cluster::ResourceKind::kDisk, 0, end);
+    row.mean_net = log.mean_in(cluster::ResourceKind::kNet, 0, end);
     row.energy_joules = m->energy().joules(0, end);
     row.mean_watts = m->energy().mean_watts(0, end);
-    const auto& cpu =
-        m->utilization_series(cluster::ResourceKind::kCpu);
     const auto& power = m->energy().series();
     for (double t = 0; t < end; t += window) {
       const double t1 = std::min(t + window, end);
-      row.cpu_series.push_back({t, cpu.mean_in(t, t1)});
+      row.cpu_series.push_back(
+          {t, log.mean_in(cluster::ResourceKind::kCpu, t, t1)});
       row.power_series.push_back({t, power.mean_in(t, t1)});
     }
     report.machines.push_back(std::move(row));

@@ -28,41 +28,20 @@ void TimeSeries::set_max_samples(std::size_t max) {
 }
 
 void TimeSeries::compact() {
-  const std::size_t n = samples_.size();
-  if (n < 4) return;
-  // Merge adjacent pairs (a, b) into one sample at a.time whose value is
-  // the time-weighted mean of a over [a,b) and b over [b,next): the step
-  // function's integral over the merged span is unchanged. The final one
-  // or two samples are kept verbatim so back()/value_at(now) stay exact.
-  std::size_t out = 0;
-  std::size_t i = 0;
-  for (; i + 2 < n; i += 2) {
-    const Sample& a = samples_[i];
-    const Sample& b = samples_[i + 1];
-    const double end = samples_[i + 2].time;
-    const double wa = b.time - a.time;
-    const double wb = end - b.time;
-    const double w = wa + wb;
-    samples_[out++] = {
-        a.time, w > 0 ? (a.value * wa + b.value * wb) / w : b.value};
-  }
-  for (; i < n; ++i) samples_[out++] = samples_[i];
-  samples_.resize(out);
+  samples_.resize(series_compact(
+      samples_.size(), [this](std::size_t i) { return samples_[i].time; },
+      [this](std::size_t out, std::size_t i, double wa, double wb) {
+        samples_[out] = {samples_[i].time,
+                         merged_value(samples_[i].value, wa,
+                                      samples_[i + 1].value, wb)};
+      },
+      [this](std::size_t out, std::size_t i) { samples_[out] = samples_[i]; }));
 }
 
 double TimeSeries::mean_in(double t0, double t1) const {
-  // Samples are time-ordered (add() asserts it), so the window is one run:
-  // from the first sample at or after t0 to the last at or before t1.
-  auto it = std::partition_point(
-      samples_.begin(), samples_.end(),
-      [t0](const Sample& s) { return !(s.time >= t0); });
-  double sum = 0;
-  std::size_t n = 0;
-  for (; it != samples_.end() && it->time <= t1; ++it) {
-    sum += it->value;
-    ++n;
-  }
-  return n ? sum / static_cast<double>(n) : 0;
+  return series_mean_in(
+      samples_.size(), [this](std::size_t i) { return samples_[i].time; },
+      [this](std::size_t i) { return samples_[i].value; }, t0, t1);
 }
 
 double TimeSeries::value_at(double t) const {
@@ -75,15 +54,9 @@ double TimeSeries::value_at(double t) const {
 }
 
 double TimeSeries::integrate(double t0, double t1) const {
-  if (samples_.empty() || t1 <= t0) return 0;
-  double total = 0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    const double seg_start = std::max(samples_[i].time, t0);
-    const double seg_end =
-        std::min(i + 1 < samples_.size() ? samples_[i + 1].time : t1, t1);
-    if (seg_end > seg_start) total += samples_[i].value * (seg_end - seg_start);
-  }
-  return total;
+  return series_integrate(
+      samples_.size(), [this](std::size_t i) { return samples_[i].time; },
+      [this](std::size_t i) { return samples_[i].value; }, t0, t1);
 }
 
 std::vector<double> TimeSeries::values() const {

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sched.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -38,11 +40,16 @@ void write_all(int fd, const std::string& payload) {
   }
 }
 
+// Child costs are host measurements (WhatIfEngine::Costs); nothing in the
+// simulation reads them.
+using WallClock = std::chrono::steady_clock;  // sim-lint: allow(wall-clock)
+
 /// One child of a running batch.
 struct LiveChild {
   pid_t pid;
   int fd;             ///< read end of its pipe; -1 once reaped
   std::size_t index;  ///< its batch entry
+  WallClock::time_point forked;
 };
 
 /// CPUs in this process's sched_getaffinity mask (at least 1).
@@ -57,8 +64,12 @@ int available_cpus() {
 
 bool WhatIfEngine::reap(int pid, bool read_ok) {
   int status = 0;
-  pid_t got = ::waitpid(pid, &status, 0);
-  while (got < 0 && errno == EINTR) got = ::waitpid(pid, &status, 0);
+  rusage usage{};
+  pid_t got = ::wait4(pid, &status, 0, &usage);
+  while (got < 0 && errno == EINTR) got = ::wait4(pid, &status, 0, &usage);
+  if (got == pid) {
+    costs_.minor_faults += static_cast<std::uint64_t>(usage.ru_minflt);
+  }
   // A failed waitpid (ECHILD when the program ignores SIGCHLD) leaves
   // `status` unset: the exit status is unknown, so the child failed.
   const bool ok = read_ok && got == pid && WIFEXITED(status) &&
@@ -109,7 +120,7 @@ std::optional<WhatIfEngine::Child> WhatIfEngine::fork_batch(
       }
       ::close(fds[1]);
       ++stats_.forks;
-      live.push_back({pid, fds[0], next});
+      live.push_back({pid, fds[0], next, WallClock::now()});
     }
     if (live.empty()) return std::nullopt;
 
@@ -139,6 +150,10 @@ std::optional<WhatIfEngine::Child> WhatIfEngine::fork_batch(
       ::close(c.fd);
       c.fd = -1;
       results[c.index].ok = reap(c.pid, /*read_ok=*/got == 0);
+      ++costs_.children;
+      costs_.wall_s +=
+          std::chrono::duration<double>(WallClock::now() - c.forked).count();
+      costs_.payload_bytes += results[c.index].payload.size();
     }
     std::erase_if(live, [](const LiveChild& c) { return c.fd < 0; });
   }

@@ -44,6 +44,7 @@
 // propagated: a what-if that dies is an answer, not an error.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
@@ -75,6 +76,18 @@ class WhatIfEngine {
     int forks = 0;           ///< total fork(2) calls that succeeded
     int child_failures = 0;  ///< children that exited abnormally
     bool operator==(const Stats&) const = default;
+  };
+
+  /// What the reaped children cost the host, summed over them: the wall
+  /// time from fork to reap, the payload bytes read back, and the minor
+  /// page faults (each a copy-on-write or first touch of a page). Host
+  /// measurements that move from run to run, so they stay out of Stats,
+  /// whose equality holds across pool sizes.
+  struct Costs {
+    int children = 0;  ///< children reaped
+    double wall_s = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint64_t minor_faults = 0;
   };
 
   using Scenario = std::function<std::string()>;
@@ -120,6 +133,7 @@ class WhatIfEngine {
                                sim::Duration horizon, const Scenario& score);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] const Costs& costs() const { return costs_; }
 
  private:
   /// This process's place in a batch, returned only in a child.
@@ -137,13 +151,15 @@ class WhatIfEngine {
   /// Child half: closes the read end, marks in_lookahead() and arms the
   /// escape backstop.
   void enter_child(int read_fd);
-  /// Waits for a child whose pipe reached EOF (`read_ok`) or failed;
-  /// true only for a collected clean exit with a whole payload.
+  /// Waits for a child whose pipe reached EOF (`read_ok`) or failed and
+  /// adds its faults to costs_; true only for a collected clean exit with
+  /// a whole payload.
   bool reap(int pid, bool read_ok);
 
   sim::Simulation& sim_;
   Options options_;
   Stats stats_;
+  Costs costs_;
   bool in_lookahead_ = false;
 };
 

@@ -431,8 +431,8 @@ TEST_F(ClusterTest, AbortDuringPrecopyRollsBackToSource) {
   EXPECT_FALSE(vm->paused());
   EXPECT_FALSE(w->paused());  // guest work keeps running on the source
   // Both pre-copy streams are gone from their hosts.
-  EXPECT_TRUE(src->workloads().empty());
-  EXPECT_TRUE(dst->workloads().empty());
+  EXPECT_TRUE(src->members().empty());
+  EXPECT_TRUE(dst->members().empty());
   ASSERT_EQ(cluster.migrator().history().size(), 1u);
   const MigrationRecord& rec = cluster.migrator().history().front();
   EXPECT_TRUE(rec.aborted);

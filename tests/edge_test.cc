@@ -86,8 +86,8 @@ TEST(HdfsEdge, CancelledFlowFiresNoCallback) {
   sim.at(1.0, [&] { flow.cancel(); });
   sim.run();
   EXPECT_FALSE(done);
-  EXPECT_TRUE(a->workloads().empty());
-  EXPECT_TRUE(b->workloads().empty());
+  EXPECT_TRUE(a->members().empty());
+  EXPECT_TRUE(b->members().empty());
 }
 
 TEST(MapReduceEdge, VmMigrationMidJobPreservesCorrectness) {

@@ -133,9 +133,9 @@ TEST_F(InteractiveTest, StopRemovesServiceWorkload) {
   VirtualMachine* vm = cluster.add_vm(*host);
   auto app = std::make_unique<InteractiveApp>(sim, *vm, tpcw_params(), 500);
   app->start();
-  EXPECT_EQ(vm->workloads().size(), 1u);
+  EXPECT_EQ(vm->members().size(), 1u);
   app->stop();
-  EXPECT_TRUE(vm->workloads().empty());
+  EXPECT_TRUE(vm->members().empty());
   EXPECT_FALSE(app->running());
   sim.run_until(30);  // ticker cancelled; no crash
 }

@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -624,9 +625,9 @@ TEST_P(MachineProperty, SpeedNeverExceedsOne) {
     d.disk = rng.uniform(0, 60);
     auto w = std::make_shared<Workload>(d, sim::Duration{10});
     machine->add(w);
-    for (const auto& each : machine->workloads()) {
-      EXPECT_LE(each->speed(), 1.0 + 1e-9);
-      EXPECT_GE(each->speed(), 0.0);
+    for (const auto& each : machine->members()) {
+      EXPECT_LE(each.workload->speed(), 1.0 + 1e-9);
+      EXPECT_GE(each.workload->speed(), 0.0);
     }
   }
 }
@@ -697,11 +698,12 @@ struct ReferenceAllocation {
 ReferenceAllocation reference_distribute(cluster::Machine& m) {
   const auto& cal = m.calibration();
   const sim::SimTime now = m.simulation().now();
-  const auto& natives = m.workloads();
+  const auto natives = m.members();
   const auto& vms = m.vms();
   std::vector<Resources> demands;
-  for (const auto& w : natives) {
-    demands.push_back(m.powered() ? w->effective_demand() : Resources{});
+  for (const auto& each : natives) {
+    demands.push_back(m.powered() ? each.workload->effective_demand()
+                                  : Resources{});
   }
   for (const auto* vm : vms) {
     demands.push_back(m.powered() ? vm->aggregate_demand() : Resources{});
@@ -709,19 +711,18 @@ ReferenceAllocation reference_distribute(cluster::Machine& m) {
   const std::vector<Resources> grants = fill_each(m.capacity(), demands);
 
   ReferenceAllocation ref;
-  auto expect = [&](const cluster::WorkloadPtr& w, const Resources& alloc,
-                    double speed) {
+  auto expect = [&](const Workload* w, const Resources& alloc, double speed) {
     MemberExpect e{alloc, w->done() ? 0 : speed, w->completion_time};
     if (w->finite() && !w->done()) {
       e.completion = e.speed <= 0
                          ? std::numeric_limits<double>::infinity()
                          : now + (w->remaining() / e.speed).value();
     }
-    ref.members[w.get()] = e;
+    ref.members[w] = e;
   };
   for (std::size_t i = 0; i < natives.size(); ++i) {
-    expect(natives[i], grants[i],
-           reference_speed(*natives[i], grants[i], 1.0, 1.0, cal));
+    expect(natives[i].workload, grants[i],
+           reference_speed(*natives[i].workload, grants[i], 1.0, 1.0, cal));
   }
   int active_io_vms = 0;
   for (std::size_t j = 0; j < vms.size(); ++j) {
@@ -735,13 +736,13 @@ ReferenceAllocation reference_distribute(cluster::Machine& m) {
     const double migration_factor =
         vm.migrating() ? 1.0 - cal.migration_guest_slowdown : 1.0;
     std::vector<Resources> member_demands;
-    for (const auto& w : vm.workloads()) {
-      member_demands.push_back(w->effective_demand());
+    for (const auto& each : vm.members()) {
+      member_demands.push_back(each.workload->effective_demand());
     }
     const std::vector<Resources> member_grants =
         fill_each(grants[natives.size() + j], member_demands);
     for (std::size_t i = 0; i < member_grants.size(); ++i) {
-      const auto& w = vm.workloads()[i];
+      const auto& w = vm.members()[i].workload;
       double speed =
           vm.paused()
               ? 0.0
@@ -901,9 +902,9 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
     }
     for (cluster::ExecutionSite* site : host.sites) {
       std::set<std::array<std::uint64_t, 9>> keys;
-      const auto& ws = site->workloads();
+      const auto ws = site->members();
       for (std::size_t i = 0; i < ws.size(); ++i) {
-        const Workload& w = *ws[i];
+        const Workload& w = *ws[i].workload;
         const MemberExpect& e = ref.members.at(&w);
         ++checked;
         for (int r = 0; r < cluster::kNumResources; ++r) {
@@ -918,7 +919,7 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
             << "round " << round << " " << site->name() << " member " << i;
         keys.insert(class_key(w));
         for (std::size_t j = 0; j < i; ++j) {
-          const Workload& o = *ws[j];
+          const Workload& o = *ws[j].workload;
           if (!w.paused() && !o.paused() &&
               same_bytes(w.effective_demand(), o.effective_demand()) &&
               !same_bytes(w.demand(), o.demand())) {
@@ -964,20 +965,22 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
       }
     }
     // The steady VM's classes stay; its sibling's demands move.
-    for (const auto& w : sibling->workloads()) w->set_demand(sibling_demand());
+    for (const auto& each : sibling->members()) {
+      each.workload->set_demand(sibling_demand());
+    }
     // The capped VM loses a member every round. At round 2 its first
     // class empties (its row is freed, not the last one), and at round 3
     // a member of a new class takes that row.
     if (round == 2) {
-      capped->remove(capped->workloads().front().get());
+      capped->remove(capped->members().front().workload);
     } else {
-      capped->remove(capped->workloads().back().get());
+      capped->remove(capped->members().back().workload);
     }
     if (round == 3) add_service(*capped, Resources{0.08, 48, 6, 2});
 
     for (Host& host : hosts) check(host, round);
     check(table, round);
-    const double disk = steady->workloads().front()->allocated().disk;
+    const double disk = steady->members().front().workload->allocated().disk;
     if (steady_disk >= 0 && bits(disk) != bits(steady_disk)) ++grant_moved;
     steady_disk = disk;
   }
@@ -986,6 +989,253 @@ TEST_P(DemandClassProperty, ClassFillMatchesPerMemberReference) {
   EXPECT_GT(many_classes, 0);
   EXPECT_GT(rekeyed, 0);
   EXPECT_GT(grant_moved, 0);
+}
+
+// The settle as it was before the member table, member by member: each
+// member keeps its own settle instant and the rate it held since (read
+// back after every install; a join holds zeros until the next one, a
+// re-key keeps what its old row granted), every pass settles each member
+// in member order, once per instant per site, and a VM decays its recent
+// I/O before adding the pass's sum.
+struct ReferenceSettle {
+  struct Member {
+    cluster::WorkloadPtr w;
+    double last = 0;       // its settle instant
+    double remaining = 0;  // kService for services
+    double speed = 0;
+    Resources grant;
+    bool done = false;
+  };
+  struct Site {
+    cluster::ExecutionSite* site = nullptr;
+    std::vector<Member> members;
+    double settled_at = -std::numeric_limits<double>::infinity();
+    double recent_io = 0;  // VMs only
+    double last_decay = 0;
+  };
+  std::vector<Site> sites;  // the machine, then its VMs in host order
+  double halflife = 0;
+
+  Site& of(const cluster::ExecutionSite* site) {
+    for (Site& s : sites) {
+      if (s.site == site) return s;
+    }
+    throw std::logic_error("unknown site");
+  }
+  Member& member(Site& s, const Workload* w) {
+    for (Member& m : s.members) {
+      if (m.w.get() == w) return m;
+    }
+    throw std::logic_error("unknown member");
+  }
+  static double settle(Member& m, double now) {
+    const double dt = now - m.last;
+    m.last = now;
+    if (dt <= 0 || m.done) return 0;
+    if (m.w->finite()) {
+      m.remaining =
+          m.remaining - dt * m.speed > 0 ? m.remaining - dt * m.speed : 0;
+    }
+    return (m.grant.disk + m.grant.net) * dt;
+  }
+  void join(cluster::ExecutionSite* site, const cluster::WorkloadPtr& w,
+            double work, double now) {
+    of(site).members.push_back({w, now, work, 0, Resources{}, false});
+  }
+  void finish(cluster::ExecutionSite* site, const Workload* w, double now) {
+    Member& m = member(of(site), w);
+    settle(m, now);
+    m.remaining = 0;
+    m.speed = 0;
+    m.grant = {};
+    m.done = true;
+  }
+  // Returns the member's remaining work after its last settle.
+  double remove(cluster::ExecutionSite* site, const Workload* w, double now) {
+    Site& s = of(site);
+    Member& m = member(s, w);
+    settle(m, now);
+    const double remaining = m.remaining;
+    std::erase_if(s.members, [w](const Member& e) { return e.w.get() == w; });
+    return remaining;
+  }
+  // The recompute's settles: the machine's members, then each VM's.
+  void settle_all(double now) {
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      Site& s = sites[k];
+      double io = 0;
+      if (!sim::same_time(s.settled_at, now)) {
+        s.settled_at = now;
+        for (Member& m : s.members) io += settle(m, now);
+      }
+      if (k == 0) continue;  // a machine keeps no I/O sum
+      const double dt = now - s.last_decay;
+      if (dt > 0) {
+        s.recent_io *= std::exp2(-dt / halflife);
+        s.last_decay = now;
+      }
+      s.recent_io += io;
+    }
+  }
+  // After an install: every member holds its class row's rate.
+  void read_rates() {
+    for (Site& s : sites) {
+      for (Member& m : s.members) {
+        if (m.done) continue;
+        m.speed = m.w->speed();
+        m.grant = m.w->allocated();
+      }
+    }
+  }
+};
+
+// Seeded settle cases on one host (native members and two VMs, services
+// and finite attempts that cannot finish within the run): a member that
+// joins between two settle passes (after the pass at its instant, so the
+// next pass settles it alone over its own interval), a re-key that leaves
+// a copy followed by a settle before the next install, a removal from the
+// middle before a pass, and a finish and its removal at one instant. Each
+// round runs the four in a random order. After every recompute each
+// member's remaining work, grant, speed and finish time, and each VM's
+// I/O sum, must equal the per-member references' bit for bit.
+TEST_P(DemandClassProperty, SettleMatchesPerMemberReference) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()) + 2000);
+  sim::Simulation sim(static_cast<std::uint64_t>(GetParam()));
+  cluster::HybridCluster hc(sim);
+  cluster::Machine* machine = hc.add_machine();
+  ReferenceSettle ref;
+  ref.halflife = machine->calibration().io_cache_halflife_s;
+  ref.sites.resize(3);
+  ref.sites[0].site = machine;
+  for (int v = 1; v <= 2; ++v) ref.sites[v].site = hc.add_vm(*machine);
+  std::vector<Resources> vectors;
+  for (int k = 0; k < 4; ++k) {
+    vectors.push_back(Resources{rng.uniform(0.1, 1.5), rng.uniform(32, 600),
+                                rng.uniform(1, 60), rng.uniform(0, 60)});
+  }
+  auto join = [&](cluster::ExecutionSite* site) {
+    const bool finite = rng.bernoulli(0.4);
+    const double work = finite ? rng.uniform(400, 900) : -1;
+    auto w = std::make_shared<Workload>(
+        vectors[rng.index(vectors.size())],
+        finite ? sim::Duration{work} : Workload::kService);
+    site->add(w);
+    ref.join(site, w, work, sim.now());
+    return w;
+  };
+  // Any pending recompute runs here, mirrored and checked.
+  int checked = 0;
+  auto sync = [&](int round) {
+    if (!machine->dirty()) return;
+    sim.flush();
+    const double now = sim.now();
+    ref.settle_all(now);
+    const ReferenceAllocation alloc = reference_distribute(*machine);
+    for (ReferenceSettle::Site& s : ref.sites) {
+      const auto members = s.site->members();
+      ASSERT_EQ(members.size(), s.members.size()) << s.site->name();
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const Workload& w = *members[i].workload;
+        ASSERT_EQ(&w, s.members[i].w.get()) << s.site->name() << " " << i;
+        const MemberExpect& e = alloc.members.at(&w);
+        ++checked;
+        EXPECT_EQ(bits(w.remaining().value()), bits(s.members[i].remaining))
+            << "round " << round << " " << s.site->name() << " member " << i;
+        for (int r = 0; r < cluster::kNumResources; ++r) {
+          const auto kind = static_cast<cluster::ResourceKind>(r);
+          EXPECT_EQ(bits(w.allocated()[kind]), bits(e.alloc[kind]))
+              << "round " << round << " " << s.site->name() << " member "
+              << i << " " << cluster::to_string(kind);
+        }
+        EXPECT_EQ(bits(w.speed()), bits(e.speed))
+            << "round " << round << " " << s.site->name() << " member " << i;
+        EXPECT_EQ(bits(w.completion_time), bits(e.completion))
+            << "round " << round << " " << s.site->name() << " member " << i;
+      }
+      if (s.site->is_virtual()) {
+        const auto& vm = static_cast<const cluster::VirtualMachine&>(*s.site);
+        EXPECT_EQ(bits(vm.recent_io_mb().value()), bits(s.recent_io))
+            << "round " << round << " " << s.site->name();
+      }
+    }
+    ref.read_rates();
+  };
+  for (ReferenceSettle::Site& s : ref.sites) {
+    for (int k = rng.uniform_int(3, 10); k > 0; --k) join(s.site);
+  }
+  sync(-1);
+
+  // A member of `site` away from both ends, or null.
+  auto middle = [&](cluster::ExecutionSite* site, bool finite_only) {
+    const auto members = site->members();
+    std::vector<Workload*> picks;
+    for (std::size_t i = 1; i + 1 < members.size(); ++i) {
+      if (!finite_only || members[i].workload->finite()) {
+        picks.push_back(members[i].workload);
+      }
+    }
+    return picks.empty() ? nullptr : picks[rng.index(picks.size())];
+  };
+  auto any_site = [&] { return ref.sites[rng.index(ref.sites.size())].site; };
+  std::array<int, 4> led{};  // rounds each case ran first in
+  sim::SimTime t = 0;
+  for (int round = 0; round < 12; ++round) {
+    t += rng.uniform(0.5, 6);
+    sim.run_until(t);
+    std::array<int, 4> order{0, 1, 2, 3};
+    rng.shuffle(std::span<int>(order));
+    ++led[static_cast<std::size_t>(order[0])];
+    for (const int c : order) {
+      cluster::ExecutionSite* site = any_site();
+      switch (c) {
+        case 0: {  // join after the pass at this instant
+          machine->invalidate();
+          sync(round);
+          join(site);
+          sync(round);
+          break;
+        }
+        case 1: {  // a re-key leaves a copy; the next pass settles it
+          const auto members = site->members();
+          if (members.empty()) break;
+          Workload& w = *members[rng.index(members.size())].workload;
+          Resources d = w.demand();
+          d.disk *= 1.5;
+          w.set_demand(d);
+          sync(round);
+          break;
+        }
+        case 2: {  // a removal from the middle, before any pass it forces
+          Workload* w = middle(site, false);
+          if (w == nullptr) break;
+          sync(round);
+          const cluster::WorkloadPtr keep = ref.member(ref.of(site), w).w;
+          const double remaining = ref.remove(site, w, sim.now());
+          site->remove(w);
+          EXPECT_EQ(bits(keep->remaining().value()), bits(remaining))
+              << "round " << round << " " << site->name();
+          sync(round);
+          break;
+        }
+        case 3: {  // a finish and its removal at one instant
+          Workload* w = middle(site, true);
+          if (w == nullptr) break;
+          sync(round);
+          ref.finish(site, w, sim.now());
+          w->finish(sim.now());
+          ref.remove(site, w, sim.now());
+          site->remove(w);
+          sync(round);
+          break;
+        }
+      }
+    }
+    // Fresh members so the sites never run dry.
+    join(any_site());
+    sync(round);
+  }
+  EXPECT_GT(checked, 300);
+  for (const int n : led) EXPECT_GT(n, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandClassProperty,

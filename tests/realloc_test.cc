@@ -5,6 +5,8 @@
 // and the bounded TimeSeries machinery that keeps long runs O(max) memory.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -13,6 +15,7 @@
 #include "cluster/cluster.h"
 #include "cluster/machine.h"
 #include "harness/testbed.h"
+#include "sim/rng.h"
 #include "sim/simulation.h"
 #include "stats/timeseries.h"
 #include "telemetry/telemetry.h"
@@ -347,6 +350,89 @@ TEST(TimeSeriesBound, EnergyMeterHistoryIsBounded) {
   // Energy accounting stays consistent despite compaction: mean power of
   // a ~181 W trace must still be ~181 W.
   EXPECT_NEAR(meter.mean_watts(0, 999).value(), 181.0, 1.0);
+}
+
+// A machine's sample log against the four per-resource TimeSeries it
+// replaced: `steps` recomputes, each at an instant a random step after the
+// last and every fifth at the same instant as the one before, each
+// recorded into the reference series the way the machine recorded its
+// utilizations before the log (add_coalesced, bounded at
+// kMaxMachineSeriesSamples). Every record, mean and integral must match
+// bit for bit.
+void expect_log_matches_series(sim::Simulation& sim, Machine& m,
+                               Workload& w, int steps) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::array<stats::TimeSeries, kNumResources> ref;
+  for (auto& series : ref) series.set_max_samples(kMaxMachineSeriesSamples);
+  auto record = [&] {
+    sim.flush();
+    for (int r = 0; r < kNumResources; ++r) {
+      const auto kind = static_cast<ResourceKind>(r);
+      ref[r].add_coalesced(sim.now(), m.utilization(kind));
+    }
+  };
+  record();  // the recompute the setup marked
+  sim::Rng rng(11);
+  for (int i = 0; i < steps; ++i) {
+    if (i % 5 != 4) sim.run_until(sim.now() + rng.uniform(0.01, 3.0));
+    w.set_demand(Resources{rng.uniform(0.1, 6), rng.uniform(100, 9000),
+                           rng.uniform(0, 120), rng.uniform(0, 120)});
+    record();
+  }
+  const SampleLog& log = m.samples();
+  const double end = sim.now();
+  for (int r = 0; r < kNumResources; ++r) {
+    const auto kind = static_cast<ResourceKind>(r);
+    const auto& samples = ref[r].samples();
+    ASSERT_EQ(log.size(), samples.size()) << to_string(kind);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      ASSERT_EQ(bits(log[i].time), bits(samples[i].time)) << i;
+      ASSERT_EQ(bits(log[i].util[static_cast<std::size_t>(r)]),
+                bits(samples[i].value))
+          << to_string(kind) << " " << i;
+    }
+    for (int k = 0; k < 64; ++k) {
+      const double t0 = rng.uniform(-1, end);
+      const double t1 = k == 0 ? end : t0 + rng.uniform(0, end / 4);
+      EXPECT_EQ(bits(log.mean_in(kind, t0, t1)),
+                bits(ref[r].mean_in(t0, t1)));
+      EXPECT_EQ(bits(log.integrate(kind, t0, t1)),
+                bits(ref[r].integrate(t0, t1)));
+    }
+  }
+}
+
+TEST(MachineSampleLog, MatchesPerResourceSeriesPastTheBound) {
+  sim::Simulation sim(3);
+  HybridCluster hc(sim);
+  Machine* m = hc.add_machine();
+  VirtualMachine* vm = hc.add_vm(*m);
+  auto w = std::make_shared<Workload>(Resources{1, 512, 20, 20},
+                                      Workload::kService);
+  vm->add(w);
+  expect_log_matches_series(sim, *m, *w,
+                            static_cast<int>(2 * kMaxMachineSeriesSamples));
+  // Compaction ran: the log holds fewer records than distinct instants.
+  EXPECT_LT(m->samples().size(), 2 * kMaxMachineSeriesSamples * 4 / 5);
+}
+
+// A native host's energy meter records its construction instant; its
+// first recompute comes later, when a workload arrives, so its power
+// series holds one more sample than its utilization record. The log holds
+// only the recomputes' instants, as the utilization series did.
+TEST(MachineSampleLog, NativeHostLogStartsAtItsFirstRecompute) {
+  sim::Simulation sim(4);
+  HybridCluster hc(sim);
+  Machine* m = hc.add_machine();
+  sim.run_until(5.0);
+  auto w = std::make_shared<Workload>(Resources{1, 512, 20, 20},
+                                      Workload::kService);
+  m->add(w);
+  expect_log_matches_series(sim, *m, *w, 3000);
+  ASSERT_GT(m->samples().size(), 0u);
+  EXPECT_EQ(m->energy().series().samples().size(), m->samples().size() + 1);
+  EXPECT_EQ(m->energy().series().samples().front().time, 0.0);
+  EXPECT_EQ(m->samples()[0].time, 5.0);
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST_F(HdfsTest, TransferBatchRejectsNoSourcesOrNoStreams) {
   }
   sim.run();
   EXPECT_FALSE(done);
-  EXPECT_TRUE(dst->workloads().empty());
+  EXPECT_TRUE(dst->members().empty());
 
   hdfs.transfer_batch(sources, *dst, on_done, 1);
   sim.run();
@@ -197,7 +197,7 @@ TEST_F(HdfsTest, FlowCancelStopsWork) {
   sim.run();
   EXPECT_FALSE(done);
   EXPECT_FALSE(flow.active());
-  EXPECT_TRUE(m->workloads().empty());
+  EXPECT_TRUE(m->members().empty());
 }
 
 TEST_F(HdfsTest, FlowProgressAdvances) {

@@ -157,11 +157,7 @@ TEST(TestBedTelemetry, HubRecordsEngineAndMachineMetrics) {
   EXPECT_EQ(submits, 1u);
   EXPECT_EQ(task_finishes, job.maps().size() + job.reduces().size());
   EXPECT_EQ(job_finishes, 1u);
-  EXPECT_FALSE(bed.cluster()
-                   .machines()[0]
-                   ->utilization_series(cluster::ResourceKind::kCpu)
-                   .samples()
-                   .empty());
+  EXPECT_GT(bed.cluster().machines()[0]->samples().size(), 0u);
 }
 
 TEST(TestBedTelemetry, OptOutLeavesHubNull) {
